@@ -49,7 +49,6 @@ from .montecarlo import (
     empirical_percentile,
     histogram_and_cdf,
     run_ensemble,
-    sample,
 )
 from .network import (
     Activity,
@@ -74,6 +73,6 @@ __all__ = [
     "empirical_percentile", "enumerate_paths", "expand_duration_risk", "export_csv",
     "forward_backward", "histogram_and_cdf", "mean", "parse_project",
     "parse_project_text", "plan", "planned_value_curve", "plot", "render_project",
-    "risk_baselines", "run_ensemble", "sample", "schedule_sensitivity_index",
+    "risk_baselines", "run_ensemble", "schedule_sensitivity_index",
     "sensitivity_report", "sevm_forecast", "triad", "validate",
 ]

@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--runs", type=int, default=20_000)
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--grid", type=int, default=101,
-                            help="control instants per trajectory and baseline")
+                            help="points on the SRB/CRB and PV grids")
             sp.add_argument("--workers", type=int, default=1)
         if observe:
             sp.add_argument("--observe", required=True, metavar="t=T,ev=EV,ac=AC",
@@ -107,7 +107,7 @@ def _load(args):
 
 
 def _sim(args, network):
-    cfg = mc.SimConfig(n_runs=args.runs, seed=args.seed, trajectory_grid=args.grid)
+    cfg = mc.SimConfig(n_runs=args.runs, seed=args.seed)
     return mc.run_ensemble(network, cfg, workers=args.workers)
 
 
@@ -143,9 +143,8 @@ def _info(text):
 
 def cmd_validate(args):
     network = _load(args)
-    paths = cpmmod.enumerate_paths(network)
     print(f"nodes: {len(network.nodes)}")
-    print(f"paths: {paths.n_paths}")
+    print(f"paths: {cpmmod.count_paths(network)}")
     return 0
 
 
@@ -178,10 +177,14 @@ def cmd_simulate(args):
     _emit(args, "percentiles.csv", header, rows, primary=True)
     _emit(args, "endpoints.csv", *csvout.endpoint_table(ens))
     _info(f"runs: {ens.n_runs}  seed: {args.seed}")
-    _info(f"duration mean: {ens.total_duration.mean():.9g}  "
-          f"sd: {ens.total_duration.std(ddof=1):.9g}")
-    _info(f"cost mean: {ens.total_cost.mean():.9g}  sd: {ens.total_cost.std(ddof=1):.9g}")
+    _info(f"duration mean: {ens.total_duration.mean():.9g}  sd: {_sd(ens.total_duration)}")
+    _info(f"cost mean: {ens.total_cost.mean():.9g}  sd: {_sd(ens.total_cost)}")
     return 0
+
+
+def _sd(samples):
+    """Sample standard deviation, or n/a below the two runs it needs."""
+    return f"{samples.std(ddof=1):.9g}" if samples.size >= 2 else "n/a"
 
 
 def cmd_indices(args):

@@ -15,20 +15,21 @@ CRIT_TOL = 1e-9  # absolute float tolerance marking a node critical
 def window_fraction(t, start, finish, step_closed: bool = True):
     """Fraction of the window [start, finish] elapsed at time t, in [0, 1].
 
-    Zero-length windows step from 0 to 1 at t == start; `step_closed`
-    selects whether the step counts at t == start (right value) or only
-    for t > start (left limit). Endpoint comparisons use the bounds
-    directly so window completion is exact, never 1 - ulp.
+    Windows have start <= finish. Zero-length windows step from 0 to 1
+    at t == start; `step_closed` selects whether the step counts at
+    t == start (right value) or only for t > start (left limit). The
+    order of the two endpoint tests decides that step: closed tests
+    t >= finish first, open tests t <= start first. Endpoint comparisons
+    use the bounds directly so window completion is exact, never 1 - ulp.
     """
     t = np.asarray(t, dtype=float)
     start = np.asarray(start, dtype=float)
     finish = np.asarray(finish, dtype=float)
-    zero = finish == start
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = (t - start) / (finish - start)
-    ramp = np.where(t >= finish, 1.0, np.where(t <= start, 0.0, frac))
-    step = np.where(t >= start if step_closed else t > start, 1.0, 0.0)
-    return np.where(zero, step, ramp)
+    if step_closed:
+        return np.where(t >= finish, 1.0, np.where(t <= start, 0.0, frac))
+    return np.where(t <= start, 0.0, np.where(t >= finish, 1.0, frac))
 
 
 @dataclass(frozen=True)
@@ -105,19 +106,25 @@ class PathMatrix:
         return self.membership @ np.asarray(durations, dtype=float)
 
 
+def count_paths(network: ValidatedNetwork) -> int:
+    """Number of source->sink paths, counted backwards over the DAG without listing them."""
+    counts = [0] * len(network.nodes)
+    counts[network.sink] = 1
+    for node in reversed(network.nodes):
+        if node.succs:
+            counts[node.index] = sum(counts[s] for s in node.succs)
+    return counts[network.source]
+
+
 def enumerate_paths(network: ValidatedNetwork, cap: int = 1_000_000) -> PathMatrix:
     """Enumerate simple source->sink paths, lexicographic by topological order."""
     nodes = network.nodes
     n = len(nodes)
 
     # count first so an explosion aborts before materializing anything
-    counts = [0] * n
-    counts[network.sink] = 1
-    for node in reversed(nodes):
-        if node.succs:
-            counts[node.index] = sum(counts[s] for s in node.succs)
-    if counts[network.source] > cap:
-        raise PathExplosion(f"{counts[network.source]} paths exceed the cap of {cap}")
+    n_paths = count_paths(network)
+    if n_paths > cap:
+        raise PathExplosion(f"{n_paths} paths exceed the cap of {cap}")
 
     paths = []
     stack = [(network.source, iter(nodes[network.source].succs))]

@@ -53,37 +53,23 @@ def sample_block(dist: Distribution, seed, ident, start, count, purpose=_DURATIO
         round_no += 1
 
 
-def sample(dist: Distribution, stream) -> float:
-    """One draw from `dist` using a numpy Generator; normals resample until >= 0."""
-    while True:
-        x = float(inv_cdf(dist, stream.random()))
-        if x >= 0.0:
-            return x
-
-
 @dataclass(frozen=True)
 class SimConfig:
     n_runs: int = 20_000
     seed: int = 0
-    trajectory_grid: int = 101
-    horizon: float | None = None  # defaults to 1.5 x planned duration
 
     def __post_init__(self):
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-        if self.trajectory_grid < 2:
-            raise ConfigError(f"trajectory_grid must be >= 2, got {self.trajectory_grid}")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
 
 
 @dataclass(frozen=True)
 class Ensemble:
     """Immutable record of one simulation campaign.
 
-    Run-level arrays are indexed (run, node). Trajectories on `grid` are a
-    sampled view; ev_at/cost_at evaluate the exact piecewise-linear
-    trajectories at arbitrary times.
+    Run-level arrays are indexed (run, node). Trajectories are not stored:
+    ev_at/cost_at evaluate each run's exact piecewise-linear earned-value
+    and cumulative-cost trajectories at arbitrary times.
     """
 
     config: SimConfig
@@ -104,9 +90,6 @@ class Ensemble:
     planned_finish: np.ndarray
     planned_duration: float
     bac: float
-    grid: np.ndarray
-    cost_curve: np.ndarray      # (n_runs, len(grid))
-    ev_curve: np.ndarray
 
     @property
     def n_runs(self) -> int:
@@ -118,21 +101,20 @@ class Ensemble:
 
     def ev_at(self, times) -> np.ndarray:
         """Exact earned-value trajectory values at per-run times (or a scalar)."""
-        return self._eval(times, self.planned_value, broadcast_weights=True)
+        return self._eval(times, self.planned_value)
 
     def cost_at(self, times) -> np.ndarray:
         """Exact cumulative-cost trajectory values at per-run times (or a scalar)."""
-        return self._eval(times, self.node_cost, broadcast_weights=False)
+        return self._eval(times, self.node_cost)
 
-    def _eval(self, times, weights, broadcast_weights):
+    def _eval(self, times, weights):
         t = np.asarray(times, dtype=float)
         if t.ndim == 0:
             t = np.full(self.n_runs, float(t))
         total = np.zeros(self.n_runs)
-        for j in range(self.n_nodes):
-            w = weights[j] if broadcast_weights else weights[:, j]
+        for j in range(self.n_nodes):  # weights: (n_nodes,) or (n_runs, n_nodes)
             frac = _cpm.window_fraction(t, self.starts[:, j], self.finishes[:, j])
-            total += w * frac
+            total += weights[..., j] * frac
         return total
 
 
@@ -217,28 +199,11 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     for j in range(m):
         bac += float(planned_value[j])
 
-    horizon = cfg.horizon if cfg.horizon is not None else 1.5 * plan.duration
-    horizon = max(horizon, float(total_duration.max()))
-    grid = np.linspace(0.0, horizon, cfg.trajectory_grid)
-    cost_curve = np.empty((n, cfg.trajectory_grid))
-    ev_curve = np.empty((n, cfg.trajectory_grid))
-    frac = np.empty((n, m))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i, t in enumerate(grid):
-            np.subtract(t, starts, out=frac)
-            np.divide(frac, durations, out=frac)
-            np.clip(frac, 0.0, 1.0, out=frac)
-            frac[t <= starts] = 0.0
-            frac[t >= finishes] = 1.0  # exact completion; also the step at t == start
-            np.einsum("ij,ij->i", node_cost, frac, out=cost_curve[:, i])
-            np.matmul(frac, planned_value, out=ev_curve[:, i])
-
     arrays = dict(
         durations=durations, starts=starts, finishes=finishes, critical=critical,
         total_duration=total_duration, total_cost=total_cost, node_cost=node_cost,
         risk_active=risk_active, planned_value=planned_value,
         planned_start=plan.es.copy(), planned_finish=plan.ef.copy(),
-        grid=grid, cost_curve=cost_curve, ev_curve=ev_curve,
         node_is_risk=np.array([node.is_risk for node in nodes]),
     )
     for arr in arrays.values():

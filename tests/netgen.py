@@ -1,4 +1,4 @@
-"""Seeded random project builders used across the tests."""
+"""Seeded random project builders and trajectory views used across the tests."""
 
 import numpy as np
 
@@ -39,6 +39,38 @@ def parallel_spec(distributions, fixed=0.0, rate=0.0):
         matrix[i][0] = 1
         matrix[n - 1][i] = 1
     return ProjectSpec(activities=acts, precedence=matrix)
+
+
+def ladder_spec(stages):
+    """A0, then `stages` rungs of two activities each wired to both of the
+    rung before, then Af: 2 + 2 * stages activities and 2 ** stages paths."""
+    acts = [dummy("A0", "start")]
+    prev = ["A0"]
+    pairs = []
+    for k in range(stages):
+        rung = [f"L{k}", f"R{k}"]
+        for node_id in rung:
+            acts.append(Activity(id=node_id, name=node_id, duration=Distribution.point(1)))
+            pairs += [(node_id, p) for p in prev]
+        prev = rung
+    acts.append(dummy("Af", "finish"))
+    pairs += [("Af", p) for p in prev]
+    pos = {a.id: i for i, a in enumerate(acts)}
+    matrix = [[0] * len(acts) for _ in acts]
+    for succ, pred in pairs:
+        matrix[pos[succ]][pos[pred]] = 1
+    return ProjectSpec(activities=acts, precedence=matrix)
+
+
+def trajectories(ens, points):
+    """Each run's exact cost and earned-value trajectories at `points` uniform
+    times on [0, max(1.5 x planned duration, latest finish)], as
+    (n_runs, points) arrays read through cost_at/ev_at."""
+    last = max(1.5 * ens.planned_duration, float(ens.total_duration.max()))
+    times = np.linspace(0.0, last, points)
+    cost = np.column_stack([ens.cost_at(t) for t in times])
+    ev = np.column_stack([ens.ev_at(t) for t in times])
+    return cost, ev
 
 
 def random_dag_spec(rng, n_real=5, edge_prob=0.4, discrete_only=False,

@@ -3,6 +3,9 @@ import sys
 
 import pytest
 
+from netgen import ladder_spec
+from riskmc import render_project
+
 RISKMC = [sys.executable, "-m", "riskmc"]
 
 
@@ -30,6 +33,25 @@ def test_simulate_same_seed_byte_identical(project, tmp_path):
         assert result.returncode == 0, result.stderr
     for name in ("percentiles.csv", "endpoints.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_validate_counts_paths_without_listing_them(tmp_path):
+    ladder = tmp_path / "ladder.project"
+    ladder.write_text(render_project(ladder_spec(22)))
+    result = run_cli("validate", "--project", str(ladder))
+    assert result.returncode == 0, result.stderr
+    assert "nodes: 46" in result.stdout
+    assert "paths: 4194304" in result.stdout
+    capped = run_cli("paths", "--project", str(ladder), "--max-paths", "1000")
+    assert capped.returncode == 1
+    assert "PathExplosion" in capped.stderr
+
+
+def test_simulate_one_run_prints_no_nan(project):
+    result = run_cli("simulate", "--project", project, "--runs", "1")
+    assert result.returncode == 0, result.stderr
+    assert "nan" not in result.stderr
+    assert result.stderr.count("sd: n/a") == 2
 
 
 def test_simulate_stdout_percentiles(project):

@@ -24,7 +24,7 @@ from riskmc.errors import DegenerateProject, EvOutOfRange, EvZero, KTooLarge
 
 def build(spec, n=20_000, seed=301):
     net = validate(spec)
-    ens = run_ensemble(net, SimConfig(n_runs=n, seed=seed, trajectory_grid=2))
+    ens = run_ensemble(net, SimConfig(n_runs=n, seed=seed))
     return net, ens, plan(net)
 
 
@@ -154,7 +154,7 @@ def test_ev_out_of_range(serial_iid):
 # -- cross sections ----------------------------------------------------------
 
 def test_cross_section_endpoint_recovery(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=3000, seed=5, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=3000, seed=5))
     section_t, section_c = cross_section(ens, 1.0)
     assert np.array_equal(section_t, ens.total_duration)
     assert np.array_equal(section_c, ens.total_cost)
@@ -194,7 +194,7 @@ def test_cross_section_handles_value_jumps():
         matrix[succ][pred] = 1
     from riskmc import ProjectSpec
     net = validate(ProjectSpec(activities=acts, precedence=matrix))
-    ens = run_ensemble(net, SimConfig(n_runs=8, seed=1, trajectory_grid=2))
+    ens = run_ensemble(net, SimConfig(n_runs=8, seed=1))
     assert ens.bac == 20.0
     # EV ramps 0->4 on [0,2], jumps to 10 at t=2, ramps 10->20 on [2,4]
     for x, expected_t in ((0.2, 2.0), (0.25, 2.0), (0.5, 2.0), (0.75, 3.0), (0.1, 1.0)):
@@ -203,7 +203,7 @@ def test_cross_section_handles_value_jumps():
 
 
 def test_cross_section_monotone_in_x(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=2000, seed=8, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=2000, seed=8))
     previous = np.zeros(ens.n_runs)
     for x in (0.2, 0.4, 0.6, 0.8, 1.0):
         section_t, _ = cross_section(ens, x)
@@ -212,7 +212,7 @@ def test_cross_section_monotone_in_x(figure3_network):
 
 
 def test_cross_section_rejects_bad_fraction(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=8, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=8))
     with pytest.raises(EvZero):
         cross_section(ens, 0.0)
     with pytest.raises(EvOutOfRange):
@@ -263,7 +263,7 @@ def test_triad_ev_zero(serial_iid):
 def test_triad_invariant_under_money_rescaling():
     spec = chain_spec([Distribution.uniform(1, 3)] * 2, fixed=8, rate=2)
     doubled = chain_spec([Distribution.uniform(1, 3)] * 2, fixed=16, rate=4)
-    cfg = SimConfig(n_runs=5000, seed=77, trajectory_grid=2)
+    cfg = SimConfig(n_runs=5000, seed=77)
     ens = run_ensemble(validate(spec), cfg)
     ens2 = run_ensemble(validate(doubled), cfg)
     obs = ControlObservation(t=2.1, ev=0.4 * ens.bac, ac=0.45 * ens.bac)
@@ -277,7 +277,7 @@ def test_triad_invariant_under_money_rescaling():
 # -- SEVM forecast -----------------------------------------------------------
 
 def test_sevm_nearest_run_recovers_itself(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=2000, seed=15, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=2000, seed=15))
     x = 0.999
     section_t, section_c = cross_section(ens, x)
     run = 123
@@ -290,7 +290,7 @@ def test_sevm_nearest_run_recovers_itself(figure3_network):
 
 
 def test_sevm_whole_ensemble_reproduces_unconditional_stats(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=5000, seed=16, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=5000, seed=16))
     obs = ControlObservation(t=4.0, ev=0.5 * ens.bac, ac=0.5 * ens.bac)
     forecast = sevm_forecast(obs, ens, k_neighbors=ens.n_runs)
     assert forecast.eac_duration == pytest.approx(ens.total_duration.mean(), rel=1e-12)
@@ -308,7 +308,7 @@ def test_sevm_deterministic_project():
 
 
 def test_sevm_labels_partition_by_planned_duration(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=3000, seed=19, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=3000, seed=19))
     obs = ControlObservation(t=4.0, ev=0.5 * ens.bac, ac=0.5 * ens.bac)
     forecast = sevm_forecast(obs, ens)
     late = ens.total_duration[forecast.neighbor_runs] > ens.planned_duration
@@ -317,7 +317,7 @@ def test_sevm_labels_partition_by_planned_duration(figure3_network):
 
 
 def test_sevm_k_too_large_and_ev_zero(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=200, seed=20, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=200, seed=20))
     obs = ControlObservation(t=4.0, ev=0.5 * ens.bac, ac=0.5 * ens.bac)
     with pytest.raises(KTooLarge):
         sevm_forecast(obs, ens, k_neighbors=201)
@@ -326,7 +326,7 @@ def test_sevm_k_too_large_and_ev_zero(figure3_network):
 
 
 def test_sevm_linear_estimator_runs(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=2000, seed=21, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=2000, seed=21))
     obs = ControlObservation(t=4.0, ev=0.5 * ens.bac, ac=0.5 * ens.bac)
     forecast = sevm_forecast(obs, ens, k_neighbors=500, estimator="linear")
     assert np.isfinite(forecast.eac_duration) and np.isfinite(forecast.eac_cost)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from netgen import chain_spec, parallel_spec, random_dag_spec
+from netgen import chain_spec, ladder_spec, parallel_spec, random_dag_spec
 from riskmc import (
     Activity,
     Distribution,
@@ -13,6 +15,7 @@ from riskmc import (
     planned_value_curve,
     validate,
 )
+from riskmc.cpm import count_paths, window_fraction
 from riskmc.errors import EvOutOfRange, PathExplosion
 from netgen import dummy
 
@@ -89,6 +92,18 @@ def test_path_count_matches_independent_dfs():
         net = validate(random_dag_spec(rng, n_real=int(rng.integers(2, 8))))
         pm = enumerate_paths(net)
         assert pm.n_paths == len(oracles.brute_paths(oracles.pred_lists(net)))
+        assert count_paths(net) == pm.n_paths
+
+
+def test_count_paths_never_enumerates():
+    # 46 activities in 22 two-wide rungs: 2^22 paths, counted without listing
+    small = validate(ladder_spec(5))
+    assert count_paths(small) == enumerate_paths(small).n_paths == 2 ** 5
+    net = validate(ladder_spec(22))
+    assert len(net.nodes) == 46
+    assert count_paths(net) == 2 ** 22
+    with pytest.raises(PathExplosion):
+        enumerate_paths(net)
 
 
 def test_path_explosion_cap():
@@ -230,3 +245,41 @@ def test_earned_schedule_inverts_pv_on_grid():
         assert pv.value_at(t) >= ev - 1e-9 * max(1.0, result.bac)
         if t > 0:
             assert pv.value_at(t * (1 - 1e-12)) <= ev + 1e-6 * max(1.0, result.bac)
+
+
+# -- window fraction ---------------------------------------------------------
+
+def reference_window_fraction(t, start, finish, step_closed):
+    """Masked form with a separate step branch for zero-length windows;
+    window_fraction must match it bit for bit."""
+    zero = finish == start
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (t - start) / (finish - start)
+    ramp = np.where(t >= finish, 1.0, np.where(t <= start, 0.0, frac))
+    step = np.where(t >= start if step_closed else t > start, 1.0, 0.0)
+    return np.where(zero, step, ramp)
+
+
+_times = st.floats(0.0, 1e6, allow_nan=False)
+_windows = st.tuples(
+    _times,
+    st.one_of(st.just(0.0), st.floats(0.0, 1e3, allow_nan=False)),
+    st.one_of(st.sampled_from(("start", "finish")), _times),
+)
+# zero-length windows before, at and after their step; t exactly at start and finish
+_edges = [(1.0, 0.0, "start"), (1.0, 0.0, 0.5), (1.0, 0.0, 1.5),
+          (0.5, 1.0, "start"), (0.5, 1.0, "finish"), (0.5, 1.0, 1.0), (0.0, 0.0, 0.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_windows, min_size=1, max_size=40), st.booleans())
+@example(_edges, True)
+@example(_edges, False)
+def test_window_fraction_matches_reference_bitwise(windows, step_closed):
+    start = np.array([s for s, _, _ in windows])
+    finish = start + np.array([length for _, length, _ in windows])
+    t = np.array([s if at == "start" else f if at == "finish" else at
+                  for (s, _, at), f in zip(windows, finish)])
+    got = window_fraction(t, start, finish, step_closed)
+    want = reference_window_fraction(t, start, finish, step_closed)
+    assert got.tobytes() == want.tobytes()

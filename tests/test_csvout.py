@@ -15,7 +15,7 @@ from riskmc.csvout import (
 
 @pytest.fixture(scope="module")
 def stack(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=1000, seed=55, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=1000, seed=55))
     return figure3_network, ens
 
 

@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
 
-from riskmc import Distribution, mean, sample
+from riskmc import Distribution, mean
 from riskmc.distributions import inv_cdf
 from riskmc.errors import BadDistributionParams
 from riskmc.montecarlo import sample_block
@@ -71,13 +70,13 @@ def test_inv_cdf_monotone_and_in_support(dist):
 
 
 def test_point_sampling_constant():
-    stream = Generator(Philox(key=1))
-    assert all(sample(Distribution.point(7), stream) == 7.0 for _ in range(10))
+    draws = sample_block(Distribution.point(7), seed=1, ident="point", start=0, count=10)
+    assert (draws == 7.0).all()
 
 
 def test_uniform_degenerate_support():
-    stream = Generator(Philox(key=2))
-    assert all(sample(Distribution.uniform(5, 5), stream) == 5.0 for _ in range(10))
+    draws = sample_block(Distribution.uniform(5, 5), seed=2, ident="flat", start=0, count=10)
+    assert (draws == 5.0).all()
 
 
 def test_triangular_sample_mean_clt_bound():

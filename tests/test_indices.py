@@ -19,7 +19,7 @@ from riskmc.errors import ConfigError, DegenerateProject
 
 def simulate(spec, n=100_000, seed=101):
     net = validate(spec)
-    return net, run_ensemble(net, SimConfig(n_runs=n, seed=seed, trajectory_grid=2))
+    return net, run_ensemble(net, SimConfig(n_runs=n, seed=seed))
 
 
 def test_ci_symmetric_parallel_branches():
@@ -111,7 +111,7 @@ def test_ssi_degenerate_project():
 
 
 def test_report_identity_ssi_equals_ci_sigma_ratio(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=5000, seed=5, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=5000, seed=5))
     rep = sensitivity_report(ens)
     assert np.allclose(rep.ssi, rep.ci * rep.sigma / rep.sigma_duration, rtol=1e-12)
     assert ((rep.ci >= 0) & (rep.ci <= 1)).all()
@@ -123,8 +123,7 @@ def test_every_run_has_a_fully_critical_path():
     for _ in range(5):
         spec = random_dag_spec(rng, n_real=5, with_risks=1)
         net = validate(spec)
-        ens = run_ensemble(net, SimConfig(n_runs=300, seed=int(rng.integers(1 << 30)),
-                                          trajectory_grid=2))
+        ens = run_ensemble(net, SimConfig(n_runs=300, seed=int(rng.integers(1 << 30))))
         membership = enumerate_paths(net).membership.astype(bool)
         # each run: some path with every node flagged critical
         full = (ens.critical[:, None, :] | ~membership[None, :, :]).all(axis=2)
@@ -137,7 +136,7 @@ def test_indices_invariant_under_relabeling():
     rng = np.random.default_rng(68)
     spec = random_dag_spec(rng, n_real=5, with_risks=1)
     net = validate(spec)
-    ens = run_ensemble(net, SimConfig(n_runs=3000, seed=11, trajectory_grid=2))
+    ens = run_ensemble(net, SimConfig(n_runs=3000, seed=11))
     rep = sensitivity_report(ens)
 
     # permute the middle activities in the declaration list (matrix rows follow)
@@ -146,7 +145,7 @@ def test_indices_invariant_under_relabeling():
     matrix = [[spec.precedence[i][j] for j in perm] for i in perm]
     from riskmc import ProjectSpec
     net2 = validate(ProjectSpec(acts, matrix, spec.risks))
-    ens2 = run_ensemble(net2, SimConfig(n_runs=3000, seed=11, trajectory_grid=2))
+    ens2 = run_ensemble(net2, SimConfig(n_runs=3000, seed=11))
     rep2 = sensitivity_report(ens2)
     for node_id in net.ids():
         i, j = list(rep.node_ids).index(node_id), list(rep2.node_ids).index(node_id)
@@ -159,7 +158,7 @@ def test_indices_invariant_under_time_scaling():
     # doubling every duration is exact in binary floating point
     spec = chain_spec([Distribution.uniform(1, 3), Distribution.triangular(1, 2, 4)])
     doubled = chain_spec([Distribution.uniform(2, 6), Distribution.triangular(2, 4, 8)])
-    cfg = SimConfig(n_runs=4000, seed=21, trajectory_grid=2)
+    cfg = SimConfig(n_runs=4000, seed=21)
     rep = sensitivity_report(run_ensemble(validate(spec), cfg))
     rep2 = sensitivity_report(run_ensemble(validate(doubled), cfg))
     assert np.array_equal(rep.ci, rep2.ci)
@@ -192,13 +191,13 @@ def test_reserve_uniform_cost_quantile():
 
 
 def test_reserve_monotone_in_percentile(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=20_000, seed=3, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=20_000, seed=3))
     for dimension in ("cost", "duration"):
         values = [contingency_reserve(ens, p, dimension) for p in (50, 75, 90, 95, 99)]
         assert (np.diff(values) >= 0).all()
 
 
 def test_reserve_dimension_validation(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=3, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=3))
     with pytest.raises(ConfigError):
         contingency_reserve(ens, 50, "scope")

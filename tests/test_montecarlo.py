@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from netgen import chain_spec, parallel_spec, random_dag_spec
+from netgen import chain_spec, parallel_spec, random_dag_spec, trajectories
 from riskmc import (
     Distribution,
     ProjectSpec,
@@ -21,16 +21,12 @@ from riskmc.montecarlo import sample_block
 def test_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(n_runs=0)
-    with pytest.raises(ConfigError):
-        SimConfig(trajectory_grid=1)
-    with pytest.raises(ConfigError):
-        SimConfig(horizon=0.0)
 
 
 def test_point_network_reproduces_cpm():
     spec = chain_spec([Distribution.point(2), Distribution.point(5)], fixed=3, rate=1)
     net = validate(spec)
-    ens = run_ensemble(net, SimConfig(n_runs=200, seed=9, trajectory_grid=5))
+    ens = run_ensemble(net, SimConfig(n_runs=200, seed=9))
     expected = forward_backward(net, net.mean_durations())
     assert (ens.total_duration == expected.duration).all()
     assert ens.total_duration.std() == 0.0
@@ -42,7 +38,7 @@ def test_serial_normals_match_analytic_sum():
     # five normal(10, 2) in series: sum is normal(50, sqrt(20)); truncation
     # below zero is 5-sigma mass and negligible
     net = validate(chain_spec([Distribution.normal(10, 2)] * 5))
-    ens = run_ensemble(net, SimConfig(n_runs=100_000, seed=13, trajectory_grid=2))
+    ens = run_ensemble(net, SimConfig(n_runs=100_000, seed=13))
     assert ens.total_duration.mean() == pytest.approx(50.0, abs=0.06)
     assert ens.total_duration.std(ddof=1) == pytest.approx(np.sqrt(20.0), rel=0.02)
 
@@ -50,32 +46,35 @@ def test_serial_normals_match_analytic_sum():
 def test_parallel_uniform_merge_bias():
     # E max(U1, U2) for iid uniform(4, 6) is 4 + 2 * 2/3
     net = validate(parallel_spec([Distribution.uniform(4, 6)] * 2))
-    ens = run_ensemble(net, SimConfig(n_runs=100_000, seed=17, trajectory_grid=2))
+    ens = run_ensemble(net, SimConfig(n_runs=100_000, seed=17))
     assert ens.total_duration.mean() == pytest.approx(4 + 2 * 2 / 3, abs=0.02)
 
 
 def test_bitwise_determinism(figure3_network):
-    cfg = SimConfig(n_runs=3000, seed=99, trajectory_grid=11)
+    cfg = SimConfig(n_runs=3000, seed=99)
     a = run_ensemble(figure3_network, cfg)
     b = run_ensemble(figure3_network, cfg)
     for field in ("durations", "starts", "finishes", "critical", "total_duration",
-                  "total_cost", "node_cost", "risk_active", "cost_curve", "ev_curve"):
+                  "total_cost", "node_cost", "risk_active"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    for curve_a, curve_b in zip(trajectories(a, 11), trajectories(b, 11)):
+        assert np.array_equal(curve_a, curve_b)
 
 
 def test_worker_count_never_changes_results(figure3_network):
-    cfg = SimConfig(n_runs=2500, seed=4, trajectory_grid=7)
+    cfg = SimConfig(n_runs=2500, seed=4)
     base = run_ensemble(figure3_network, cfg, workers=1)
+    _, base_ev = trajectories(base, 7)
     for workers in range(2, 9):
         other = run_ensemble(figure3_network, cfg, workers=workers)
         assert np.array_equal(base.durations, other.durations)
         assert np.array_equal(base.total_cost, other.total_cost)
-        assert np.array_equal(base.ev_curve, other.ev_curve)
+        assert np.array_equal(base_ev, trajectories(other, 7)[1])
 
 
 def test_seed_changes_results(figure3_network):
-    a = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=1, trajectory_grid=2))
-    b = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=2, trajectory_grid=2))
+    a = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=1))
+    b = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=2))
     assert not np.array_equal(a.total_duration, b.total_duration)
 
 
@@ -88,8 +87,7 @@ def test_exact_discrete_oracle_ks():
         spec = random_dag_spec(rng, n_real=4, discrete_only=True, with_risks=2)
         net = validate(spec)
         pd_dist, cost_dist, crit = oracles.enumerate_exact(net)
-        ens = run_ensemble(net, SimConfig(n_runs=n, seed=int(rng.integers(1 << 30)),
-                                          trajectory_grid=2))
+        ens = run_ensemble(net, SimConfig(n_runs=n, seed=int(rng.integers(1 << 30))))
         assert oracles.ks_distance(pd_dist, ens.total_duration) < bound
         assert oracles.ks_distance(cost_dist, ens.total_cost) < bound
 
@@ -103,7 +101,7 @@ def test_risk_probability_zero_matches_riskfree_network():
                          target="B1", impact=Distribution.uniform(1, 2)),
                RiskEvent(id="R2", name="never2", probability=0.0, kind="cost",
                          target="B2", impact=Distribution.point(100))))
-    cfg = SimConfig(n_runs=4000, seed=23, trajectory_grid=2)
+    cfg = SimConfig(n_runs=4000, seed=23)
     free = run_ensemble(validate(base_spec), cfg)
     gated = run_ensemble(validate(risky_spec), cfg)
     assert np.array_equal(free.total_duration, gated.total_duration)
@@ -118,7 +116,7 @@ def test_risk_probability_zero_matches_riskfree_network():
 
 def test_each_run_matches_scalar_cpm(figure3_network):
     # the vectorized per-run pass must agree with the one-shot CPM
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=400, seed=29, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=400, seed=29))
     for k in range(0, ens.n_runs, 37):
         result = forward_backward(figure3_network, ens.durations[k])
         assert ens.total_duration[k] == result.duration
@@ -128,8 +126,12 @@ def test_each_run_matches_scalar_cpm(figure3_network):
 
 def test_trajectory_invariants(figure3_network):
     ens = run_ensemble(figure3_network, SimConfig(n_runs=2000, seed=31))
-    assert (np.diff(ens.cost_curve, axis=1) >= -1e-9).all()
-    assert (np.diff(ens.ev_curve, axis=1) >= -1e-9).all()
+    cost, ev = trajectories(ens, 101)
+    assert (np.diff(cost, axis=1) >= -1e-9).all()
+    assert (np.diff(ev, axis=1) >= -1e-9).all()
+    # the last grid time is at or past every run's finish
+    assert (cost[:, -1] == ens.total_cost).all()
+    assert (ev[:, -1] == ens.bac).all()
     # exact endpoint identities on the piecewise-linear trajectories
     assert (ens.cost_at(ens.total_duration) == ens.total_cost).all()
     assert (ens.ev_at(ens.total_duration) == ens.bac).all()
@@ -140,13 +142,13 @@ def test_trajectory_invariants(figure3_network):
 
 
 def test_ensemble_is_read_only(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=50, seed=1, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=50, seed=1))
     with pytest.raises(ValueError):
         ens.durations[0, 0] = 1.0
 
 
 def test_run_cost_identity(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=500, seed=37, trajectory_grid=2))
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=500, seed=37))
     fixed = np.array([n.fixed_cost for n in figure3_network.nodes])
     rate = np.array([n.variable_cost_rate for n in figure3_network.nodes])
     base = (fixed[None, :] + rate[None, :] * ens.durations).sum(axis=1)

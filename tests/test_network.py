@@ -170,7 +170,7 @@ def test_probability_zero_risk_never_activates():
     risk = RiskEvent(id="R1", name="noop", probability=0.0, kind="duration",
                      target="B1", impact=Distribution.uniform(1, 2))
     net = validate(ProjectSpec(spec.activities, spec.precedence, (risk,)))
-    ens = run_ensemble(net, SimConfig(n_runs=500, seed=3, trajectory_grid=2))
+    ens = run_ensemble(net, SimConfig(n_runs=500, seed=3))
     risk_col = net.index_of("R1")
     assert (ens.durations[:, risk_col] == 0.0).all()
     assert (ens.total_duration == 2.0).all()

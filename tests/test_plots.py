@@ -26,7 +26,7 @@ from riskmc.errors import ShapeMismatch
 @pytest.fixture(scope="module")
 def stack(figure3_network):
     net = figure3_network
-    ens = run_ensemble(net, SimConfig(n_runs=2000, seed=88, trajectory_grid=21))
+    ens = run_ensemble(net, SimConfig(n_runs=2000, seed=88))
     planned = plan(net)
     return net, ens, planned
 
@@ -80,7 +80,7 @@ def test_constant_sample_pdfcdf(tmp_path):
 
 def test_sevm_deterministic_project_single_color(tmp_path):
     net = validate(chain_spec([Distribution.point(3)] * 2, fixed=5, rate=1))
-    ens = run_ensemble(net, SimConfig(n_runs=300, seed=2, trajectory_grid=2))
+    ens = run_ensemble(net, SimConfig(n_runs=300, seed=2))
     obs = ControlObservation(t=3.0, ev=0.5 * ens.bac, ac=0.5 * ens.bac)
     forecast = sevm_forecast(obs, ens, k_neighbors=100)
     out = tmp_path / "sevm.svg"
