@@ -107,13 +107,14 @@ class Ensemble:
         """Exact cumulative-cost trajectory values at per-run times (or a scalar)."""
         return self._eval(times, self.node_cost)
 
-    def _eval(self, times, weights):
+    def _eval(self, times, weights, step_closed=True):
         t = np.asarray(times, dtype=float)
         if t.ndim == 0:
             t = np.full(self.n_runs, float(t))
         total = np.zeros(self.n_runs)
         for j in range(self.n_nodes):  # weights: (n_nodes,) or (n_runs, n_nodes)
-            frac = _cpm.window_fraction(t, self.starts[:, j], self.finishes[:, j])
+            frac = _cpm.window_fraction(t, self.starts[:, j], self.finishes[:, j],
+                                        step_closed=step_closed)
             total += weights[..., j] * frac
         return total
 

@@ -5,6 +5,7 @@ import pytest
 
 from netgen import ladder_spec
 from riskmc import render_project
+from riskmc.cli import main
 
 RISKMC = [sys.executable, "-m", "riskmc"]
 
@@ -67,6 +68,17 @@ def test_control_with_zero_ev_fails_domain(project):
                      "--observe", "t=4,ev=0,ac=100")
     assert result.returncode == 1
     assert "EvZero" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["control", "forecast"])
+@pytest.mark.parametrize("observe", ["t=10,ev=nan,ac=5", "t=nan,ev=100,ac=5",
+                                     "t=inf,ev=100,ac=5", "t=10,ev=100,ac=-inf"])
+def test_non_finite_observation_is_config_error(project, command, observe, capsys):
+    assert main([command, "--project", project, "--runs", "100",
+                 "--observe", observe]) == 3
+    captured = capsys.readouterr()
+    assert "ConfigError" in captured.err and "finite" in captured.err
+    assert "nan" not in captured.out and "inf" not in captured.out
 
 
 def test_missing_project_file_is_io_error():

@@ -1,7 +1,11 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from netgen import chain_spec
+from netgen import chain_spec, random_dag_spec
 from riskmc import (
     ControlObservation,
     Distribution,
@@ -19,6 +23,7 @@ from riskmc import (
     triad,
     validate,
 )
+from riskmc.cpm import window_fraction
 from riskmc.errors import DegenerateProject, EvOutOfRange, EvZero, KTooLarge
 
 
@@ -219,6 +224,74 @@ def test_cross_section_rejects_bad_fraction(figure3_network):
         cross_section(ens, 1.5)
 
 
+def _reference_cross_section(ensemble, x):
+    """The O(n*m^2) scan over full (n, 2m+1) event matrices that
+    cross_section replaced; cross_section must match it bit for bit."""
+    if x == 1.0:
+        return ensemble.total_duration.copy(), ensemble.total_cost.copy()
+
+    target = x * ensemble.bac
+    starts, finishes = ensemble.starts, ensemble.finishes
+    n, m = starts.shape
+    events = np.concatenate([np.zeros((n, 1)), starts, finishes], axis=1)
+    events.sort(axis=1)
+
+    ev_right = np.zeros_like(events)
+    ev_left = np.zeros_like(events)
+    for j in range(m):
+        pv_j = ensemble.planned_value[j]
+        if pv_j == 0.0:
+            continue
+        s, f = starts[:, j, None], finishes[:, j, None]
+        ev_right += pv_j * window_fraction(events, s, f, step_closed=True)
+        ev_left += pv_j * window_fraction(events, s, f, step_closed=False)
+
+    idx = (ev_right < target).sum(axis=1)  # first event with ev >= target
+    rows = np.arange(n)
+    at_origin = idx == 0
+    idx = np.maximum(idx, 1)
+    t0 = events[rows, idx - 1]
+    t1 = events[rows, idx]
+    v0 = ev_right[rows, idx - 1]
+    v1_left = ev_left[rows, idx]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interp = t0 + (target - v0) * (t1 - t0) / (v1_left - v0)
+    crosses_open = (v1_left >= target) & (v1_left > v0)
+    times = np.where(at_origin, 0.0, np.where(crosses_open, interp, t1))
+    return times, ensemble.cost_at(times)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 3),
+       st.floats(0.0, 1.0, exclude_min=True))
+@example(0, 1, 0, 0.5)
+@example(4, 6, 3, 1.0)
+@example(11, 8, 2, 5e-324)
+def test_cross_section_matches_reference_bitwise(seed, n_real, with_risks, x):
+    # random laws include point(0) nodes (value jumps, zero-length windows),
+    # zero-cost nodes (pv_j == 0) and gated duration risks
+    rng = np.random.default_rng(seed)
+    spec = random_dag_spec(rng, n_real=n_real, edge_prob=0.4, with_risks=with_risks)
+    ens = run_ensemble(validate(spec), SimConfig(n_runs=40, seed=seed % 1000))
+    fractions = [x, float(np.nextafter(1.0, 0.0))]
+    if ens.bac > 0.0:  # every node-prefix breakpoint of the planned value
+        prefix = np.cumsum(ens.planned_value) / ens.bac
+        fractions += [float(f) for f in prefix if 0.0 < f <= 1.0]
+    for fraction in fractions:
+        section_t, section_c = cross_section(ens, fraction)
+        want_t, want_c = _reference_cross_section(ens, fraction)
+        assert np.array_equal(section_t, want_t), fraction
+        assert np.array_equal(section_c, want_c), fraction
+        assert (section_t >= 0.0).all()
+        assert (section_t <= ens.total_duration).all()
+        # relative slack, plus an absolute floor for subnormal targets (x ~ 5e-324),
+        # where float64 keeps no relative precision
+        floor = fraction * ens.bac * (1.0 - 1e-12) - np.finfo(float).tiny
+        assert (ens.ev_at(section_t) >= floor).all()
+        assert section_c.tobytes() == ens.cost_at(section_t).tobytes()
+
+
 # -- triad -------------------------------------------------------------------
 
 def test_triad_at_medians_reads_on(serial_iid):
@@ -332,3 +405,26 @@ def test_sevm_linear_estimator_runs(figure3_network):
     assert np.isfinite(forecast.eac_duration) and np.isfinite(forecast.eac_cost)
     lo, hi = forecast.duration_interval[0][1], forecast.duration_interval[-1][1]
     assert lo <= hi
+
+
+# -- scale -------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def thousand_activities():
+    rng = np.random.default_rng(1000)
+    spec = random_dag_spec(rng, n_real=1000, edge_prob=0.004, with_risks=10)
+    net = validate(spec)
+    ens = run_ensemble(net, SimConfig(n_runs=1000, seed=1))
+    return ens, ControlObservation(t=0.55 * ens.planned_duration, ev=0.5 * ens.bac,
+                                   ac=0.55 * ens.bac)
+
+
+@pytest.mark.parametrize("analysis", [triad, sevm_forecast], ids=["triad", "sevm"])
+def test_control_scales_to_a_thousand_activities(thousand_activities, analysis):
+    ens, obs = thousand_activities
+    assert ens.n_nodes > 1000
+    start = time.perf_counter()
+    analysis(obs, ens)
+    elapsed = time.perf_counter() - start
+    print(f"  [{ens.n_nodes} nodes, 1000 runs, {analysis.__name__}: {elapsed:.2f}s]", end="")
+    assert elapsed <= 10.0
