@@ -31,8 +31,7 @@ from .cpm import (
     plan,
     planned_value_curve,
 )
-from .csvout import export_csv
-from .distributions import Distribution, mean
+from .distributions import Distribution
 from .errors import RiskMcError
 from .indices import (
     SensitivityReport,
@@ -55,7 +54,6 @@ from .network import (
     ProjectSpec,
     RiskEvent,
     ValidatedNetwork,
-    expand_duration_risk,
     validate,
 )
 from .projectfile import parse_project, parse_project_text, render_project
@@ -70,9 +68,9 @@ __all__ = [
     "SevmForecast", "SimConfig", "TriadReport", "ValidatedNetwork",
     "activity_risk_index", "contingency_reserve", "control_indices",
     "criticality_index", "cross_section", "cruciality_index", "earned_schedule",
-    "empirical_percentile", "enumerate_paths", "expand_duration_risk", "export_csv",
-    "forward_backward", "histogram_and_cdf", "mean", "parse_project",
-    "parse_project_text", "plan", "planned_value_curve", "plot", "render_project",
+    "empirical_percentile", "enumerate_paths", "forward_backward", "histogram_and_cdf",
+    "parse_project", "parse_project_text", "plan", "planned_value_curve", "plot",
+    "render_project",
     "risk_baselines", "run_ensemble", "schedule_sensitivity_index",
     "sensitivity_report", "sevm_forecast", "triad", "validate",
 ]

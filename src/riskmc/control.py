@@ -46,8 +46,8 @@ class RiskBaseline:
         return self._at(t, self.cost_shares, self.sigma_cost)
 
     def _at(self, t, shares, sigma):
-        frac = _cpm.window_fraction(float(t), self.window_start, self.window_finish)
-        return float(sigma * np.sqrt(np.sum(shares * frac)))
+        return float(sigma * np.sqrt(_cpm.accrue(float(t), shares, self.window_start,
+                                                  self.window_finish)))
 
 
 def risk_baselines(ensemble: Ensemble, plan: _cpm.CpmResult, grid_points: int = 101) -> RiskBaseline:
@@ -65,11 +65,8 @@ def risk_baselines(ensemble: Ensemble, plan: _cpm.CpmResult, grid_points: int = 
     cost_shares = _variance_shares(ensemble.node_cost, ensemble.total_cost)
 
     times = np.linspace(0.0, plan.duration, grid_points)
-    elapsed = np.zeros((grid_points, len(plan.node_ids)))
-    for j in range(len(plan.node_ids)):
-        elapsed[:, j] = _cpm.window_fraction(times, plan.es[j], plan.ef[j])
-    srb = sigma_pd * np.sqrt(elapsed @ schedule_shares)
-    crb = sigma_c * np.sqrt(elapsed @ cost_shares)
+    srb = sigma_pd * np.sqrt(_cpm.accrue(times, schedule_shares, plan.es, plan.ef))
+    crb = sigma_c * np.sqrt(_cpm.accrue(times, cost_shares, plan.es, plan.ef))
     return RiskBaseline(node_ids=ensemble.node_ids, node_names=ensemble.node_names,
                         times=times, srb=srb, crb=crb,
                         schedule_shares=schedule_shares, cost_shares=cost_shares,
@@ -149,10 +146,8 @@ def cross_section(ensemble: Ensemble, x: float):
 
     T_k = inf{t : ev_k(t) >= x * BAC}, solved exactly on the piecewise-linear
     run trajectories; C_k = cost_k(T_k). x = 1 returns the endpoint scatter
-    (total duration, total cost) exactly. ev_k is nondecreasing, so all
-    runs bisect their sorted start/finish times at once for the first event
-    reaching the target, then interpolate from the right value before it to
-    the left limit at it: ~log2(2m) ev evaluations, O(n * m * log m) in all.
+    (total duration, total cost) exactly. Otherwise `cpm.first_reach`
+    bisects all runs at once: O(n * m * log m) in all.
     """
     if x <= 0.0:
         raise EvZero(f"completion fraction must be positive, got {x}")
@@ -161,33 +156,8 @@ def cross_section(ensemble: Ensemble, x: float):
     if x == 1.0:
         return ensemble.total_duration.copy(), ensemble.total_cost.copy()
 
-    target = x * ensemble.bac
-    n = ensemble.n_runs
-    rows = np.arange(n)
-    events = np.column_stack([np.zeros(n), ensemble.starts, ensemble.finishes])
-    events.sort(axis=1)
-
-    # ev at the last event is BAC >= target, so the first event reaching
-    # the target lies in [lo, hi] throughout; v0 is ev at lo - 1
-    lo, hi, v0 = np.zeros(n, dtype=int), np.full(n, events.shape[1] - 1), np.zeros(n)
-    while (lo < hi).any():
-        mid = (lo + hi) // 2
-        value = ensemble.ev_at(events[rows, mid])
-        below = value < target
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(below, hi, mid)
-        v0 = np.where(below, value, v0)
-
-    at_origin = lo == 0
-    idx = np.maximum(lo, 1)
-    t0 = events[rows, idx - 1]
-    t1 = events[rows, idx]
-    v1_left = ensemble._eval(t1, ensemble.planned_value, step_closed=False)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        interp = t0 + (target - v0) * (t1 - t0) / (v1_left - v0)
-    crosses_open = (v1_left >= target) & (v1_left > v0)
-    times = np.where(at_origin, 0.0, np.where(crosses_open, interp, t1))
+    times = _cpm.first_reach(x * ensemble.bac, ensemble.planned_value,
+                             ensemble.starts, ensemble.finishes)
     return times, ensemble.cost_at(times)
 
 
@@ -203,6 +173,8 @@ class TriadReport:
 
 
 def triad(obs: ControlObservation, ensemble: Ensemble, band: float = 5.0) -> TriadReport:
+    if not 0.0 <= band <= 50.0:  # also rejects nan
+        raise ConfigError(f"band must be a percentile half-width in [0, 50], got {band}")
     x = completion_fraction(obs, ensemble)
     section_t, section_c = cross_section(ensemble, x)
     sp = _percentile_rank(section_t, obs.t)

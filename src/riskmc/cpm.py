@@ -25,7 +25,7 @@ def window_fraction(t, start, finish, step_closed: bool = True):
     t = np.asarray(t, dtype=float)
     start = np.asarray(start, dtype=float)
     finish = np.asarray(finish, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         frac = (t - start) / (finish - start)
     if step_closed:
         return np.where(t >= finish, 1.0, np.where(t <= start, 0.0, frac))
@@ -51,38 +51,55 @@ class CpmResult:
         return tuple(i for i, c in zip(self.node_ids, self.critical) if c)
 
 
+def passes(network: ValidatedNetwork, durations):
+    """Forward and backward CPM passes over (n_runs, n_nodes) durations.
+
+    Returns (es, ef, lf), each (n_runs, n_nodes); late starts are
+    lf - durations and are recomputed per successor, not stored. The sink
+    finishes late at the project duration.
+    """
+    n, m = durations.shape
+    es = np.zeros((n, m))
+    ef = np.empty((n, m))
+    for node in network.nodes:
+        j = node.index
+        if node.preds:
+            acc = ef[:, node.preds[0]].copy()
+            for p in node.preds[1:]:
+                np.maximum(acc, ef[:, p], out=acc)
+            es[:, j] = acc
+        ef[:, j] = es[:, j] + durations[:, j]
+
+    lf = np.empty((n, m))
+    for node in reversed(network.nodes):
+        j = node.index
+        if node.succs:
+            first, *rest = node.succs
+            acc = lf[:, first] - durations[:, first]
+            for s in rest:
+                np.minimum(acc, lf[:, s] - durations[:, s], out=acc)
+            lf[:, j] = acc
+        else:
+            lf[:, j] = ef[:, network.sink]
+    return es, ef, lf
+
+
 def forward_backward(network: ValidatedNetwork, durations, crit_tol: float = CRIT_TOL) -> CpmResult:
+    """CPM pass for one duration vector: the one-row case of `passes`."""
     d = np.asarray(durations, dtype=float)
-    nodes = network.nodes
-    if d.shape != (len(nodes),):
-        raise ValueError(f"expected {len(nodes)} durations, got shape {d.shape}")
+    if d.shape != (len(network.nodes),):
+        raise ValueError(f"expected {len(network.nodes)} durations, got shape {d.shape}")
     if (d < 0).any():
         raise ValueError("durations must be nonnegative")
 
-    n = len(nodes)
-    es = np.zeros(n)
-    ef = np.zeros(n)
-    for node in nodes:
-        if node.preds:
-            es[node.index] = max(ef[p] for p in node.preds)
-        ef[node.index] = es[node.index] + d[node.index]
-
-    project_duration = float(ef[network.sink])
-    lf = np.empty(n)
-    ls = np.empty(n)
-    for node in reversed(nodes):
-        if node.succs:
-            lf[node.index] = min(ls[s] for s in node.succs)
-        else:
-            lf[node.index] = project_duration
-        ls[node.index] = lf[node.index] - d[node.index]
-
+    es, ef, lf = (row[0] for row in passes(network, d[None, :]))
+    ls = lf - d
     total_float = ls - es
     critical = total_float <= crit_tol
     bac = float(np.sum(network.fixed_costs() + network.rates() * d))
     return CpmResult(node_ids=network.ids(), durations=d, es=es, ef=ef, ls=ls, lf=lf,
                      total_float=total_float, critical=critical,
-                     duration=project_duration, bac=bac)
+                     duration=float(ef[network.sink]), bac=bac)
 
 
 def plan(network: ValidatedNetwork, crit_tol: float = CRIT_TOL) -> CpmResult:
@@ -149,37 +166,83 @@ def enumerate_paths(network: ValidatedNetwork, cap: int = 1_000_000) -> PathMatr
     return PathMatrix(node_ids=network.ids(), paths=tuple(paths), membership=membership)
 
 
+def accrue(t, weights, start, finish, step_closed: bool = True):
+    """Node-order sum of weights[..., j] * window_fraction(t, start_j, finish_j).
+
+    Windows are (n_nodes,) for one schedule or (n_runs, n_nodes) for an
+    ensemble; weights are (n_nodes,) or (n_runs, n_nodes). This is the
+    accrual behind planned value, earned value, cumulative cost and the
+    risk baselines; summing in node order makes the value at a schedule's
+    end equal the node-order sum of its weights bit for bit.
+    """
+    total = np.zeros(np.broadcast_shapes(np.shape(t), start.shape[:-1]))
+    for j in range(start.shape[-1]):
+        total += weights[..., j] * window_fraction(t, start[..., j], finish[..., j],
+                                                   step_closed)
+    return total
+
+
+def first_reach(target, weights, start, finish):
+    """Per row of (n_rows, n_nodes) windows: inf{t : accrue(t) >= target}.
+
+    The accrual is nondecreasing and piecewise linear between the row's
+    start/finish times, so all rows bisect their sorted event times at
+    once for the first event whose value reaches the target, then
+    interpolate from the right value before it to the left limit at it:
+    ~log2(2m) accruals, O(n * m * log m) in all. A row whose accrual
+    never reaches the target gets its last event time.
+    """
+    n = start.shape[0]
+    rows = np.arange(n)
+    events = np.column_stack([np.zeros(n), start, finish])
+    events.sort(axis=1)
+
+    # the first event reaching the target lies in [lo, hi] throughout;
+    # v0 is the accrual at lo - 1
+    lo, hi, v0 = np.zeros(n, dtype=int), np.full(n, events.shape[1] - 1), np.zeros(n)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        value = accrue(events[rows, mid], weights, start, finish)
+        below = value < target
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+        v0 = np.where(below, value, v0)
+
+    at_origin = lo == 0
+    idx = np.maximum(lo, 1)
+    t0 = events[rows, idx - 1]
+    t1 = events[rows, idx]
+    v1_left = accrue(t1, weights, start, finish, step_closed=False)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        interp = t0 + (target - v0) * (t1 - t0) / (v1_left - v0)
+    # the crossing lies in (t0, t1]: exactly t1 when the left limit there
+    # only just reaches the target, and never past t1 however interp rounds
+    crosses_open = v1_left > target
+    return np.where(at_origin, 0.0, np.where(crosses_open, np.minimum(interp, t1), t1))
+
+
 @dataclass(frozen=True)
 class PlannedValueCurve:
     """Monotone piecewise-linear PV(t) on [0, PD], sampled on a uniform grid.
 
-    knot_times/knot_values carry every true breakpoint; cost steps appear
-    as duplicated times holding the left and right values, so linear
-    interpolation between knots is exact everywhere. times/values are the
-    uniform-grid view for export.
+    costs/start/finish are each node's planned value and window; value_at
+    and earned_schedule read the exact accrual from them. times/values
+    are the uniform-grid view for export.
     """
 
     times: np.ndarray
     values: np.ndarray
-    knot_times: np.ndarray
-    knot_values: np.ndarray
+    costs: np.ndarray
+    start: np.ndarray
+    finish: np.ndarray
     bac: float
     duration: float
 
     def value_at(self, t):
         """Exact PV at time t (right-continuous at steps); scalar or array."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tq = np.atleast_1d(np.clip(t, 0.0, self.duration))
-        last = len(self.knot_times) - 1
-        i = np.searchsorted(self.knot_times, tq, side="right") - 1
-        i = np.clip(i, 0, max(last - 1, 0))
-        t0, t1 = self.knot_times[i], self.knot_times[np.minimum(i + 1, last)]
-        v0, v1 = self.knot_values[i], self.knot_values[np.minimum(i + 1, last)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = (tq - t0) / (t1 - t0)
-        out = np.where(tq >= t1, v1, np.where(tq <= t0, v0, v0 + (v1 - v0) * frac))
-        return float(out[0]) if scalar else out
+        out = accrue(t, self.costs, self.start, self.finish)
+        return float(out) if out.ndim == 0 else out
 
 
 def planned_value_curve(network: ValidatedNetwork, result: CpmResult,
@@ -187,40 +250,15 @@ def planned_value_curve(network: ValidatedNetwork, result: CpmResult,
     """Accrue each node's cost uniformly over its planned window.
 
     Zero-duration nodes step their fixed cost in at ES. PV(PD) equals the
-    BAC of `result` exactly.
+    BAC of `result` up to summation order.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     costs = network.fixed_costs() + network.rates() * result.durations
-    start, finish = result.es, result.ef
-    project_duration = result.duration
-
-    breaks = np.unique(np.concatenate([[0.0, project_duration], start, finish]))
-    breaks = breaks[(breaks >= 0.0) & (breaks <= project_duration)]
-    right = _accrual(breaks, costs, start, finish, step_closed=True)
-    left = _accrual(breaks, costs, start, finish, step_closed=False)
-    knot_times, knot_values = [], []
-    for t, vl, vr in zip(breaks, left, right):
-        if vl != vr:
-            knot_times.append(t)
-            knot_values.append(vl)
-        knot_times.append(t)
-        knot_values.append(vr)
-
-    times = np.linspace(0.0, project_duration, grid_points)
-    values = _accrual(times, costs, start, finish, step_closed=True)
-    return PlannedValueCurve(times=times, values=values,
-                             knot_times=np.array(knot_times),
-                             knot_values=np.array(knot_values),
-                             bac=result.bac, duration=project_duration)
-
-
-def _accrual(ts, costs, start, finish, step_closed):
-    out = np.zeros(len(ts))
-    for j in range(len(costs)):
-        if costs[j] != 0.0:
-            out += costs[j] * window_fraction(ts, start[j], finish[j], step_closed)
-    return out
+    times = np.linspace(0.0, result.duration, grid_points)
+    return PlannedValueCurve(times=times, values=accrue(times, costs, result.es, result.ef),
+                             costs=costs, start=result.es, finish=result.ef,
+                             bac=result.bac, duration=result.duration)
 
 
 def earned_schedule(pv: PlannedValueCurve, ev: float) -> float:
@@ -234,12 +272,4 @@ def earned_schedule(pv: PlannedValueCurve, ev: float) -> float:
     ev = min(max(float(ev), 0.0), pv.bac)
     if ev >= pv.bac:
         return pv.duration  # completion maps to the planned end by convention
-    kt, kv = pv.knot_times, pv.knot_values
-    i = int(np.searchsorted(kv, ev, side="left"))
-    if i == 0:
-        return float(kt[0])
-    t0, v0 = kt[i - 1], kv[i - 1]
-    t1, v1 = kt[i], kv[i]
-    if v1 == v0:
-        return float(t1)
-    return float(t0 + (ev - v0) * (t1 - t0) / (v1 - v0))
+    return float(first_reach(ev, pv.costs, pv.start[None, :], pv.finish[None, :])[0])

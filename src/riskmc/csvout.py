@@ -34,14 +34,6 @@ def rows_to_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def export_csv(report, path) -> None:
-    """Serialize a known report object to `path`; deterministic bytes."""
-    header, rows = tabulate(report)
-    text = rows_to_csv(header, rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def tabulate(report):
     """(header, rows) for every exportable report type."""
     for kind, handler in _TABULATORS:

@@ -76,10 +76,6 @@ class Distribution:
         return p[0]  # normal
 
 
-def mean(dist: Distribution) -> float:
-    return dist.mean()
-
-
 def inv_cdf(dist: Distribution, u):
     """Map uniforms in [0, 1) through the inverse CDF, elementwise.
 

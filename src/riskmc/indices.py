@@ -60,20 +60,26 @@ def schedule_sensitivity_index(ensemble: Ensemble) -> np.ndarray:
     """CI scaled by the sd ratio of node duration to project duration."""
     if ensemble.n_runs < 2:
         raise ConfigError("schedule_sensitivity_index needs at least 2 runs")
-    sigma_pd = float(ensemble.total_duration.std(ddof=1))
+    return _ssi(criticality_index(ensemble), _column_stds(ensemble.durations),
+                float(ensemble.total_duration.std(ddof=1)))
+
+
+def _ssi(ci, sigma, sigma_pd):
     if sigma_pd == 0.0:
         raise DegenerateProject("project duration has zero variance")
-    return criticality_index(ensemble) * _column_stds(ensemble.durations) / sigma_pd
+    return ci * sigma / sigma_pd
 
 
 def sensitivity_report(ensemble: Ensemble, method: str = "pearson") -> SensitivityReport:
+    if ensemble.n_runs < 2:
+        raise ConfigError("sensitivity indices need at least 2 runs")
+    ci = criticality_index(ensemble)
     sigma = _column_stds(ensemble.durations)
     sigma_pd = float(ensemble.total_duration.std(ddof=1))
-    ci = criticality_index(ensemble)
     cri = cruciality_index(ensemble, method=method)
-    ssi = schedule_sensitivity_index(ensemble)
     return SensitivityReport(node_ids=ensemble.node_ids, node_names=ensemble.node_names,
-                             ci=ci, cri=cri, ssi=ssi, sigma=sigma, sigma_duration=sigma_pd)
+                             ci=ci, cri=cri, ssi=_ssi(ci, sigma, sigma_pd),
+                             sigma=sigma, sigma_duration=sigma_pd)
 
 
 def contingency_reserve(ensemble: Ensemble, p: float, dimension: str = "cost") -> float:

@@ -101,22 +101,11 @@ class Ensemble:
 
     def ev_at(self, times) -> np.ndarray:
         """Exact earned-value trajectory values at per-run times (or a scalar)."""
-        return self._eval(times, self.planned_value)
+        return _cpm.accrue(times, self.planned_value, self.starts, self.finishes)
 
     def cost_at(self, times) -> np.ndarray:
         """Exact cumulative-cost trajectory values at per-run times (or a scalar)."""
-        return self._eval(times, self.node_cost)
-
-    def _eval(self, times, weights, step_closed=True):
-        t = np.asarray(times, dtype=float)
-        if t.ndim == 0:
-            t = np.full(self.n_runs, float(t))
-        total = np.zeros(self.n_runs)
-        for j in range(self.n_nodes):  # weights: (n_nodes,) or (n_runs, n_nodes)
-            frac = _cpm.window_fraction(t, self.starts[:, j], self.finishes[:, j],
-                                        step_closed=step_closed)
-            total += weights[..., j] * frac
-        return total
+        return _cpm.accrue(times, self.node_cost, self.starts, self.finishes)
 
 
 def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) -> Ensemble:
@@ -163,30 +152,12 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
             for future in [pool.submit(fill, lo, hi) for lo, hi in chunks]:
                 future.result()
 
-    starts = np.zeros((n, m))
-    finishes = np.empty((n, m))
-    for node in nodes:
-        j = node.index
-        if node.preds:
-            acc = finishes[:, node.preds[0]].copy()
-            for p in node.preds[1:]:
-                np.maximum(acc, finishes[:, p], out=acc)
-            starts[:, j] = acc
-        finishes[:, j] = starts[:, j] + durations[:, j]
-
+    starts, finishes, late = _cpm.passes(network, durations)
     total_duration = finishes[:, network.sink].copy()
-    late_start = np.empty((n, m))
-    for node in reversed(nodes):
-        j = node.index
-        if node.succs:
-            acc = late_start[:, node.succs[0]].copy()
-            for s in node.succs[1:]:
-                np.minimum(acc, late_start[:, s], out=acc)
-            late_finish = acc
-        else:
-            late_finish = total_duration
-        late_start[:, j] = late_finish - durations[:, j]
-    critical = (late_start - starts) <= _cpm.CRIT_TOL
+    late -= durations  # late finish -> late start -> total float, in place
+    late -= starts
+    critical = late <= _cpm.CRIT_TOL
+    del late
 
     node_cost = network.fixed_costs()[None, :] + network.rates()[None, :] * durations
     for c, cr in enumerate(network.cost_risks):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,7 +212,7 @@ def validate(spec: ProjectSpec) -> ValidatedNetwork:
         if r.kind == "duration":
             _insert_risk_node(preds, order_hint, r)
 
-    topo = _toposort_fifo(order_hint, preds)
+    topo, _ = _kahn(order_hint, preds)  # risk nodes sit in series: still acyclic
     index = {node_id: k for k, node_id in enumerate(topo)}
 
     succ_lists = {i: [] for i in topo}
@@ -246,18 +246,6 @@ def validate(spec: ProjectSpec) -> ValidatedNetwork:
     return ValidatedNetwork(nodes=tuple(nodes), cost_risks=cost_risks, spec=spec)
 
 
-def expand_duration_risk(network: ValidatedNetwork, risk: RiskEvent) -> ValidatedNetwork:
-    """Insert one more duration risk into an already validated network.
-
-    The risk node becomes the target's sole successor edge carrier: every
-    original target->s edge is rerouted through the new node.
-    """
-    if risk.kind != "duration":
-        raise BadRiskTarget(f"risk {risk.id!r} has kind {risk.kind!r}, expected duration")
-    new_spec = replace(network.spec, risks=(*network.spec.risks, risk))
-    return validate(new_spec)
-
-
 def _insert_risk_node(preds, order_hint, risk):
     target = risk.target
     successors = [i for i in order_hint if target in preds[i]]
@@ -269,24 +257,10 @@ def _insert_risk_node(preds, order_hint, risk):
 
 
 def _check_acyclic(ids, preds):
-    remaining = {i: len(preds[i]) for i in ids}
-    succ = {i: [] for i in ids}
-    for i in ids:
-        for p in preds[i]:
-            succ[p].append(i)
-    queue = deque(i for i in ids if remaining[i] == 0)
-    done = 0
-    while queue:
-        v = queue.popleft()
-        done += 1
-        for s in succ[v]:
-            remaining[s] -= 1
-            if remaining[s] == 0:
-                queue.append(s)
-    if done == len(ids):
+    _, leftover = _kahn(ids, preds)
+    if not leftover:
         return
     # walk predecessor links inside the leftover set until a node repeats
-    leftover = [i for i in ids if remaining[i] > 0]
     inside = set(leftover)
     walk, seen_at = [leftover[0]], {leftover[0]: 0}
     while True:
@@ -298,13 +272,17 @@ def _check_acyclic(ids, preds):
         walk.append(nxt)
 
 
-def _toposort_fifo(order_hint, preds):
-    remaining = {i: len(preds[i]) for i in order_hint}
-    succ = {i: [] for i in order_hint}
-    for i in order_hint:
+def _kahn(order, preds):
+    """FIFO Kahn order over `order`, successors scanned in that order.
+
+    Returns (the sorted nodes, the nodes left over on or behind a cycle).
+    """
+    remaining = {i: len(preds[i]) for i in order}
+    succ = {i: [] for i in order}
+    for i in order:
         for p in preds[i]:
             succ[p].append(i)
-    queue = deque(i for i in order_hint if remaining[i] == 0)
+    queue = deque(i for i in order if remaining[i] == 0)
     out = []
     while queue:
         v = queue.popleft()
@@ -313,6 +291,4 @@ def _toposort_fifo(order_hint, preds):
             remaining[s] -= 1
             if remaining[s] == 0:
                 queue.append(s)
-    if len(out) != len(order_hint):
-        raise CycleDetected([i for i in order_hint if remaining[i] > 0][:1])
-    return out
+    return out, [i for i in order if remaining[i] > 0]

@@ -1,5 +1,7 @@
 """Seeded random project builders and trajectory views used across the tests."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from riskmc import Activity, Distribution, ProjectSpec, RiskEvent
@@ -108,6 +110,21 @@ def random_dag_spec(rng, n_real=5, edge_prob=0.4, discrete_only=False,
             impact=_random_dist(rng, discrete_only, max_atoms),
         ))
     return ProjectSpec(activities=acts, precedence=matrix, risks=risks)
+
+
+def with_degenerate_nodes(rng, spec, share=0.25):
+    """`spec` with about `share` of its real activities made cost-free and
+    about `share` made instantaneous (point(0)): zero-cost nodes and
+    zero-length windows, including value steps where a costed window has
+    zero length."""
+    acts = list(spec.activities)
+    for k in range(1, len(acts) - 1):
+        u = rng.random()
+        if u < share:
+            acts[k] = replace(acts[k], fixed_cost=0.0, variable_cost_rate=0.0)
+        elif u < 2 * share:
+            acts[k] = replace(acts[k], duration=Distribution.point(0))
+    return ProjectSpec(acts, spec.precedence, spec.risks)
 
 
 def _random_dist(rng, discrete_only, max_atoms):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -166,3 +167,42 @@ def test_convert_matrix(tmp_path):
     check = run_cli("validate", "--project", str(out))
     assert check.returncode == 0
     assert "nodes: 3" in check.stdout
+
+
+@pytest.mark.parametrize("band, code", [("nan", 3), ("-5", 3), ("50.5", 3), ("inf", 3),
+                                        ("0", 0), ("50", 0)])
+def test_control_band_must_lie_in_zero_to_fifty(project, band, code, capsys):
+    assert main(["control", "--project", project, "--runs", "100",
+                 "--observe", "t=4,ev=100,ac=100", f"--band={band}"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith("ConfigError:") and "band" in captured.err
+        assert captured.out == ""
+    else:
+        assert "schedule_status" in captured.out
+
+
+@pytest.mark.parametrize("command", [["indices"], ["plot", "--kind", "ci_bars"]])
+def test_sensitivity_at_one_run_is_only_a_config_error(project, command, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*command, "--project", project, "--runs", "1",
+                     "--out", str(tmp_path)]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["indices"], ["baseline"],
+    ["contingency", "--percentile", "90"],
+    ["control", "--observe", "t=4,ev=430,ac=440"],
+    ["forecast", "--observe", "t=4,ev=430,ac=440"],
+])
+def test_two_runs_complete_without_nan(project, command, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*command, "--project", project, "--runs", "2", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    texts = [captured.out, captured.err]
+    texts += [path.read_text() for path in sorted(out.glob("*"))] if out.exists() else []
+    assert not any("nan" in text.lower() for text in texts)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netgen import chain_spec, random_dag_spec
+from netgen import chain_spec, random_dag_spec, with_degenerate_nodes
 from riskmc import (
     ControlObservation,
     Distribution,
@@ -70,10 +70,41 @@ def test_baseline_exact_evaluator_matches_grid(serial_iid):
     _, ens, planned = serial_iid
     base = risk_baselines(ens, planned, grid_points=41)
     for i in (0, 7, 20, 40):
-        assert base.srb_at(base.times[i]) == pytest.approx(base.srb[i], abs=1e-12)
-        assert base.crb_at(base.times[i]) == pytest.approx(base.crb[i], abs=1e-12)
+        assert base.srb_at(base.times[i]) == base.srb[i]
+        assert base.crb_at(base.times[i]) == base.crb[i]
     # flat extension past the planned end
     assert base.srb_at(planned.duration * 2) == pytest.approx(base.sigma_duration, rel=1e-9)
+
+
+def _reference_baselines(base, planned):
+    """The `elapsed @ shares` grid that the node-order accrual replaced."""
+    elapsed = np.zeros((len(base.times), len(planned.node_ids)))
+    for j in range(len(planned.node_ids)):
+        elapsed[:, j] = window_fraction(base.times, planned.es[j], planned.ef[j])
+    return (base.sigma_duration * np.sqrt(elapsed @ base.schedule_shares),
+            base.sigma_cost * np.sqrt(elapsed @ base.cost_shares))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 3),
+       st.integers(2, 80), st.integers(2, 120))
+@example(3, 5, 2, 2, 2)
+def test_baselines_match_matrix_reference(seed, n_real, with_risks, n_runs, grid_points):
+    rng = np.random.default_rng(seed)
+    spec = random_dag_spec(rng, n_real=n_real, with_risks=with_risks)
+    net = validate(with_degenerate_nodes(rng, spec))
+    ens = run_ensemble(net, SimConfig(n_runs=n_runs, seed=seed % 1000))
+    planned = plan(net)
+    try:
+        base = risk_baselines(ens, planned, grid_points=grid_points)
+    except DegenerateProject:
+        return
+    # summation moved from BLAS order to node order: equal to within 1e-15
+    for got, want in zip((base.srb, base.crb), _reference_baselines(base, planned)):
+        assert (np.abs(got - want) <= 1e-15 * want).all()
+    # and the grid is srb_at/crb_at at the grid times, bit for bit
+    assert base.srb.tobytes() == np.array([base.srb_at(t) for t in base.times]).tobytes()
+    assert base.crb.tobytes() == np.array([base.crb_at(t) for t in base.times]).tobytes()
 
 
 # -- activity risk index -----------------------------------------------------
@@ -226,7 +257,10 @@ def test_cross_section_rejects_bad_fraction(figure3_network):
 
 def _reference_cross_section(ensemble, x):
     """The O(n*m^2) scan over full (n, 2m+1) event matrices that
-    cross_section replaced; cross_section must match it bit for bit."""
+    cross_section replaced; cross_section must match it bit for bit. Its
+    last step is first_reach's: a left limit equal to the target crosses at
+    t1 exactly, and the interpolation is clamped to t1 (unclamped, rounding
+    could land an ulp past the crossing event, even past the run's end)."""
     if x == 1.0:
         return ensemble.total_duration.copy(), ensemble.total_cost.copy()
 
@@ -255,10 +289,10 @@ def _reference_cross_section(ensemble, x):
     v0 = ev_right[rows, idx - 1]
     v1_left = ev_left[rows, idx]
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         interp = t0 + (target - v0) * (t1 - t0) / (v1_left - v0)
-    crosses_open = (v1_left >= target) & (v1_left > v0)
-    times = np.where(at_origin, 0.0, np.where(crosses_open, interp, t1))
+    crosses_open = v1_left > target
+    times = np.where(at_origin, 0.0, np.where(crosses_open, np.minimum(interp, t1), t1))
     return times, ensemble.cost_at(times)
 
 
@@ -268,6 +302,7 @@ def _reference_cross_section(ensemble, x):
 @example(0, 1, 0, 0.5)
 @example(4, 6, 3, 1.0)
 @example(11, 8, 2, 5e-324)
+@example(617, 2, 0, 0.5)  # unclamped, a crossing lands an ulp past its run's end
 def test_cross_section_matches_reference_bitwise(seed, n_real, with_risks, x):
     # random laws include point(0) nodes (value jumps, zero-length windows),
     # zero-cost nodes (pv_j == 0) and gated duration risks

@@ -4,18 +4,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from netgen import chain_spec, ladder_spec, parallel_spec, random_dag_spec
+from netgen import (
+    DYADIC,
+    chain_spec,
+    ladder_spec,
+    parallel_spec,
+    random_dag_spec,
+    with_degenerate_nodes,
+)
 from riskmc import (
     Activity,
     Distribution,
     ProjectSpec,
+    SimConfig,
     earned_schedule,
     enumerate_paths,
     forward_backward,
+    plan,
     planned_value_curve,
+    run_ensemble,
     validate,
 )
-from riskmc.cpm import count_paths, window_fraction
+from riskmc.cpm import CRIT_TOL, count_paths, window_fraction
 from riskmc.errors import EvOutOfRange, PathExplosion
 from netgen import dummy
 
@@ -196,7 +206,8 @@ def test_pv_endpoints_exact_random_networks():
         assert pv.values[0] == pytest.approx(0.0, abs=1e-12)
         assert pv.values[-1] == pytest.approx(result.bac, rel=1e-9)
         assert (np.diff(pv.values) >= -1e-9).all()
-        assert (np.diff(pv.knot_values) >= -1e-12).all()
+        breaks = np.sort(np.concatenate([result.es, result.ef]))
+        assert (np.diff(pv.value_at(breaks)) >= 0.0).all()
 
 
 def test_pv_milestone_step():
@@ -253,7 +264,7 @@ def reference_window_fraction(t, start, finish, step_closed):
     """Masked form with a separate step branch for zero-length windows;
     window_fraction must match it bit for bit."""
     zero = finish == start
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         frac = (t - start) / (finish - start)
     ramp = np.where(t >= finish, 1.0, np.where(t <= start, 0.0, frac))
     step = np.where(t >= start if step_closed else t > start, 1.0, 0.0)
@@ -275,6 +286,7 @@ _edges = [(1.0, 0.0, "start"), (1.0, 0.0, 0.5), (1.0, 0.0, 1.5),
 @given(st.lists(_windows, min_size=1, max_size=40), st.booleans())
 @example(_edges, True)
 @example(_edges, False)
+@example([(0.0, 2.225073858507e-311, 1.0)], False)  # subnormal length: the ramp overflows
 def test_window_fraction_matches_reference_bitwise(windows, step_closed):
     start = np.array([s for s, _, _ in windows])
     finish = start + np.array([length for _, length, _ in windows])
@@ -283,3 +295,186 @@ def test_window_fraction_matches_reference_bitwise(windows, step_closed):
     got = window_fraction(t, start, finish, step_closed)
     want = reference_window_fraction(t, start, finish, step_closed)
     assert got.tobytes() == want.tobytes()
+
+
+# -- one implementation against the code it replaced -------------------------
+
+def reference_forward_backward(network, d, crit_tol=CRIT_TOL):
+    """The scalar CPM loops that cpm.passes replaced, as a dict of the
+    CpmResult fields they set; every pass must match them bit for bit."""
+    nodes = network.nodes
+    n = len(nodes)
+    es = np.zeros(n)
+    ef = np.zeros(n)
+    for node in nodes:
+        if node.preds:
+            es[node.index] = max(ef[p] for p in node.preds)
+        ef[node.index] = es[node.index] + d[node.index]
+
+    project_duration = float(ef[network.sink])
+    lf = np.empty(n)
+    ls = np.empty(n)
+    for node in reversed(nodes):
+        if node.succs:
+            lf[node.index] = min(ls[s] for s in node.succs)
+        else:
+            lf[node.index] = project_duration
+        ls[node.index] = lf[node.index] - d[node.index]
+
+    total_float = ls - es
+    return dict(es=es, ef=ef, ls=ls, lf=lf, total_float=total_float,
+                critical=total_float <= crit_tol, duration=project_duration)
+
+
+def _reference_accrual(ts, costs, start, finish, step_closed):
+    out = np.zeros(len(ts))
+    for j in range(len(costs)):
+        if costs[j] != 0.0:
+            out += costs[j] * window_fraction(ts, start[j], finish[j], step_closed)
+    return out
+
+
+def reference_planned_value(network, result, grid_points):
+    """The knot-based planned value that the window accrual replaced:
+    (grid values, knot times, knot values). Cost steps appear as duplicated
+    knot times holding the left and right values."""
+    costs = network.fixed_costs() + network.rates() * result.durations
+    start, finish = result.es, result.ef
+    project_duration = result.duration
+
+    breaks = np.unique(np.concatenate([[0.0, project_duration], start, finish]))
+    breaks = breaks[(breaks >= 0.0) & (breaks <= project_duration)]
+    right = _reference_accrual(breaks, costs, start, finish, step_closed=True)
+    left = _reference_accrual(breaks, costs, start, finish, step_closed=False)
+    knot_times, knot_values = [], []
+    for t, vl, vr in zip(breaks, left, right):
+        if vl != vr:
+            knot_times.append(t)
+            knot_values.append(vl)
+        knot_times.append(t)
+        knot_values.append(vr)
+
+    times = np.linspace(0.0, project_duration, grid_points)
+    values = _reference_accrual(times, costs, start, finish, step_closed=True)
+    return values, np.array(knot_times), np.array(knot_values)
+
+
+def reference_value_at(kt, kv, duration, t):
+    """Linear interpolation between the knots (right-continuous at steps)."""
+    tq = np.atleast_1d(np.clip(np.asarray(t, dtype=float), 0.0, duration))
+    last = len(kt) - 1
+    i = np.searchsorted(kt, tq, side="right") - 1
+    i = np.clip(i, 0, max(last - 1, 0))
+    t0, t1 = kt[i], kt[np.minimum(i + 1, last)]
+    v0, v1 = kv[i], kv[np.minimum(i + 1, last)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        frac = (tq - t0) / (t1 - t0)
+    return np.where(tq >= t1, v1, np.where(tq <= t0, v0, v0 + (v1 - v0) * frac))
+
+
+def reference_earned_schedule(kt, kv, bac, duration, ev):
+    """The knot search that first_reach replaced in earned_schedule, with
+    first_reach's last step: a knot value equal to `ev` is reached at its
+    knot time exactly, and the interpolation is clamped to that time."""
+    if ev >= bac:
+        return duration
+    i = int(np.searchsorted(kv, ev, side="left"))
+    if i == 0:
+        return float(kt[0])
+    t0, v0 = kt[i - 1], kv[i - 1]
+    t1, v1 = kt[i], kv[i]
+    if v1 == ev:
+        return float(t1)
+    return float(min(t0 + (ev - v0) * (t1 - t0) / (v1 - v0), t1))
+
+
+def _degenerate_network(seed, n_real, with_risks):
+    rng = np.random.default_rng(seed)
+    spec = random_dag_spec(rng, n_real=n_real, with_risks=with_risks)
+    return validate(with_degenerate_nodes(rng, spec)), rng
+
+
+def _bits(value):
+    return np.asarray(value).tobytes()
+
+
+_networks = (st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_networks)
+@example(0, 1, 0)
+@example(7, 12, 3)
+def test_plan_and_forward_backward_match_scalar_reference_bitwise(seed, n_real, with_risks):
+    net, rng = _degenerate_network(seed, n_real, with_risks)
+    sampled = rng.choice(DYADIC, size=len(net.nodes)) * (rng.random(len(net.nodes)) < 0.7)
+    for durations, result in ((net.mean_durations(), plan(net)),
+                              (sampled, forward_backward(net, sampled))):
+        want = reference_forward_backward(net, durations)
+        for field, value in want.items():
+            assert _bits(getattr(result, field)) == _bits(value), field
+        assert result.durations.tobytes() == durations.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(*_networks, st.integers(1, 60), st.integers(1, 3))
+@example(3, 6, 2, 1, 1)
+def test_ensemble_passes_match_scalar_reference_bitwise(seed, n_real, with_risks,
+                                                        n_runs, workers):
+    net, _ = _degenerate_network(seed, n_real, with_risks)
+    ens = run_ensemble(net, SimConfig(n_runs=n_runs, seed=seed % 1000), workers=workers)
+    planned = reference_forward_backward(net, net.mean_durations())
+    assert ens.planned_start.tobytes() == planned["es"].tobytes()
+    assert ens.planned_finish.tobytes() == planned["ef"].tobytes()
+    assert ens.planned_duration == planned["duration"]
+    for k in range(n_runs):
+        want = reference_forward_backward(net, ens.durations[k])
+        assert ens.starts[k].tobytes() == want["es"].tobytes()
+        assert ens.finishes[k].tobytes() == want["ef"].tobytes()
+        assert ens.critical[k].tobytes() == want["critical"].tobytes()
+        assert _bits(ens.total_duration[k]) == _bits(want["duration"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_networks, st.integers(2, 150), st.floats(0.0, 1.0))
+@example(0, 1, 0, 2, 0.5)
+@example(5, 9, 3, 101, 1.0)
+def test_planned_value_matches_knot_reference(seed, n_real, with_risks, grid_points, x):
+    net, _ = _degenerate_network(seed, n_real, with_risks)
+    result = plan(net)
+    pv = planned_value_curve(net, result, grid_points=grid_points)
+    values, kt, kv = reference_planned_value(net, result, grid_points)
+    assert pv.values.tobytes() == values.tobytes()
+
+    # earned schedule bit for bit at every knot value, between knots and at
+    # a drawn fraction; the knot search cannot look past PV(PD), the last knot
+    top = min(pv.bac, kv[-1])
+    evs = [0.0, x * top, top, pv.bac, *kv, *((kv[:-1] + kv[1:]) / 2)]
+    for ev in evs:
+        if kv[-1] < ev < pv.bac:
+            continue
+        got = earned_schedule(pv, ev)
+        want = reference_earned_schedule(kt, kv, pv.bac, pv.duration, ev)
+        assert _bits(got) == _bits(want), ev
+        assert 0.0 <= got <= pv.duration
+
+    # on [0, PD] and past it, the exact accrual agrees with interpolation
+    # between the knots (which clipped t < 0 up to PV(0); the accrual reads 0)
+    ts = np.concatenate([kt, pv.times, [2.0 * pv.duration + 1.0]])
+    tol = 1e-12 * max(1.0, pv.bac)
+    assert np.allclose(pv.value_at(ts), reference_value_at(kt, kv, pv.duration, ts),
+                       rtol=0.0, atol=tol)
+
+
+def test_earned_schedule_between_pv_end_and_bac_is_planned_end():
+    # PV(PD) sums node costs in node order, BAC with np.sum; the two can
+    # differ by an ulp, and an EV between them has no knot to land on
+    for seed in range(2000):
+        rng = np.random.default_rng(seed)
+        net = validate(random_dag_spec(rng, n_real=int(rng.integers(6, 30))))
+        pv = planned_value_curve(net, plan(net))
+        if pv.values[-1] < pv.bac:
+            break
+    else:
+        pytest.fail("no network with PV(PD) < BAC")
+    assert earned_schedule(pv, float(np.nextafter(pv.bac, 0.0))) == pv.duration

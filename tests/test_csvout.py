@@ -3,13 +3,14 @@ import io
 
 import pytest
 
-from riskmc import SimConfig, export_csv, plan, run_ensemble, sensitivity_report
+from riskmc import SimConfig, plan, run_ensemble, sensitivity_report
 from riskmc.csvout import (
     endpoint_table,
     fmt,
     percentile_table,
     rows_to_csv,
     tabulate,
+    write_table,
 )
 
 
@@ -31,7 +32,7 @@ def test_sensitivity_export_shape(stack, tmp_path):
     net, ens = stack
     report = sensitivity_report(ens)
     out = tmp_path / "sens.csv"
-    export_csv(report, out)
+    write_table(out, *tabulate(report))
     lines = out.read_text().splitlines()
     assert lines[0] == "id,name,CI,CrI,SSI,sigma_i"
     assert len(lines) == 1 + len(net.nodes)
@@ -41,8 +42,8 @@ def test_reexport_is_byte_identical(stack, tmp_path):
     _, ens = stack
     report = sensitivity_report(ens)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_csv(report, a)
-    export_csv(report, b)
+    write_table(a, *tabulate(report))
+    write_table(b, *tabulate(report))
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -76,4 +77,4 @@ def test_cpm_and_endpoint_tables(stack):
 
 def test_unknown_report_type_rejected(tmp_path):
     with pytest.raises(TypeError):
-        export_csv(object(), tmp_path / "x.csv")
+        write_table(tmp_path / "x.csv", *tabulate(object()))

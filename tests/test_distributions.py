@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riskmc import Distribution, mean
+from riskmc import Distribution
 from riskmc.distributions import inv_cdf
 from riskmc.errors import BadDistributionParams
 from riskmc.montecarlo import sample_block
@@ -19,12 +19,12 @@ ONE_OF_EACH = [
 
 
 def test_analytic_means():
-    assert mean(Distribution.triangular(0, 1, 2)) == pytest.approx(1.0)
-    assert mean(Distribution.pert(0, 1, 2)) == pytest.approx(1.0)
-    assert mean(Distribution.discrete([(2, 0.5), (4, 0.5)])) == pytest.approx(3.0)
-    assert mean(Distribution.point(7)) == 7.0
-    assert mean(Distribution.uniform(4, 6)) == 5.0
-    assert mean(Distribution.normal(10, 2)) == 10.0
+    assert Distribution.triangular(0, 1, 2).mean() == pytest.approx(1.0)
+    assert Distribution.pert(0, 1, 2).mean() == pytest.approx(1.0)
+    assert Distribution.discrete([(2, 0.5), (4, 0.5)]).mean() == pytest.approx(3.0)
+    assert Distribution.point(7).mean() == 7.0
+    assert Distribution.uniform(4, 6).mean() == 5.0
+    assert Distribution.normal(10, 2).mean() == 10.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -55,9 +55,9 @@ def test_mean_matches_sample_mean_of_1e6_draws(dist):
     draws = sample_block(dist, seed=2024, ident=f"mean-{dist.kind}", start=0, count=n)
     se = draws.std(ddof=1) / math.sqrt(n)
     if se == 0.0:
-        assert draws.mean() == mean(dist)
+        assert draws.mean() == dist.mean()
     else:
-        assert abs(draws.mean() - mean(dist)) < 4.0 * se
+        assert abs(draws.mean() - dist.mean()) < 4.0 * se
 
 
 @pytest.mark.parametrize("dist", ONE_OF_EACH, ids=lambda d: d.kind)

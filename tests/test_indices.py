@@ -114,6 +114,7 @@ def test_report_identity_ssi_equals_ci_sigma_ratio(figure3_network):
     ens = run_ensemble(figure3_network, SimConfig(n_runs=5000, seed=5))
     rep = sensitivity_report(ens)
     assert np.allclose(rep.ssi, rep.ci * rep.sigma / rep.sigma_duration, rtol=1e-12)
+    assert rep.ssi.tobytes() == schedule_sensitivity_index(ens).tobytes()
     assert ((rep.ci >= 0) & (rep.ci <= 1)).all()
     assert ((rep.cri >= 0) & (rep.cri <= 1)).all()
 

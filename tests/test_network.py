@@ -9,7 +9,6 @@ from riskmc import (
     ProjectSpec,
     RiskEvent,
     SimConfig,
-    expand_duration_risk,
     parse_project_text,
     render_project,
     run_ensemble,
@@ -133,10 +132,10 @@ def test_duration_risk_may_not_target_end_dummy():
 # -- duration-risk expansion -------------------------------------------------
 
 def test_expand_reroutes_single_successor():
-    net = validate(chain_spec([Distribution.point(2)]))
+    spec = chain_spec([Distribution.point(2)])
     risk = RiskEvent(id="R1", name="slip", probability=0.5, kind="duration",
                      target="B1", impact=Distribution.point(1))
-    expanded = expand_duration_risk(net, risk)
+    expanded = validate(ProjectSpec(spec.activities, spec.precedence, (risk,)))
     assert expanded.ids() == ("A0", "B1", "R1", "Af")
     preds = {n.id: tuple(expanded.nodes[p].id for p in n.preds) for n in expanded.nodes}
     assert preds == {"A0": (), "B1": ("A0",), "R1": ("B1",), "Af": ("R1",)}
@@ -153,10 +152,9 @@ def test_expand_reroutes_all_successors():
     matrix[3][1] = 1
     matrix[4][2] = 1
     matrix[4][3] = 1
-    net = validate(ProjectSpec(activities=acts, precedence=matrix))
     risk = RiskEvent(id="R1", name="slip", probability=0.5, kind="duration",
                      target="B1", impact=Distribution.point(1))
-    expanded = expand_duration_risk(net, risk)
+    expanded = validate(ProjectSpec(activities=acts, precedence=matrix, risks=(risk,)))
     preds = {n.id: {expanded.nodes[p].id for p in n.preds} for n in expanded.nodes}
     assert preds["R1"] == {"B1"}
     assert preds["C1"] == {"R1"}
@@ -185,7 +183,7 @@ def test_expansion_preserves_paths():
         target = f"B{int(rng.integers(1, 6))}"
         risk = RiskEvent(id="RX", name="x", probability=0.5, kind="duration",
                          target=target, impact=Distribution.point(1))
-        expanded = expand_duration_risk(net, risk)
+        expanded = validate(ProjectSpec(spec.activities, spec.precedence, (risk,)))
         after = oracles.brute_paths(oracles.pred_lists(expanded))
         assert len(after) == len(before)
         # dropping the risk node from every expanded path recovers the originals
