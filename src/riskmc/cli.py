@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         if sim:
             sp.add_argument("--runs", type=int, default=20_000)
             sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--grid", type=int, default=101,
-                            help="points on the SRB/CRB and PV grids")
             sp.add_argument("--workers", type=int, default=1)
         if observe:
             sp.add_argument("--observe", required=True, metavar="t=T,ev=EV,ac=AC",
@@ -61,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("contingency", "percentile reserve over the baseline", cmd_contingency, sim=True)
     sp.add_argument("--percentile", type=float, required=True)
     sp.add_argument("--dimension", choices=("cost", "duration"), default="cost")
-    add("baseline", "SRB/CRB risk baselines and ARI ranking", cmd_baseline, sim=True)
+    sp = add("baseline", "SRB/CRB risk baselines and ARI ranking", cmd_baseline, sim=True)
+    sp.add_argument("--grid", type=int, default=101, help="points on the SRB/CRB grid")
     sp = add("control", "SCoI/CCoI and Triad percentiles at an observation",
              cmd_control, sim=True, observe=True)
     sp.add_argument("--band", type=float, default=5.0,
@@ -72,6 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--estimator", choices=("mean", "linear"), default="mean")
     sp = add("plot", "render one SVG chart", cmd_plot, sim=True)
     sp.add_argument("--kind", choices=svgplot.PLOT_KINDS, required=True)
+    sp.add_argument("--grid", type=int, default=101,
+                    help="points on the PV and SRB/CRB grids")
     sp.add_argument("--observe", default=None, metavar="t=T,ev=EV,ac=AC",
                     help="required for triad and sevm plots")
     sp.add_argument("--neighbors", type=int, default=None)
@@ -153,7 +154,7 @@ def cmd_cpm(args):
     plan = cpmmod.plan(network)
     header, rows = csvout.tabulate(plan)
     _emit(args, "cpm.csv", header, rows, primary=True)
-    pv = cpmmod.planned_value_curve(network, plan)
+    pv = cpmmod.planned_value_curve(plan)
     _emit(args, "planned_value.csv", *csvout.tabulate(pv))
     _info(f"planned duration: {plan.duration:.9g}")
     _info(f"planned cost (BAC): {plan.bac:.9g}")
@@ -207,8 +208,7 @@ def cmd_contingency(args):
 def cmd_baseline(args):
     network = _load(args)
     ens = _sim(args, network)
-    plan = cpmmod.plan(network)
-    baseline = ctl.risk_baselines(ens, plan, grid_points=args.grid)
+    baseline = ctl.risk_baselines(ens, grid_points=args.grid)
     header, rows = csvout.tabulate(baseline)
     _emit(args, "baseline.csv", header, rows, primary=True)
     _emit(args, "ari.csv", *csvout.tabulate(ctl.activity_risk_index(baseline)))
@@ -221,10 +221,7 @@ def cmd_control(args):
     network = _load(args)
     obs = _observation(args.observe)
     ens = _sim(args, network)
-    plan = cpmmod.plan(network)
-    baseline = ctl.risk_baselines(ens, plan, grid_points=args.grid)
-    pv = cpmmod.planned_value_curve(network, plan, grid_points=args.grid)
-    indices_report = ctl.control_indices(obs, baseline, pv)
+    indices_report = ctl.control_indices(obs, ctl.risk_baselines(ens))
     triad_report = ctl.triad(obs, ens, band=args.band)
     header, rows = csvout.tabulate(indices_report)
     _, triad_rows = csvout.tabulate(triad_report)
@@ -249,10 +246,9 @@ def cmd_plot(args):
     out_dir = args.out if args.out is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{args.kind}.svg"
-    plan = cpmmod.plan(network)
 
     if args.kind == "pv":
-        data = cpmmod.planned_value_curve(network, plan, grid_points=args.grid)
+        data = cpmmod.planned_value_curve(cpmmod.plan(network), grid_points=args.grid)
     elif args.kind == "pdfcdf":
         ens = _sim(args, network)
         data = mc.histogram_and_cdf(ens.total_cost, bins=args.bins)
@@ -261,7 +257,7 @@ def cmd_plot(args):
     elif args.kind == "ci_bars":
         data = idx.sensitivity_report(_sim(args, network))
     elif args.kind == "srb_crb":
-        data = ctl.risk_baselines(_sim(args, network), plan, grid_points=args.grid)
+        data = ctl.risk_baselines(_sim(args, network), grid_points=args.grid)
     elif args.kind == "triad":
         obs = _require_observe(args)
         ens = _sim(args, network)

@@ -36,8 +36,7 @@ class RiskBaseline:
     cost_shares: np.ndarray
     sigma_duration: float
     sigma_cost: float
-    window_start: np.ndarray
-    window_finish: np.ndarray
+    plan: _cpm.CpmResult  # whose node windows the risk accrues over
 
     def srb_at(self, t) -> float:
         return self._at(t, self.schedule_shares, self.sigma_duration)
@@ -46,12 +45,12 @@ class RiskBaseline:
         return self._at(t, self.cost_shares, self.sigma_cost)
 
     def _at(self, t, shares, sigma):
-        return float(sigma * np.sqrt(_cpm.accrue(float(t), shares, self.window_start,
-                                                  self.window_finish)))
+        return float(sigma * np.sqrt(_cpm.accrue(float(t), shares, self.plan.es,
+                                                  self.plan.ef)))
 
 
-def risk_baselines(ensemble: Ensemble, plan: _cpm.CpmResult, grid_points: int = 101) -> RiskBaseline:
-    """Build SRB/CRB on a uniform grid over [0, planned duration]."""
+def risk_baselines(ensemble: Ensemble, grid_points: int = 101) -> RiskBaseline:
+    """Build SRB/CRB on a uniform grid over the ensemble's plan, [0, PD]."""
     if grid_points < 2:
         raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
     if ensemble.n_runs < 2:
@@ -64,14 +63,14 @@ def risk_baselines(ensemble: Ensemble, plan: _cpm.CpmResult, grid_points: int = 
     schedule_shares = _variance_shares(ensemble.durations, ensemble.total_duration)
     cost_shares = _variance_shares(ensemble.node_cost, ensemble.total_cost)
 
+    plan = ensemble.plan
     times = np.linspace(0.0, plan.duration, grid_points)
     srb = sigma_pd * np.sqrt(_cpm.accrue(times, schedule_shares, plan.es, plan.ef))
     crb = sigma_c * np.sqrt(_cpm.accrue(times, cost_shares, plan.es, plan.ef))
     return RiskBaseline(node_ids=ensemble.node_ids, node_names=ensemble.node_names,
                         times=times, srb=srb, crb=crb,
                         schedule_shares=schedule_shares, cost_shares=cost_shares,
-                        sigma_duration=sigma_pd, sigma_cost=sigma_c,
-                        window_start=plan.es.copy(), window_finish=plan.ef.copy())
+                        sigma_duration=sigma_pd, sigma_cost=sigma_c, plan=plan)
 
 
 def _variance_shares(per_node, totals):
@@ -128,10 +127,9 @@ class ControlIndices:
     earned_time: float
 
 
-def control_indices(obs: ControlObservation, baseline: RiskBaseline,
-                    pv: _cpm.PlannedValueCurve) -> ControlIndices:
+def control_indices(obs: ControlObservation, baseline: RiskBaseline) -> ControlIndices:
     """SCoI/CCoI: positive means the deviation is inside the risk budget."""
-    earned_time = _cpm.earned_schedule(pv, obs.ev)
+    earned_time = _cpm.earned_schedule(baseline.plan, obs.ev)
     d_s = obs.t - earned_time
     d_c = obs.ac - obs.ev
     srb_t = baseline.srb_at(obs.t)
@@ -156,7 +154,7 @@ def cross_section(ensemble: Ensemble, x: float):
     if x == 1.0:
         return ensemble.total_duration.copy(), ensemble.total_cost.copy()
 
-    times = _cpm.first_reach(x * ensemble.bac, ensemble.planned_value,
+    times = _cpm.first_reach(x * ensemble.plan.bac, ensemble.plan.costs,
                              ensemble.starts, ensemble.finishes)
     return times, ensemble.cost_at(times)
 
@@ -205,13 +203,14 @@ def _percentile_rank(samples, value):
 
 def completion_fraction(obs, ensemble) -> float:
     """EV/BAC in (0, 1]; EvZero when EV (or the budget) is zero."""
-    if ensemble.bac <= 0.0:
+    bac = ensemble.plan.bac
+    if bac <= 0.0:
         raise EvZero("project has no budget; completion fraction undefined")
     if obs.ev <= 0.0:
         raise EvZero("EV = 0: the control cross-section is undefined")
-    if obs.ev > ensemble.bac * (1.0 + 1e-12):
-        raise EvOutOfRange(f"EV {obs.ev} exceeds BAC {ensemble.bac}")
-    return min(obs.ev / ensemble.bac, 1.0)
+    if obs.ev > bac * (1.0 + 1e-12):
+        raise EvOutOfRange(f"EV {obs.ev} exceeds BAC {bac}")
+    return min(obs.ev / bac, 1.0)
 
 
 @dataclass(frozen=True)
@@ -279,8 +278,8 @@ def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
         eac_t = float(np.mean(pd_n))
         eac_c = float(np.mean(c_n))
 
-    late = pd_n > ensemble.planned_duration
-    overrun = c_n > ensemble.bac
+    late = pd_n > ensemble.plan.duration
+    overrun = c_n > ensemble.plan.bac
     return SevmForecast(
         completion=x, k=k, eac_duration=eac_t, eac_cost=eac_c,
         duration_interval=tuple((float(p), empirical_percentile(pd_n, p))

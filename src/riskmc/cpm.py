@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvOutOfRange, PathExplosion
+from .errors import ConfigError, EvOutOfRange, PathExplosion
 from .network import ValidatedNetwork
 
 CRIT_TOL = 1e-9  # absolute float tolerance marking a node critical
@@ -34,7 +34,12 @@ def window_fraction(t, start, finish, step_closed: bool = True):
 
 @dataclass(frozen=True)
 class CpmResult:
-    """Forward/backward pass outputs for one fixed duration vector."""
+    """Forward/backward pass outputs for one fixed duration vector.
+
+    At expected durations this is the baseline plan: costs accrue
+    uniformly over each node's [es, ef] window, and bac is that accrual
+    at the project duration, so BAC = PV(PD) bit for bit.
+    """
 
     node_ids: tuple
     durations: np.ndarray
@@ -44,11 +49,17 @@ class CpmResult:
     lf: np.ndarray
     total_float: np.ndarray
     critical: np.ndarray  # bool per node
+    costs: np.ndarray     # fixed + rate * duration per node
     duration: float       # project duration (sink early finish)
-    bac: float            # planned cost at these durations
+    bac: float            # node-order sum of costs
 
     def critical_ids(self) -> tuple:
         return tuple(i for i, c in zip(self.node_ids, self.critical) if c)
+
+    def value_at(self, t):
+        """Exact PV at time t (right-continuous at steps); scalar or array."""
+        out = accrue(t, self.costs, self.es, self.ef)
+        return float(out) if out.ndim == 0 else out
 
 
 def passes(network: ValidatedNetwork, durations):
@@ -84,9 +95,12 @@ def passes(network: ValidatedNetwork, durations):
     return es, ef, lf
 
 
-def forward_backward(network: ValidatedNetwork, durations, crit_tol: float = CRIT_TOL) -> CpmResult:
-    """CPM pass for one duration vector: the one-row case of `passes`."""
-    d = np.asarray(durations, dtype=float)
+def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
+    """CPM pass for one duration vector: the one-row case of `passes`.
+
+    The result owns read-only arrays; the durations are copied first.
+    """
+    d = np.array(durations, dtype=float)
     if d.shape != (len(network.nodes),):
         raise ValueError(f"expected {len(network.nodes)} durations, got shape {d.shape}")
     if (d < 0).any():
@@ -95,16 +109,19 @@ def forward_backward(network: ValidatedNetwork, durations, crit_tol: float = CRI
     es, ef, lf = (row[0] for row in passes(network, d[None, :]))
     ls = lf - d
     total_float = ls - es
-    critical = total_float <= crit_tol
-    bac = float(np.sum(network.fixed_costs() + network.rates() * d))
+    critical = total_float <= CRIT_TOL
+    costs = network.fixed_costs() + network.rates() * d
+    duration = float(ef[network.sink])
+    for arr in (d, es, ef, ls, lf, total_float, critical, costs):
+        arr.flags.writeable = False
     return CpmResult(node_ids=network.ids(), durations=d, es=es, ef=ef, ls=ls, lf=lf,
-                     total_float=total_float, critical=critical,
-                     duration=float(ef[network.sink]), bac=bac)
+                     total_float=total_float, critical=critical, costs=costs,
+                     duration=duration, bac=float(accrue(duration, costs, es, ef)))
 
 
-def plan(network: ValidatedNetwork, crit_tol: float = CRIT_TOL) -> CpmResult:
+def plan(network: ValidatedNetwork) -> CpmResult:
     """CPM baseline at expected durations (risk nodes at p * mean(impact))."""
-    return forward_backward(network, network.mean_durations(), crit_tol)
+    return forward_backward(network, network.mean_durations())
 
 
 @dataclass(frozen=True)
@@ -224,52 +241,30 @@ def first_reach(target, weights, start, finish):
 
 @dataclass(frozen=True)
 class PlannedValueCurve:
-    """Monotone piecewise-linear PV(t) on [0, PD], sampled on a uniform grid.
-
-    costs/start/finish are each node's planned value and window; value_at
-    and earned_schedule read the exact accrual from them. times/values
-    are the uniform-grid view for export.
-    """
+    """The plan's PV(t) on [0, PD], sampled on a uniform grid for export."""
 
     times: np.ndarray
     values: np.ndarray
-    costs: np.ndarray
-    start: np.ndarray
-    finish: np.ndarray
-    bac: float
-    duration: float
-
-    def value_at(self, t):
-        """Exact PV at time t (right-continuous at steps); scalar or array."""
-        out = accrue(t, self.costs, self.start, self.finish)
-        return float(out) if out.ndim == 0 else out
+    plan: CpmResult
 
 
-def planned_value_curve(network: ValidatedNetwork, result: CpmResult,
-                        grid_points: int = 101) -> PlannedValueCurve:
-    """Accrue each node's cost uniformly over its planned window.
-
-    Zero-duration nodes step their fixed cost in at ES. PV(PD) equals the
-    BAC of `result` up to summation order.
-    """
+def planned_value_curve(plan: CpmResult, grid_points: int = 101) -> PlannedValueCurve:
+    """Sample the plan's PV(t) at grid_points uniform times; PV(PD) is its BAC."""
     if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    costs = network.fixed_costs() + network.rates() * result.durations
-    times = np.linspace(0.0, result.duration, grid_points)
-    return PlannedValueCurve(times=times, values=accrue(times, costs, result.es, result.ef),
-                             costs=costs, start=result.es, finish=result.ef,
-                             bac=result.bac, duration=result.duration)
+        raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
+    times = np.linspace(0.0, plan.duration, grid_points)
+    return PlannedValueCurve(times=times, values=plan.value_at(times), plan=plan)
 
 
-def earned_schedule(pv: PlannedValueCurve, ev: float) -> float:
-    """Planned time at which the baseline PV first reaches `ev`.
+def earned_schedule(plan: CpmResult, ev: float) -> float:
+    """Planned time at which the plan's PV first reaches `ev`.
 
     ES(0) = 0 and ES(BAC) = PD; values outside [0, BAC] raise EvOutOfRange.
     """
-    tol = 1e-9 * max(1.0, abs(pv.bac))
-    if ev < -tol or ev > pv.bac + tol:
-        raise EvOutOfRange(f"earned value {ev} outside [0, {pv.bac}]")
-    ev = min(max(float(ev), 0.0), pv.bac)
-    if ev >= pv.bac:
-        return pv.duration  # completion maps to the planned end by convention
-    return float(first_reach(ev, pv.costs, pv.start[None, :], pv.finish[None, :])[0])
+    tol = 1e-9 * max(1.0, abs(plan.bac))
+    if ev < -tol or ev > plan.bac + tol:
+        raise EvOutOfRange(f"earned value {ev} outside [0, {plan.bac}]")
+    ev = min(max(float(ev), 0.0), plan.bac)
+    if ev >= plan.bac:
+        return plan.duration  # completion maps to the planned end by convention
+    return float(first_reach(ev, plan.costs, plan.es[None, :], plan.ef[None, :])[0])

@@ -88,9 +88,9 @@ def contingency_reserve(ensemble: Ensemble, p: float, dimension: str = "cost") -
     Negative for percentiles that fall below the plan.
     """
     if dimension == "cost":
-        samples, planned = ensemble.total_cost, ensemble.bac
+        samples, planned = ensemble.total_cost, ensemble.plan.bac
     elif dimension == "duration":
-        samples, planned = ensemble.total_duration, ensemble.planned_duration
+        samples, planned = ensemble.total_duration, ensemble.plan.duration
     else:
         raise ConfigError(f"dimension must be 'cost' or 'duration', got {dimension!r}")
     return empirical_percentile(samples, p) - planned

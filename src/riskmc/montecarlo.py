@@ -73,9 +73,9 @@ class Ensemble:
     """
 
     config: SimConfig
+    plan: _cpm.CpmResult        # the baseline the runs are measured against
     node_ids: tuple
     node_names: tuple
-    node_is_risk: np.ndarray
     risk_ids: tuple
     durations: np.ndarray       # (n_runs, n_nodes) sampled node durations
     starts: np.ndarray
@@ -85,11 +85,6 @@ class Ensemble:
     total_cost: np.ndarray      # (n_runs,) including cost-risk realizations
     node_cost: np.ndarray       # (n_runs, n_nodes) with cost risks on their target
     risk_active: np.ndarray     # (n_runs, n_risks) activation flags, spec order
-    planned_value: np.ndarray   # (n_nodes,) fixed + rate * mean duration
-    planned_start: np.ndarray
-    planned_finish: np.ndarray
-    planned_duration: float
-    bac: float
 
     @property
     def n_runs(self) -> int:
@@ -101,7 +96,7 @@ class Ensemble:
 
     def ev_at(self, times) -> np.ndarray:
         """Exact earned-value trajectory values at per-run times (or a scalar)."""
-        return _cpm.accrue(times, self.planned_value, self.starts, self.finishes)
+        return _cpm.accrue(times, self.plan.costs, self.starts, self.finishes)
 
     def cost_at(self, times) -> np.ndarray:
         """Exact cumulative-cost trajectory values at per-run times (or a scalar)."""
@@ -116,8 +111,6 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     """
     nodes = network.nodes
     n, m = cfg.n_runs, len(nodes)
-    plan = _cpm.plan(network)
-    planned_value = network.fixed_costs() + network.rates() * plan.durations
 
     risk_ids = tuple(r.id for r in network.spec.risks)
     risk_col = {rid: c for c, rid in enumerate(risk_ids)}
@@ -162,27 +155,23 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     node_cost = network.fixed_costs()[None, :] + network.rates()[None, :] * durations
     for c, cr in enumerate(network.cost_risks):
         node_cost[:, cr.target] += cost_risk_val[:, c]
-    # accumulate in node order, matching ev_at/cost_at, so the endpoint
-    # identities cost_k(PD_k) = C_k and ev_k(PD_k) = BAC hold bitwise
+    # accumulate in node order, matching ev_at/cost_at and the plan's BAC,
+    # so the endpoint identities cost_k(PD_k) = C_k and ev_k(PD_k) = BAC
+    # hold bitwise
     total_cost = np.zeros(n)
     for j in range(m):
         total_cost += node_cost[:, j]
-    bac = 0.0
-    for j in range(m):
-        bac += float(planned_value[j])
 
     arrays = dict(
         durations=durations, starts=starts, finishes=finishes, critical=critical,
         total_duration=total_duration, total_cost=total_cost, node_cost=node_cost,
-        risk_active=risk_active, planned_value=planned_value,
-        planned_start=plan.es.copy(), planned_finish=plan.ef.copy(),
-        node_is_risk=np.array([node.is_risk for node in nodes]),
+        risk_active=risk_active,
     )
     for arr in arrays.values():
         arr.flags.writeable = False
     return Ensemble(
-        config=cfg, node_ids=network.ids(), node_names=network.names(),
-        risk_ids=risk_ids, planned_duration=plan.duration, bac=bac, **arrays,
+        config=cfg, plan=_cpm.plan(network), node_ids=network.ids(),
+        node_names=network.names(), risk_ids=risk_ids, **arrays,
     )
 
 

@@ -221,7 +221,7 @@ def _subsample(*arrays):
 def _build_pv(data, title):
     pv = _require(data, "pv", PlannedValueCurve)
     chart = _Chart(title or "Planned value", "time", "planned value",
-                   (0.0, max(pv.duration, 1e-9)), (0.0, max(pv.bac, 1e-9)))
+                   (0.0, max(pv.plan.duration, 1e-9)), (0.0, max(pv.plan.bac, 1e-9)))
     chart.add_line(pv.times, pv.values, _BLUE, "PV(t)")
     return chart.render()
 

@@ -68,7 +68,7 @@ def trajectories(ens, points):
     """Each run's exact cost and earned-value trajectories at `points` uniform
     times on [0, max(1.5 x planned duration, latest finish)], as
     (n_runs, points) arrays read through cost_at/ev_at."""
-    last = max(1.5 * ens.planned_duration, float(ens.total_duration.max()))
+    last = max(1.5 * ens.plan.duration, float(ens.total_duration.max()))
     times = np.linspace(0.0, last, points)
     cost = np.column_stack([ens.cost_at(t) for t in times])
     ev = np.column_stack([ens.ev_at(t) for t in times])

@@ -26,8 +26,6 @@ from riskmc import (
     control_indices,
     criticality_index,
     cruciality_index,
-    plan,
-    planned_value_curve,
     risk_baselines,
     run_ensemble,
     schedule_sensitivity_index,
@@ -192,8 +190,8 @@ def test_criterion_6_risk_arithmetic():
 
 def test_criterion_7_baseline_identities(figure3_network):
     with criterion(7, "SRB endpoints and monotonicity; ARI sums to 100%"):
-        net, ens = fast(figure3_network, n=20_000, seed=77)
-        baseline = risk_baselines(ens, plan(net))
+        _, ens = fast(figure3_network, n=20_000, seed=77)
+        baseline = risk_baselines(ens)
         assert baseline.srb[0] == 0.0
         sigma = baseline.sigma_duration
         assert abs(baseline.srb[-1] - sigma) <= 1e-6 * sigma
@@ -205,13 +203,12 @@ def test_criterion_7_baseline_identities(figure3_network):
 def test_criterion_8_control_sanity():
     with criterion(8, "on-plan observation: zero deviations, full budget, Triad ~50"):
         spec = chain_spec([Distribution.triangular(1, 2, 3)] * 2, fixed=10, rate=0)
-        net, ens = fast(spec, seed=88)
-        planned = plan(net)
-        baseline = risk_baselines(ens, planned)
-        pv = planned_value_curve(net, planned)
+        _, ens = fast(spec, seed=88)
+        planned = ens.plan
+        baseline = risk_baselines(ens)
         t = planned.duration / 2
-        obs = ControlObservation(t=t, ev=pv.value_at(t), ac=pv.value_at(t))
-        indices = control_indices(obs, baseline, pv)
+        obs = ControlObservation(t=t, ev=planned.value_at(t), ac=planned.value_at(t))
+        indices = control_indices(obs, baseline)
         assert abs(indices.schedule_deviation) < 1e-9
         assert indices.cost_deviation == 0.0
         assert indices.scoi == pytest.approx(baseline.srb_at(t), abs=1e-9)
@@ -226,21 +223,22 @@ def test_criterion_8_control_sanity():
 def test_criterion_9_sevm_limits(figure3_network):
     with criterion(9, "SEVM: k=n reproduces endpoint means; deterministic degenerate"):
         _, ens = fast(figure3_network, n=20_000, seed=99)
-        obs = ControlObservation(t=4.0, ev=0.5 * ens.bac, ac=0.5 * ens.bac)
+        obs = ControlObservation(t=4.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
         forecast = sevm_forecast(obs, ens, k_neighbors=ens.n_runs)
         assert forecast.eac_duration == pytest.approx(ens.total_duration.mean(), rel=1e-12)
         assert forecast.eac_cost == pytest.approx(ens.total_cost.mean(), rel=1e-12)
 
         _, fixed_ens = fast(chain_spec([Distribution.point(3)] * 2, fixed=5, rate=1),
                             n=1000, seed=98)
-        obs2 = ControlObservation(t=3.0, ev=0.5 * fixed_ens.bac, ac=0.5 * fixed_ens.bac)
+        obs2 = ControlObservation(t=3.0, ev=0.5 * fixed_ens.plan.bac,
+                                  ac=0.5 * fixed_ens.plan.bac)
         degenerate = sevm_forecast(obs2, fixed_ens, k_neighbors=200)
         assert degenerate.p_late == 0.0
-        assert all(v == fixed_ens.planned_duration for _, v in degenerate.duration_interval)
-        assert all(v == fixed_ens.bac for _, v in degenerate.cost_interval)
+        assert all(v == fixed_ens.plan.duration for _, v in degenerate.duration_interval)
+        assert all(v == fixed_ens.plan.bac for _, v in degenerate.cost_interval)
 
         mid = sevm_forecast(obs, ens)
-        expected = ens.total_duration[mid.neighbor_runs] > ens.planned_duration
+        expected = ens.total_duration[mid.neighbor_runs] > ens.plan.duration
         assert np.array_equal(mid.neighbor_late, expected)
 
 

@@ -82,6 +82,27 @@ def test_non_finite_observation_is_config_error(project, command, observe, capsy
     assert "nan" not in captured.out and "inf" not in captured.out
 
 
+@pytest.mark.parametrize("command", [["plot", "--kind", "pv"], ["plot", "--kind", "srb_crb"],
+                                     ["baseline"]])
+def test_grid_below_two_is_only_a_config_error(project, command, tmp_path, capsys):
+    assert main([*command, "--project", project, "--runs", "100", "--grid", "1",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["indices"], ["contingency", "--percentile", "90"],
+    ["control", "--observe", "t=4,ev=430,ac=440"],
+    ["forecast", "--observe", "t=4,ev=430,ac=440"],
+])
+def test_grid_is_taken_only_by_commands_that_write_a_grid(project, command, capsys):
+    # baseline and plot write a grid; on any other command --grid is unknown
+    assert main([*command, "--project", project, "--runs", "100", "--grid", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError:") and "--grid" in err, err
+
+
 def test_missing_project_file_is_io_error():
     result = run_cli("validate", "--project", "no-such-file.project")
     assert result.returncode == 2

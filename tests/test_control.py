@@ -16,7 +16,6 @@ from riskmc import (
     control_indices,
     cross_section,
     plan,
-    planned_value_curve,
     risk_baselines,
     run_ensemble,
     sevm_forecast,
@@ -30,7 +29,7 @@ from riskmc.errors import DegenerateProject, EvOutOfRange, EvZero, KTooLarge
 def build(spec, n=20_000, seed=301):
     net = validate(spec)
     ens = run_ensemble(net, SimConfig(n_runs=n, seed=seed))
-    return net, ens, plan(net)
+    return net, ens, ens.plan
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +42,8 @@ def serial_iid():
 # -- risk baselines ----------------------------------------------------------
 
 def test_srb_endpoints(serial_iid):
-    _, ens, planned = serial_iid
-    base = risk_baselines(ens, planned)
+    _, ens, _ = serial_iid
+    base = risk_baselines(ens)
     assert base.srb[0] == 0.0
     assert base.srb[-1] == pytest.approx(base.sigma_duration, rel=1e-6)
     assert base.crb[-1] == pytest.approx(base.sigma_cost, rel=1e-6)
@@ -55,20 +54,20 @@ def test_srb_endpoints(serial_iid):
 def test_srb_halfway_two_equal_activities(serial_iid):
     # equal shares: at the end of the first window SRB = sigma * sqrt(1/2)
     _, ens, planned = serial_iid
-    base = risk_baselines(ens, planned)
+    base = risk_baselines(ens)
     assert base.srb_at(planned.duration / 2) == pytest.approx(
         base.sigma_duration * np.sqrt(0.5), rel=0.02)
 
 
 def test_baseline_degenerate_project():
-    _, ens, planned = build(chain_spec([Distribution.point(4)], fixed=3, rate=1), n=200)
+    _, ens, _ = build(chain_spec([Distribution.point(4)], fixed=3, rate=1), n=200)
     with pytest.raises(DegenerateProject):
-        risk_baselines(ens, planned)
+        risk_baselines(ens)
 
 
 def test_baseline_exact_evaluator_matches_grid(serial_iid):
     _, ens, planned = serial_iid
-    base = risk_baselines(ens, planned, grid_points=41)
+    base = risk_baselines(ens, grid_points=41)
     for i in (0, 7, 20, 40):
         assert base.srb_at(base.times[i]) == base.srb[i]
         assert base.crb_at(base.times[i]) == base.crb[i]
@@ -96,7 +95,7 @@ def test_baselines_match_matrix_reference(seed, n_real, with_risks, n_runs, grid
     ens = run_ensemble(net, SimConfig(n_runs=n_runs, seed=seed % 1000))
     planned = plan(net)
     try:
-        base = risk_baselines(ens, planned, grid_points=grid_points)
+        base = risk_baselines(ens, grid_points=grid_points)
     except DegenerateProject:
         return
     # summation moved from BLAS order to node order: equal to within 1e-15
@@ -110,16 +109,16 @@ def test_baselines_match_matrix_reference(seed, n_real, with_risks, n_runs, grid
 # -- activity risk index -----------------------------------------------------
 
 def test_ari_single_stochastic_activity():
-    _, ens, planned = build(chain_spec([Distribution.uniform(1, 3)]), n=2000)
-    ari = activity_risk_index(risk_baselines(ens, planned))
+    _, ens, _ = build(chain_spec([Distribution.uniform(1, 3)]), n=2000)
+    ari = activity_risk_index(risk_baselines(ens))
     by_id = dict(zip(ari.node_ids, ari.ari))
     assert by_id["B1"] == pytest.approx(100.0)
     assert ari.node_ids[ari.ranking[0]] == "B1"
 
 
 def test_ari_two_serial_iid_split(serial_iid):
-    _, ens, planned = serial_iid
-    ari = activity_risk_index(risk_baselines(ens, planned))
+    _, ens, _ = serial_iid
+    ari = activity_risk_index(risk_baselines(ens))
     by_id = dict(zip(ari.node_ids, ari.ari))
     assert by_id["B1"] == pytest.approx(50.0, abs=2.0)
     assert by_id["B2"] == pytest.approx(50.0, abs=2.0)
@@ -132,8 +131,8 @@ def test_ari_degenerate_schedule():
     risky = ProjectSpec(spec.activities, spec.precedence,
                         (RiskEvent(id="RC", name="c", probability=0.5, kind="cost",
                                    target="B1", impact=Distribution.point(10)),))
-    _, ens, planned = build(risky, n=500)
-    base = risk_baselines(ens, planned)  # cost variance keeps this legal
+    _, ens, _ = build(risky, n=500)
+    base = risk_baselines(ens)  # cost variance keeps this legal
     with pytest.raises(DegenerateProject):
         activity_risk_index(base)
 
@@ -141,12 +140,11 @@ def test_ari_degenerate_schedule():
 # -- control indices ---------------------------------------------------------
 
 def test_on_plan_observation(serial_iid):
-    net, ens, planned = serial_iid
-    base = risk_baselines(ens, planned)
-    pv = planned_value_curve(net, planned)
+    _, ens, planned = serial_iid
+    base = risk_baselines(ens)
     t = planned.duration / 2
-    value = pv.value_at(t)
-    ci = control_indices(ControlObservation(t=t, ev=value, ac=value), base, pv)
+    value = planned.value_at(t)
+    ci = control_indices(ControlObservation(t=t, ev=value, ac=value), base)
     assert ci.schedule_deviation == pytest.approx(0.0, abs=1e-9)
     assert ci.cost_deviation == 0.0
     assert ci.scoi == pytest.approx(base.srb_at(t), abs=1e-9)
@@ -155,10 +153,9 @@ def test_on_plan_observation(serial_iid):
 
 
 def test_zero_ev_measures_pure_delay(serial_iid):
-    net, ens, planned = serial_iid
-    base = risk_baselines(ens, planned)
-    pv = planned_value_curve(net, planned)
-    ci = control_indices(ControlObservation(t=1.5, ev=0.0, ac=0.0), base, pv)
+    _, ens, _ = serial_iid
+    base = risk_baselines(ens)
+    ci = control_indices(ControlObservation(t=1.5, ev=0.0, ac=0.0), base)
     assert ci.earned_time == 0.0
     assert ci.schedule_deviation == 1.5
 
@@ -169,22 +166,20 @@ def test_deterministic_schedule_deviation_eats_no_budget():
     risky = ProjectSpec(spec.activities, spec.precedence,
                         (RiskEvent(id="RC", name="c", probability=0.5, kind="cost",
                                    target="B1", impact=Distribution.point(10)),))
-    net, ens, planned = build(risky, n=500)
-    base = risk_baselines(ens, planned)
-    pv = planned_value_curve(net, planned)
+    _, ens, planned = build(risky, n=500)
+    base = risk_baselines(ens)
     delay = 0.75
-    obs = ControlObservation(t=2.0 + delay, ev=pv.value_at(2.0), ac=pv.value_at(2.0))
-    ci = control_indices(obs, base, pv)
+    obs = ControlObservation(t=2.0 + delay, ev=planned.value_at(2.0), ac=planned.value_at(2.0))
+    ci = control_indices(obs, base)
     assert ci.srb == 0.0
     assert ci.scoi == pytest.approx(-delay)
 
 
 def test_ev_out_of_range(serial_iid):
-    net, ens, planned = serial_iid
-    base = risk_baselines(ens, planned)
-    pv = planned_value_curve(net, planned)
+    _, ens, planned = serial_iid
+    base = risk_baselines(ens)
     with pytest.raises(EvOutOfRange):
-        control_indices(ControlObservation(t=1, ev=pv.bac * 2, ac=0), base, pv)
+        control_indices(ControlObservation(t=1, ev=planned.bac * 2, ac=0), base)
 
 
 # -- cross sections ----------------------------------------------------------
@@ -231,7 +226,7 @@ def test_cross_section_handles_value_jumps():
     from riskmc import ProjectSpec
     net = validate(ProjectSpec(activities=acts, precedence=matrix))
     ens = run_ensemble(net, SimConfig(n_runs=8, seed=1))
-    assert ens.bac == 20.0
+    assert ens.plan.bac == 20.0
     # EV ramps 0->4 on [0,2], jumps to 10 at t=2, ramps 10->20 on [2,4]
     for x, expected_t in ((0.2, 2.0), (0.25, 2.0), (0.5, 2.0), (0.75, 3.0), (0.1, 1.0)):
         section_t, _ = cross_section(ens, x)
@@ -264,7 +259,7 @@ def _reference_cross_section(ensemble, x):
     if x == 1.0:
         return ensemble.total_duration.copy(), ensemble.total_cost.copy()
 
-    target = x * ensemble.bac
+    target = x * ensemble.plan.bac
     starts, finishes = ensemble.starts, ensemble.finishes
     n, m = starts.shape
     events = np.concatenate([np.zeros((n, 1)), starts, finishes], axis=1)
@@ -273,7 +268,7 @@ def _reference_cross_section(ensemble, x):
     ev_right = np.zeros_like(events)
     ev_left = np.zeros_like(events)
     for j in range(m):
-        pv_j = ensemble.planned_value[j]
+        pv_j = ensemble.plan.costs[j]
         if pv_j == 0.0:
             continue
         s, f = starts[:, j, None], finishes[:, j, None]
@@ -310,8 +305,8 @@ def test_cross_section_matches_reference_bitwise(seed, n_real, with_risks, x):
     spec = random_dag_spec(rng, n_real=n_real, edge_prob=0.4, with_risks=with_risks)
     ens = run_ensemble(validate(spec), SimConfig(n_runs=40, seed=seed % 1000))
     fractions = [x, float(np.nextafter(1.0, 0.0))]
-    if ens.bac > 0.0:  # every node-prefix breakpoint of the planned value
-        prefix = np.cumsum(ens.planned_value) / ens.bac
+    if ens.plan.bac > 0.0:  # every node-prefix breakpoint of the planned value
+        prefix = np.cumsum(ens.plan.costs) / ens.plan.bac
         fractions += [float(f) for f in prefix if 0.0 < f <= 1.0]
     for fraction in fractions:
         section_t, section_c = cross_section(ens, fraction)
@@ -322,7 +317,7 @@ def test_cross_section_matches_reference_bitwise(seed, n_real, with_risks, x):
         assert (section_t <= ens.total_duration).all()
         # relative slack, plus an absolute floor for subnormal targets (x ~ 5e-324),
         # where float64 keeps no relative precision
-        floor = fraction * ens.bac * (1.0 - 1e-12) - np.finfo(float).tiny
+        floor = fraction * ens.plan.bac * (1.0 - 1e-12) - np.finfo(float).tiny
         assert (ens.ev_at(section_t) >= floor).all()
         assert section_c.tobytes() == ens.cost_at(section_t).tobytes()
 
@@ -333,7 +328,7 @@ def test_triad_at_medians_reads_on(serial_iid):
     _, ens, _ = serial_iid
     section_t, section_c = cross_section(ens, 0.5)
     obs = ControlObservation(t=float(np.median(section_t)),
-                             ev=0.5 * ens.bac, ac=float(np.median(section_c)))
+                             ev=0.5 * ens.plan.bac, ac=float(np.median(section_c)))
     report = triad(obs, ens)
     assert report.schedule_percentile == pytest.approx(50.0, abs=1.0)
     assert report.cost_percentile == pytest.approx(50.0, abs=1.0)
@@ -344,7 +339,7 @@ def test_triad_at_medians_reads_on(serial_iid):
 def test_triad_beyond_every_run_is_delayed(serial_iid):
     _, ens, _ = serial_iid
     section_t, _ = cross_section(ens, 0.5)
-    obs = ControlObservation(t=float(section_t.max()) + 1.0, ev=0.5 * ens.bac,
+    obs = ControlObservation(t=float(section_t.max()) + 1.0, ev=0.5 * ens.plan.bac,
                              ac=10.0)
     report = triad(obs, ens)
     assert report.schedule_percentile == 100.0
@@ -352,10 +347,9 @@ def test_triad_beyond_every_run_is_delayed(serial_iid):
 
 
 def test_triad_on_plan_symmetric_project(serial_iid):
-    net, ens, planned = serial_iid
-    pv = planned_value_curve(net, planned)
+    _, ens, planned = serial_iid
     t = planned.duration / 2
-    obs = ControlObservation(t=t, ev=pv.value_at(t), ac=pv.value_at(t))
+    obs = ControlObservation(t=t, ev=planned.value_at(t), ac=planned.value_at(t))
     report = triad(obs, ens)
     assert report.completion == pytest.approx(0.5)
     assert report.schedule_percentile == pytest.approx(50.0, abs=3.0)
@@ -374,8 +368,8 @@ def test_triad_invariant_under_money_rescaling():
     cfg = SimConfig(n_runs=5000, seed=77)
     ens = run_ensemble(validate(spec), cfg)
     ens2 = run_ensemble(validate(doubled), cfg)
-    obs = ControlObservation(t=2.1, ev=0.4 * ens.bac, ac=0.45 * ens.bac)
-    obs2 = ControlObservation(t=2.1, ev=0.4 * ens2.bac, ac=0.45 * ens2.bac)
+    obs = ControlObservation(t=2.1, ev=0.4 * ens.plan.bac, ac=0.45 * ens.plan.bac)
+    obs2 = ControlObservation(t=2.1, ev=0.4 * ens2.plan.bac, ac=0.45 * ens2.plan.bac)
     a, b = triad(obs, ens), triad(obs2, ens2)
     assert a.schedule_percentile == b.schedule_percentile
     assert a.cost_percentile == b.cost_percentile
@@ -389,7 +383,7 @@ def test_sevm_nearest_run_recovers_itself(figure3_network):
     x = 0.999
     section_t, section_c = cross_section(ens, x)
     run = 123
-    obs = ControlObservation(t=float(section_t[run]), ev=x * ens.bac,
+    obs = ControlObservation(t=float(section_t[run]), ev=x * ens.plan.bac,
                              ac=float(section_c[run]))
     forecast = sevm_forecast(obs, ens, k_neighbors=1)
     assert forecast.neighbor_runs.tolist() == [run]
@@ -399,7 +393,7 @@ def test_sevm_nearest_run_recovers_itself(figure3_network):
 
 def test_sevm_whole_ensemble_reproduces_unconditional_stats(figure3_network):
     ens = run_ensemble(figure3_network, SimConfig(n_runs=5000, seed=16))
-    obs = ControlObservation(t=4.0, ev=0.5 * ens.bac, ac=0.5 * ens.bac)
+    obs = ControlObservation(t=4.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
     forecast = sevm_forecast(obs, ens, k_neighbors=ens.n_runs)
     assert forecast.eac_duration == pytest.approx(ens.total_duration.mean(), rel=1e-12)
     assert forecast.eac_cost == pytest.approx(ens.total_cost.mean(), rel=1e-12)
@@ -407,26 +401,26 @@ def test_sevm_whole_ensemble_reproduces_unconditional_stats(figure3_network):
 
 def test_sevm_deterministic_project():
     _, ens, _ = build(chain_spec([Distribution.point(3)] * 2, fixed=5, rate=1), n=400)
-    obs = ControlObservation(t=3.0, ev=0.5 * ens.bac, ac=0.5 * ens.bac)
+    obs = ControlObservation(t=3.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
     forecast = sevm_forecast(obs, ens, k_neighbors=100)
     assert forecast.p_late == 0.0
-    assert all(v == ens.planned_duration for _, v in forecast.duration_interval)
-    assert all(v == ens.bac for _, v in forecast.cost_interval)
+    assert all(v == ens.plan.duration for _, v in forecast.duration_interval)
+    assert all(v == ens.plan.bac for _, v in forecast.cost_interval)
     assert not forecast.neighbor_late.any()
 
 
 def test_sevm_labels_partition_by_planned_duration(figure3_network):
     ens = run_ensemble(figure3_network, SimConfig(n_runs=3000, seed=19))
-    obs = ControlObservation(t=4.0, ev=0.5 * ens.bac, ac=0.5 * ens.bac)
+    obs = ControlObservation(t=4.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
     forecast = sevm_forecast(obs, ens)
-    late = ens.total_duration[forecast.neighbor_runs] > ens.planned_duration
+    late = ens.total_duration[forecast.neighbor_runs] > ens.plan.duration
     assert np.array_equal(forecast.neighbor_late, late)
     assert forecast.p_late == late.mean()
 
 
 def test_sevm_k_too_large_and_ev_zero(figure3_network):
     ens = run_ensemble(figure3_network, SimConfig(n_runs=200, seed=20))
-    obs = ControlObservation(t=4.0, ev=0.5 * ens.bac, ac=0.5 * ens.bac)
+    obs = ControlObservation(t=4.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
     with pytest.raises(KTooLarge):
         sevm_forecast(obs, ens, k_neighbors=201)
     with pytest.raises(EvZero):
@@ -435,7 +429,7 @@ def test_sevm_k_too_large_and_ev_zero(figure3_network):
 
 def test_sevm_linear_estimator_runs(figure3_network):
     ens = run_ensemble(figure3_network, SimConfig(n_runs=2000, seed=21))
-    obs = ControlObservation(t=4.0, ev=0.5 * ens.bac, ac=0.5 * ens.bac)
+    obs = ControlObservation(t=4.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
     forecast = sevm_forecast(obs, ens, k_neighbors=500, estimator="linear")
     assert np.isfinite(forecast.eac_duration) and np.isfinite(forecast.eac_cost)
     lo, hi = forecast.duration_interval[0][1], forecast.duration_interval[-1][1]
@@ -450,8 +444,8 @@ def thousand_activities():
     spec = random_dag_spec(rng, n_real=1000, edge_prob=0.004, with_risks=10)
     net = validate(spec)
     ens = run_ensemble(net, SimConfig(n_runs=1000, seed=1))
-    return ens, ControlObservation(t=0.55 * ens.planned_duration, ev=0.5 * ens.bac,
-                                   ac=0.55 * ens.bac)
+    return ens, ControlObservation(t=0.55 * ens.plan.duration, ev=0.5 * ens.plan.bac,
+                                   ac=0.55 * ens.plan.bac)
 
 
 @pytest.mark.parametrize("analysis", [triad, sevm_forecast], ids=["triad", "sevm"])

@@ -151,13 +151,23 @@ def test_forward_pass_equals_max_path_sum():
         assert result.duration == oracles.brute_pd(paths, d)
 
 
+def test_forward_backward_owns_read_only_arrays(figure3_network):
+    d = figure3_network.mean_durations()
+    result = forward_backward(figure3_network, d)
+    d[1] += 1.0  # the caller's array stays writable and the result keeps its copy
+    assert result.durations[1] == figure3_network.mean_durations()[1]
+    for field in ("durations", "es", "ef", "ls", "lf", "total_float", "critical", "costs"):
+        with pytest.raises(ValueError):
+            getattr(result, field)[0] = 0.0
+
+
 def test_critical_set_is_union_of_argmax_paths():
     rng = np.random.default_rng(54)
     for _ in range(40):
         net = validate(random_dag_spec(rng, n_real=int(rng.integers(2, 10))))
         d = rng.integers(0, 9, size=len(net.nodes)).astype(float)
         d[0] = d[-1] = 0.0
-        result = forward_backward(net, d, crit_tol=0.0)
+        result = forward_backward(net, d)
         paths = oracles.brute_paths(oracles.pred_lists(net))
         expected = oracles.brute_critical(paths, d, tol=0.0)
         assert set(np.flatnonzero(result.critical)) == expected
@@ -173,18 +183,17 @@ def one_activity_network(dist=None, fixed=8.0, rate=1.0):
 def test_pv_linear_accrual():
     net = one_activity_network()
     result = forward_backward(net, np.array([0.0, 4.0, 0.0]))
-    pv = planned_value_curve(net, result)
     # (8 + 4) money over 4 time units accrues 3 per unit
-    assert pv.value_at(2.0) == pytest.approx(6.0)
-    assert pv.value_at(4.0) == pytest.approx(12.0)
-    assert pv.value_at(0.0) == 0.0
-    assert pv.bac == 12.0
+    assert result.value_at(2.0) == pytest.approx(6.0)
+    assert result.value_at(4.0) == pytest.approx(12.0)
+    assert result.value_at(0.0) == 0.0
+    assert result.bac == 12.0
 
 
 def test_pv_zero_costs():
     net = validate(chain_spec([Distribution.point(3)]))
     result = forward_backward(net, np.array([0.0, 3.0, 0.0]))
-    pv = planned_value_curve(net, result)
+    pv = planned_value_curve(result)
     assert (pv.values == 0.0).all()
 
 
@@ -192,8 +201,7 @@ def test_pv_symmetric_serial_midpoint():
     spec = chain_spec([Distribution.point(2), Distribution.point(2)], fixed=10.0, rate=0.0)
     net = validate(spec)
     result = forward_backward(net, np.array([0.0, 2.0, 2.0, 0.0]))
-    pv = planned_value_curve(net, result)
-    assert pv.value_at(result.duration / 2) == pytest.approx(pv.bac / 2)
+    assert result.value_at(result.duration / 2) == pytest.approx(result.bac / 2)
 
 
 def test_pv_endpoints_exact_random_networks():
@@ -202,12 +210,12 @@ def test_pv_endpoints_exact_random_networks():
         net = validate(random_dag_spec(rng, n_real=int(rng.integers(2, 9)),
                                        with_risks=int(rng.integers(0, 3))))
         result = forward_backward(net, net.mean_durations())
-        pv = planned_value_curve(net, result)
+        pv = planned_value_curve(result)
         assert pv.values[0] == pytest.approx(0.0, abs=1e-12)
         assert pv.values[-1] == pytest.approx(result.bac, rel=1e-9)
         assert (np.diff(pv.values) >= -1e-9).all()
         breaks = np.sort(np.concatenate([result.es, result.ef]))
-        assert (np.diff(pv.value_at(breaks)) >= 0.0).all()
+        assert (np.diff(result.value_at(breaks)) >= 0.0).all()
 
 
 def test_pv_milestone_step():
@@ -219,10 +227,9 @@ def test_pv_milestone_step():
     matrix = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     net = validate(ProjectSpec(activities=acts, precedence=matrix))
     result = forward_backward(net, np.array([0.0, 4.0, 0.0, 0.0]))
-    pv = planned_value_curve(net, result)
-    assert pv.value_at(3.999) == pytest.approx(3.999)
-    assert pv.value_at(4.0) == pytest.approx(10.0)  # 4 accrued + 6 stepped in
-    assert earned_schedule(pv, 7.0) == pytest.approx(4.0)
+    assert result.value_at(3.999) == pytest.approx(3.999)
+    assert result.value_at(4.0) == pytest.approx(10.0)  # 4 accrued + 6 stepped in
+    assert earned_schedule(result, 7.0) == pytest.approx(4.0)
 
 
 # -- earned schedule ---------------------------------------------------------
@@ -230,32 +237,29 @@ def test_pv_milestone_step():
 def test_earned_schedule_endpoints():
     net = one_activity_network()
     result = forward_backward(net, np.array([0.0, 4.0, 0.0]))
-    pv = planned_value_curve(net, result)
-    assert earned_schedule(pv, 0.0) == 0.0
-    assert earned_schedule(pv, pv.bac) == result.duration
-    assert earned_schedule(pv, 6.0) == pytest.approx(2.0)
+    assert earned_schedule(result, 0.0) == 0.0
+    assert earned_schedule(result, result.bac) == result.duration
+    assert earned_schedule(result, 6.0) == pytest.approx(2.0)
 
 
 def test_earned_schedule_out_of_range():
     net = one_activity_network()
     result = forward_backward(net, np.array([0.0, 4.0, 0.0]))
-    pv = planned_value_curve(net, result)
     with pytest.raises(EvOutOfRange):
-        earned_schedule(pv, -1.0)
+        earned_schedule(result, -1.0)
     with pytest.raises(EvOutOfRange):
-        earned_schedule(pv, pv.bac * 1.01)
+        earned_schedule(result, result.bac * 1.01)
 
 
 def test_earned_schedule_inverts_pv_on_grid():
     rng = np.random.default_rng(56)
     net = validate(random_dag_spec(rng, n_real=6))
     result = forward_backward(net, net.mean_durations())
-    pv = planned_value_curve(net, result)
     for ev in np.linspace(0.0, result.bac, 17):
-        t = earned_schedule(pv, ev)
-        assert pv.value_at(t) >= ev - 1e-9 * max(1.0, result.bac)
+        t = earned_schedule(result, ev)
+        assert result.value_at(t) >= ev - 1e-9 * max(1.0, result.bac)
         if t > 0:
-            assert pv.value_at(t * (1 - 1e-12)) <= ev + 1e-6 * max(1.0, result.bac)
+            assert result.value_at(t * (1 - 1e-12)) <= ev + 1e-6 * max(1.0, result.bac)
 
 
 # -- window fraction ---------------------------------------------------------
@@ -299,7 +303,7 @@ def test_window_fraction_matches_reference_bitwise(windows, step_closed):
 
 # -- one implementation against the code it replaced -------------------------
 
-def reference_forward_backward(network, d, crit_tol=CRIT_TOL):
+def reference_forward_backward(network, d):
     """The scalar CPM loops that cpm.passes replaced, as a dict of the
     CpmResult fields they set; every pass must match them bit for bit."""
     nodes = network.nodes
@@ -323,7 +327,7 @@ def reference_forward_backward(network, d, crit_tol=CRIT_TOL):
 
     total_float = ls - es
     return dict(es=es, ef=ef, ls=ls, lf=lf, total_float=total_float,
-                critical=total_float <= crit_tol, duration=project_duration)
+                critical=total_float <= CRIT_TOL, duration=project_duration)
 
 
 def _reference_accrual(ts, costs, start, finish, step_closed):
@@ -424,9 +428,9 @@ def test_ensemble_passes_match_scalar_reference_bitwise(seed, n_real, with_risks
     net, _ = _degenerate_network(seed, n_real, with_risks)
     ens = run_ensemble(net, SimConfig(n_runs=n_runs, seed=seed % 1000), workers=workers)
     planned = reference_forward_backward(net, net.mean_durations())
-    assert ens.planned_start.tobytes() == planned["es"].tobytes()
-    assert ens.planned_finish.tobytes() == planned["ef"].tobytes()
-    assert ens.planned_duration == planned["duration"]
+    assert ens.plan.es.tobytes() == planned["es"].tobytes()
+    assert ens.plan.ef.tobytes() == planned["ef"].tobytes()
+    assert ens.plan.duration == planned["duration"]
     for k in range(n_runs):
         want = reference_forward_backward(net, ens.durations[k])
         assert ens.starts[k].tobytes() == want["es"].tobytes()
@@ -442,39 +446,42 @@ def test_ensemble_passes_match_scalar_reference_bitwise(seed, n_real, with_risks
 def test_planned_value_matches_knot_reference(seed, n_real, with_risks, grid_points, x):
     net, _ = _degenerate_network(seed, n_real, with_risks)
     result = plan(net)
-    pv = planned_value_curve(net, result, grid_points=grid_points)
+    pv = planned_value_curve(result, grid_points=grid_points)
     values, kt, kv = reference_planned_value(net, result, grid_points)
     assert pv.values.tobytes() == values.tobytes()
 
     # earned schedule bit for bit at every knot value, between knots and at
     # a drawn fraction; the knot search cannot look past PV(PD), the last knot
-    top = min(pv.bac, kv[-1])
-    evs = [0.0, x * top, top, pv.bac, *kv, *((kv[:-1] + kv[1:]) / 2)]
+    top = min(result.bac, kv[-1])
+    evs = [0.0, x * top, top, result.bac, *kv, *((kv[:-1] + kv[1:]) / 2)]
     for ev in evs:
-        if kv[-1] < ev < pv.bac:
+        if kv[-1] < ev < result.bac:
             continue
-        got = earned_schedule(pv, ev)
-        want = reference_earned_schedule(kt, kv, pv.bac, pv.duration, ev)
+        got = earned_schedule(result, ev)
+        want = reference_earned_schedule(kt, kv, result.bac, result.duration, ev)
         assert _bits(got) == _bits(want), ev
-        assert 0.0 <= got <= pv.duration
+        assert 0.0 <= got <= result.duration
 
     # on [0, PD] and past it, the exact accrual agrees with interpolation
     # between the knots (which clipped t < 0 up to PV(0); the accrual reads 0)
-    ts = np.concatenate([kt, pv.times, [2.0 * pv.duration + 1.0]])
-    tol = 1e-12 * max(1.0, pv.bac)
-    assert np.allclose(pv.value_at(ts), reference_value_at(kt, kv, pv.duration, ts),
+    ts = np.concatenate([kt, pv.times, [2.0 * result.duration + 1.0]])
+    tol = 1e-12 * max(1.0, result.bac)
+    assert np.allclose(result.value_at(ts), reference_value_at(kt, kv, result.duration, ts),
                        rtol=0.0, atol=tol)
 
 
-def test_earned_schedule_between_pv_end_and_bac_is_planned_end():
-    # PV(PD) sums node costs in node order, BAC with np.sum; the two can
-    # differ by an ulp, and an EV between them has no knot to land on
-    for seed in range(2000):
+def test_plan_bac_is_planned_value_at_planned_end():
+    # one BAC: the node-order sum of the plan's costs is PV(PD) bit for bit,
+    # wherever it is read (pairwise summation misses it by an ulp on 137,
+    # 606 and 723, among others), so an EV an ulp short of BAC is reached
+    # inside the plan
+    for seed in (*range(400), 606, 723):
         rng = np.random.default_rng(seed)
         net = validate(random_dag_spec(rng, n_real=int(rng.integers(6, 30))))
-        pv = planned_value_curve(net, plan(net))
-        if pv.values[-1] < pv.bac:
-            break
-    else:
-        pytest.fail("no network with PV(PD) < BAC")
-    assert earned_schedule(pv, float(np.nextafter(pv.bac, 0.0))) == pv.duration
+        result = plan(net)
+        ens = run_ensemble(net, SimConfig(n_runs=1, seed=seed))
+        values = (result.value_at(result.duration), planned_value_curve(result).values[-1],
+                  ens.plan.bac)
+        assert [_bits(v) for v in values] == [_bits(result.bac)] * 3, seed
+        earned = earned_schedule(result, float(np.nextafter(result.bac, 0.0)))
+        assert 0.0 < earned <= result.duration, seed

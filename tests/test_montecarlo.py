@@ -30,7 +30,7 @@ def test_point_network_reproduces_cpm():
     expected = forward_backward(net, net.mean_durations())
     assert (ens.total_duration == expected.duration).all()
     assert ens.total_duration.std() == 0.0
-    assert (ens.total_cost == ens.bac).all()
+    assert (ens.total_cost == ens.plan.bac).all()
     assert (ens.critical == expected.critical[None, :]).all()
 
 
@@ -131,20 +131,22 @@ def test_trajectory_invariants(figure3_network):
     assert (np.diff(ev, axis=1) >= -1e-9).all()
     # the last grid time is at or past every run's finish
     assert (cost[:, -1] == ens.total_cost).all()
-    assert (ev[:, -1] == ens.bac).all()
+    assert (ev[:, -1] == ens.plan.bac).all()
     # exact endpoint identities on the piecewise-linear trajectories
     assert (ens.cost_at(ens.total_duration) == ens.total_cost).all()
-    assert (ens.ev_at(ens.total_duration) == ens.bac).all()
+    assert (ens.ev_at(ens.total_duration) == ens.plan.bac).all()
     # constant after completion
     late = ens.total_duration * 1.25
     assert (ens.cost_at(late) == ens.total_cost).all()
-    assert (ens.ev_at(late) == ens.bac).all()
+    assert (ens.ev_at(late) == ens.plan.bac).all()
 
 
 def test_ensemble_is_read_only(figure3_network):
     ens = run_ensemble(figure3_network, SimConfig(n_runs=50, seed=1))
     with pytest.raises(ValueError):
         ens.durations[0, 0] = 1.0
+    with pytest.raises(ValueError):  # the plan it carries is read-only too
+        ens.plan.costs[0] = 1.0
 
 
 def test_run_cost_identity(figure3_network):

@@ -37,12 +37,12 @@ def series_count(path):
 
 
 def test_every_kind_renders_valid_svg(stack, tmp_path):
-    net, ens, planned = stack
-    pv = planned_value_curve(net, planned)
+    _, ens, planned = stack
+    pv = planned_value_curve(planned)
     hist = histogram_and_cdf(ens.total_cost, bins=20)
-    base = risk_baselines(ens, planned)
+    base = risk_baselines(ens)
     rep = sensitivity_report(ens)
-    obs = ControlObservation(t=4.0, ev=0.5 * ens.bac, ac=0.52 * ens.bac)
+    obs = ControlObservation(t=4.0, ev=0.5 * ens.plan.bac, ac=0.52 * ens.plan.bac)
     section_t, section_c = cross_section(ens, completion_fraction(obs, ens))
     triad_data = {"section_t": section_t, "section_c": section_c,
                   "observed_t": obs.t, "observed_ac": obs.ac}
@@ -81,7 +81,7 @@ def test_constant_sample_pdfcdf(tmp_path):
 def test_sevm_deterministic_project_single_color(tmp_path):
     net = validate(chain_spec([Distribution.point(3)] * 2, fixed=5, rate=1))
     ens = run_ensemble(net, SimConfig(n_runs=300, seed=2))
-    obs = ControlObservation(t=3.0, ev=0.5 * ens.bac, ac=0.5 * ens.bac)
+    obs = ControlObservation(t=3.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
     forecast = sevm_forecast(obs, ens, k_neighbors=100)
     out = tmp_path / "sevm.svg"
     plot("sevm", forecast, out)
@@ -104,8 +104,8 @@ def test_shape_mismatch(stack, tmp_path):
 
 def test_srb_endpoint_matches_sigma(stack, tmp_path):
     # rightmost plotted SRB sample equals the reported sigma
-    _, ens, planned = stack
-    base = risk_baselines(ens, planned)
+    _, ens, _ = stack
+    base = risk_baselines(ens)
     out = tmp_path / "srb.svg"
     plot("srb_crb", base, out)
     assert base.srb[-1] == pytest.approx(base.sigma_duration, rel=1e-6)
