@@ -24,12 +24,10 @@ from .control import (
 from .cpm import (
     CpmResult,
     PathMatrix,
-    PlannedValueCurve,
     earned_schedule,
     enumerate_paths,
     forward_backward,
     plan,
-    planned_value_curve,
 )
 from .distributions import Distribution
 from .errors import RiskMcError
@@ -63,14 +61,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activity", "AriReport", "ControlIndices", "ControlObservation", "CpmResult",
-    "Distribution", "Ensemble", "HistogramTable", "PathMatrix", "PlannedValueCurve",
-    "ProjectSpec", "RiskBaseline", "RiskEvent", "RiskMcError", "SensitivityReport",
+    "Distribution", "Ensemble", "HistogramTable", "PathMatrix", "ProjectSpec",
+    "RiskBaseline", "RiskEvent", "RiskMcError", "SensitivityReport",
     "SevmForecast", "SimConfig", "TriadReport", "ValidatedNetwork",
     "activity_risk_index", "contingency_reserve", "control_indices",
     "criticality_index", "cross_section", "cruciality_index", "earned_schedule",
     "empirical_percentile", "enumerate_paths", "forward_backward", "histogram_and_cdf",
-    "parse_project", "parse_project_text", "plan", "planned_value_curve", "plot",
-    "render_project",
+    "parse_project", "parse_project_text", "plan", "plot", "render_project",
     "risk_baselines", "run_ensemble", "schedule_sensitivity_index",
     "sensitivity_report", "sevm_forecast", "triad", "validate",
 ]

@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--percentile", type=float, required=True)
     sp.add_argument("--dimension", choices=("cost", "duration"), default="cost")
     sp = add("baseline", "SRB/CRB risk baselines and ARI ranking", cmd_baseline, sim=True)
-    sp.add_argument("--grid", type=int, default=101, help="points on the SRB/CRB grid")
+    sp.add_argument("--grid", type=int, default=csvout.GRID_POINTS,
+                    help="points on the SRB/CRB grid")
     sp = add("control", "SCoI/CCoI and Triad percentiles at an observation",
              cmd_control, sim=True, observe=True)
     sp.add_argument("--band", type=float, default=5.0,
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--estimator", choices=("mean", "linear"), default="mean")
     sp = add("plot", "render one SVG chart", cmd_plot, sim=True)
     sp.add_argument("--kind", choices=svgplot.PLOT_KINDS, required=True)
-    sp.add_argument("--grid", type=int, default=101,
+    sp.add_argument("--grid", type=int, default=csvout.GRID_POINTS,
                     help="points on the PV and SRB/CRB grids")
     sp.add_argument("--observe", default=None, metavar="t=T,ev=EV,ac=AC",
                     help="required for triad and sevm plots")
@@ -154,8 +155,7 @@ def cmd_cpm(args):
     plan = cpmmod.plan(network)
     header, rows = csvout.tabulate(plan)
     _emit(args, "cpm.csv", header, rows, primary=True)
-    pv = cpmmod.planned_value_curve(plan)
-    _emit(args, "planned_value.csv", *csvout.tabulate(pv))
+    _emit(args, "planned_value.csv", *csvout.pv_table(plan, csvout.GRID_POINTS))
     _info(f"planned duration: {plan.duration:.9g}")
     _info(f"planned cost (BAC): {plan.bac:.9g}")
     _info("critical path: " + " ".join(plan.critical_ids()))
@@ -208,8 +208,8 @@ def cmd_contingency(args):
 def cmd_baseline(args):
     network = _load(args)
     ens = _sim(args, network)
-    baseline = ctl.risk_baselines(ens, grid_points=args.grid)
-    header, rows = csvout.tabulate(baseline)
+    baseline = ctl.risk_baselines(ens)
+    header, rows = csvout.baseline_table(baseline, args.grid)
     _emit(args, "baseline.csv", header, rows, primary=True)
     _emit(args, "ari.csv", *csvout.tabulate(ctl.activity_risk_index(baseline)))
     _info(f"sigma duration: {baseline.sigma_duration:.9g}  "
@@ -248,7 +248,7 @@ def cmd_plot(args):
     path = out_dir / f"{args.kind}.svg"
 
     if args.kind == "pv":
-        data = cpmmod.planned_value_curve(cpmmod.plan(network), grid_points=args.grid)
+        data = cpmmod.plan(network)
     elif args.kind == "pdfcdf":
         ens = _sim(args, network)
         data = mc.histogram_and_cdf(ens.total_cost, bins=args.bins)
@@ -257,7 +257,7 @@ def cmd_plot(args):
     elif args.kind == "ci_bars":
         data = idx.sensitivity_report(_sim(args, network))
     elif args.kind == "srb_crb":
-        data = ctl.risk_baselines(_sim(args, network), grid_points=args.grid)
+        data = ctl.risk_baselines(_sim(args, network))
     elif args.kind == "triad":
         obs = _require_observe(args)
         ens = _sim(args, network)
@@ -269,7 +269,7 @@ def cmd_plot(args):
         ens = _sim(args, network)
         data = ctl.sevm_forecast(obs, ens, k_neighbors=args.neighbors)
 
-    svgplot.plot(args.kind, data, path)
+    svgplot.plot(args.kind, data, path, args.grid)
     _info(f"wrote {path}")
     return 0
 

@@ -23,36 +23,31 @@ class RiskBaseline:
 
     SRB(t)^2 = sigma_PD^2 * sum_i w_i * fraction of planned window elapsed,
     with variance shares w_i from the run covariances; CRB analogous on the
-    cost side. srb_at/crb_at evaluate the construction exactly; the grid
-    arrays are the sampled view for export.
+    cost side. srb_at/crb_at evaluate the construction exactly at a scalar
+    time (float out) or an array of times (array out).
     """
 
     node_ids: tuple
     node_names: tuple
-    times: np.ndarray
-    srb: np.ndarray
-    crb: np.ndarray
     schedule_shares: np.ndarray
     cost_shares: np.ndarray
     sigma_duration: float
     sigma_cost: float
     plan: _cpm.CpmResult  # whose node windows the risk accrues over
 
-    def srb_at(self, t) -> float:
+    def srb_at(self, t):
         return self._at(t, self.schedule_shares, self.sigma_duration)
 
-    def crb_at(self, t) -> float:
+    def crb_at(self, t):
         return self._at(t, self.cost_shares, self.sigma_cost)
 
     def _at(self, t, shares, sigma):
-        return float(sigma * np.sqrt(_cpm.accrue(float(t), shares, self.plan.es,
-                                                  self.plan.ef)))
+        out = sigma * np.sqrt(_cpm.accrue(t, shares, self.plan.es, self.plan.ef))
+        return float(out) if out.ndim == 0 else out
 
 
-def risk_baselines(ensemble: Ensemble, grid_points: int = 101) -> RiskBaseline:
-    """Build SRB/CRB on a uniform grid over the ensemble's plan, [0, PD]."""
-    if grid_points < 2:
-        raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
+def risk_baselines(ensemble: Ensemble) -> RiskBaseline:
+    """SRB/CRB over the ensemble's plan, from the runs' variance shares."""
     if ensemble.n_runs < 2:
         raise ConfigError("risk baselines need at least 2 runs")
     sigma_pd = float(ensemble.total_duration.std(ddof=1))
@@ -60,17 +55,11 @@ def risk_baselines(ensemble: Ensemble, grid_points: int = 101) -> RiskBaseline:
     if sigma_pd == 0.0 and sigma_c == 0.0:
         raise DegenerateProject("neither duration nor cost shows any variance")
 
-    schedule_shares = _variance_shares(ensemble.durations, ensemble.total_duration)
-    cost_shares = _variance_shares(ensemble.node_cost, ensemble.total_cost)
-
-    plan = ensemble.plan
-    times = np.linspace(0.0, plan.duration, grid_points)
-    srb = sigma_pd * np.sqrt(_cpm.accrue(times, schedule_shares, plan.es, plan.ef))
-    crb = sigma_c * np.sqrt(_cpm.accrue(times, cost_shares, plan.es, plan.ef))
-    return RiskBaseline(node_ids=ensemble.node_ids, node_names=ensemble.node_names,
-                        times=times, srb=srb, crb=crb,
-                        schedule_shares=schedule_shares, cost_shares=cost_shares,
-                        sigma_duration=sigma_pd, sigma_cost=sigma_c, plan=plan)
+    return RiskBaseline(
+        node_ids=ensemble.node_ids, node_names=ensemble.node_names,
+        schedule_shares=_variance_shares(ensemble.durations, ensemble.total_duration),
+        cost_shares=_variance_shares(ensemble.node_cost, ensemble.total_cost),
+        sigma_duration=sigma_pd, sigma_cost=sigma_c, plan=ensemble.plan)
 
 
 def _variance_shares(per_node, totals):

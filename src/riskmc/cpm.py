@@ -1,4 +1,4 @@
-"""Deterministic critical-path analysis, path enumeration, planned value curve."""
+"""Deterministic critical-path analysis, path enumeration, planned value."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EvOutOfRange, PathExplosion
+from .errors import EvOutOfRange, PathExplosion
 from .network import ValidatedNetwork
 
 CRIT_TOL = 1e-9  # absolute float tolerance marking a node critical
@@ -136,9 +136,6 @@ class PathMatrix:
     def n_paths(self) -> int:
         return len(self.paths)
 
-    def path_durations(self, durations) -> np.ndarray:
-        return self.membership @ np.asarray(durations, dtype=float)
-
 
 def count_paths(network: ValidatedNetwork) -> int:
     """Number of source->sink paths, counted backwards over the DAG without listing them."""
@@ -237,23 +234,6 @@ def first_reach(target, weights, start, finish):
     # only just reaches the target, and never past t1 however interp rounds
     crosses_open = v1_left > target
     return np.where(at_origin, 0.0, np.where(crosses_open, np.minimum(interp, t1), t1))
-
-
-@dataclass(frozen=True)
-class PlannedValueCurve:
-    """The plan's PV(t) on [0, PD], sampled on a uniform grid for export."""
-
-    times: np.ndarray
-    values: np.ndarray
-    plan: CpmResult
-
-
-def planned_value_curve(plan: CpmResult, grid_points: int = 101) -> PlannedValueCurve:
-    """Sample the plan's PV(t) at grid_points uniform times; PV(PD) is its BAC."""
-    if grid_points < 2:
-        raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
-    times = np.linspace(0.0, plan.duration, grid_points)
-    return PlannedValueCurve(times=times, values=plan.value_at(times), plan=plan)
 
 
 def earned_schedule(plan: CpmResult, ev: float) -> float:

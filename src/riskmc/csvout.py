@@ -8,11 +8,13 @@ import io
 import numpy as np
 
 from .control import AriReport, ControlIndices, RiskBaseline, SevmForecast, TriadReport
-from .cpm import CpmResult, PathMatrix, PlannedValueCurve
+from .cpm import CpmResult, PathMatrix
+from .errors import ConfigError
 from .indices import SensitivityReport
 from .montecarlo import Ensemble, HistogramTable, empirical_percentile
 
 PERCENTILE_STEPS = tuple(range(5, 100, 5))
+GRID_POINTS = 101  # default samples of the planned timeline [0, PD] at export
 
 
 def fmt(value) -> str:
@@ -60,14 +62,6 @@ def _paths(r: PathMatrix):
     return tuple(r.node_ids), rows
 
 
-def _pv_curve(r: PlannedValueCurve):
-    return ("t", "PV"), list(zip(r.times, r.values))
-
-
-def _baseline(r: RiskBaseline):
-    return ("t", "SRB", "CRB"), list(zip(r.times, r.srb, r.crb))
-
-
 def _ari(r: AriReport):
     rows = [(rank + 1, r.node_ids[i], r.node_names[i], r.ari[i])
             for rank, i in enumerate(r.ranking)]
@@ -109,14 +103,31 @@ _TABULATORS = (
     (SensitivityReport, _sensitivity),
     (CpmResult, _cpm_table),
     (PathMatrix, _paths),
-    (PlannedValueCurve, _pv_curve),
-    (RiskBaseline, _baseline),
     (AriReport, _ari),
     (ControlIndices, _control),
     (TriadReport, _triad),
     (SevmForecast, _forecast),
     (HistogramTable, _histogram),
 )
+
+
+def _grid_times(plan: CpmResult, grid_points: int) -> np.ndarray:
+    """The export grid: uniform times on the plan's [0, PD]."""
+    if grid_points < 2:
+        raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
+    return np.linspace(0.0, plan.duration, grid_points)
+
+
+def pv_table(plan: CpmResult, grid_points: int):
+    """The plan's PV(t) on the export grid; its last row is (PD, BAC)."""
+    times = _grid_times(plan, grid_points)
+    return ("t", "PV"), list(zip(times, plan.value_at(times)))
+
+
+def baseline_table(baseline: RiskBaseline, grid_points: int):
+    times = _grid_times(baseline.plan, grid_points)
+    return ("t", "SRB", "CRB"), list(zip(times, baseline.srb_at(times),
+                                         baseline.crb_at(times)))
 
 
 def percentile_table(ensemble: Ensemble, steps=PERCENTILE_STEPS):

@@ -10,6 +10,7 @@ and toggling one risk never perturbs any other draw.
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from numpy.random import Generator, Philox
 
 from . import cpm as _cpm
 from .distributions import Distribution, inv_cdf
-from .errors import ConfigError, EmptySample
+from .errors import ConfigError, DegenerateProject, EmptySample
 from .network import ValidatedNetwork
 
 _DURATION = "dur"
@@ -109,6 +110,8 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     Bitwise deterministic in (network, cfg); the worker count only splits
     the run range into aligned chunks and never changes any value.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     nodes = network.nodes
     n, m = cfg.n_runs, len(nodes)
 
@@ -141,7 +144,7 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     if len(chunks) == 1:
         fill(*chunks[0])
     else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        with ThreadPoolExecutor(min(len(chunks), os.cpu_count() or 1)) as pool:
             for future in [pool.submit(fill, lo, hi) for lo, hi in chunks]:
                 future.result()
 
@@ -176,7 +179,7 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
 
 
 def _chunks(n, workers):
-    w = max(1, min(int(workers), n))
+    w = min(int(workers), n)
     size = -(-n // w)
     size = ((size + 3) // 4) * 4  # chunk starts must be 4-aligned for Philox
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
@@ -200,10 +203,6 @@ class HistogramTable:
     pdf: np.ndarray    # (bins,) masses summing to 1
     cdf: np.ndarray    # (bins,) cumulative, last entry exactly 1
 
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
 
 def histogram_and_cdf(samples, bins: int = 40) -> HistogramTable:
     x = np.asarray(samples, dtype=float)
@@ -216,7 +215,15 @@ def histogram_and_cdf(samples, bins: int = 40) -> HistogramTable:
         counts = np.array([x.size])
         edges = np.array([lo, hi])
     else:
-        counts, edges = np.histogram(x, bins=bins, range=(lo, hi))
+        counts, edges = _bin_counts(x, bins, (lo, hi))
     pdf = counts / x.size
     cdf = np.cumsum(counts) / x.size
     return HistogramTable(edges=edges, pdf=pdf, cdf=cdf)
+
+
+def _bin_counts(x, bins, value_range=None):
+    """np.histogram, reporting a range too narrow for its bins as a typed error."""
+    try:
+        return np.histogram(x, bins=bins, range=value_range)
+    except ValueError as exc:  # the bin width is below the float spacing of the values
+        raise DegenerateProject(str(exc)) from None

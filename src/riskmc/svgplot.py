@@ -13,10 +13,11 @@ import math
 import numpy as np
 
 from .control import RiskBaseline, SevmForecast
-from .cpm import PlannedValueCurve
+from .cpm import CpmResult
+from .csvout import GRID_POINTS, _grid_times
 from .errors import ShapeMismatch
 from .indices import SensitivityReport
-from .montecarlo import Ensemble, HistogramTable
+from .montecarlo import Ensemble, HistogramTable, _bin_counts
 
 PLOT_KINDS = ("pv", "pdfcdf", "scatter", "ci_bars", "srb_crb", "triad", "sevm")
 
@@ -30,12 +31,12 @@ _GREEN = "#2e7d32"
 MAX_POINTS = 4000  # scatter clouds subsample deterministically above this
 
 
-def plot(kind: str, data, path, title: str | None = None) -> None:
-    """Render one chart kind to a standalone SVG file."""
+def plot(kind: str, data, path, grid_points: int = GRID_POINTS) -> None:
+    """Render one chart kind to a standalone SVG file; grid_points sizes pv and srb_crb."""
     builder = _BUILDERS.get(kind)
     if builder is None:
         raise ShapeMismatch(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    svg = builder(data, title)
+    svg = builder(data, grid_points) if kind in _GRIDDED else builder(data)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(svg)
 
@@ -195,6 +196,8 @@ def _ticks(lo, hi, target=6):
     v = first
     while v <= hi + 1e-12 * span:
         ticks.append(0.0 if abs(v) < 1e-12 * span else v)
+        if v + step == v:  # step below the float spacing at v
+            break
         v += step
     return ticks
 
@@ -218,18 +221,19 @@ def _subsample(*arrays):
 # ---------------------------------------------------------------------------
 # chart builders
 
-def _build_pv(data, title):
-    pv = _require(data, "pv", PlannedValueCurve)
-    chart = _Chart(title or "Planned value", "time", "planned value",
-                   (0.0, max(pv.plan.duration, 1e-9)), (0.0, max(pv.plan.bac, 1e-9)))
-    chart.add_line(pv.times, pv.values, _BLUE, "PV(t)")
+def _build_pv(data, grid_points):
+    planned = _require(data, "pv", CpmResult)
+    times = _grid_times(planned, grid_points)
+    chart = _Chart("Planned value", "time", "planned value",
+                   (0.0, max(planned.duration, 1e-9)), (0.0, max(planned.bac, 1e-9)))
+    chart.add_line(times, planned.value_at(times), _BLUE, "PV(t)")
     return chart.render()
 
 
-def _build_pdfcdf(data, title):
+def _build_pdfcdf(data):
     hist = _require(data, "pdfcdf", HistogramTable)
     top = max(float(hist.pdf.max()), 1e-9)
-    chart = _Chart(title or "Distribution", "value", "probability mass",
+    chart = _Chart("Distribution", "value", "probability mass",
                    (float(hist.edges[0]), float(hist.edges[-1])), (0.0, top),
                    y2label="cumulative", y2lim=(0.0, 1.0))
     chart.add_bars(hist.edges[:-1], hist.edges[1:], hist.pdf, _BLUE, "pdf")
@@ -237,10 +241,10 @@ def _build_pdfcdf(data, title):
     return chart.render()
 
 
-def _build_scatter(data, title):
+def _build_scatter(data):
     ens = _require(data, "scatter", Ensemble)
     d, c = _subsample(ens.total_duration, ens.total_cost)
-    chart = _Chart(title or "Simulated endpoints", "duration", "cost",
+    chart = _Chart("Simulated endpoints", "duration", "cost",
                    (float(d.min()), float(d.max())), (float(c.min()), float(c.max())))
     chart.add_points(d, c, _BLUE, "runs")
     chart.series.append(_margin_hist_x(chart, ens.total_duration))
@@ -249,7 +253,7 @@ def _build_scatter(data, title):
 
 
 def _margin_hist_x(chart, values, bins=36):
-    counts, edges = np.histogram(values, bins=bins)
+    counts, edges = _bin_counts(values, bins)
     top = counts.max() or 1
     strip = _TOP - 26
     parts = []
@@ -263,7 +267,7 @@ def _margin_hist_x(chart, values, bins=36):
 
 
 def _margin_hist_y(chart, values, bins=36):
-    counts, edges = np.histogram(values, bins=bins)
+    counts, edges = _bin_counts(values, bins)
     top = counts.max() or 1
     strip = _W - _RIGHT + 6
     parts = []
@@ -275,10 +279,10 @@ def _margin_hist_y(chart, values, bins=36):
     return "".join(parts)
 
 
-def _build_ci_bars(data, title):
+def _build_ci_bars(data):
     rep = _require(data, "ci_bars", SensitivityReport)
     n = len(rep.node_ids)
-    chart = _Chart(title or "Criticality index", "activity", "CI", (-0.5, n - 0.5), (0.0, 1.0))
+    chart = _Chart("Criticality index", "activity", "CI", (-0.5, n - 0.5), (0.0, 1.0))
     centers = np.arange(n, dtype=float)
     chart.add_bars(centers - 0.35, centers + 0.35, rep.ci, _BLUE, "CI")
     labels = "".join(
@@ -288,19 +292,21 @@ def _build_ci_bars(data, title):
     return chart.render()
 
 
-def _build_srb_crb(data, title):
+def _build_srb_crb(data, grid_points):
     base = _require(data, "srb_crb", RiskBaseline)
-    chart = _Chart(title or "Risk baselines", "time", "SRB (time units)",
-                   (float(base.times[0]), float(base.times[-1])),
-                   (0.0, max(float(base.srb.max()), 1e-9)),
+    times = _grid_times(base.plan, grid_points)
+    srb, crb = base.srb_at(times), base.crb_at(times)
+    chart = _Chart("Risk baselines", "time", "SRB (time units)",
+                   (float(times[0]), float(times[-1])),
+                   (0.0, max(float(srb.max()), 1e-9)),
                    y2label="CRB (money units)",
-                   y2lim=(0.0, max(float(base.crb.max()), 1e-9)))
-    chart.add_line(base.times, base.srb, _BLUE, "SRB")
-    chart.add_line(base.times, base.crb, _ORANGE, "CRB", axis="right")
+                   y2lim=(0.0, max(float(crb.max()), 1e-9)))
+    chart.add_line(times, srb, _BLUE, "SRB")
+    chart.add_line(times, crb, _ORANGE, "CRB", axis="right")
     return chart.render()
 
 
-def _build_triad(data, title):
+def _build_triad(data):
     if not isinstance(data, dict) or not {"section_t", "section_c", "observed_t",
                                           "observed_ac"} <= set(data):
         raise ShapeMismatch("plot kind 'triad' needs a dict with section_t, section_c, "
@@ -311,7 +317,7 @@ def _build_triad(data, title):
         raise ShapeMismatch("triad section arrays must be equal-length 1-D and nonempty")
     ot, oc = float(data["observed_t"]), float(data["observed_ac"])
     ts, cs = _subsample(t, c)
-    chart = _Chart(title or "Control cross-section", "time at control fraction", "cost",
+    chart = _Chart("Control cross-section", "time at control fraction", "cost",
                    (min(float(t.min()), ot), max(float(t.max()), ot)),
                    (min(float(c.min()), oc), max(float(c.max()), oc)))
     chart.add_points(ts, cs, _GRAY, "simulated runs")
@@ -322,14 +328,14 @@ def _build_triad(data, title):
     return chart.render()
 
 
-def _build_sevm(data, title):
+def _build_sevm(data):
     fc = _require(data, "sevm", SevmForecast)
     t, c, late = _subsample(fc.neighbor_section_t, fc.neighbor_section_c, fc.neighbor_late)
     lo_t = min(float(fc.neighbor_section_t.min()), fc.observed_t)
     hi_t = max(float(fc.neighbor_section_t.max()), fc.observed_t)
     lo_c = min(float(fc.neighbor_section_c.min()), fc.observed_ac)
     hi_c = max(float(fc.neighbor_section_c.max()), fc.observed_ac)
-    chart = _Chart(title or "Endpoint forecast neighborhood",
+    chart = _Chart("Endpoint forecast neighborhood",
                    "time at control fraction", "cost", (lo_t, hi_t), (lo_c, hi_c))
     if (~late).any():
         chart.add_points(t[~late], c[~late], _BLUE, "finishing early")
@@ -348,3 +354,4 @@ _BUILDERS = {
     "triad": _build_triad,
     "sevm": _build_sevm,
 }
+_GRIDDED = ("pv", "srb_crb")  # kinds whose builders sample the plan's timeline

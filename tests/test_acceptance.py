@@ -192,10 +192,11 @@ def test_criterion_7_baseline_identities(figure3_network):
     with criterion(7, "SRB endpoints and monotonicity; ARI sums to 100%"):
         _, ens = fast(figure3_network, n=20_000, seed=77)
         baseline = risk_baselines(ens)
-        assert baseline.srb[0] == 0.0
+        srb = baseline.srb_at(np.linspace(0.0, ens.plan.duration, 101))
+        assert srb[0] == 0.0
         sigma = baseline.sigma_duration
-        assert abs(baseline.srb[-1] - sigma) <= 1e-6 * sigma
-        assert (np.diff(baseline.srb) >= -1e-12).all()
+        assert abs(srb[-1] - sigma) <= 1e-6 * sigma
+        assert (np.diff(srb) >= -1e-12).all()
         ari = activity_risk_index(baseline)
         assert abs(ari.ari.sum() - 100.0) <= 1e-9
 

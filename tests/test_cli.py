@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import warnings
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -101,6 +102,45 @@ def test_grid_is_taken_only_by_commands_that_write_a_grid(project, command, caps
     assert main([*command, "--project", project, "--runs", "100", "--grid", "5"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("ConfigError:") and "--grid" in err, err
+
+
+@pytest.mark.parametrize("workers", ["0", "-7"])
+def test_workers_below_one_is_a_config_error(project, workers, capsys):
+    assert main(["simulate", "--project", project, "--runs", "100",
+                 "--workers", workers]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+
+
+# costs near 1e16 spread over ~4 units: the float spacing there (2.0) is
+# coarser than the tick step and than the histogram bins
+HUGE_COST = """[activities]
+A0 "start" point(0) fixed=0 rate=0
+A1 "big" uniform(0,4) fixed=10000000000000000 rate=1
+Af "finish" point(0) fixed=0 rate=0
+
+[precedence]
+A1 <- A0
+Af <- A1
+"""
+
+
+@pytest.mark.parametrize("kind, code", [("triad", 0), ("pdfcdf", 1), ("scatter", 1)])
+def test_plots_at_float_resolution_never_hang(tmp_path, kind, code):
+    project = tmp_path / "huge.project"
+    project.write_text(HUGE_COST)
+    # a hung tick loop fails here (TimeoutExpired) instead of stalling the suite
+    result = subprocess.run(RISKMC + ["plot", "--kind", kind, "--project", str(project),
+                                      "--runs", "200", "--observe", "t=1,ev=5e15,ac=5e15",
+                                      "--out", str(tmp_path)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == code, result.stderr
+    if code == 0:
+        ET.parse(tmp_path / f"{kind}.svg")
+    else:
+        err = result.stderr
+        assert err.startswith("DegenerateProject:") and err.count("\n") == 1, err
+        assert not (tmp_path / f"{kind}.svg").exists()
 
 
 def test_missing_project_file_is_io_error():

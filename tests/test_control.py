@@ -23,6 +23,7 @@ from riskmc import (
     validate,
 )
 from riskmc.cpm import window_fraction
+from riskmc.csvout import baseline_table
 from riskmc.errors import DegenerateProject, EvOutOfRange, EvZero, KTooLarge
 
 
@@ -42,13 +43,15 @@ def serial_iid():
 # -- risk baselines ----------------------------------------------------------
 
 def test_srb_endpoints(serial_iid):
-    _, ens, _ = serial_iid
+    _, ens, planned = serial_iid
     base = risk_baselines(ens)
-    assert base.srb[0] == 0.0
-    assert base.srb[-1] == pytest.approx(base.sigma_duration, rel=1e-6)
-    assert base.crb[-1] == pytest.approx(base.sigma_cost, rel=1e-6)
-    assert (np.diff(base.srb) >= -1e-12).all()
-    assert (np.diff(base.crb) >= -1e-12).all()
+    times = np.linspace(0.0, planned.duration, 101)
+    srb, crb = base.srb_at(times), base.crb_at(times)
+    assert srb[0] == 0.0
+    assert srb[-1] == pytest.approx(base.sigma_duration, rel=1e-6)
+    assert crb[-1] == pytest.approx(base.sigma_cost, rel=1e-6)
+    assert (np.diff(srb) >= -1e-12).all()
+    assert (np.diff(crb) >= -1e-12).all()
 
 
 def test_srb_halfway_two_equal_activities(serial_iid):
@@ -67,19 +70,23 @@ def test_baseline_degenerate_project():
 
 def test_baseline_exact_evaluator_matches_grid(serial_iid):
     _, ens, planned = serial_iid
-    base = risk_baselines(ens, grid_points=41)
+    base = risk_baselines(ens)
+    times = np.linspace(0.0, planned.duration, 41)
+    srb, crb = base.srb_at(times), base.crb_at(times)
+    assert srb.shape == crb.shape == times.shape
     for i in (0, 7, 20, 40):
-        assert base.srb_at(base.times[i]) == base.srb[i]
-        assert base.crb_at(base.times[i]) == base.crb[i]
+        assert type(base.srb_at(times[i])) is float
+        assert base.srb_at(times[i]) == srb[i]
+        assert base.crb_at(times[i]) == crb[i]
     # flat extension past the planned end
     assert base.srb_at(planned.duration * 2) == pytest.approx(base.sigma_duration, rel=1e-9)
 
 
-def _reference_baselines(base, planned):
+def _reference_baselines(base, planned, times):
     """The `elapsed @ shares` grid that the node-order accrual replaced."""
-    elapsed = np.zeros((len(base.times), len(planned.node_ids)))
+    elapsed = np.zeros((len(times), len(planned.node_ids)))
     for j in range(len(planned.node_ids)):
-        elapsed[:, j] = window_fraction(base.times, planned.es[j], planned.ef[j])
+        elapsed[:, j] = window_fraction(times, planned.es[j], planned.ef[j])
     return (base.sigma_duration * np.sqrt(elapsed @ base.schedule_shares),
             base.sigma_cost * np.sqrt(elapsed @ base.cost_shares))
 
@@ -95,15 +102,20 @@ def test_baselines_match_matrix_reference(seed, n_real, with_risks, n_runs, grid
     ens = run_ensemble(net, SimConfig(n_runs=n_runs, seed=seed % 1000))
     planned = plan(net)
     try:
-        base = risk_baselines(ens, grid_points=grid_points)
+        base = risk_baselines(ens)
     except DegenerateProject:
         return
+    times = np.linspace(0.0, planned.duration, grid_points)
+    srb, crb = base.srb_at(times), base.crb_at(times)
     # summation moved from BLAS order to node order: equal to within 1e-15
-    for got, want in zip((base.srb, base.crb), _reference_baselines(base, planned)):
+    for got, want in zip((srb, crb), _reference_baselines(base, planned, times)):
         assert (np.abs(got - want) <= 1e-15 * want).all()
-    # and the grid is srb_at/crb_at at the grid times, bit for bit
-    assert base.srb.tobytes() == np.array([base.srb_at(t) for t in base.times]).tobytes()
-    assert base.crb.tobytes() == np.array([base.crb_at(t) for t in base.times]).tobytes()
+    # the vector evaluators are the scalar ones, bit for bit
+    assert srb.tobytes() == np.array([base.srb_at(t) for t in times]).tobytes()
+    assert crb.tobytes() == np.array([base.crb_at(t) for t in times]).tobytes()
+    # and the exported table is them at the same grid
+    _, rows = baseline_table(base, grid_points)
+    assert np.array(rows).tobytes() == np.column_stack([times, srb, crb]).tobytes()
 
 
 # -- activity risk index -----------------------------------------------------

@@ -21,11 +21,11 @@ from riskmc import (
     enumerate_paths,
     forward_backward,
     plan,
-    planned_value_curve,
     run_ensemble,
     validate,
 )
 from riskmc.cpm import CRIT_TOL, count_paths, window_fraction
+from riskmc.csvout import pv_table
 from riskmc.errors import EvOutOfRange, PathExplosion
 from netgen import dummy
 
@@ -193,8 +193,9 @@ def test_pv_linear_accrual():
 def test_pv_zero_costs():
     net = validate(chain_spec([Distribution.point(3)]))
     result = forward_backward(net, np.array([0.0, 3.0, 0.0]))
-    pv = planned_value_curve(result)
-    assert (pv.values == 0.0).all()
+    _, rows = pv_table(result, 101)
+    assert len(rows) == 101
+    assert all(value == 0.0 for _, value in rows)
 
 
 def test_pv_symmetric_serial_midpoint():
@@ -210,10 +211,10 @@ def test_pv_endpoints_exact_random_networks():
         net = validate(random_dag_spec(rng, n_real=int(rng.integers(2, 9)),
                                        with_risks=int(rng.integers(0, 3))))
         result = forward_backward(net, net.mean_durations())
-        pv = planned_value_curve(result)
-        assert pv.values[0] == pytest.approx(0.0, abs=1e-12)
-        assert pv.values[-1] == pytest.approx(result.bac, rel=1e-9)
-        assert (np.diff(pv.values) >= -1e-9).all()
+        values = result.value_at(np.linspace(0.0, result.duration, 101))
+        assert values[0] == pytest.approx(0.0, abs=1e-12)
+        assert values[-1] == pytest.approx(result.bac, rel=1e-9)
+        assert (np.diff(values) >= -1e-9).all()
         breaks = np.sort(np.concatenate([result.es, result.ef]))
         assert (np.diff(result.value_at(breaks)) >= 0.0).all()
 
@@ -446,9 +447,12 @@ def test_ensemble_passes_match_scalar_reference_bitwise(seed, n_real, with_risks
 def test_planned_value_matches_knot_reference(seed, n_real, with_risks, grid_points, x):
     net, _ = _degenerate_network(seed, n_real, with_risks)
     result = plan(net)
-    pv = planned_value_curve(result, grid_points=grid_points)
+    times = np.linspace(0.0, result.duration, grid_points)
     values, kt, kv = reference_planned_value(net, result, grid_points)
-    assert pv.values.tobytes() == values.tobytes()
+    assert result.value_at(times).tobytes() == values.tobytes()
+    # the exported table is the same grid, bit for bit
+    _, rows = pv_table(result, grid_points)
+    assert np.array(rows).tobytes() == np.column_stack([times, values]).tobytes()
 
     # earned schedule bit for bit at every knot value, between knots and at
     # a drawn fraction; the knot search cannot look past PV(PD), the last knot
@@ -464,7 +468,7 @@ def test_planned_value_matches_knot_reference(seed, n_real, with_risks, grid_poi
 
     # on [0, PD] and past it, the exact accrual agrees with interpolation
     # between the knots (which clipped t < 0 up to PV(0); the accrual reads 0)
-    ts = np.concatenate([kt, pv.times, [2.0 * result.duration + 1.0]])
+    ts = np.concatenate([kt, times, [2.0 * result.duration + 1.0]])
     tol = 1e-12 * max(1.0, result.bac)
     assert np.allclose(result.value_at(ts), reference_value_at(kt, kv, result.duration, ts),
                        rtol=0.0, atol=tol)
@@ -480,7 +484,7 @@ def test_plan_bac_is_planned_value_at_planned_end():
         net = validate(random_dag_spec(rng, n_real=int(rng.integers(6, 30))))
         result = plan(net)
         ens = run_ensemble(net, SimConfig(n_runs=1, seed=seed))
-        values = (result.value_at(result.duration), planned_value_curve(result).values[-1],
+        values = (result.value_at(result.duration), pv_table(result, 101)[1][-1][1],
                   ens.plan.bac)
         assert [_bits(v) for v in values] == [_bits(result.bac)] * 3, seed
         earned = earned_schedule(result, float(np.nextafter(result.bac, 0.0)))

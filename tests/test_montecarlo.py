@@ -1,7 +1,11 @@
+import threading
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
 import oracles
+import riskmc.montecarlo as montecarlo
 from netgen import chain_spec, parallel_spec, random_dag_spec, trajectories
 from riskmc import (
     Distribution,
@@ -70,6 +74,51 @@ def test_worker_count_never_changes_results(figure3_network):
         assert np.array_equal(base.durations, other.durations)
         assert np.array_equal(base.total_cost, other.total_cost)
         assert np.array_equal(base_ev, trajectories(other, 7)[1])
+
+
+@pytest.mark.parametrize("workers", [0, -7])
+def test_workers_below_one_is_a_config_error(figure3_network, workers):
+    with pytest.raises(ConfigError):
+        run_ensemble(figure3_network, SimConfig(n_runs=10), workers=workers)
+
+
+def test_pool_has_at_most_one_thread_per_cpu(figure3_network, monkeypatch):
+    # any worker count still splits the runs into aligned chunks, as many as
+    # requested down to 4 runs each, but the pool never asks for more threads
+    # than CPUs; the stand-in pool records its size, runs each chunk at
+    # submit and starts no thread
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    threads = threading.active_count()
+    cfg = SimConfig(n_runs=150, seed=5)
+    base = run_ensemble(figure3_network, cfg, workers=1)
+    assert sizes == []  # one chunk runs inline
+    # 10**6 workers on 150 runs: 38 chunks of 4 runs (the last of 2)
+    for cpus, workers, want in ((3, 10**6, 3), (None, 10**6, 1), (64, 10**6, 38),
+                                (64, 2, 2), (1, 8, 1)):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        other = run_ensemble(figure3_network, cfg, workers=workers)
+        assert sizes[-1] == want, (cpus, workers)
+        for field in ("durations", "total_duration", "total_cost", "risk_active"):
+            assert getattr(base, field).tobytes() == getattr(other, field).tobytes(), field
+    assert len(sizes) == 5
+    assert threading.active_count() == threads
 
 
 def test_seed_changes_results(figure3_network):

@@ -11,7 +11,6 @@ from riskmc import (
     cross_section,
     histogram_and_cdf,
     plan,
-    planned_value_curve,
     plot,
     risk_baselines,
     run_ensemble,
@@ -20,7 +19,7 @@ from riskmc import (
     validate,
 )
 from riskmc.control import completion_fraction
-from riskmc.errors import ShapeMismatch
+from riskmc.errors import ConfigError, ShapeMismatch
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +37,6 @@ def series_count(path):
 
 def test_every_kind_renders_valid_svg(stack, tmp_path):
     _, ens, planned = stack
-    pv = planned_value_curve(planned)
     hist = histogram_and_cdf(ens.total_cost, bins=20)
     base = risk_baselines(ens)
     rep = sensitivity_report(ens)
@@ -49,7 +47,7 @@ def test_every_kind_renders_valid_svg(stack, tmp_path):
     forecast = sevm_forecast(obs, ens)
 
     expected_series = {
-        "pv": (pv, 1),
+        "pv": (planned, 1),
         "pdfcdf": (hist, 2),          # bars + cumulative line
         "scatter": (ens, 3),          # cloud + two marginals
         "ci_bars": (rep, 2),          # bars + id labels
@@ -103,9 +101,23 @@ def test_shape_mismatch(stack, tmp_path):
 
 
 def test_srb_endpoint_matches_sigma(stack, tmp_path):
-    # rightmost plotted SRB sample equals the reported sigma
-    _, ens, _ = stack
+    # rightmost plotted SRB sample, at the planned end, equals the reported sigma
+    _, ens, planned = stack
     base = risk_baselines(ens)
     out = tmp_path / "srb.svg"
     plot("srb_crb", base, out)
-    assert base.srb[-1] == pytest.approx(base.sigma_duration, rel=1e-6)
+    assert base.srb_at(planned.duration) == pytest.approx(base.sigma_duration, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["pv", "srb_crb"])
+def test_grid_points_sample_the_plan(stack, tmp_path, kind):
+    _, ens, planned = stack
+    data = planned if kind == "pv" else risk_baselines(ens)
+    for points in (2, 17, 101):
+        out = tmp_path / f"{points}.svg"
+        plot(kind, data, out, grid_points=points)
+        polyline = ET.parse(out).find(".//{*}polyline")
+        assert len(polyline.get("points").split()) == points
+    with pytest.raises(ConfigError):
+        plot(kind, data, tmp_path / "x.svg", grid_points=1)
+    assert not (tmp_path / "x.svg").exists()
