@@ -28,6 +28,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _grid_points(text):
+    """--grid, checked while parsing so a bad value never waits for a simulation."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="riskmc",
                      description="Monte Carlo schedule/cost risk analysis for "
@@ -60,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--percentile", type=float, required=True)
     sp.add_argument("--dimension", choices=("cost", "duration"), default="cost")
     sp = add("baseline", "SRB/CRB risk baselines and ARI ranking", cmd_baseline, sim=True)
-    sp.add_argument("--grid", type=int, default=csvout.GRID_POINTS,
+    sp.add_argument("--grid", type=_grid_points, default=csvout.GRID_POINTS,
                     help="points on the SRB/CRB grid")
     sp = add("control", "SCoI/CCoI and Triad percentiles at an observation",
              cmd_control, sim=True, observe=True)
@@ -72,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--estimator", choices=("mean", "linear"), default="mean")
     sp = add("plot", "render one SVG chart", cmd_plot, sim=True)
     sp.add_argument("--kind", choices=svgplot.PLOT_KINDS, required=True)
-    sp.add_argument("--grid", type=int, default=csvout.GRID_POINTS,
+    sp.add_argument("--grid", type=_grid_points, default=csvout.GRID_POINTS,
                     help="points on the PV and SRB/CRB grids")
     sp.add_argument("--observe", default=None, metavar="t=T,ev=EV,ac=AC",
                     help="required for triad and sevm plots")

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, ndtri
 
 from .errors import BadDistributionParams
 
@@ -81,7 +80,9 @@ def inv_cdf(dist: Distribution, u):
 
     Normal laws are not truncated here; callers must resample negatives.
     Every variant consumes exactly one uniform per draw, which the
-    simulation engine relies on for stream positioning.
+    simulation engine relies on for stream positioning. scipy.special is
+    imported only by the normal and PERT branches, so commands that never
+    sample those laws start without it.
     """
     u = np.asarray(u, dtype=float)
     k, p = dist.kind, dist.params
@@ -109,6 +110,7 @@ def inv_cdf(dist: Distribution, u):
         mu, sigma = p
         if sigma == 0.0:
             return np.full_like(u, mu)
+        from scipy.special import ndtri
         return mu + sigma * ndtri(u)
     # pert: beta(1 + 4(m-a)/(b-a), 1 + 4(b-m)/(b-a)) stretched onto [a, b]
     a, m, b = p
@@ -116,6 +118,7 @@ def inv_cdf(dist: Distribution, u):
         return np.full_like(u, a)
     alpha = 1.0 + 4.0 * (m - a) / (b - a)
     beta = 1.0 + 4.0 * (b - m) / (b - a)
+    from scipy.special import betaincinv
     return a + (b - a) * betaincinv(alpha, beta, u)
 
 

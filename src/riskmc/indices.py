@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, DegenerateProject
 from .montecarlo import Ensemble, empirical_percentile
@@ -38,8 +37,8 @@ def cruciality_index(ensemble: Ensemble, method: str = "pearson") -> np.ndarray:
     totals = ensemble.total_duration
     d = ensemble.durations
     if method == "spearman":
-        totals = rankdata(totals)
-        d = np.column_stack([rankdata(d[:, j]) for j in range(d.shape[1])])
+        totals = _average_ranks(totals)
+        d = np.column_stack([_average_ranks(d[:, j]) for j in range(d.shape[1])])
     tc = totals - totals.mean()
     dc = d - d.mean(axis=0)
     denom = np.sqrt((dc * dc).sum(axis=0) * (tc * tc).sum())
@@ -47,6 +46,21 @@ def cruciality_index(ensemble: Ensemble, method: str = "pearson") -> np.ndarray:
         r = (dc * tc[:, None]).sum(axis=0) / denom
     r = np.where(denom == 0.0, 0.0, r)
     return np.clip(np.abs(r), 0.0, 1.0)
+
+
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks with each tie group at its mean rank (scipy's 'average').
+
+    Ranks are integers or exact halves, so they equal scipy.stats.rankdata
+    bit for bit; -0.0 and 0.0 compare equal and so tie.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], xs.size]
+    ranks = np.empty(xs.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def _column_stds(matrix) -> np.ndarray:

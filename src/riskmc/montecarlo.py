@@ -222,8 +222,13 @@ def histogram_and_cdf(samples, bins: int = 40) -> HistogramTable:
 
 
 def _bin_counts(x, bins, value_range=None):
-    """np.histogram, reporting a range too narrow for its bins as a typed error."""
-    try:
-        return np.histogram(x, bins=bins, range=value_range)
-    except ValueError as exc:  # the bin width is below the float spacing of the values
-        raise DegenerateProject(str(exc)) from None
+    """np.histogram, halving the bins while their width is below the float
+    spacing of the values; one bin always fits a range with lo < hi, so only
+    a range np.histogram cannot bin at all is a typed error."""
+    while True:
+        try:
+            return np.histogram(x, bins=bins, range=value_range)
+        except ValueError as exc:
+            if bins == 1:
+                raise DegenerateProject(str(exc)) from None
+            bins //= 2

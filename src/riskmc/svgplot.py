@@ -257,7 +257,7 @@ def _margin_hist_x(chart, values, bins=36):
     top = counts.max() or 1
     strip = _TOP - 26
     parts = []
-    for k in range(bins):
+    for k in range(counts.size):
         h = 22.0 * counts[k] / top
         x0, x1 = float(chart.x(edges[k])), float(chart.x(edges[k + 1]))
         parts.append(f'<rect x="{x0:.2f}" y="{strip + 22 - h:.2f}" '
@@ -271,7 +271,7 @@ def _margin_hist_y(chart, values, bins=36):
     top = counts.max() or 1
     strip = _W - _RIGHT + 6
     parts = []
-    for k in range(bins):
+    for k in range(counts.size):
         w = 22.0 * counts[k] / top
         y0, y1 = float(chart.y(edges[k + 1])), float(chart.y(edges[k]))
         parts.append(f'<rect x="{strip}" y="{y0:.2f}" width="{w:.2f}" '

@@ -85,7 +85,12 @@ def test_non_finite_observation_is_config_error(project, command, observe, capsy
 
 @pytest.mark.parametrize("command", [["plot", "--kind", "pv"], ["plot", "--kind", "srb_crb"],
                                      ["baseline"]])
-def test_grid_below_two_is_only_a_config_error(project, command, tmp_path, capsys):
+def test_grid_below_two_is_only_a_config_error(project, command, tmp_path, capsys,
+                                               monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("--grid must be rejected before any run is simulated")
+
+    monkeypatch.setattr("riskmc.montecarlo.run_ensemble", no_simulation)
     assert main([*command, "--project", project, "--runs", "100", "--grid", "1",
                  "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
@@ -125,8 +130,8 @@ Af <- A1
 """
 
 
-@pytest.mark.parametrize("kind, code", [("triad", 0), ("pdfcdf", 1), ("scatter", 1)])
-def test_plots_at_float_resolution_never_hang(tmp_path, kind, code):
+@pytest.mark.parametrize("kind", ["triad", "pdfcdf", "scatter"])
+def test_plots_at_float_resolution_never_hang(tmp_path, kind):
     project = tmp_path / "huge.project"
     project.write_text(HUGE_COST)
     # a hung tick loop fails here (TimeoutExpired) instead of stalling the suite
@@ -134,13 +139,9 @@ def test_plots_at_float_resolution_never_hang(tmp_path, kind, code):
                                       "--runs", "200", "--observe", "t=1,ev=5e15,ac=5e15",
                                       "--out", str(tmp_path)],
                             capture_output=True, text=True, timeout=60)
-    assert result.returncode == code, result.stderr
-    if code == 0:
-        ET.parse(tmp_path / f"{kind}.svg")
-    else:
-        err = result.stderr
-        assert err.startswith("DegenerateProject:") and err.count("\n") == 1, err
-        assert not (tmp_path / f"{kind}.svg").exists()
+    # the histograms fall back to fewer, wider bins than float spacing allows
+    assert result.returncode == 0, result.stderr
+    ET.parse(tmp_path / f"{kind}.svg")
 
 
 def test_missing_project_file_is_io_error():

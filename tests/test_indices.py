@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
+import riskmc.indices
 from netgen import chain_spec, parallel_spec, random_dag_spec
 from riskmc import (
     Distribution,
@@ -89,6 +93,36 @@ def test_cri_spearman_flag():
     assert rho[net.index_of("B1")] == pytest.approx(0.707, abs=0.05)
     with pytest.raises(ConfigError):
         cruciality_index(ens, method="kendall")
+
+
+_RANK_INPUTS = st.one_of(
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=500, unique=True),
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=500),
+    st.lists(st.sampled_from([-0.0, 0.0, 1.0]), min_size=1, max_size=500),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RANK_INPUTS)
+@example([2.5])
+@example([0.0, -0.0, -0.0, 0.0])
+def test_average_ranks_equal_scipy_rankdata_bitwise(values):
+    x = np.array(values)
+    ours, ref = riskmc.indices._average_ranks(x), rankdata(x)
+    assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_spearman_cri_matches_rankdata_reference_bitwise(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    # discrete-only networks tie heavily; the mixed laws add untied columns
+    spec = random_dag_spec(rng, n_real=int(rng.integers(1, 9)),
+                           discrete_only=seed % 2 == 0, with_risks=int(rng.integers(0, 3)))
+    ens = run_ensemble(validate(spec), SimConfig(n_runs=int(rng.integers(2, 400)), seed=seed))
+    ours = cruciality_index(ens, "spearman")
+    monkeypatch.setattr(riskmc.indices, "_average_ranks", rankdata)
+    ref = cruciality_index(ens, "spearman")
+    assert ours.tobytes() == ref.tobytes()
 
 
 def test_ssi_identities():
