@@ -37,6 +37,11 @@ EXPORTS = {
     "plot-pv-grid17": ["plot", "--kind", "pv", "--grid", "17"],
     "plot-srb_crb": ["plot", "--kind", "srb_crb", *SIM],
     "plot-srb_crb-grid17": ["plot", "--kind", "srb_crb", *SIM, "--grid", "17"],
+    "plot-pdfcdf": ["plot", "--kind", "pdfcdf", *SIM],
+    "plot-scatter": ["plot", "--kind", "scatter", *SIM],
+    "plot-ci_bars": ["plot", "--kind", "ci_bars", *SIM],
+    "plot-triad": ["plot", "--kind", "triad", *SIM, "--observe", OBSERVE],
+    "plot-sevm": ["plot", "--kind", "sevm", *SIM, "--observe", OBSERVE, "--neighbors", "800"],
 }
 
 
