@@ -8,6 +8,7 @@ or stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from .errors import ConfigError, RiskMcError
 from .network import validate
 from .projectfile import convert_matrix_csv, parse_project
 
+PLOT_KINDS = ("pv", "pdfcdf", "scatter", "ci_bars", "srb_crb", "triad", "sevm")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -28,15 +31,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _grid_points(text):
-    """--grid, checked while parsing so a bad value never waits for a simulation."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
-    return value
+def _bounded(kind, lo, hi=math.inf):
+    """An argparse type for a number in [lo, hi], checked while parsing so a
+    bad value never waits for a simulation; the library checks it again."""
+    bounds = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not lo <= value <= hi:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be {noun} {bounds}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,27 +77,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("indices", "activity sensitivity indices (CI/CrI/SSI)", cmd_indices, sim=True)
     sp.add_argument("--cri-method", choices=("pearson", "spearman"), default="pearson")
     sp = add("contingency", "percentile reserve over the baseline", cmd_contingency, sim=True)
-    sp.add_argument("--percentile", type=float, required=True)
+    sp.add_argument("--percentile", type=_bounded(float, 0, 100), required=True)
     sp.add_argument("--dimension", choices=("cost", "duration"), default="cost")
     sp = add("baseline", "SRB/CRB risk baselines and ARI ranking", cmd_baseline, sim=True)
-    sp.add_argument("--grid", type=_grid_points, default=csvout.GRID_POINTS,
+    sp.add_argument("--grid", type=_bounded(int, 2), default=csvout.GRID_POINTS,
                     help="points on the SRB/CRB grid")
     sp = add("control", "SCoI/CCoI and Triad percentiles at an observation",
              cmd_control, sim=True, observe=True)
-    sp.add_argument("--band", type=float, default=5.0,
+    sp.add_argument("--band", type=_bounded(float, 0, 50), default=5.0,
                     help="half-width of the 'on plan' percentile band")
     sp = add("forecast", "SEVM nearest-neighbor completion forecast",
              cmd_forecast, sim=True, observe=True)
-    sp.add_argument("--neighbors", type=int, default=None)
+    sp.add_argument("--neighbors", type=_bounded(int, 1), default=None)
     sp.add_argument("--estimator", choices=("mean", "linear"), default="mean")
     sp = add("plot", "render one SVG chart", cmd_plot, sim=True)
-    sp.add_argument("--kind", choices=svgplot.PLOT_KINDS, required=True)
-    sp.add_argument("--grid", type=_grid_points, default=csvout.GRID_POINTS,
+    sp.add_argument("--kind", choices=PLOT_KINDS, required=True)
+    sp.add_argument("--grid", type=_bounded(int, 2), default=csvout.GRID_POINTS,
                     help="points on the PV and SRB/CRB grids")
     sp.add_argument("--observe", default=None, metavar="t=T,ev=EV,ac=AC",
                     help="required for triad and sevm plots")
-    sp.add_argument("--neighbors", type=int, default=None)
-    sp.add_argument("--bins", type=int, default=40)
+    sp.add_argument("--neighbors", type=_bounded(int, 1), default=None)
+    sp.add_argument("--bins", type=_bounded(int, 1), default=40)
 
     sp = sub.add_parser("convert-matrix",
                         help="turn a Figure-style precedence matrix CSV into a project skeleton")
@@ -259,28 +268,22 @@ def cmd_plot(args):
     path = out_dir / f"{args.kind}.svg"
 
     if args.kind == "pv":
-        data = cpmmod.plan(network)
+        report = cpmmod.plan(network)
     elif args.kind == "pdfcdf":
-        ens = _sim(args, network)
-        data = mc.histogram_and_cdf(ens.total_cost, bins=args.bins)
+        report = mc.histogram_and_cdf(_sim(args, network).total_cost, bins=args.bins)
     elif args.kind == "scatter":
-        data = _sim(args, network)
+        report = _sim(args, network)
     elif args.kind == "ci_bars":
-        data = idx.sensitivity_report(_sim(args, network))
+        report = idx.sensitivity_report(_sim(args, network))
     elif args.kind == "srb_crb":
-        data = ctl.risk_baselines(_sim(args, network))
+        report = ctl.risk_baselines(_sim(args, network))
     elif args.kind == "triad":
-        obs = _require_observe(args)
-        ens = _sim(args, network)
-        section_t, section_c = ctl.cross_section(ens, ctl.completion_fraction(obs, ens))
-        data = {"section_t": section_t, "section_c": section_c,
-                "observed_t": obs.t, "observed_ac": obs.ac}
+        report = ctl.triad(_require_observe(args), _sim(args, network))
     else:  # sevm
-        obs = _require_observe(args)
-        ens = _sim(args, network)
-        data = ctl.sevm_forecast(obs, ens, k_neighbors=args.neighbors)
+        report = ctl.sevm_forecast(_require_observe(args), _sim(args, network),
+                                   k_neighbors=args.neighbors)
 
-    svgplot.plot(args.kind, data, path, args.grid)
+    svgplot.plot(report, path, args.grid)
     _info(f"wrote {path}")
     return 0
 

@@ -157,6 +157,10 @@ class TriadReport:
     cost_percentile: float
     schedule_status: str  # ahead | on | delayed
     cost_status: str      # under | on | over
+    section_t: np.ndarray  # per run: time at the completion fraction
+    section_c: np.ndarray  # per run: cost at that time
+    observed_t: float
+    observed_ac: float
 
 
 def triad(obs: ControlObservation, ensemble: Ensemble, band: float = 5.0) -> TriadReport:
@@ -172,6 +176,8 @@ def triad(obs: ControlObservation, ensemble: Ensemble, band: float = 5.0) -> Tri
         cost_percentile=cp,
         schedule_status=_status(sp, band, "ahead", "delayed"),
         cost_status=_status(cp, band, "under", "over"),
+        section_t=section_t, section_c=section_c,
+        observed_t=obs.t, observed_ac=obs.ac,
     )
 
 

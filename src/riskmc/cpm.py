@@ -129,12 +129,11 @@ class PathMatrix:
     """All simple source->sink paths as a binary membership matrix."""
 
     node_ids: tuple
-    paths: tuple               # tuples of node indices
     membership: np.ndarray     # (n_paths, n_nodes) uint8
 
     @property
     def n_paths(self) -> int:
-        return len(self.paths)
+        return self.membership.shape[0]
 
 
 def count_paths(network: ValidatedNetwork) -> int:
@@ -150,34 +149,30 @@ def count_paths(network: ValidatedNetwork) -> int:
 def enumerate_paths(network: ValidatedNetwork, cap: int = 1_000_000) -> PathMatrix:
     """Enumerate simple source->sink paths, lexicographic by topological order."""
     nodes = network.nodes
-    n = len(nodes)
 
     # count first so an explosion aborts before materializing anything
     n_paths = count_paths(network)
     if n_paths > cap:
         raise PathExplosion(f"{n_paths} paths exceed the cap of {cap}")
 
-    paths = []
-    stack = [(network.source, iter(nodes[network.source].succs))]
+    membership = np.zeros((n_paths, len(nodes)), dtype=np.uint8)
+    row = 0
+    stack = [iter(nodes[network.source].succs)]
     trail = [network.source]
     while stack:
-        _, succ_iter = stack[-1]
-        nxt = next(succ_iter, None)
+        nxt = next(stack[-1], None)
         if nxt is None:
             stack.pop()
             trail.pop()
             continue
         trail.append(nxt)
         if nxt == network.sink:
-            paths.append(tuple(trail))
+            membership[row, trail] = 1
+            row += 1
             trail.pop()
         else:
-            stack.append((nxt, iter(nodes[nxt].succs)))
-
-    membership = np.zeros((len(paths), n), dtype=np.uint8)
-    for r, path in enumerate(paths):
-        membership[r, list(path)] = 1
-    return PathMatrix(node_ids=network.ids(), paths=tuple(paths), membership=membership)
+            stack.append(iter(nodes[nxt].succs))
+    return PathMatrix(node_ids=network.ids(), membership=membership)
 
 
 def accrue(t, weights, start, finish, step_closed: bool = True):

@@ -101,7 +101,3 @@ class KTooLarge(RiskMcError):
 
 class DegenerateProject(RiskMcError):
     pass
-
-
-class ShapeMismatch(RiskMcError):
-    pass

@@ -73,7 +73,6 @@ class Ensemble:
     and cumulative-cost trajectories at arbitrary times.
     """
 
-    config: SimConfig
     plan: _cpm.CpmResult        # the baseline the runs are measured against
     node_ids: tuple
     node_names: tuple
@@ -173,7 +172,7 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     for arr in arrays.values():
         arr.flags.writeable = False
     return Ensemble(
-        config=cfg, plan=_cpm.plan(network), node_ids=network.ids(),
+        plan=_cpm.plan(network), node_ids=network.ids(),
         node_names=network.names(), risk_ids=risk_ids, **arrays,
     )
 
@@ -210,24 +209,23 @@ def histogram_and_cdf(samples, bins: int = 40) -> HistogramTable:
         raise EmptySample("histogram_and_cdf needs at least one sample")
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
-    lo, hi = float(x.min()), float(x.max())
-    if lo == hi:
-        counts = np.array([x.size])
-        edges = np.array([lo, hi])
-    else:
-        counts, edges = _bin_counts(x, bins, (lo, hi))
+    counts, edges = _bin_counts(x, bins)
     pdf = counts / x.size
     cdf = np.cumsum(counts) / x.size
     return HistogramTable(edges=edges, pdf=pdf, cdf=cdf)
 
 
-def _bin_counts(x, bins, value_range=None):
-    """np.histogram, halving the bins while their width is below the float
-    spacing of the values; one bin always fits a range with lo < hi, so only
-    a range np.histogram cannot bin at all is a typed error."""
+def _bin_counts(x, bins):
+    """np.histogram over [x.min(), x.max()], halving the bins while their width
+    is below the float spacing of the values. A constant sample is one bin
+    [x, x]; one bin always fits a finite range with lo < hi, so only a range
+    np.histogram cannot bin at all (a non-finite end) is a typed error."""
+    lo, hi = float(x.min()), float(x.max())
+    if lo == hi:
+        return np.array([x.size]), np.array([lo, hi])
     while True:
         try:
-            return np.histogram(x, bins=bins, range=value_range)
+            return np.histogram(x, bins=bins, range=(lo, hi))
         except ValueError as exc:
             if bins == 1:
                 raise DegenerateProject(str(exc)) from None

@@ -36,10 +36,9 @@ class Activity:
     def __post_init__(self):
         if not _ID_RE.match(self.id):
             raise BadDefinition(f"invalid activity id {self.id!r}")
-        if self.fixed_cost < 0:
-            raise BadDefinition(f"activity {self.id}: fixed_cost must be >= 0")
-        if self.variable_cost_rate < 0:
-            raise BadDefinition(f"activity {self.id}: variable_cost_rate must be >= 0")
+        for field in ("fixed_cost", "variable_cost_rate"):
+            if not 0.0 <= getattr(self, field) < np.inf:  # also rejects nan
+                raise BadDefinition(f"activity {self.id}: {field} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,11 @@ import math
 
 import numpy as np
 
-from .control import RiskBaseline, SevmForecast
+from .control import RiskBaseline, SevmForecast, TriadReport
 from .cpm import CpmResult
 from .csvout import GRID_POINTS, _grid_times
-from .errors import ShapeMismatch
 from .indices import SensitivityReport
 from .montecarlo import Ensemble, HistogramTable, _bin_counts
-
-PLOT_KINDS = ("pv", "pdfcdf", "scatter", "ci_bars", "srb_crb", "triad", "sevm")
 
 _W, _H = 760, 490
 _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 70, 56, 52
@@ -31,21 +28,19 @@ _GREEN = "#2e7d32"
 MAX_POINTS = 4000  # scatter clouds subsample deterministically above this
 
 
-def plot(kind: str, data, path, grid_points: int = GRID_POINTS) -> None:
-    """Render one chart kind to a standalone SVG file; grid_points sizes pv and srb_crb."""
-    builder = _BUILDERS.get(kind)
-    if builder is None:
-        raise ShapeMismatch(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    svg = builder(data, grid_points) if kind in _GRIDDED else builder(data)
+def plot(report, path, grid_points: int = GRID_POINTS) -> None:
+    """Render the chart for the report's type to a standalone SVG file.
+
+    grid_points sizes the pv and srb_crb curves; the other charts ignore it.
+    """
+    for cls, build in _BUILDERS:
+        if isinstance(report, cls):
+            svg = build(report, grid_points)
+            break
+    else:
+        raise TypeError(f"no chart for {type(report).__name__}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(svg)
-
-
-def _require(data, kind, cls):
-    if not isinstance(data, cls):
-        raise ShapeMismatch(f"plot kind {kind!r} needs {cls.__name__}, "
-                            f"got {type(data).__name__}")
-    return data
 
 
 class _Chart:
@@ -221,8 +216,7 @@ def _subsample(*arrays):
 # ---------------------------------------------------------------------------
 # chart builders
 
-def _build_pv(data, grid_points):
-    planned = _require(data, "pv", CpmResult)
+def _build_pv(planned, grid_points):
     times = _grid_times(planned, grid_points)
     chart = _Chart("Planned value", "time", "planned value",
                    (0.0, max(planned.duration, 1e-9)), (0.0, max(planned.bac, 1e-9)))
@@ -230,8 +224,7 @@ def _build_pv(data, grid_points):
     return chart.render()
 
 
-def _build_pdfcdf(data):
-    hist = _require(data, "pdfcdf", HistogramTable)
+def _build_pdfcdf(hist, _grid_points):
     top = max(float(hist.pdf.max()), 1e-9)
     chart = _Chart("Distribution", "value", "probability mass",
                    (float(hist.edges[0]), float(hist.edges[-1])), (0.0, top),
@@ -241,8 +234,7 @@ def _build_pdfcdf(data):
     return chart.render()
 
 
-def _build_scatter(data):
-    ens = _require(data, "scatter", Ensemble)
+def _build_scatter(ens, _grid_points):
     d, c = _subsample(ens.total_duration, ens.total_cost)
     chart = _Chart("Simulated endpoints", "duration", "cost",
                    (float(d.min()), float(d.max())), (float(c.min()), float(c.max())))
@@ -279,8 +271,7 @@ def _margin_hist_y(chart, values, bins=36):
     return "".join(parts)
 
 
-def _build_ci_bars(data):
-    rep = _require(data, "ci_bars", SensitivityReport)
+def _build_ci_bars(rep, _grid_points):
     n = len(rep.node_ids)
     chart = _Chart("Criticality index", "activity", "CI", (-0.5, n - 0.5), (0.0, 1.0))
     centers = np.arange(n, dtype=float)
@@ -292,8 +283,7 @@ def _build_ci_bars(data):
     return chart.render()
 
 
-def _build_srb_crb(data, grid_points):
-    base = _require(data, "srb_crb", RiskBaseline)
+def _build_srb_crb(base, grid_points):
     times = _grid_times(base.plan, grid_points)
     srb, crb = base.srb_at(times), base.crb_at(times)
     chart = _Chart("Risk baselines", "time", "SRB (time units)",
@@ -306,16 +296,8 @@ def _build_srb_crb(data, grid_points):
     return chart.render()
 
 
-def _build_triad(data):
-    if not isinstance(data, dict) or not {"section_t", "section_c", "observed_t",
-                                          "observed_ac"} <= set(data):
-        raise ShapeMismatch("plot kind 'triad' needs a dict with section_t, section_c, "
-                            "observed_t, observed_ac")
-    t = np.asarray(data["section_t"], float)
-    c = np.asarray(data["section_c"], float)
-    if t.shape != c.shape or t.ndim != 1 or t.size == 0:
-        raise ShapeMismatch("triad section arrays must be equal-length 1-D and nonempty")
-    ot, oc = float(data["observed_t"]), float(data["observed_ac"])
+def _build_triad(rep, _grid_points):
+    t, c, ot, oc = rep.section_t, rep.section_c, rep.observed_t, rep.observed_ac
     ts, cs = _subsample(t, c)
     chart = _Chart("Control cross-section", "time at control fraction", "cost",
                    (min(float(t.min()), ot), max(float(t.max()), ot)),
@@ -328,8 +310,7 @@ def _build_triad(data):
     return chart.render()
 
 
-def _build_sevm(data):
-    fc = _require(data, "sevm", SevmForecast)
+def _build_sevm(fc, _grid_points):
     t, c, late = _subsample(fc.neighbor_section_t, fc.neighbor_section_c, fc.neighbor_late)
     lo_t = min(float(fc.neighbor_section_t.min()), fc.observed_t)
     hi_t = max(float(fc.neighbor_section_t.max()), fc.observed_t)
@@ -345,13 +326,12 @@ def _build_sevm(data):
     return chart.render()
 
 
-_BUILDERS = {
-    "pv": _build_pv,
-    "pdfcdf": _build_pdfcdf,
-    "scatter": _build_scatter,
-    "ci_bars": _build_ci_bars,
-    "srb_crb": _build_srb_crb,
-    "triad": _build_triad,
-    "sevm": _build_sevm,
-}
-_GRIDDED = ("pv", "srb_crb")  # kinds whose builders sample the plan's timeline
+_BUILDERS = (
+    (CpmResult, _build_pv),
+    (HistogramTable, _build_pdfcdf),
+    (Ensemble, _build_scatter),
+    (SensitivityReport, _build_ci_bars),
+    (RiskBaseline, _build_srb_crb),
+    (TriadReport, _build_triad),
+    (SevmForecast, _build_sevm),
+)

@@ -83,15 +83,35 @@ def test_non_finite_observation_is_config_error(project, command, observe, capsy
     assert "nan" not in captured.out and "inf" not in captured.out
 
 
+@pytest.fixture()
+def no_simulation(monkeypatch):
+    def trap(*args, **kwargs):
+        raise AssertionError("a bad flag must be rejected before any run is simulated")
+
+    monkeypatch.setattr("riskmc.montecarlo.run_ensemble", trap)
+
+
 @pytest.mark.parametrize("command", [["plot", "--kind", "pv"], ["plot", "--kind", "srb_crb"],
                                      ["baseline"]])
 def test_grid_below_two_is_only_a_config_error(project, command, tmp_path, capsys,
-                                               monkeypatch):
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("--grid must be rejected before any run is simulated")
-
-    monkeypatch.setattr("riskmc.montecarlo.run_ensemble", no_simulation)
+                                               no_simulation):
     assert main([*command, "--project", project, "--runs", "100", "--grid", "1",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", [
+    ["plot", "--kind", "pdfcdf", "--bins", "0"],
+    ["contingency", "--percentile", "150"],
+    ["contingency", "--percentile", "nan"],
+    ["forecast", "--observe", "t=4,ev=430,ac=440", "--neighbors", "0"],
+    ["plot", "--kind", "sevm", "--observe", "t=4,ev=430,ac=440", "--neighbors", "-3"],
+    ["control", "--observe", "t=4,ev=430,ac=440", "--band", "60"],
+])
+def test_out_of_range_flags_are_only_config_errors(project, command, tmp_path, capsys,
+                                                   no_simulation):
+    assert main([*command, "--project", project, "--runs", "100",
                  "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("ConfigError:") and err.count("\n") == 1, err
@@ -128,20 +148,25 @@ Af "finish" point(0) fixed=0 rate=0
 A1 <- A0
 Af <- A1
 """
+# every run costs 1e16 + 2 exactly: np.histogram's +-0.5 widening of a
+# constant range is below the float spacing there
+CONSTANT_HUGE_COST = HUGE_COST.replace("uniform(0,4)", "point(2)")
 
 
 @pytest.mark.parametrize("kind", ["triad", "pdfcdf", "scatter"])
 def test_plots_at_float_resolution_never_hang(tmp_path, kind):
-    project = tmp_path / "huge.project"
-    project.write_text(HUGE_COST)
-    # a hung tick loop fails here (TimeoutExpired) instead of stalling the suite
-    result = subprocess.run(RISKMC + ["plot", "--kind", kind, "--project", str(project),
-                                      "--runs", "200", "--observe", "t=1,ev=5e15,ac=5e15",
-                                      "--out", str(tmp_path)],
-                            capture_output=True, text=True, timeout=60)
-    # the histograms fall back to fewer, wider bins than float spacing allows
-    assert result.returncode == 0, result.stderr
-    ET.parse(tmp_path / f"{kind}.svg")
+    for text in (HUGE_COST, CONSTANT_HUGE_COST):
+        project = tmp_path / "huge.project"
+        project.write_text(text)
+        # a hung tick loop fails here (TimeoutExpired) instead of stalling the suite
+        result = subprocess.run(RISKMC + ["plot", "--kind", kind, "--project", str(project),
+                                          "--runs", "200", "--observe", "t=1,ev=5e15,ac=5e15",
+                                          "--out", str(tmp_path)],
+                                capture_output=True, text=True, timeout=60)
+        # the histograms fall back to fewer, wider bins than float spacing allows,
+        # and to one bin [x, x] for a constant sample
+        assert result.returncode == 0, result.stderr
+        ET.parse(tmp_path / f"{kind}.svg")
 
 
 def test_missing_project_file_is_io_error():

@@ -78,7 +78,8 @@ def test_cpm_result_identities(figure3_network):
 def test_figure3_paths(figure3_network):
     pm = enumerate_paths(figure3_network)
     assert pm.n_paths == 3
-    ids = [tuple(figure3_network.nodes[i].id for i in p) for p in pm.paths]
+    ids = [tuple(figure3_network.nodes[i].id for i in np.flatnonzero(row))
+           for row in pm.membership]
     assert ids == [("A0", "A1", "A5", "A3", "Af"),
                    ("A0", "A1", "A5", "A4", "Af"),
                    ("A0", "A2", "A6", "A4", "Af")]

@@ -18,7 +18,7 @@ from riskmc import (
     run_ensemble,
     validate,
 )
-from riskmc.errors import ConfigError, EmptySample
+from riskmc.errors import ConfigError, DegenerateProject, EmptySample
 from riskmc.montecarlo import sample_block
 
 
@@ -239,6 +239,12 @@ def test_histogram_constant_sample():
     assert table.pdf[0] == 1.0
     assert table.cdf[0] == 1.0
     assert table.edges[0] == table.edges[-1] == 7.25
+
+
+def test_bin_counts_refuse_a_range_with_a_non_finite_end():
+    # np.histogram refuses [0, inf] at every bin count; the halving stops at one bin
+    with pytest.raises(DegenerateProject):
+        montecarlo._bin_counts(np.array([0.0, np.inf]), 36)
 
 
 def test_histogram_uniform_masses():

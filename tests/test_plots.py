@@ -8,7 +8,6 @@ from riskmc import (
     ControlObservation,
     Distribution,
     SimConfig,
-    cross_section,
     histogram_and_cdf,
     plan,
     plot,
@@ -16,10 +15,10 @@ from riskmc import (
     run_ensemble,
     sensitivity_report,
     sevm_forecast,
+    triad,
     validate,
 )
-from riskmc.control import completion_fraction
-from riskmc.errors import ConfigError, ShapeMismatch
+from riskmc.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +40,6 @@ def test_every_kind_renders_valid_svg(stack, tmp_path):
     base = risk_baselines(ens)
     rep = sensitivity_report(ens)
     obs = ControlObservation(t=4.0, ev=0.5 * ens.plan.bac, ac=0.52 * ens.plan.bac)
-    section_t, section_c = cross_section(ens, completion_fraction(obs, ens))
-    triad_data = {"section_t": section_t, "section_c": section_c,
-                  "observed_t": obs.t, "observed_ac": obs.ac}
     forecast = sevm_forecast(obs, ens)
 
     expected_series = {
@@ -52,27 +48,27 @@ def test_every_kind_renders_valid_svg(stack, tmp_path):
         "scatter": (ens, 3),          # cloud + two marginals
         "ci_bars": (rep, 2),          # bars + id labels
         "srb_crb": (base, 2),
-        "triad": (triad_data, 4),     # cloud, 2 median lines, observation
+        "triad": (triad(obs, ens), 4),     # cloud, 2 median lines, observation
         "sevm": (forecast, 3),        # early, late, observation
     }
-    for kind, (data, n_series) in expected_series.items():
+    for kind, (report, n_series) in expected_series.items():
         out = tmp_path / f"{kind}.svg"
-        plot(kind, data, out)
+        plot(report, out)
         assert series_count(out) == n_series, kind
 
 
 def test_plot_is_deterministic(stack, tmp_path):
     _, ens, _ = stack
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    plot("scatter", ens, a)
-    plot("scatter", ens, b)
+    plot(ens, a)
+    plot(ens, b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_constant_sample_pdfcdf(tmp_path):
     hist = histogram_and_cdf(np.full(50, 3.0))
     out = tmp_path / "flat.svg"
-    plot("pdfcdf", hist, out)
+    plot(hist, out)
     assert series_count(out) == 2
 
 
@@ -82,22 +78,16 @@ def test_sevm_deterministic_project_single_color(tmp_path):
     obs = ControlObservation(t=3.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
     forecast = sevm_forecast(obs, ens, k_neighbors=100)
     out = tmp_path / "sevm.svg"
-    plot("sevm", forecast, out)
+    plot(forecast, out)
     assert series_count(out) == 2  # all-early cloud + observation marker
     assert "finishing late" not in out.read_text()
 
 
-def test_shape_mismatch(stack, tmp_path):
+def test_plot_refuses_a_report_without_a_chart(stack, tmp_path):
     _, ens, _ = stack
-    with pytest.raises(ShapeMismatch):
-        plot("pv", ens, tmp_path / "x.svg")
-    with pytest.raises(ShapeMismatch):
-        plot("nonsense", ens, tmp_path / "x.svg")
-    with pytest.raises(ShapeMismatch):
-        plot("triad", {"section_t": [1.0]}, tmp_path / "x.svg")
-    with pytest.raises(ShapeMismatch):
-        plot("triad", {"section_t": [1.0, 2.0], "section_c": [1.0],
-                       "observed_t": 1.0, "observed_ac": 1.0}, tmp_path / "x.svg")
+    with pytest.raises(TypeError):
+        plot(ens.total_cost, tmp_path / "x.svg")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_srb_endpoint_matches_sigma(stack, tmp_path):
@@ -105,7 +95,7 @@ def test_srb_endpoint_matches_sigma(stack, tmp_path):
     _, ens, planned = stack
     base = risk_baselines(ens)
     out = tmp_path / "srb.svg"
-    plot("srb_crb", base, out)
+    plot(base, out)
     assert base.srb_at(planned.duration) == pytest.approx(base.sigma_duration, rel=1e-6)
 
 
@@ -115,9 +105,9 @@ def test_grid_points_sample_the_plan(stack, tmp_path, kind):
     data = planned if kind == "pv" else risk_baselines(ens)
     for points in (2, 17, 101):
         out = tmp_path / f"{points}.svg"
-        plot(kind, data, out, grid_points=points)
+        plot(data, out, grid_points=points)
         polyline = ET.parse(out).find(".//{*}polyline")
         assert len(polyline.get("points").split()) == points
     with pytest.raises(ConfigError):
-        plot(kind, data, tmp_path / "x.svg", grid_points=1)
+        plot(data, tmp_path / "x.svg", grid_points=1)
     assert not (tmp_path / "x.svg").exists()

@@ -12,6 +12,7 @@ from riskmc import (
     validate,
 )
 from riskmc.errors import (
+    BadDefinition,
     DuplicateId,
     MultipleSources,
     ProjectSyntaxError,
@@ -87,6 +88,16 @@ def test_duplicate_id_has_location():
     with pytest.raises(DuplicateId) as err:
         parse_project_text(text, source="p")
     assert "p:3" in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["fixed", "rate"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_activity_cost_is_bad_definition(field, value):
+    costs = {"fixed": "1", "rate": "1", field: value}
+    text = f'[activities]\nA0 "s" point(0) fixed={costs["fixed"]} rate={costs["rate"]}\n'
+    with pytest.raises(BadDefinition) as err:
+        parse_project_text(text, source="p")
+    assert "p:2" in str(err.value) and "finite" in str(err.value)
 
 
 def test_unknown_predecessor_named():
