@@ -32,6 +32,7 @@ COMMANDS = (
 )
 EXPORTS = {
     "cpm": ["cpm"],
+    "paths": ["paths"],
     "baseline-grid37": ["baseline", *SIM, "--grid", "37"],
     "plot-pv": ["plot", "--kind", "pv"],
     "plot-pv-grid17": ["plot", "--kind", "pv", "--grid", "17"],
