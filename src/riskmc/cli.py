@@ -20,7 +20,7 @@ from . import montecarlo as mc
 from . import svgplot
 from .errors import ConfigError, RiskMcError
 from .network import validate
-from .projectfile import convert_matrix_csv, parse_project
+from .projectfile import convert_matrix_csv, parse_project, read_text
 
 PLOT_KINDS = ("pv", "pdfcdf", "scatter", "ci_bars", "srb_crb", "triad", "sevm")
 
@@ -135,13 +135,13 @@ def _sim(args, network):
 
 def _observation(text):
     fields = {}
-    for part in text.split(","):
+    parts = text.split(",")
+    for part in parts:
         key, sep, value = part.partition("=")
         if not sep:
             raise ConfigError(f"--observe needs key=value parts, got {part!r}")
         fields[key.strip()] = value.strip()
-    extra = set(fields) - {"t", "ev", "ac"}
-    if extra or set(fields) != {"t", "ev", "ac"}:
+    if len(parts) != len(fields) or set(fields) != {"t", "ev", "ac"}:  # no key twice
         raise ConfigError("--observe must define exactly t=, ev=, ac=")
     try:
         return ctl.ControlObservation(t=float(fields["t"]), ev=float(fields["ev"]),
@@ -295,8 +295,7 @@ def _require_observe(args):
 
 
 def cmd_convert_matrix(args):
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        text = convert_matrix_csv(fh.read(), source=str(args.matrix))
+    text = convert_matrix_csv(read_text(args.matrix), source=str(args.matrix))
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

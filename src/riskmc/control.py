@@ -16,6 +16,8 @@ from .errors import (
 )
 from .montecarlo import Ensemble, empirical_percentile
 
+INTERVAL_PERCENTILES = (5.0, 95.0)  # of the SEVM forecast's duration and cost intervals
+
 
 @dataclass(frozen=True)
 class RiskBaseline:
@@ -236,7 +238,6 @@ def default_neighbors(n_runs: int) -> int:
 
 def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
                   k_neighbors: int | None = None,
-                  interval_percentiles=(5.0, 95.0),
                   estimator: str = "mean") -> SevmForecast:
     """Select neighbors on the control cross-section and forecast the endpoints.
 
@@ -278,9 +279,9 @@ def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
     return SevmForecast(
         completion=x, k=k, eac_duration=eac_t, eac_cost=eac_c,
         duration_interval=tuple((float(p), empirical_percentile(pd_n, p))
-                                for p in interval_percentiles),
+                                for p in INTERVAL_PERCENTILES),
         cost_interval=tuple((float(p), empirical_percentile(c_n, p))
-                            for p in interval_percentiles),
+                            for p in INTERVAL_PERCENTILES),
         p_late=float(late.mean()), p_overrun=float(overrun.mean()),
         neighbor_runs=chosen, neighbor_late=late,
         neighbor_section_t=section_t[chosen], neighbor_section_c=section_c[chosen],

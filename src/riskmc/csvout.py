@@ -18,6 +18,8 @@ GRID_POINTS = 101  # default samples of the planned timeline [0, PD] at export
 
 
 def fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -58,7 +60,7 @@ def _cpm_table(r: CpmResult):
 
 
 def _paths(r: PathMatrix):
-    rows = [tuple(int(v) for v in row) for row in r.membership]
+    rows = [[("0", "1")[v] for v in row] for row in r.membership.tolist()]
     return tuple(r.node_ids), rows
 
 
@@ -77,20 +79,20 @@ def _control(r: ControlIndices):
 
 
 def _triad(r: TriadReport):
-    rows = [("completion", fmt(r.completion)),
-            ("schedule_percentile", fmt(r.schedule_percentile)),
-            ("cost_percentile", fmt(r.cost_percentile)),
+    rows = [("completion", r.completion),
+            ("schedule_percentile", r.schedule_percentile),
+            ("cost_percentile", r.cost_percentile),
             ("schedule_status", r.schedule_status),
             ("cost_status", r.cost_status)]
     return ("metric", "value"), rows
 
 
 def _forecast(r: SevmForecast):
-    rows = [("completion", fmt(r.completion)), ("k", r.k),
-            ("EAC_duration", fmt(r.eac_duration)), ("EAC_cost", fmt(r.eac_cost)),
-            ("P_late", fmt(r.p_late)), ("P_overrun", fmt(r.p_overrun))]
-    rows += [(f"duration_p{p:g}", fmt(v)) for p, v in r.duration_interval]
-    rows += [(f"cost_p{p:g}", fmt(v)) for p, v in r.cost_interval]
+    rows = [("completion", r.completion), ("k", r.k),
+            ("EAC_duration", r.eac_duration), ("EAC_cost", r.eac_cost),
+            ("P_late", r.p_late), ("P_overrun", r.p_overrun)]
+    rows += [(f"duration_p{p:g}", v) for p, v in r.duration_interval]
+    rows += [(f"cost_p{p:g}", v) for p, v in r.cost_interval]
     return ("metric", "value"), rows
 
 

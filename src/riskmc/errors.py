@@ -22,11 +22,11 @@ class DuplicateId(SpecError):
 
 
 class UnknownPredecessor(SpecError):
-    pass
+    """A precedence pair or matrix column names no declared activity."""
 
 
 class BadPrecedence(SpecError):
-    """The precedence matrix is not square/binary/zero-diagonal."""
+    """An activity is listed as its own predecessor."""
 
 
 class BadDummy(SpecError):

@@ -18,6 +18,7 @@ from .errors import (
     DuplicateId,
     MultipleSinks,
     MultipleSources,
+    UnknownPredecessor,
 )
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -61,10 +62,11 @@ class RiskEvent:
 
 @dataclass(frozen=True)
 class ProjectSpec:
-    """Activities (including the dummy start/end), precedence matrix, risks.
+    """Activities (including the dummy start/end), precedence pairs, risks.
 
-    precedence[i][j] = 1 means activity i has activity j as a predecessor,
-    matching the row-has-predecessor-at-marked-column matrix convention.
+    `precedence` holds `(successor id, predecessor id)` pairs: `("A1", "A0")`
+    means A1 has A0 as a predecessor. Any iterable of pairs is accepted and
+    stored as a sorted tuple, each pair once, so equal relations compare equal.
     """
 
     activities: tuple
@@ -74,7 +76,7 @@ class ProjectSpec:
     def __post_init__(self):
         object.__setattr__(self, "activities", tuple(self.activities))
         object.__setattr__(self, "precedence",
-                           tuple(tuple(int(x) for x in row) for row in self.precedence))
+                           tuple(sorted({(succ, pred) for succ, pred in self.precedence})))
         object.__setattr__(self, "risks", tuple(self.risks))
 
 
@@ -165,30 +167,24 @@ def validate(spec: ProjectSpec) -> ValidatedNetwork:
             raise DuplicateId(f"duplicate id {entity_id!r}")
         seen.add(entity_id)
 
-    m = spec.precedence
-    if len(m) != len(acts):
-        raise BadPrecedence(f"matrix has {len(m)} rows for {len(acts)} activities")
-    for i, row in enumerate(m):
-        if len(row) != len(acts):
-            raise BadPrecedence(f"matrix row for {ids[i]!r} has {len(row)} entries, "
-                                f"expected {len(acts)}")
-        for j, cell in enumerate(row):
-            if cell not in (0, 1):
-                raise BadPrecedence(f"matrix cell ({ids[i]}, {ids[j]}) must be 0 or 1")
-        if row[i] != 0:
-            raise BadPrecedence(f"matrix diagonal must be zero, activity {ids[i]!r}")
-
-    preds = {ids[i]: [ids[j] for j in range(len(acts)) if m[i][j] == 1]
-             for i in range(len(acts))}
+    position = {a_id: k for k, a_id in enumerate(ids)}
+    preds = {a_id: [] for a_id in ids}
+    for succ, pred in spec.precedence:
+        for a_id in (succ, pred):
+            if a_id not in position:
+                raise UnknownPredecessor(f"precedence pair {succ} <- {pred} names "
+                                         f"unknown activity {a_id!r}")
+        if succ == pred:
+            raise BadPrecedence(f"activity {succ!r} is listed as its own predecessor")
+        preds[succ].append(pred)
+    for pred_list in preds.values():
+        pred_list.sort(key=position.__getitem__)
 
     _check_acyclic(ids, preds)
 
-    has_succ = {i: False for i in ids}
-    for i in ids:
-        for p in preds[i]:
-            has_succ[p] = True
+    has_succ = {pred for _, pred in spec.precedence}
     sources = [i for i in ids if not preds[i]]
-    sinks = [i for i in ids if not has_succ[i]]
+    sinks = [i for i in ids if i not in has_succ]
     if len(sources) != 1:
         raise MultipleSources(sources)
     if len(sinks) != 1:

@@ -17,9 +17,11 @@ Format by example::
 A [precedence-matrix] section may replace [precedence]: a `cols` header
 naming every activity in declaration order, then one `id: 0 1 0 ...` row
 per activity where a 1 marks that the row activity has the column
-activity as predecessor. Comments run from `#` to end of line; quoted
-names may contain escaped quotes. Rendering is canonical (pairs form) and
-round-trips the spec exactly.
+activity as predecessor. Both sections parse to the same
+(successor, predecessor) pairs. Comments run from `#` to end of line;
+quoted names may contain escaped quotes. Files are UTF-8. Rendering is
+canonical (pairs form) and round-trips the spec exactly; the matrix-CSV
+converter writes through the same renderer.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from __future__ import annotations
 import csv
 import io
 import re
+from pathlib import Path
 
-from .distributions import Distribution
+from .distributions import VARIANTS, Distribution
 from .errors import (
     DuplicateId,
     ProjectSyntaxError,
@@ -42,13 +45,22 @@ _SECTIONS = ("activities", "risks", "precedence", "precedence-matrix")
 _ID = r"[A-Za-z0-9_.\-]+"
 _ID_RE = re.compile(rf"^{_ID}$")
 _NAME_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
-_DIST_RE = re.compile(rf"({'|'.join(('point', 'discrete', 'uniform', 'triangular', 'normal', 'pert'))})\(([^)]*)\)")
+_DIST_RE = re.compile(rf"({'|'.join(VARIANTS)})\(([^)]*)\)")
 _PAIR_RE = re.compile(rf"^({_ID})\s*<-\s*((?:{_ID})(?:\s+{_ID})*)$")
 
 
 def parse_project(path) -> ProjectSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_project_text(fh.read(), source=str(path))
+    return parse_project_text(read_text(path), source=str(path))
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of an input file; any other encoding is a syntax error."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProjectSyntaxError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                                 str(path), data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def parse_project_text(text: str, source: str = "<string>") -> ProjectSpec:
@@ -73,10 +85,8 @@ def parse_project_text(text: str, source: str = "<string>") -> ProjectSpec:
                 raise UnknownField(f"unknown section [{section}]", source, line_no)
             if section in seen_sections:
                 raise ProjectSyntaxError(f"section [{section}] appears twice", source, line_no)
-            if section == "precedence" and "precedence-matrix" in seen_sections:
-                raise ProjectSyntaxError("cannot mix [precedence] and [precedence-matrix]",
-                                         source, line_no)
-            if section == "precedence-matrix" and "precedence" in seen_sections:
+            if (section.startswith("precedence")
+                    and seen_sections & {"precedence", "precedence-matrix"}):
                 raise ProjectSyntaxError("cannot mix [precedence] and [precedence-matrix]",
                                          source, line_no)
             seen_sections.add(section)
@@ -96,8 +106,7 @@ def parse_project_text(text: str, source: str = "<string>") -> ProjectSpec:
             if not m:
                 raise ProjectSyntaxError(f"expected 'SUCC <- PRED [PRED ...]', got {line!r}",
                                          source, line_no)
-            for pred in m.group(2).split():
-                pairs.append((line_no, m.group(1), pred))
+            pairs += [(line_no, m.group(1), pred) for pred in m.group(2).split()]
         else:  # precedence-matrix
             if matrix_cols is None:
                 head = line.split()
@@ -115,24 +124,22 @@ def parse_project_text(text: str, source: str = "<string>") -> ProjectSpec:
                     raise DuplicateId(f"{source}:{line_no}: duplicate matrix row {row_id!r}")
                 matrix_rows[row_id] = (line_no, bits.split())
 
-    index = {a.id: i for i, a in enumerate(activities)}
-    n = len(activities)
-    matrix = [[0] * n for _ in range(n)]
     if matrix_cols is not None:
-        matrix = _assemble_matrix(activities, matrix_cols, matrix_rows, source)
-    else:
-        for line_no, succ, pred in pairs:
-            if succ not in index:
-                raise UnknownPredecessor(f"{source}:{line_no}: unknown activity {succ!r}")
-            if pred not in index:
-                raise UnknownPredecessor(f"{source}:{line_no}: unknown predecessor {pred!r}")
-            matrix[index[succ]][index[pred]] = 1
+        pairs = _matrix_pairs(activities, matrix_cols, matrix_rows, source)
+    known = {a.id for a in activities}
+    for line_no, succ, pred in pairs:
+        if succ not in known:
+            raise UnknownPredecessor(f"{source}:{line_no}: unknown activity {succ!r}")
+        if pred not in known:
+            raise UnknownPredecessor(f"{source}:{line_no}: unknown predecessor {pred!r}")
 
-    return ProjectSpec(activities=tuple(activities), precedence=tuple(map(tuple, matrix)),
+    return ProjectSpec(activities=tuple(activities),
+                       precedence=[(succ, pred) for _, succ, pred in pairs],
                        risks=tuple(risks))
 
 
-def _assemble_matrix(activities, matrix_cols, matrix_rows, source):
+def _matrix_pairs(activities, matrix_cols, matrix_rows, source):
+    """The (line_no, successor, predecessor) pairs a matrix section marks."""
     head_line, cols = matrix_cols
     ids = [a.id for a in activities]
     if cols != ids:
@@ -142,26 +149,24 @@ def _assemble_matrix(activities, matrix_cols, matrix_rows, source):
     missing = [i for i in ids if i not in matrix_rows]
     if missing:
         raise ProjectSyntaxError(f"matrix row missing for {missing[0]!r}", source, head_line)
-    extra = [r for r in matrix_rows if r not in ids]
-    if extra:
-        line_no, _ = matrix_rows[extra[0]]
-        raise UnknownPredecessor(f"{source}:{line_no}: matrix row for unknown activity {extra[0]!r}")
-    n = len(ids)
-    matrix = []
+    known = set(ids)
+    for row_id, (line_no, _) in matrix_rows.items():
+        if row_id not in known:
+            raise UnknownPredecessor(f"{source}:{line_no}: matrix row for unknown activity {row_id!r}")
+    pairs = []
     for row_id in ids:
         line_no, bits = matrix_rows[row_id]
-        if len(bits) != n:
+        if len(bits) != len(ids):
             raise ProjectSyntaxError(
-                f"matrix row {row_id!r} has {len(bits)} entries, expected {n}",
+                f"matrix row {row_id!r} has {len(bits)} entries, expected {len(ids)}",
                 source, line_no)
-        row = []
-        for b in bits:
+        for col_id, b in zip(ids, bits):
             if b not in ("0", "1"):
                 raise ProjectSyntaxError(f"matrix row {row_id!r} has non-binary entry {b!r}",
                                          source, line_no)
-            row.append(int(b))
-        matrix.append(row)
-    return matrix
+            if b == "1":
+                pairs.append((line_no, row_id, col_id))
+    return pairs
 
 
 def _strip_comment(line):
@@ -323,18 +328,16 @@ def render_project(spec: ProjectSpec) -> str:
         lines.append(f"{a.id} {_quote(a.name)} {format_distribution(a.duration)} "
                      f"fixed={_fmt_num(a.fixed_cost)} rate={_fmt_num(a.variable_cost_rate)}")
     if spec.risks:
-        lines.append("")
-        lines.append("[risks]")
+        lines += ["", "[risks]"]
         for r in spec.risks:
             lines.append(f"{r.id} {_quote(r.name)} p={_fmt_num(r.probability)} kind={r.kind} "
                          f"target={r.target} impact={format_distribution(r.impact)}")
-    lines.append("")
-    lines.append("[precedence]")
-    ids = [a.id for a in spec.activities]
-    for i, row in enumerate(spec.precedence):
-        preds = [ids[j] for j, cell in enumerate(row) if cell]
-        if preds:
-            lines.append(f"{ids[i]} <- {' '.join(preds)}")
+    lines += ["", "[precedence]"]
+    position = {a.id: k for k, a in enumerate(spec.activities)}
+    preds = {}
+    for succ, pred in sorted(spec.precedence, key=lambda p: (position[p[0]], position[p[1]])):
+        preds.setdefault(succ, []).append(pred)
+    lines += [f"{succ} <- {' '.join(pred_ids)}" for succ, pred_ids in preds.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -369,9 +372,9 @@ def convert_matrix_csv(text: str, source: str = "<csv>") -> str:
     if len(rows) < 2:
         raise ProjectSyntaxError("matrix CSV needs a header row and one row per activity",
                                  source)
-    cols = [c.strip() for c in rows[0][1:]]
-    activities = []
-    preds = {}
+    cols = [c.split()[-1] if c.split() else None for c in rows[0][1:]]
+    activities = {}     # id -> point(0) stub, in row order
+    pairs = []
     for line_no, row in enumerate(rows[1:], start=2):
         label = row[0].strip()
         if not label:
@@ -381,25 +384,23 @@ def convert_matrix_csv(text: str, source: str = "<csv>") -> str:
         if len(bits) != len(cols):
             raise ProjectSyntaxError(f"matrix row {label!r} has {len(bits)} cells, "
                                      f"expected {len(cols)}", source, line_no)
-        marked = []
         for col_id, bit in zip(cols, bits):
             if bit not in ("0", "1"):
                 raise ProjectSyntaxError(f"matrix row {label!r} has non-binary cell {bit!r}",
                                          source, line_no)
-            if bit == "1":
-                marked.append(col_id.split()[-1])
-        if entity_id in preds:
+            if bit == "1" and col_id is None:
+                raise ProjectSyntaxError(f"matrix row {label!r} marks a column with an "
+                                         "empty header", source, line_no)
+            elif bit == "1":
+                pairs.append((entity_id, col_id))
+        if entity_id in activities:
             raise DuplicateId(f"{source}:{line_no}: duplicate matrix row {entity_id!r}")
-        preds[entity_id] = marked
-        activities.append((entity_id, label))
+        activities[entity_id] = _with_location(source, line_no, lambda: Activity(
+            id=entity_id, name=label, duration=Distribution.point(0)))
 
-    lines = ["# Generated from a precedence-matrix CSV; edit distributions and costs.",
-             "[activities]"]
-    for entity_id, label in activities:
-        lines.append(f"{entity_id} {_quote(label)} point(0) fixed=0 rate=0")
-    lines.append("")
-    lines.append("[precedence]")
-    for entity_id, _ in activities:
-        if preds[entity_id]:
-            lines.append(f"{entity_id} <- {' '.join(preds[entity_id])}")
-    return "\n".join(lines) + "\n"
+    for succ, pred in pairs:
+        if pred not in activities:
+            raise UnknownPredecessor(f"{source}:1: column {pred!r}, marked in row {succ!r}, "
+                                     "names no matrix row")
+    return ("# Generated from a precedence-matrix CSV; edit distributions and costs.\n"
+            + render_project(ProjectSpec(activities=activities.values(), precedence=pairs)))

@@ -21,11 +21,8 @@ def chain_spec(distributions, fixed=0.0, rate=0.0):
         acts.append(Activity(id=f"B{k}", name=f"step {k}", duration=dist,
                              fixed_cost=fixed, variable_cost_rate=rate))
     acts.append(dummy("Af", "finish"))
-    n = len(acts)
-    matrix = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        matrix[i][i - 1] = 1
-    return ProjectSpec(activities=acts, precedence=matrix)
+    pairs = [(acts[i].id, acts[i - 1].id) for i in range(1, len(acts))]
+    return ProjectSpec(activities=acts, precedence=pairs)
 
 
 def parallel_spec(distributions, fixed=0.0, rate=0.0):
@@ -35,12 +32,9 @@ def parallel_spec(distributions, fixed=0.0, rate=0.0):
         acts.append(Activity(id=f"B{k}", name=f"branch {k}", duration=dist,
                              fixed_cost=fixed, variable_cost_rate=rate))
     acts.append(dummy("Af", "finish"))
-    n = len(acts)
-    matrix = [[0] * n for _ in range(n)]
-    for i in range(1, n - 1):
-        matrix[i][0] = 1
-        matrix[n - 1][i] = 1
-    return ProjectSpec(activities=acts, precedence=matrix)
+    branches = [a.id for a in acts[1:-1]]
+    pairs = [(b, "A0") for b in branches] + [("Af", b) for b in branches]
+    return ProjectSpec(activities=acts, precedence=pairs)
 
 
 def ladder_spec(stages):
@@ -57,11 +51,7 @@ def ladder_spec(stages):
         prev = rung
     acts.append(dummy("Af", "finish"))
     pairs += [("Af", p) for p in prev]
-    pos = {a.id: i for i, a in enumerate(acts)}
-    matrix = [[0] * len(acts) for _ in acts]
-    for succ, pred in pairs:
-        matrix[pos[succ]][pos[pred]] = 1
-    return ProjectSpec(activities=acts, precedence=matrix)
+    return ProjectSpec(activities=acts, precedence=pairs)
 
 
 def trajectories(ens, points):
@@ -87,17 +77,13 @@ def random_dag_spec(rng, n_real=5, edge_prob=0.4, discrete_only=False,
             variable_cost_rate=float(rng.integers(0, 3)),
         ))
     acts.append(dummy("Af", "finish"))
-    n = len(acts)
-    matrix = [[0] * n for _ in range(n)]
-    for i in range(1, n - 1):           # random forward edges between real nodes
-        for j in range(1, i):
-            if rng.random() < edge_prob:
-                matrix[i][j] = 1
-    for i in range(1, n - 1):           # wire orphans to the dummies
-        if not any(matrix[i][j] for j in range(n)):
-            matrix[i][0] = 1
-        if not any(matrix[s][i] for s in range(n)):
-            matrix[n - 1][i] = 1
+    real = [a.id for a in acts[1:-1]]
+    pairs = [(succ, pred) for i, succ in enumerate(real)  # random forward edges
+             for pred in real[:i] if rng.random() < edge_prob]
+    has_pred = {succ for succ, _ in pairs}
+    has_succ = {pred for _, pred in pairs}
+    pairs += [(b, "A0") for b in real if b not in has_pred]   # wire orphans to the dummies
+    pairs += [("Af", b) for b in real if b not in has_succ]
 
     risks = []
     for r in range(with_risks):
@@ -109,7 +95,7 @@ def random_dag_spec(rng, n_real=5, edge_prob=0.4, discrete_only=False,
             kind=kind, target=target,
             impact=_random_dist(rng, discrete_only, max_atoms),
         ))
-    return ProjectSpec(activities=acts, precedence=matrix, risks=risks)
+    return ProjectSpec(activities=acts, precedence=pairs, risks=risks)
 
 
 def with_degenerate_nodes(rng, spec, share=0.25):

@@ -62,20 +62,15 @@ def ten_node_network():
         acts.append(Activity(id=f"B{k}", name=f"task {k}", duration=law,
                              fixed_cost=10.0 * k, variable_cost_rate=float(k)))
     acts.append(Activity(id="Af", name="finish", duration=Distribution.point(0)))
-    n = len(acts)
-    matrix = [[0] * n for _ in range(n)]
     edges = [("B1", "A0"), ("B2", "A0"), ("B3", "B1"), ("B4", "B2"), ("B4", "B3"),
              ("B5", "B3"), ("B6", "B4"), ("B6", "B5"), ("Af", "B6")]
-    pos = {a.id: i for i, a in enumerate(acts)}
-    for succ, pred in edges:
-        matrix[pos[succ]][pos[pred]] = 1
     risks = (RiskEvent(id="R1", name="slip", probability=0.3, kind="duration",
                        target="B2", impact=Distribution.uniform(1, 3)),
              RiskEvent(id="R2", name="slide", probability=0.2, kind="duration",
                        target="B4", impact=Distribution.triangular(0.5, 1, 2)),
              RiskEvent(id="R3", name="hit", probability=0.25, kind="cost",
                        target="B3", impact=Distribution.triangular(5, 10, 20)))
-    return validate(ProjectSpec(activities=acts, precedence=matrix, risks=risks))
+    return validate(ProjectSpec(activities=acts, precedence=edges, risks=risks))
 
 
 def test_criterion_1_determinism_and_runtime(figure3_path, tmp_path):

@@ -108,6 +108,7 @@ def test_grid_below_two_is_only_a_config_error(project, command, tmp_path, capsy
     ["forecast", "--observe", "t=4,ev=430,ac=440", "--neighbors", "0"],
     ["plot", "--kind", "sevm", "--observe", "t=4,ev=430,ac=440", "--neighbors", "-3"],
     ["control", "--observe", "t=4,ev=430,ac=440", "--band", "60"],
+    ["control", "--observe", "t=1,t=4,ev=430,ac=445"],
 ])
 def test_out_of_range_flags_are_only_config_errors(project, command, tmp_path, capsys,
                                                    no_simulation):
@@ -254,6 +255,40 @@ def test_convert_matrix(tmp_path):
     check = run_cli("validate", "--project", str(out))
     assert check.returncode == 0
     assert "nodes: 3" in check.stdout
+
+
+SELF_PREDECESSOR = """[activities]
+A0 "start" point(0) fixed=0 rate=0
+A1 "work" point(1) fixed=0 rate=0
+Af "finish" point(0) fixed=0 rate=0
+"""
+
+
+@pytest.mark.parametrize("command, data, error, needle", [
+    ("validate", SELF_PREDECESSOR + "[precedence]\nA1 <- A0 A1\nAf <- A1\n",
+     "BadPrecedence", "'A1'"),
+    ("validate", SELF_PREDECESSOR + "[precedence-matrix]\ncols A0 A1 Af\n"
+                                    "A0: 0 0 0\nA1: 1 1 0\nAf: 0 1 0\n",
+     "BadPrecedence", "'A1'"),
+    ("validate", SELF_PREDECESSOR.replace("work", "caf\xe9").encode("latin-1"),
+     "ProjectSyntaxError", "input:3:"),
+    ("convert-matrix", "pre,A0,,Af\nA0,0,0,0\nB1,1,1,0\nAf,0,0,1\n",
+     "ProjectSyntaxError", "input:3:"),
+    ("convert-matrix", "pre,A0,B1,Zed\nA0,0,0,0\nB1,1,0,1\nAf,0,1,0\n",
+     "UnknownPredecessor", "'Zed'"),
+    ("convert-matrix", "pre,A0,Af\nA0,0,0\nAf \xe9t\xe9,1,0\n".encode("latin-1"),
+     "ProjectSyntaxError", "input:3:"),
+])
+def test_malformed_input_file_is_a_one_line_domain_error(command, data, error, needle,
+                                                          tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    flag = "--project" if command == "validate" else "--matrix"
+    assert main([command, flag, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{error}:") and captured.err.count("\n") == 1
+    assert needle in captured.err, captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("band, code", [("nan", 3), ("-5", 3), ("50.5", 3), ("inf", 3),

@@ -232,11 +232,9 @@ def test_cross_section_handles_value_jumps():
             Activity(id="M", name="pay", duration=Distribution.point(0), fixed_cost=6),
             Activity(id="B2", name="b2", duration=Distribution.point(2), fixed_cost=10),
             dummy("Af")]
-    matrix = [[0] * 5 for _ in range(5)]
-    for succ, pred in ((1, 0), (2, 1), (3, 2), (4, 3)):
-        matrix[succ][pred] = 1
+    chain = [(acts[k].id, acts[k - 1].id) for k in range(1, 5)]
     from riskmc import ProjectSpec
-    net = validate(ProjectSpec(activities=acts, precedence=matrix))
+    net = validate(ProjectSpec(activities=acts, precedence=chain))
     ens = run_ensemble(net, SimConfig(n_runs=8, seed=1))
     assert ens.plan.bac == 20.0
     # EV ramps 0->4 on [0,2], jumps to 10 at t=2, ramps 10->20 on [2,4]

@@ -130,12 +130,7 @@ def test_path_explosion_cap():
         prev = join
     acts.append(dummy("Af"))
     pairs.append(("Af", prev))
-    ids = [a.id for a in acts]
-    pos = {i: k for k, i in enumerate(ids)}
-    matrix = [[0] * len(acts) for _ in acts]
-    for succ, pred in pairs:
-        matrix[pos[succ]][pos[pred]] = 1
-    net = validate(ProjectSpec(activities=acts, precedence=matrix))
+    net = validate(ProjectSpec(activities=acts, precedence=pairs))
     assert enumerate_paths(net).n_paths == 2 ** 12
     with pytest.raises(PathExplosion):
         enumerate_paths(net, cap=1000)
@@ -226,8 +221,8 @@ def test_pv_milestone_step():
             Activity(id="B1", name="work", duration=Distribution.point(4), fixed_cost=4),
             Activity(id="M", name="milestone", duration=Distribution.point(0), fixed_cost=6),
             dummy("Af")]
-    matrix = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
-    net = validate(ProjectSpec(activities=acts, precedence=matrix))
+    chain = [("B1", "A0"), ("M", "B1"), ("Af", "M")]
+    net = validate(ProjectSpec(activities=acts, precedence=chain))
     result = forward_backward(net, np.array([0.0, 4.0, 0.0, 0.0]))
     assert result.value_at(3.999) == pytest.approx(3.999)
     assert result.value_at(4.0) == pytest.approx(10.0)  # 4 accrued + 6 stepped in

@@ -1,3 +1,6 @@
+import hashlib
+import time
+
 import numpy as np
 import pytest
 
@@ -21,13 +24,14 @@ from riskmc.errors import (
     DuplicateId,
     MultipleSinks,
     MultipleSources,
+    UnknownPredecessor,
 )
 
 FIGURE3_ORDER = ("A0", "A1", "A2", "A5", "A6", "A3", "A4", "Af")
 
 
 def eight_node_matrix_spec():
-    """The published 8x8 matrix with the risk nodes written as activities."""
+    """The published 8x8 matrix's edges with the risk nodes written as activities."""
     ids = ["A0", "A1", "A2", "A3", "A4", "A5", "A6", "Af"]
     acts = [dummy("A0", "start")]
     for i in ids[1:-1]:
@@ -35,11 +39,7 @@ def eight_node_matrix_spec():
     acts.append(dummy("Af", "finish"))
     ones = [("A1", "A0"), ("A2", "A0"), ("A5", "A1"), ("A6", "A2"),
             ("A3", "A5"), ("A4", "A5"), ("A4", "A6"), ("Af", "A3"), ("Af", "A4")]
-    pos = {i: k for k, i in enumerate(ids)}
-    matrix = [[0] * 8 for _ in range(8)]
-    for succ, pred in ones:
-        matrix[pos[succ]][pos[pred]] = 1
-    return ProjectSpec(activities=acts, precedence=matrix)
+    return ProjectSpec(activities=acts, precedence=ones)
 
 
 def test_eight_node_matrix_topological_order():
@@ -72,37 +72,39 @@ def test_smallest_valid_network_is_three_node_chain():
 def test_two_cycle_detected():
     acts = [dummy("A0"), Activity(id="A1", name="a", duration=Distribution.point(1)),
             Activity(id="A3", name="b", duration=Distribution.point(1)), dummy("Af")]
-    matrix = [[0, 0, 0, 0],
-              [0, 0, 1, 0],
-              [0, 1, 0, 0],
-              [0, 0, 0, 0]]
     with pytest.raises(CycleDetected) as err:
-        validate(ProjectSpec(activities=acts, precedence=matrix))
+        validate(ProjectSpec(activities=acts, precedence=[("A1", "A3"), ("A3", "A1")]))
     assert set(err.value.cycle) >= {"A1", "A3"}
 
 
 def test_multiple_sources_and_sinks():
     spec = chain_spec([Distribution.point(1), Distribution.point(1)])
-    rows = [list(r) for r in spec.precedence]
-    rows[1][0] = 0  # B1 loses its tie to the start dummy
+    pairs = set(spec.precedence) - {("B1", "A0")}  # B1 loses its tie to the start dummy
     with pytest.raises(MultipleSources) as err:
-        validate(ProjectSpec(activities=spec.activities, precedence=rows))
+        validate(ProjectSpec(activities=spec.activities, precedence=pairs))
     assert "B1" in err.value.ids
 
-    rows = [list(r) for r in spec.precedence]
-    rows[2][1] = 0  # B2 now hangs off the start dummy, stranding B1 without successors
-    rows[2][0] = 1
+    # B2 now hangs off the start dummy, stranding B1 without successors
+    pairs = set(spec.precedence) - {("B2", "B1")} | {("B2", "A0")}
     with pytest.raises(MultipleSinks) as err:
-        validate(ProjectSpec(activities=spec.activities, precedence=rows))
+        validate(ProjectSpec(activities=spec.activities, precedence=pairs))
     assert "B1" in err.value.ids
 
 
 def test_duplicate_id_rejected():
     acts = [dummy("A0"), Activity(id="B1", name="x", duration=Distribution.point(1)),
             Activity(id="B1", name="y", duration=Distribution.point(1)), dummy("Af")]
-    matrix = [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0]]
+    pairs = [("B1", "A0"), ("Af", "B1")]
     with pytest.raises(DuplicateId):
-        validate(ProjectSpec(activities=acts, precedence=matrix))
+        validate(ProjectSpec(activities=acts, precedence=pairs))
+
+
+@pytest.mark.parametrize("pair", [("B1", "nowhere"), ("nowhere", "A0")])
+def test_pair_naming_an_unknown_activity_is_unknown_predecessor(pair):
+    spec = chain_spec([Distribution.point(1)])
+    with pytest.raises(UnknownPredecessor) as err:
+        validate(ProjectSpec(spec.activities, set(spec.precedence) | {pair}))
+    assert "nowhere" in str(err.value)
 
 
 def test_costed_dummy_rejected():
@@ -146,15 +148,10 @@ def test_expand_reroutes_all_successors():
     acts = [dummy("A0"), Activity(id="B1", name="b", duration=Distribution.point(1)),
             Activity(id="C1", name="c1", duration=Distribution.point(1)),
             Activity(id="C2", name="c2", duration=Distribution.point(1)), dummy("Af")]
-    matrix = [[0] * 5 for _ in range(5)]
-    matrix[1][0] = 1
-    matrix[2][1] = 1
-    matrix[3][1] = 1
-    matrix[4][2] = 1
-    matrix[4][3] = 1
+    pairs = [("B1", "A0"), ("C1", "B1"), ("C2", "B1"), ("Af", "C1"), ("Af", "C2")]
     risk = RiskEvent(id="R1", name="slip", probability=0.5, kind="duration",
                      target="B1", impact=Distribution.point(1))
-    expanded = validate(ProjectSpec(activities=acts, precedence=matrix, risks=(risk,)))
+    expanded = validate(ProjectSpec(activities=acts, precedence=pairs, risks=(risk,)))
     preds = {n.id: {expanded.nodes[p].id for p in n.preds} for n in expanded.nodes}
     assert preds["R1"] == {"B1"}
     assert preds["C1"] == {"R1"}
@@ -221,3 +218,42 @@ def test_mean_duration_of_risk_node():
     net = validate(ProjectSpec(spec.activities, spec.precedence, (risk,)))
     node = net.nodes[net.index_of("R1")]
     assert node.mean_duration() == pytest.approx(0.25 * 3.0)
+
+
+def layered_project(n_real, width):
+    """Canonical project text of `n_real` unit activities in layers of
+    `width`, each wired to three of the layer before, and its edge count."""
+    ids = ["A0"] + [f"B{k}" for k in range(1, n_real + 1)] + ["Af"]
+    lines = ["[activities]"]
+    lines += [f'{i} "x" point({0 if i in ("A0", "Af") else 1}) fixed=0 rate=0' for i in ids]
+    lines += ["", "[precedence]"]
+    edges = 0
+    for k in range(1, n_real + 1):
+        first = (k - 1) // width * width - width + 1  # the layer before starts here
+        preds = [0] if first < 1 else sorted(first + (k + d) % width for d in (0, 1, 2))
+        lines.append(f"{ids[k]} <- " + " ".join(ids[p] for p in preds))
+        edges += len(preds)
+    lines.append("Af <- " + " ".join(ids[n_real - width + 1:n_real + 1]))
+    return "\n".join(lines) + "\n", edges + width
+
+
+def test_thousands_of_activities_parse_validate_and_render_in_edge_time():
+    # precedence is stored as edge pairs: a dense n x n matrix took ~6 s here
+    text, edges = layered_project(4000, 20)
+    start = time.perf_counter()
+    spec = parse_project_text(text)
+    net = validate(spec)
+    rendered = render_project(spec)
+    elapsed = time.perf_counter() - start
+    assert len(spec.precedence) == edges
+    assert len(net.nodes) == 4002 and net.ids()[-1] == "Af"
+    assert rendered == text
+    assert elapsed <= 1.5, elapsed
+
+
+def test_random_dag_spec_keeps_its_draw_order():
+    # pins the networks every seeded test sees: a change to the generator's
+    # draw order moves this hash
+    spec = random_dag_spec(np.random.default_rng(137), n_real=12, with_risks=3)
+    digest = hashlib.sha256(render_project(spec).encode()).hexdigest()
+    assert digest == "9470d14e7f3c5b970f9ac90f02dcfd0bf6318f6fd91130bd77cfa32cc44a03b8"

@@ -42,7 +42,7 @@ def test_fixture_parses(figure3_spec):
     assert [r.id for r in figure3_spec.risks] == ["A5", "A6", "R3"]
     assert figure3_spec.risks[2].kind == "cost"
     assert figure3_spec.activities[1].duration == Distribution.triangular(1, 2, 3)
-    assert figure3_spec.precedence[3][1] == 1  # A4 <- A1
+    assert ("A4", "A1") in figure3_spec.precedence
 
 
 def test_matrix_section_equivalent_to_pairs():
@@ -60,6 +60,15 @@ A2 <- A1
 Af <- A2
 """)
     assert spec == pairs
+
+
+@pytest.mark.parametrize("lines", ["A1 <- A0 A0", "A1 <- A0\nA1 <- A0"])
+def test_repeated_predecessor_is_one_pair(lines):
+    head = ('[activities]\nA0 "s" point(0) fixed=0 rate=0\n'
+            'A1 "a" point(1) fixed=0 rate=0\n[precedence]\n')
+    spec = parse_project_text(head + lines + "\n")
+    assert spec == parse_project_text(head + "A1 <- A0\n")
+    assert spec.precedence == (("A1", "A0"),)
 
 
 def test_matrix_row_length_mismatch_names_row():
@@ -171,12 +180,10 @@ def project_specs(draw):
         acts.append(Activity(id=ids[k], name=draw(NAMES), duration=draw(distributions()),
                              fixed_cost=draw(MONEY), variable_cost_rate=draw(MONEY)))
     acts.append(Activity(id=ids[-1], name=draw(NAMES), duration=Distribution.point(0)))
-    total = n + 2
-    matrix = [[0] * total for _ in range(total)]
-    for i in range(1, total):
+    pairs = []
+    for i in range(1, n + 2):
         preds = draw(st.sets(st.integers(0, i - 1), min_size=0, max_size=i))
-        for j in preds:
-            matrix[i][j] = 1
+        pairs += [(ids[i], ids[j]) for j in sorted(preds)]
     risks = []
     for k in range(draw(st.integers(0, 2))):
         risks.append(RiskEvent(
@@ -185,7 +192,7 @@ def project_specs(draw):
             kind=draw(st.sampled_from(["duration", "cost"])),
             target=draw(st.sampled_from(ids)),
             impact=draw(distributions())))
-    return ProjectSpec(activities=acts, precedence=matrix, risks=risks)
+    return ProjectSpec(activities=acts, precedence=pairs, risks=risks)
 
 
 @settings(max_examples=120, deadline=None)
