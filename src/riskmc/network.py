@@ -170,10 +170,8 @@ def validate(spec: ProjectSpec) -> ValidatedNetwork:
     position = {a_id: k for k, a_id in enumerate(ids)}
     preds = {a_id: [] for a_id in ids}
     for succ, pred in spec.precedence:
-        for a_id in (succ, pred):
-            if a_id not in position:
-                raise UnknownPredecessor(f"precedence pair {succ} <- {pred} names "
-                                         f"unknown activity {a_id!r}")
+        if not {succ, pred} <= position.keys():
+            raise UnknownPredecessor(f"precedence pair {succ} <- {pred} names an undeclared id")
         if succ == pred:
             raise BadPrecedence(f"activity {succ!r} is listed as its own predecessor")
         preds[succ].append(pred)

@@ -333,9 +333,11 @@ def render_project(spec: ProjectSpec) -> str:
             lines.append(f"{r.id} {_quote(r.name)} p={_fmt_num(r.probability)} kind={r.kind} "
                          f"target={r.target} impact={format_distribution(r.impact)}")
     lines += ["", "[precedence]"]
+    last = len(spec.activities)  # an undeclared id goes last; parsing the text names it
     position = {a.id: k for k, a in enumerate(spec.activities)}
     preds = {}
-    for succ, pred in sorted(spec.precedence, key=lambda p: (position[p[0]], position[p[1]])):
+    for succ, pred in sorted(spec.precedence,
+                             key=lambda p: (position.get(p[0], last), position.get(p[1], last))):
         preds.setdefault(succ, []).append(pred)
     lines += [f"{succ} <- {' '.join(pred_ids)}" for succ, pred_ids in preds.items()]
     return "\n".join(lines) + "\n"

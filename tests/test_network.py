@@ -102,8 +102,12 @@ def test_duplicate_id_rejected():
 @pytest.mark.parametrize("pair", [("B1", "nowhere"), ("nowhere", "A0")])
 def test_pair_naming_an_unknown_activity_is_unknown_predecessor(pair):
     spec = chain_spec([Distribution.point(1)])
+    bad = ProjectSpec(spec.activities, set(spec.precedence) | {pair})
     with pytest.raises(UnknownPredecessor) as err:
-        validate(ProjectSpec(spec.activities, set(spec.precedence) | {pair}))
+        validate(bad)
+    assert "nowhere" in str(err.value)
+    with pytest.raises(UnknownPredecessor) as err:  # rendered, the pair is named on parsing
+        parse_project_text(render_project(bad))
     assert "nowhere" in str(err.value)
 
 
