@@ -34,6 +34,9 @@ EXPORTS = {
     "cpm": ["cpm"],
     "paths": ["paths"],
     "baseline-grid37": ["baseline", *SIM, "--grid", "37"],
+    "indices-spearman": ["indices", *SIM, "--cri-method", "spearman"],
+    "forecast-linear": ["forecast", *SIM, "--observe", OBSERVE, "--estimator", "linear",
+                        "--neighbors", "800"],
     "plot-pv": ["plot", "--kind", "pv"],
     "plot-pv-grid17": ["plot", "--kind", "pv", "--grid", "17"],
     "plot-srb_crb": ["plot", "--kind", "srb_crb", *SIM],
