@@ -29,13 +29,11 @@ class RiskBaseline:
     time (float out) or an array of times (array out).
     """
 
-    node_ids: tuple
-    node_names: tuple
     schedule_shares: np.ndarray
     cost_shares: np.ndarray
     sigma_duration: float
     sigma_cost: float
-    plan: _cpm.CpmResult  # whose node windows the risk accrues over
+    plan: _cpm.CpmResult  # whose nodes and windows the risk accrues over
 
     def srb_at(self, t):
         return self._at(t, self.schedule_shares, self.sigma_duration)
@@ -58,7 +56,6 @@ def risk_baselines(ensemble: Ensemble) -> RiskBaseline:
         raise DegenerateProject("neither duration nor cost shows any variance")
 
     return RiskBaseline(
-        node_ids=ensemble.node_ids, node_names=ensemble.node_names,
         schedule_shares=_variance_shares(ensemble.durations, ensemble.total_duration),
         cost_shares=_variance_shares(ensemble.node_cost, ensemble.total_cost),
         sigma_duration=sigma_pd, sigma_cost=sigma_c, plan=ensemble.plan)
@@ -90,7 +87,7 @@ def activity_risk_index(baseline: RiskBaseline) -> AriReport:
         raise DegenerateProject("no schedule variance to rank")
     ari = baseline.schedule_shares * 100.0
     ranking = tuple(int(i) for i in np.argsort(-ari, kind="stable"))
-    return AriReport(node_ids=baseline.node_ids, node_names=baseline.node_names,
+    return AriReport(node_ids=baseline.plan.node_ids, node_names=baseline.plan.node_names,
                      ari=ari, ranking=ranking)
 
 

@@ -42,6 +42,7 @@ class CpmResult:
     """
 
     node_ids: tuple
+    node_names: tuple
     durations: np.ndarray
     es: np.ndarray
     ef: np.ndarray
@@ -114,7 +115,7 @@ def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
     duration = float(ef[network.sink])
     for arr in (d, es, ef, ls, lf, total_float, critical, costs):
         arr.flags.writeable = False
-    return CpmResult(node_ids=network.ids(), durations=d, es=es, ef=ef, ls=ls, lf=lf,
+    return CpmResult(node_ids=network.ids(), node_names=network.names(), durations=d, es=es, ef=ef, ls=ls, lf=lf,
                      total_float=total_float, critical=critical, costs=costs,
                      duration=duration, bac=float(accrue(duration, costs, es, ef)))
 

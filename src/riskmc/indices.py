@@ -12,15 +12,14 @@ from .montecarlo import Ensemble, empirical_percentile
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Per-node CI / CrI / SSI with the standard deviations behind them."""
+    """Per-node CI / CrI / SSI with the duration standard deviations behind SSI."""
 
     node_ids: tuple
     node_names: tuple
     ci: np.ndarray
     cri: np.ndarray
     ssi: np.ndarray
-    sigma: np.ndarray          # per-node duration sd
-    sigma_duration: float      # project duration sd
+    sigma: np.ndarray  # per-node duration sd
 
 
 def criticality_index(ensemble: Ensemble) -> np.ndarray:
@@ -91,9 +90,9 @@ def sensitivity_report(ensemble: Ensemble, method: str = "pearson") -> Sensitivi
     sigma = _column_stds(ensemble.durations)
     sigma_pd = float(ensemble.total_duration.std(ddof=1))
     cri = cruciality_index(ensemble, method=method)
-    return SensitivityReport(node_ids=ensemble.node_ids, node_names=ensemble.node_names,
-                             ci=ci, cri=cri, ssi=_ssi(ci, sigma, sigma_pd),
-                             sigma=sigma, sigma_duration=sigma_pd)
+    return SensitivityReport(node_ids=ensemble.plan.node_ids,
+                             node_names=ensemble.plan.node_names,
+                             ci=ci, cri=cri, ssi=_ssi(ci, sigma, sigma_pd), sigma=sigma)
 
 
 def contingency_reserve(ensemble: Ensemble, p: float, dimension: str = "cost") -> float:

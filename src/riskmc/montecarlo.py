@@ -73,10 +73,7 @@ class Ensemble:
     and cumulative-cost trajectories at arbitrary times.
     """
 
-    plan: _cpm.CpmResult        # the baseline the runs are measured against
-    node_ids: tuple
-    node_names: tuple
-    risk_ids: tuple
+    plan: _cpm.CpmResult        # the baseline, and the node ids and names
     durations: np.ndarray       # (n_runs, n_nodes) sampled node durations
     starts: np.ndarray
     finishes: np.ndarray
@@ -84,7 +81,6 @@ class Ensemble:
     total_duration: np.ndarray  # (n_runs,)
     total_cost: np.ndarray      # (n_runs,) including cost-risk realizations
     node_cost: np.ndarray       # (n_runs, n_nodes) with cost risks on their target
-    risk_active: np.ndarray     # (n_runs, n_risks) activation flags, spec order
 
     @property
     def n_runs(self) -> int:
@@ -114,30 +110,14 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     nodes = network.nodes
     n, m = cfg.n_runs, len(nodes)
 
-    risk_ids = tuple(r.id for r in network.spec.risks)
-    risk_col = {rid: c for c, rid in enumerate(risk_ids)}
-    cost_risk_cols = {cr.id: risk_col[cr.id] for cr in network.cost_risks}
-
     durations = np.empty((n, m))
-    risk_active = np.zeros((n, len(risk_ids)), dtype=bool)
     cost_risk_val = np.zeros((n, len(network.cost_risks)))
 
     def fill(lo, hi):
-        cnt = hi - lo
         for node in nodes:
-            j = node.index
-            if node.gate is None:
-                durations[lo:hi, j] = sample_block(node.base, cfg.seed, node.id, lo, cnt)
-            else:
-                gate = _uniform_block(cfg.seed, _GATE, node.id, 0, lo, cnt) < node.gate
-                impact = sample_block(node.base, cfg.seed, node.id, lo, cnt, purpose=_IMPACT)
-                durations[lo:hi, j] = np.where(gate, impact, 0.0)
-                risk_active[lo:hi, risk_col[node.id]] = gate
+            durations[lo:hi, node.index] = _draw(node.base, node.gate, cfg.seed, node.id, lo, hi)
         for c, cr in enumerate(network.cost_risks):
-            gate = _uniform_block(cfg.seed, _GATE, cr.id, 0, lo, cnt) < cr.probability
-            impact = sample_block(cr.impact, cfg.seed, cr.id, lo, cnt, purpose=_IMPACT)
-            cost_risk_val[lo:hi, c] = np.where(gate, impact, 0.0)
-            risk_active[lo:hi, cost_risk_cols[cr.id]] = gate
+            cost_risk_val[lo:hi, c] = _draw(cr.impact, cr.probability, cfg.seed, cr.id, lo, hi)
 
     chunks = _chunks(n, workers)
     if len(chunks) == 1:
@@ -167,14 +147,20 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     arrays = dict(
         durations=durations, starts=starts, finishes=finishes, critical=critical,
         total_duration=total_duration, total_cost=total_cost, node_cost=node_cost,
-        risk_active=risk_active,
     )
     for arr in arrays.values():
         arr.flags.writeable = False
-    return Ensemble(
-        plan=_cpm.plan(network), node_ids=network.ids(),
-        node_names=network.names(), risk_ids=risk_ids, **arrays,
-    )
+    return Ensemble(plan=_cpm.plan(network), **arrays)
+
+
+def _draw(law, gate, seed, ident, lo, hi):
+    """Draws of `law` for runs [lo, hi); with a gate, the impact where the run's
+    gate uniform falls below it and 0 elsewhere. Duration-risk nodes and cost
+    risks share this code, so a risk id owns one gate stream whatever its kind."""
+    if gate is None:
+        return sample_block(law, seed, ident, lo, hi - lo)
+    active = _uniform_block(seed, _GATE, ident, 0, lo, hi - lo) < gate
+    return np.where(active, sample_block(law, seed, ident, lo, hi - lo, purpose=_IMPACT), 0.0)
 
 
 def _chunks(n, workers):

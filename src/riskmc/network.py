@@ -94,10 +94,6 @@ class Node:
     preds: tuple
     succs: tuple
 
-    @property
-    def is_risk(self) -> bool:
-        return self.gate is not None
-
     def mean_duration(self) -> float:
         # risk nodes follow the mixture (1-p) * point(0) + p * impact
         mu = self.base.mean()
@@ -107,7 +103,6 @@ class Node:
 @dataclass(frozen=True)
 class CostRisk:
     id: str
-    name: str
     probability: float
     impact: Distribution
     target: int  # node index in the validated network
@@ -119,7 +114,6 @@ class ValidatedNetwork:
 
     nodes: tuple
     cost_risks: tuple
-    spec: ProjectSpec
 
     @property
     def source(self) -> int:
@@ -232,11 +226,11 @@ def validate(spec: ProjectSpec) -> ValidatedNetwork:
         ))
 
     cost_risks = tuple(
-        CostRisk(id=r.id, name=r.name, probability=r.probability,
+        CostRisk(id=r.id, probability=r.probability,
                  impact=r.impact, target=index[r.target])
         for r in spec.risks if r.kind == "cost"
     )
-    return ValidatedNetwork(nodes=tuple(nodes), cost_risks=cost_risks, spec=spec)
+    return ValidatedNetwork(nodes=tuple(nodes), cost_risks=cost_risks)
 
 
 def _insert_risk_node(preds, order_hint, risk):

@@ -55,7 +55,7 @@ def test_ci_point_durations_match_hand_cpm(figure3_spec):
                             target=r.target, impact=r.impact)
                   for r in figure3_spec.risks)
     _, ens = simulate(ProjectSpec(acts, figure3_spec.precedence, risks), n=300)
-    ci = dict(zip(ens.node_ids, criticality_index(ens)))
+    ci = dict(zip(ens.plan.node_ids, criticality_index(ens)))
     assert ci == {"A0": 1.0, "A1": 0.0, "A2": 1.0, "A5": 0.0, "A6": 1.0,
                   "A3": 0.0, "A4": 1.0, "Af": 1.0}
 
@@ -147,7 +147,8 @@ def test_ssi_degenerate_project():
 def test_report_identity_ssi_equals_ci_sigma_ratio(figure3_network):
     ens = run_ensemble(figure3_network, SimConfig(n_runs=5000, seed=5))
     rep = sensitivity_report(ens)
-    assert np.allclose(rep.ssi, rep.ci * rep.sigma / rep.sigma_duration, rtol=1e-12)
+    assert np.allclose(rep.ssi, rep.ci * rep.sigma / ens.total_duration.std(ddof=1),
+                       rtol=1e-12)
     assert rep.ssi.tobytes() == schedule_sensitivity_index(ens).tobytes()
     assert ((rep.ci >= 0) & (rep.ci <= 1)).all()
     assert ((rep.cri >= 0) & (rep.cri <= 1)).all()

@@ -59,7 +59,7 @@ def test_bitwise_determinism(figure3_network):
     a = run_ensemble(figure3_network, cfg)
     b = run_ensemble(figure3_network, cfg)
     for field in ("durations", "starts", "finishes", "critical", "total_duration",
-                  "total_cost", "node_cost", "risk_active"):
+                  "total_cost", "node_cost"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     for curve_a, curve_b in zip(trajectories(a, 11), trajectories(b, 11)):
         assert np.array_equal(curve_a, curve_b)
@@ -115,7 +115,7 @@ def test_pool_has_at_most_one_thread_per_cpu(figure3_network, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         other = run_ensemble(figure3_network, cfg, workers=workers)
         assert sizes[-1] == want, (cpus, workers)
-        for field in ("durations", "total_duration", "total_cost", "risk_active"):
+        for field in ("durations", "total_duration", "total_cost", "node_cost"):
             assert getattr(base, field).tobytes() == getattr(other, field).tobytes(), field
     assert len(sizes) == 5
     assert threading.active_count() == threads
@@ -155,7 +155,7 @@ def test_risk_probability_zero_matches_riskfree_network():
     gated = run_ensemble(validate(risky_spec), cfg)
     assert np.array_equal(free.total_duration, gated.total_duration)
     assert np.array_equal(free.total_cost, gated.total_cost)
-    assert not gated.risk_active.any()
+    assert not gated.durations[:, validate(risky_spec).index_of("R1")].any()
     # per-activity draws are keyed by id, so shared columns agree exactly
     for node_id in ("B1", "B2"):
         i = validate(base_spec).index_of(node_id)
@@ -204,7 +204,7 @@ def test_run_cost_identity(figure3_network):
     rate = np.array([n.variable_cost_rate for n in figure3_network.nodes])
     base = (fixed[None, :] + rate[None, :] * ens.durations).sum(axis=1)
     risk_part = ens.total_cost - base
-    active = ens.risk_active[:, list(ens.risk_ids).index("R3")]
+    active = montecarlo._uniform_block(37, "gate", "R3", 0, 0, ens.n_runs) < 0.25
     assert (risk_part[~active] == pytest.approx(0.0, abs=1e-9))
     assert (risk_part[active] >= 10.0 - 1e-9).all()
     assert (risk_part[active] <= 40.0 + 1e-9).all()

@@ -56,8 +56,8 @@ def test_fixture_expansion_matches_published_matrix(figure3_network):
     assert preds == {"A0": (), "A1": ("A0",), "A2": ("A0",), "A5": ("A1",),
                      "A6": ("A2",), "A3": ("A5",), "A4": ("A5", "A6"),
                      "Af": ("A3", "A4")}
-    assert by_id["A5"].is_risk and by_id["A6"].is_risk
-    assert not by_id["A3"].is_risk
+    assert by_id["A5"].gate is not None and by_id["A6"].gate is not None
+    assert by_id["A3"].gate is None
     assert len(net.cost_risks) == 1 and net.cost_risks[0].id == "R3"
     assert net.nodes[net.cost_risks[0].target].id == "A3"
 
@@ -206,9 +206,9 @@ def test_topological_order_property():
             assert all(s > node.index for s in node.succs)
 
 
-def test_validate_render_roundtrip_isomorphic(figure3_network):
+def test_validate_render_roundtrip_isomorphic(figure3_spec, figure3_network):
     net = figure3_network
-    again = validate(parse_project_text(render_project(net.spec)))
+    again = validate(parse_project_text(render_project(figure3_spec)))
     assert again.ids() == net.ids()
     assert [n.preds for n in again.nodes] == [n.preds for n in net.nodes]
     assert [n.base for n in again.nodes] == [n.base for n in net.nodes]
