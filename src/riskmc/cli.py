@@ -252,6 +252,8 @@ def cmd_control(args):
 def cmd_forecast(args):
     network = _load(args)
     obs = _observation(args.observe)
+    k = ctl.default_neighbors(args.runs) if args.neighbors is None else args.neighbors
+    ctl.check_estimator(args.estimator, k)  # before the runs it would waste
     ens = _sim(args, network)
     forecast = ctl.sevm_forecast(obs, ens, k_neighbors=args.neighbors,
                                  estimator=args.estimator)

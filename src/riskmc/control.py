@@ -233,6 +233,14 @@ def default_neighbors(n_runs: int) -> int:
     return min(n_runs, max(500, round(0.05 * n_runs)))
 
 
+def check_estimator(estimator: str, k: int) -> None:
+    """The linear estimator fits three coefficients, so it needs k >= 4 neighbors."""
+    if estimator not in ("mean", "linear"):
+        raise ConfigError(f"unknown estimator {estimator!r}")
+    if estimator == "linear" and k < 4:
+        raise ConfigError(f"the linear estimator needs at least 4 neighbors, got {k}")
+
+
 def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
                   k_neighbors: int | None = None,
                   estimator: str = "mean") -> SevmForecast:
@@ -243,13 +251,12 @@ def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
     ascending run order, so k = n_runs reproduces the unconditional
     endpoint statistics.
     """
-    if estimator not in ("mean", "linear"):
-        raise ConfigError(f"unknown estimator {estimator!r}")
-    x = completion_fraction(obs, ensemble)
     n = ensemble.n_runs
     k = default_neighbors(n) if k_neighbors is None else int(k_neighbors)
     if k < 1:
         raise ConfigError(f"k_neighbors must be >= 1, got {k}")
+    check_estimator(estimator, k)
+    x = completion_fraction(obs, ensemble)
     if k > n:
         raise KTooLarge(f"k_neighbors {k} exceeds n_runs {n}")
 
@@ -264,7 +271,7 @@ def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
 
     pd_n = ensemble.total_duration[chosen]
     c_n = ensemble.total_cost[chosen]
-    if estimator == "linear" and k >= 4:
+    if estimator == "linear":
         eac_t = _linear_predict(section_t[chosen], section_c[chosen], pd_n, obs.t, obs.ac)
         eac_c = _linear_predict(section_t[chosen], section_c[chosen], c_n, obs.t, obs.ac)
     else:

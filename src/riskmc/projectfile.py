@@ -33,6 +33,7 @@ from pathlib import Path
 
 from .distributions import VARIANTS, Distribution
 from .errors import (
+    BadPrecedence,
     DuplicateId,
     ProjectSyntaxError,
     SpecError,
@@ -393,6 +394,9 @@ def convert_matrix_csv(text: str, source: str = "<csv>") -> str:
             if bit == "1" and col_id is None:
                 raise ProjectSyntaxError(f"matrix row {label!r} marks a column with an "
                                          "empty header", source, line_no)
+            elif bit == "1" and col_id == entity_id:
+                raise BadPrecedence(f"{source}:{line_no}: activity {entity_id!r} is listed "
+                                    "as its own predecessor")
             elif bit == "1":
                 pairs.append((entity_id, col_id))
         if entity_id in activities:

@@ -118,6 +118,16 @@ def test_out_of_range_flags_are_only_config_errors(project, command, tmp_path, c
     assert err.startswith("ConfigError:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("flags", [["--runs", "100", "--neighbors", "3"],
+                                   ["--runs", "3"]])  # 3 neighbors by default
+def test_linear_estimator_below_four_neighbors_is_only_a_config_error(
+        project, flags, tmp_path, capsys, no_simulation):
+    assert main(["forecast", "--project", project, "--observe", "t=4,ev=430,ac=440",
+                 "--estimator", "linear", *flags, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError:") and "at least 4 neighbors" in err, err
+
+
 @pytest.mark.parametrize("command", [
     ["simulate"], ["indices"], ["contingency", "--percentile", "90"],
     ["control", "--observe", "t=4,ev=430,ac=440"],
@@ -278,6 +288,8 @@ Af "finish" point(0) fixed=0 rate=0
      "UnknownPredecessor", "'Zed'"),
     ("convert-matrix", "pre,A0,Af\nA0,0,0\nAf \xe9t\xe9,1,0\n".encode("latin-1"),
      "ProjectSyntaxError", "input:3:"),
+    ("convert-matrix", "pre,A0,B1,Af\nA0,0,0,0\nB1,1,1,0\nAf,0,1,0\n",
+     "BadPrecedence", "input:3:"),
 ])
 def test_malformed_input_file_is_a_one_line_domain_error(command, data, error, needle,
                                                           tmp_path, capsys):

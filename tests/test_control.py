@@ -24,7 +24,7 @@ from riskmc import (
 )
 from riskmc.cpm import window_fraction
 from riskmc.csvout import baseline_table
-from riskmc.errors import DegenerateProject, EvOutOfRange, EvZero, KTooLarge
+from riskmc.errors import ConfigError, DegenerateProject, EvOutOfRange, EvZero, KTooLarge
 
 
 def build(spec, n=20_000, seed=301):
@@ -444,6 +444,19 @@ def test_sevm_linear_estimator_runs(figure3_network):
     assert np.isfinite(forecast.eac_duration) and np.isfinite(forecast.eac_cost)
     lo, hi = forecast.duration_interval[0][1], forecast.duration_interval[-1][1]
     assert lo <= hi
+
+
+def test_sevm_linear_estimator_needs_four_neighbors(figure3_network):
+    # three coefficients need a fourth point; below that it is refused, not
+    # silently replaced by the mean
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=200, seed=21))
+    obs = ControlObservation(t=4.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
+    for k in (1, 3):
+        with pytest.raises(ConfigError, match="at least 4 neighbors"):
+            sevm_forecast(obs, ens, k_neighbors=k, estimator="linear")
+    linear = sevm_forecast(obs, ens, k_neighbors=4, estimator="linear")
+    mean = sevm_forecast(obs, ens, k_neighbors=4)
+    assert np.isfinite(linear.eac_duration) and linear.eac_duration != mean.eac_duration
 
 
 # -- scale -------------------------------------------------------------------

@@ -163,6 +163,27 @@ def test_risk_probability_zero_matches_riskfree_network():
         assert np.array_equal(free.durations[:, i], gated.durations[:, j])
 
 
+def test_a_risk_id_owns_one_gate_stream_whatever_its_kind():
+    # the same risk as a duration risk and as a cost risk on B1 is active in
+    # exactly the same runs: the gate uniforms are keyed by the risk id alone
+    base = chain_spec([Distribution.uniform(2, 5), Distribution.triangular(1, 2, 4)],
+                      fixed=10, rate=2)
+    cfg = SimConfig(n_runs=2000, seed=41)
+    ens = {}
+    for kind in ("duration", "cost"):
+        risk = RiskEvent(id="R", name="slip", probability=0.3, kind=kind, target="B1",
+                         impact=Distribution.point(3))
+        net = validate(ProjectSpec(base.activities, base.precedence, risks=(risk,)))
+        ens[kind] = (net, run_ensemble(net, cfg))
+    net, dur = ens["duration"]
+    delayed = dur.durations[:, net.index_of("R")] > 0.0
+    net, cost = ens["cost"]
+    b1 = net.index_of("B1")
+    overrun = cost.node_cost[:, b1] > 10 + 2 * cost.durations[:, b1]
+    assert 0 < delayed.sum() < cfg.n_runs
+    assert np.array_equal(delayed, overrun)
+
+
 def test_each_run_matches_scalar_cpm(figure3_network):
     # the vectorized per-run pass must agree with the one-shot CPM
     ens = run_ensemble(figure3_network, SimConfig(n_runs=400, seed=29))

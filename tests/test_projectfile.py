@@ -13,6 +13,7 @@ from riskmc import (
 )
 from riskmc.errors import (
     BadDefinition,
+    BadPrecedence,
     DuplicateId,
     MultipleSources,
     ProjectSyntaxError,
@@ -229,3 +230,9 @@ def test_convert_matrix_csv_roundtrip():
 def test_convert_matrix_rejects_nonbinary():
     with pytest.raises(ProjectSyntaxError):
         convert_matrix_csv("h,A0\nA0,2\n")
+
+
+def test_convert_matrix_rejects_a_row_marking_its_own_column():
+    # validate would reject the converted project; conversion names the CSV line
+    with pytest.raises(BadPrecedence, match=r"^m\.csv:3: activity 'B1' is listed as its own"):
+        convert_matrix_csv("pre,A0,B1,Af\nA0,0,0,0\nB1,1,1,0\nAf,0,1,0\n", source="m.csv")
