@@ -115,7 +115,8 @@ def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
     duration = float(ef[network.sink])
     for arr in (d, es, ef, ls, lf, total_float, critical, costs):
         arr.flags.writeable = False
-    return CpmResult(node_ids=network.ids(), node_names=network.names(), durations=d, es=es, ef=ef, ls=ls, lf=lf,
+    return CpmResult(node_ids=network.ids(), node_names=network.names(), durations=d,
+                     es=es, ef=ef, ls=ls, lf=lf,
                      total_float=total_float, critical=critical, costs=costs,
                      duration=duration, bac=float(accrue(duration, costs, es, ef)))
 

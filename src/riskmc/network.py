@@ -226,8 +226,7 @@ def validate(spec: ProjectSpec) -> ValidatedNetwork:
         ))
 
     cost_risks = tuple(
-        CostRisk(id=r.id, probability=r.probability,
-                 impact=r.impact, target=index[r.target])
+        CostRisk(id=r.id, probability=r.probability, impact=r.impact, target=index[r.target])
         for r in spec.risks if r.kind == "cost"
     )
     return ValidatedNetwork(nodes=tuple(nodes), cost_risks=cost_risks)

@@ -109,6 +109,7 @@ def test_grid_below_two_is_only_a_config_error(project, command, tmp_path, capsy
     ["plot", "--kind", "sevm", "--observe", "t=4,ev=430,ac=440", "--neighbors", "-3"],
     ["control", "--observe", "t=4,ev=430,ac=440", "--band", "60"],
     ["control", "--observe", "t=1,t=4,ev=430,ac=445"],
+    ["forecast", "--observe", "t=4,ev=430,ac=440", "--estimator", "linear", "--neighbors", "3"],
 ])
 def test_out_of_range_flags_are_only_config_errors(project, command, tmp_path, capsys,
                                                    no_simulation):
@@ -118,12 +119,11 @@ def test_out_of_range_flags_are_only_config_errors(project, command, tmp_path, c
     assert err.startswith("ConfigError:") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("flags", [["--runs", "100", "--neighbors", "3"],
-                                   ["--runs", "3"]])  # 3 neighbors by default
-def test_linear_estimator_below_four_neighbors_is_only_a_config_error(
-        project, flags, tmp_path, capsys, no_simulation):
+def test_linear_estimator_checks_the_default_neighbors_before_simulating(
+        project, tmp_path, capsys, no_simulation):
+    # without --neighbors, 3 runs give 3 neighbors: too few for the linear fit
     assert main(["forecast", "--project", project, "--observe", "t=4,ev=430,ac=440",
-                 "--estimator", "linear", *flags, "--out", str(tmp_path)]) == 3
+                 "--estimator", "linear", "--runs", "3", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("ConfigError:") and "at least 4 neighbors" in err, err
 
