@@ -11,7 +11,7 @@ from .control import AriReport, ControlIndices, RiskBaseline, SevmForecast, Tria
 from .cpm import CpmResult, PathMatrix
 from .errors import ConfigError
 from .indices import SensitivityReport
-from .montecarlo import Ensemble, HistogramTable, empirical_percentile
+from .montecarlo import Ensemble, HistogramTable
 
 PERCENTILE_STEPS = tuple(range(5, 100, 5))
 GRID_POINTS = 101  # default samples of the planned timeline [0, PD] at export
@@ -134,9 +134,9 @@ def baseline_table(baseline: RiskBaseline, grid_points: int):
 
 def percentile_table(ensemble: Ensemble, steps=PERCENTILE_STEPS):
     """The 'show simulation data' table: duration and cost percentiles."""
-    rows = [(p, empirical_percentile(ensemble.total_duration, p),
-             empirical_percentile(ensemble.total_cost, p)) for p in steps]
-    return ("percentile", "duration", "cost"), rows
+    duration = np.percentile(ensemble.total_duration, steps).tolist()
+    cost = np.percentile(ensemble.total_cost, steps).tolist()
+    return ("percentile", "duration", "cost"), list(zip(steps, duration, cost))
 
 
 def endpoint_table(ensemble: Ensemble):
