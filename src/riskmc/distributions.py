@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quantiles
 from .errors import BadDistributionParams
 
 VARIANTS = ("point", "discrete", "uniform", "triangular", "normal", "pert")
@@ -80,9 +81,9 @@ def inv_cdf(dist: Distribution, u):
 
     Normal laws are not truncated here; callers must resample negatives.
     Every variant consumes exactly one uniform per draw, which the
-    simulation engine relies on for stream positioning. scipy.special is
-    imported only by the normal and PERT branches, so commands that never
-    sample those laws start without it.
+    simulation engine relies on for stream positioning. Normal and PERT
+    quantiles come from riskmc.quantiles (numpy only): AS 241 for the
+    normal law, a cached inverse table per PERT shape.
     """
     u = np.asarray(u, dtype=float)
     k, p = dist.kind, dist.params
@@ -110,16 +111,24 @@ def inv_cdf(dist: Distribution, u):
         mu, sigma = p
         if sigma == 0.0:
             return np.full_like(u, mu)
-        from scipy.special import ndtri
-        return mu + sigma * ndtri(u)
-    # pert: beta(1 + 4(m-a)/(b-a), 1 + 4(b-m)/(b-a)) stretched onto [a, b]
+        return mu + sigma * quantiles.ndtri(u)
     a, m, b = p
     if b == a:
         return np.full_like(u, a)
-    alpha = 1.0 + 4.0 * (m - a) / (b - a)
-    beta = 1.0 + 4.0 * (b - m) / (b - a)
-    from scipy.special import betaincinv
-    return a + (b - a) * betaincinv(alpha, beta, u)
+    return a + (b - a) * quantiles.pert_unit(_pert_alpha(dist), u)
+
+
+def prepare(laws) -> None:
+    """Build the inverse tables of all PERT shapes among `laws` in one pass;
+    inv_cdf would otherwise build each on its first draw."""
+    quantiles.build_pert_tables([_pert_alpha(d) for d in laws
+                                 if d.kind == "pert" and d.params[2] > d.params[0]])
+
+
+def _pert_alpha(dist):
+    """pert(a, m, b) is beta(alpha, 6 - alpha) stretched onto [a, b]."""
+    a, m, b = dist.params
+    return 1.0 + 4.0 * (m - a) / (b - a)
 
 
 def _finite(*xs):

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import cpm as _cpm
-from .distributions import Distribution, inv_cdf
+from .distributions import Distribution, inv_cdf, prepare
 from .errors import ConfigError, DegenerateProject, EmptySample
 from .network import ValidatedNetwork
 
@@ -119,6 +119,7 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
         for c, cr in enumerate(network.cost_risks):
             cost_risk_val[lo:hi, c] = _draw(cr.impact, cr.probability, cfg.seed, cr.id, lo, hi)
 
+    prepare([node.base for node in nodes] + [cr.impact for cr in network.cost_risks])
     chunks = _chunks(n, workers)
     if len(chunks) == 1:
         fill(*chunks[0])

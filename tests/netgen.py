@@ -37,6 +37,31 @@ def parallel_spec(distributions, fixed=0.0, rate=0.0):
     return ProjectSpec(activities=acts, precedence=pairs)
 
 
+def normal_pert_spec():
+    """Normal and PERT laws as durations and as duration- and cost-risk
+    impacts, with PERT modes inside and at both ends of their ranges."""
+    laws = [Distribution.normal(10, 2), Distribution.pert(1, 2, 6),
+            Distribution.pert(2, 6, 6), Distribution.normal(3, 2)]
+    acts = [dummy("A0", "start")]
+    acts += [Activity(id=f"B{k}", name=f"work {k}", duration=law, fixed_cost=5.0 * k,
+                      variable_cost_rate=float(k % 3))
+             for k, law in enumerate(laws, start=1)]
+    acts.append(dummy("Af", "finish"))
+    pairs = [("B1", "A0"), ("B2", "A0"), ("B3", "B1"), ("B3", "B2"), ("B4", "B1"),
+             ("Af", "B3"), ("Af", "B4")]
+    risks = [
+        RiskEvent(id="R1", name="slip", probability=0.5, kind="duration", target="B1",
+                  impact=Distribution.pert(0, 0, 4)),
+        RiskEvent(id="R2", name="spend", probability=0.25, kind="cost", target="B2",
+                  impact=Distribution.normal(5, 3)),
+        RiskEvent(id="R3", name="late", probability=0.75, kind="duration", target="B3",
+                  impact=Distribution.normal(1, 2)),
+        RiskEvent(id="R4", name="extra", probability=0.5, kind="cost", target="B4",
+                  impact=Distribution.pert(0, 1.5, 3)),
+    ]
+    return ProjectSpec(activities=acts, precedence=pairs, risks=risks)
+
+
 def ladder_spec(stages):
     """A0, then `stages` rungs of two activities each wired to both of the
     rung before, then Af: 2 + 2 * stages activities and 2 ** stages paths."""

@@ -1,6 +1,7 @@
-"""Cold start: scipy stays off the CLI's import path. Each case runs the
-commands in a fresh interpreter and lists the scipy modules it loaded, so a
-future top-level scipy import fails here."""
+"""Cold start: no riskmc command loads scipy, which is a test-only
+dependency. Each case runs the commands in a fresh interpreter and lists
+the scipy modules it loaded, so a scipy import anywhere on a command's
+path fails here."""
 
 import json
 import os
@@ -9,6 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from netgen import normal_pert_spec
+from riskmc.projectfile import render_project
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -39,6 +43,9 @@ A3 <- A1 A2
 Af <- A3
 """
 
+# an observation inside both projects' plans (figure3: BAC 875, normal_pert: 68)
+OBSERVE = {"figure3": "t=4,ev=430,ac=445", "normal_pert": "t=6,ev=30,ac=33"}
+
 
 def scipy_modules(commands):
     """Exit codes of `commands` run by riskmc.cli.main in a fresh interpreter,
@@ -67,10 +74,25 @@ def test_simulate_without_normal_or_pert_loads_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_spearman_indices_load_scipy_special_only(figure3_path, tmp_path, workers):
-    # figure3 samples pert(3,5,7): the PERT inverse CDF needs scipy.special
-    modules = scipy_modules([["indices", "--project", str(figure3_path), "--runs", "500",
-                              "--cri-method", "spearman", "--workers", workers,
-                              "--out", str(tmp_path)]])
-    assert "scipy.special" in modules
-    assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+@pytest.mark.parametrize("name", ["figure3", "normal_pert"])
+def test_no_simulating_command_loads_scipy(figure3_path, tmp_path, name, workers):
+    # both projects sample PERT laws, and normal_pert samples normal laws too,
+    # as durations and as risk impacts
+    if name == "figure3":
+        project = str(figure3_path)
+    else:
+        project = str(tmp_path / "normal_pert.project")
+        Path(project).write_text(render_project(normal_pert_spec()))
+    sim = ["--project", project, "--runs", "400", "--workers", workers]
+    observe = ["--observe", OBSERVE[name]]
+    out = ["--out", str(tmp_path / "out")]
+    commands = [
+        ["simulate", *sim, *out],
+        ["indices", *sim, "--cri-method", "spearman", *out],
+        ["baseline", *sim, *out],
+        ["contingency", *sim, "--percentile", "90"],
+        ["control", *sim, *observe, *out],
+        ["forecast", *sim, *observe, "--estimator", "linear", *out],
+        ["plot", *sim, "--kind", "sevm", *observe, *out],
+    ]
+    assert scipy_modules(commands) == []
