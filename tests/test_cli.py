@@ -140,6 +140,16 @@ def test_grid_is_taken_only_by_commands_that_write_a_grid(project, command, caps
     assert err.startswith("ConfigError:") and "--grid" in err, err
 
 
+def test_runs_beyond_memory_are_one_config_error(project, tmp_path, capsys):
+    # refused before any array is allocated, so nothing is written either
+    out = tmp_path / "out"
+    assert main(["simulate", "--project", project, "--runs", "1000000000000",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+    assert "runs fit" in err and not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-7"])
 def test_workers_below_one_is_a_config_error(project, workers, capsys):
     assert main(["simulate", "--project", project, "--runs", "100",

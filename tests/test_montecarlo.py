@@ -121,6 +121,20 @@ def test_pool_has_at_most_one_thread_per_cpu(figure3_network, monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_runs_beyond_the_memory_ceiling_are_refused(figure3_network, monkeypatch):
+    # a 64 KiB address-space limit; the largest run count that fits still
+    # runs, one more is refused before anything is allocated
+    resource = montecarlo.resource
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (2**16, resource.RLIM_INFINITY))
+    assert montecarlo.memory_ceiling() == 2**16
+    per_run = montecarlo._PEAK_PER_RUN_NODE * len(figure3_network.nodes) + montecarlo._PEAK_PER_RUN
+    fit = 2**16 // per_run
+    assert run_ensemble(figure3_network, SimConfig(n_runs=fit)).n_runs == fit
+    for runs in (fit + 1, 10**12):
+        with pytest.raises(ConfigError, match=rf"^{runs} runs of 8 nodes .* at most {fit} runs fit$"):
+            run_ensemble(figure3_network, SimConfig(n_runs=runs))
+
+
 def test_seed_changes_results(figure3_network):
     a = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=1))
     b = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=2))
