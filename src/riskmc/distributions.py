@@ -115,7 +115,8 @@ def inv_cdf(dist: Distribution, u):
     a, m, b = p
     if b == a:
         return np.full_like(u, a)
-    return a + (b - a) * quantiles.pert_unit(_pert_alpha(dist), u)
+    # a + (b - a) can round above b
+    return np.minimum(a + (b - a) * quantiles.pert_unit(_pert_alpha(dist), u), b)
 
 
 def prepare(laws) -> None:
@@ -126,9 +127,10 @@ def prepare(laws) -> None:
 
 
 def _pert_alpha(dist):
-    """pert(a, m, b) is beta(alpha, 6 - alpha) stretched onto [a, b]."""
+    """pert(a, m, b) is beta(alpha, 6 - alpha) stretched onto [a, b]; the
+    ratio comes first, so 4 (m - a) cannot overflow."""
     a, m, b = dist.params
-    return 1.0 + 4.0 * (m - a) / (b - a)
+    return 1.0 + 4.0 * ((m - a) / (b - a))
 
 
 def _finite(*xs):

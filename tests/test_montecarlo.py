@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 import riskmc.montecarlo as montecarlo
-from netgen import chain_spec, parallel_spec, random_dag_spec, trajectories
+from netgen import chain_spec, normal_pert_spec, parallel_spec, random_dag_spec, trajectories
 from riskmc import (
     Distribution,
     ProjectSpec,
@@ -74,6 +74,32 @@ def test_worker_count_never_changes_results(figure3_network):
         assert np.array_equal(base.durations, other.durations)
         assert np.array_equal(base.total_cost, other.total_cost)
         assert np.array_equal(base_ev, trajectories(other, 7)[1])
+
+
+RUN_FIELDS = ("durations", "starts", "finishes", "critical", "total_duration",
+              "total_cost", "node_cost")
+
+
+def test_worker_count_never_changes_normal_and_pert_results():
+    # normal laws redraw their negatives, PERT laws read their shape's table
+    net = validate(normal_pert_spec())
+    cfg = SimConfig(n_runs=2500, seed=4)
+    base = run_ensemble(net, cfg, workers=1)
+    for workers in range(2, 9):
+        other = run_ensemble(net, cfg, workers=workers)
+        for field in RUN_FIELDS:
+            assert getattr(base, field).tobytes() == getattr(other, field).tobytes(), field
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_first_runs_do_not_depend_on_the_run_count(workers):
+    # run k reads position k of every stream, whatever the run count and
+    # however the runs are chunked
+    net = validate(normal_pert_spec())
+    short = run_ensemble(net, SimConfig(n_runs=1000, seed=21), workers=workers)
+    long = run_ensemble(net, SimConfig(n_runs=5000, seed=21), workers=workers)
+    for field in RUN_FIELDS:
+        assert getattr(short, field).tobytes() == getattr(long, field)[:1000].tobytes(), field
 
 
 @pytest.mark.parametrize("workers", [0, -7])

@@ -1,0 +1,98 @@
+"""The numpy-only normal and PERT quantiles against scipy.special, which
+riskmc uses only here, as a test-time oracle."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.special import betaincinv, ndtri
+
+from riskmc import Distribution, quantiles
+from riskmc.distributions import inv_cdf
+
+EDGES = np.array([5e-324, 1e-300, 1e-12, 0.5, 1 - 1e-12, np.nextafter(1.0, 0.0)])
+UNIFORMS = np.concatenate([np.random.default_rng(2024).random(100_000), EDGES])
+ALPHAS = (1.0, 1.0001, 1.4, 2.0, 3.0, 4.0, 4.9, 5.0)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_pert_within_1e_12_of_betaincinv(alpha):
+    # pert(a, a + (alpha - 1)(b - a)/4, b) has shape alpha
+    a, b = 2.0, 6.0
+    x = inv_cdf(Distribution.pert(a, a + (alpha - 1.0), b), UNIFORMS)
+    beta = 6.0 - alpha
+    unit = betaincinv(alpha, beta, UNIFORMS)
+    # betaincinv gives nan where u underflows its series; there x is the
+    # leading term (alpha B u)^(1/alpha) to far better than 1e-12
+    tiny = np.isnan(unit)
+    assert UNIFORMS[tiny].max(initial=0.0) <= 1e-300
+    b_ab = math.exp(math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(6.0))
+    unit[tiny] = (alpha * b_ab * UNIFORMS[tiny]) ** (1.0 / alpha)
+    assert np.abs(x - (a + (b - a) * unit)).max() <= 1e-12 * (b - a)
+
+
+def test_normal_within_8_ulp_of_ndtri():
+    z = inv_cdf(Distribution.normal(0.0, 1.0), UNIFORMS)
+    ref = ndtri(UNIFORMS)
+    err = np.abs(z - ref)
+    near_half = np.abs(UNIFORMS - 0.5) < 1e-3
+    assert ((err <= 8 * np.spacing(np.abs(ref))) | (near_half & (err <= 1e-15))).all()
+    assert quantiles.ndtri(np.array([0.0]))[0] == -np.inf
+
+
+def test_pert_table_depends_on_its_shape_alone(monkeypatch):
+    monkeypatch.setattr(quantiles, "_TABLES", {})
+    quantiles.build_pert_tables([2.5])
+    alone = quantiles._TABLES[2.5]
+    quantiles._TABLES.clear()
+    # a batch of several shapes, the shape in the middle of it
+    quantiles.build_pert_tables([1.0, 1.7, 2.5, 3.25, 5.0])
+    batched = quantiles._TABLES[2.5]
+    assert alone.split == batched.split
+    for part_alone, part_batched in zip(alone.lower + alone.upper,
+                                        batched.lower + batched.upper):
+        assert np.array_equal(part_alone, part_batched)
+
+
+def test_pert_is_non_decreasing_on_adjacent_floats():
+    # runs of consecutive doubles at random points, at the split F(1/2) and
+    # at the knots, where a rounding slip would show first; at alpha = 1.002
+    # the upper table's last knot falls just short of 1 - F(1/2)
+    rng = np.random.default_rng(7)
+    for alpha in ALPHAS + (1.002,):
+        quantiles.build_pert_tables([alpha])  # a no-op once cached
+        table = quantiles._TABLES[alpha]
+        centers = np.concatenate([rng.random(20), [table.split],
+                                  table.lower.knots[1:40] ** alpha])
+        bits = np.array(centers).view(np.int64)[:, None] + np.arange(-200, 200)
+        u = bits.ravel().view(np.float64)
+        u = np.sort(u[(u >= 0.0) & (u < 1.0)])
+        x = quantiles.pert_unit(alpha, u)
+        assert (np.diff(x) >= 0.0).all(), alpha
+        lower = u < table.split
+        assert (x[lower] <= 0.5).all() and (x[~lower] >= 0.5).all(), alpha
+
+
+values = st.floats(min_value=0.0, max_value=1e300)
+three_points = st.one_of(
+    st.tuples(values, values, values).map(sorted),
+    st.tuples(values, values).map(sorted).map(lambda p: (p[0], p[0], p[1])),  # m = a
+    st.tuples(values, values).map(sorted).map(lambda p: (p[0], p[1], p[1])),  # m = b
+    values.map(lambda v: (v, v, v)),
+)
+
+
+@given(three_points, st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                              max_size=40))
+# 0.3 + (0.9 - 0.3) rounds above 0.9, which x = 1 at u = nextafter(1, 0) reaches
+@example(points=(0.3, 0.9, 0.9), uniforms=[])
+def test_pert_sampler_properties(points, uniforms):
+    a, m, b = points
+    u = np.sort(np.array(uniforms + [0.0, np.nextafter(1.0, 0.0)]))
+    x = inv_cdf(Distribution.pert(a, m, b), u)
+    assert np.isfinite(x).all()
+    assert (np.diff(x) >= 0.0).all()
+    assert (x >= a).all() and (x <= b).all()
+    assert x[0] == a
