@@ -119,7 +119,7 @@ def inv_cdf(dist: Distribution, u):
     return np.minimum(a + (b - a) * quantiles.pert_unit(_pert_alpha(dist), u), b)
 
 
-def prepare(laws) -> None:
+def build_tables(laws) -> None:
     """Build the inverse tables of all PERT shapes among `laws` in one pass;
     inv_cdf would otherwise build each on its first draw."""
     quantiles.build_pert_tables([_pert_alpha(d) for d in laws

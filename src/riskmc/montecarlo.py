@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import cpm as _cpm
-from .distributions import Distribution, inv_cdf, prepare
+from .distributions import Distribution, build_tables, inv_cdf
 from .errors import ConfigError, DegenerateProject, EmptySample
 from .network import ValidatedNetwork
 
@@ -127,7 +127,7 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
         for c, cr in enumerate(network.cost_risks):
             cost_risk_val[lo:hi, c] = _draw(cr.impact, cr.probability, cfg.seed, cr.id, lo, hi)
 
-    prepare([node.base for node in nodes] + [cr.impact for cr in network.cost_risks])
+    build_tables([node.base for node in nodes] + [cr.impact for cr in network.cost_risks])
     chunks = _chunks(n, workers)
     if len(chunks) == 1:
         fill(*chunks[0])
@@ -162,7 +162,7 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     return Ensemble(plan=_cpm.plan(network), **arrays)
 
 
-def memory_ceiling() -> int:
+def _memory_ceiling() -> int:
     """Bytes one simulation may plan to use: physical memory, or the
     address-space limit (RLIMIT_AS) where that is lower."""
     ceiling = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -172,9 +172,9 @@ def memory_ceiling() -> int:
 
 def _check_memory(n_runs, n_nodes):
     """Refuse, before allocating anything, a run count whose ensemble would
-    not fit in memory_ceiling(); the error names the largest that fits."""
+    not fit in _memory_ceiling(); the error names the largest that fits."""
     per_run = _PEAK_PER_RUN_NODE * n_nodes + _PEAK_PER_RUN
-    ceiling = memory_ceiling()
+    ceiling = _memory_ceiling()
     if n_runs * per_run > ceiling:
         raise ConfigError(f"{n_runs} runs of {n_nodes} nodes need about "
                           f"{n_runs * per_run / 2**30:.3g} GiB, above the "

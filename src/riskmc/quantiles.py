@@ -136,7 +136,7 @@ def _half_quantile(half: _Half, v):
 def build_pert_tables(alphas) -> None:
     """Build and cache the table of every alpha in [1, 5] not cached yet,
     _BATCH shapes per vectorized pass."""
-    new = sorted({float(a) for a in alphas} - _TABLES.keys())
+    new = sorted(a for a in {float(a) for a in alphas} if a not in _TABLES)
     for lo in range(0, len(new), _BATCH):
         batch = new[lo:lo + _BATCH]
         # one row per half: lower halves are beta(alpha, beta) in x,
@@ -184,17 +184,15 @@ def _betacf(p, swap, x):
     c = np.ones_like(x)
     h = d
     for m in range(1, _CF_TERMS + 1):
-        for coef in (_cf_coef(m, p, q, True), _cf_coef(m, q, p, True)), \
-                    (_cf_coef(m, p, q, False), _cf_coef(m, q, p, False)):
-            aa = np.where(swap, coef[1], coef[0]) * x
+        for plain, swapped in zip(_cf_coefs(m, p, q), _cf_coefs(m, q, p)):
+            aa = np.where(swap, swapped, plain) * x
             d = 1.0 / (1.0 + aa * d)
             c = 1.0 + aa / c
             h = h * (d * c)
     return h
 
 
-def _cf_coef(m, a, b, even):
-    """The coefficient of x in the continued fraction's term 2m (even) or 2m + 1."""
-    if even:
-        return m * (b - m) / ((a - 1.0 + 2 * m) * (a + 2 * m))
-    return -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 1.0 + 2 * m))
+def _cf_coefs(m, a, b):
+    """The coefficients of x in the continued fraction's terms 2m and 2m + 1."""
+    return (m * (b - m) / ((a - 1.0 + 2 * m) * (a + 2 * m)),
+            -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 1.0 + 2 * m)))

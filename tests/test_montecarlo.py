@@ -152,7 +152,7 @@ def test_runs_beyond_the_memory_ceiling_are_refused(figure3_network, monkeypatch
     # runs, one more is refused before anything is allocated
     resource = montecarlo.resource
     monkeypatch.setattr(resource, "getrlimit", lambda which: (2**16, resource.RLIM_INFINITY))
-    assert montecarlo.memory_ceiling() == 2**16
+    assert montecarlo._memory_ceiling() == 2**16
     per_run = montecarlo._PEAK_PER_RUN_NODE * len(figure3_network.nodes) + montecarlo._PEAK_PER_RUN
     fit = 2**16 // per_run
     assert run_ensemble(figure3_network, SimConfig(n_runs=fit)).n_runs == fit
