@@ -150,13 +150,13 @@ def _observation(text):
         raise ConfigError(f"--observe: {exc}") from None
 
 
-def _emit(args, name, header, rows, primary=False):
+def _emit(args, name, header, columns, primary=False):
     """Write one table to --out/name, or to stdout when primary and no --out."""
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        csvout.write_table(args.out / name, header, rows)
+        csvout.write_table(args.out / name, header, columns)
     elif primary:
-        sys.stdout.write(csvout.rows_to_csv(header, rows))
+        csvout.write_csv(sys.stdout, header, columns)
 
 
 def _info(text):
@@ -173,8 +173,7 @@ def cmd_validate(args):
 def cmd_cpm(args):
     network = _load(args)
     plan = cpmmod.plan(network)
-    header, rows = csvout.tabulate(plan)
-    _emit(args, "cpm.csv", header, rows, primary=True)
+    _emit(args, "cpm.csv", *csvout.tabulate(plan), primary=True)
     _emit(args, "planned_value.csv", *csvout.pv_table(plan, csvout.GRID_POINTS))
     _info(f"planned duration: {plan.duration:.9g}")
     _info(f"planned cost (BAC): {plan.bac:.9g}")
@@ -185,8 +184,7 @@ def cmd_cpm(args):
 def cmd_paths(args):
     network = _load(args)
     paths = cpmmod.enumerate_paths(network, cap=args.max_paths)
-    header, rows = csvout.tabulate(paths)
-    _emit(args, "paths.csv", header, rows, primary=True)
+    _emit(args, "paths.csv", *csvout.tabulate(paths), primary=True)
     _info(f"paths: {paths.n_paths}")
     return 0
 
@@ -194,8 +192,7 @@ def cmd_paths(args):
 def cmd_simulate(args):
     network = _load(args)
     ens = _sim(args, network)
-    header, rows = csvout.percentile_table(ens)
-    _emit(args, "percentiles.csv", header, rows, primary=True)
+    _emit(args, "percentiles.csv", *csvout.percentile_table(ens), primary=True)
     _emit(args, "endpoints.csv", *csvout.endpoint_table(ens))
     _info(f"runs: {ens.n_runs}  seed: {args.seed}")
     _info(f"duration mean: {ens.total_duration.mean():.9g}  sd: {_sd(ens.total_duration)}")
@@ -212,8 +209,7 @@ def cmd_indices(args):
     network = _load(args)
     ens = _sim(args, network)
     report = idx.sensitivity_report(ens, method=args.cri_method)
-    header, rows = csvout.tabulate(report)
-    _emit(args, "sensitivity.csv", header, rows, primary=True)
+    _emit(args, "sensitivity.csv", *csvout.tabulate(report), primary=True)
     return 0
 
 
@@ -229,8 +225,7 @@ def cmd_baseline(args):
     network = _load(args)
     ens = _sim(args, network)
     baseline = ctl.risk_baselines(ens)
-    header, rows = csvout.baseline_table(baseline, args.grid)
-    _emit(args, "baseline.csv", header, rows, primary=True)
+    _emit(args, "baseline.csv", *csvout.baseline_table(baseline, args.grid), primary=True)
     _emit(args, "ari.csv", *csvout.tabulate(ctl.activity_risk_index(baseline)))
     _info(f"sigma duration: {baseline.sigma_duration:.9g}  "
           f"sigma cost: {baseline.sigma_cost:.9g}")
@@ -241,11 +236,9 @@ def cmd_control(args):
     network = _load(args)
     obs = _observation(args.observe)
     ens = _sim(args, network)
-    indices_report = ctl.control_indices(obs, ctl.risk_baselines(ens))
-    triad_report = ctl.triad(obs, ens, band=args.band)
-    header, rows = csvout.tabulate(indices_report)
-    _, triad_rows = csvout.tabulate(triad_report)
-    _emit(args, "control.csv", header, list(rows) + list(triad_rows), primary=True)
+    table = csvout.metric_table(ctl.control_indices(obs, ctl.risk_baselines(ens)),
+                                ctl.triad(obs, ens, band=args.band))
+    _emit(args, "control.csv", *table, primary=True)
     return 0
 
 
@@ -257,8 +250,7 @@ def cmd_forecast(args):
     ens = _sim(args, network)
     forecast = ctl.sevm_forecast(obs, ens, k_neighbors=args.neighbors,
                                  estimator=args.estimator)
-    header, rows = csvout.tabulate(forecast)
-    _emit(args, "forecast.csv", header, rows, primary=True)
+    _emit(args, "forecast.csv", *csvout.tabulate(forecast), primary=True)
     _emit(args, "neighbors.csv", *csvout.neighbor_table(forecast))
     return 0
 

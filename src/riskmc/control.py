@@ -143,7 +143,7 @@ def cross_section(ensemble: Ensemble, x: float):
         return ensemble.total_duration.copy(), ensemble.total_cost.copy()
 
     times = _cpm.first_reach(x * ensemble.plan.bac, ensemble.plan.costs,
-                             ensemble.starts, ensemble.finishes)
+                             ensemble.starts, ensemble.starts + ensemble.durations)
     return times, ensemble.cost_at(times)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 
 import numpy as np
 
@@ -15,31 +14,13 @@ from .montecarlo import Ensemble, HistogramTable
 
 PERCENTILE_STEPS = tuple(range(5, 100, 5))
 GRID_POINTS = 101  # default samples of the planned timeline [0, PD] at export
-
-
-def fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.9g}"
-    return str(value)
-
-
-def rows_to_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(v) for v in row])
-    return buf.getvalue()
+_BLOCK = 4096      # rows formatted at a time; bounds the cells held at once
+_BYTE_CELLS = tuple(str(k) for k in range(256))  # the cell of each uint8 value
 
 
 def tabulate(report):
-    """(header, rows) for every exportable report type."""
+    """(header, columns) for every exportable report type; a column is one of
+    the report's numpy arrays or a sequence of str."""
     for kind, handler in _TABULATORS:
         if isinstance(report, kind):
             return handler(report)
@@ -47,68 +28,70 @@ def tabulate(report):
 
 
 def _sensitivity(r: SensitivityReport):
-    rows = [(i, n, r.ci[k], r.cri[k], r.ssi[k], r.sigma[k])
-            for k, (i, n) in enumerate(zip(r.node_ids, r.node_names))]
-    return ("id", "name", "CI", "CrI", "SSI", "sigma_i"), rows
+    return (("id", "name", "CI", "CrI", "SSI", "sigma_i"),
+            (r.node_ids, r.node_names, r.ci, r.cri, r.ssi, r.sigma))
 
 
 def _cpm_table(r: CpmResult):
-    rows = [(i, r.durations[k], r.es[k], r.ef[k], r.ls[k], r.lf[k],
-             r.total_float[k], bool(r.critical[k]))
-            for k, i in enumerate(r.node_ids)]
-    return ("id", "duration", "ES", "EF", "LS", "LF", "total_float", "critical"), rows
+    return (("id", "duration", "ES", "EF", "LS", "LF", "total_float", "critical"),
+            (r.node_ids, r.durations, r.es, r.ef, r.ls, r.lf, r.total_float, r.critical))
 
 
 def _paths(r: PathMatrix):
-    rows = [[("0", "1")[v] for v in row] for row in r.membership.tolist()]
-    return tuple(r.node_ids), rows
+    return tuple(r.node_ids), r.membership.T
 
 
 def _ari(r: AriReport):
-    rows = [(rank + 1, r.node_ids[i], r.node_names[i], r.ari[i])
-            for rank, i in enumerate(r.ranking)]
-    return ("rank", "id", "name", "ari_percent"), rows
+    order = np.asarray(r.ranking, dtype=int)
+    return (("rank", "id", "name", "ari_percent"),
+            (np.arange(1, order.size + 1), np.take(r.node_ids, order).tolist(),
+             np.take(r.node_names, order).tolist(), r.ari[order]))
+
+
+def metric_table(*reports):
+    """The (metric, value) table of control, Triad and forecast reports,
+    joined in order: floats at 9 significant digits, ints and labels as str."""
+    pairs = [pair for r in reports for pair in _METRICS[type(r)](r)]
+    return ("metric", "value"), ([name for name, _ in pairs],
+                                 [f"{v:.9g}" if isinstance(v, float) else str(v)
+                                  for _, v in pairs])
 
 
 def _control(r: ControlIndices):
-    rows = [("SCoI", r.scoi), ("CCoI", r.ccoi),
+    return [("SCoI", r.scoi), ("CCoI", r.ccoi),
             ("schedule_deviation", r.schedule_deviation),
             ("cost_deviation", r.cost_deviation),
             ("SRB_t", r.srb), ("CRB_t", r.crb), ("earned_time", r.earned_time)]
-    return ("metric", "value"), rows
 
 
 def _triad(r: TriadReport):
-    rows = [("completion", r.completion),
+    return [("completion", r.completion),
             ("schedule_percentile", r.schedule_percentile),
             ("cost_percentile", r.cost_percentile),
             ("schedule_status", r.schedule_status),
             ("cost_status", r.cost_status)]
-    return ("metric", "value"), rows
 
 
 def _forecast(r: SevmForecast):
-    rows = [("completion", r.completion), ("k", r.k),
+    return [("completion", r.completion), ("k", r.k),
             ("EAC_duration", r.eac_duration), ("EAC_cost", r.eac_cost),
-            ("P_late", r.p_late), ("P_overrun", r.p_overrun)]
-    rows += [(f"duration_p{p:g}", v) for p, v in r.duration_interval]
-    rows += [(f"cost_p{p:g}", v) for p, v in r.cost_interval]
-    return ("metric", "value"), rows
+            ("P_late", r.p_late), ("P_overrun", r.p_overrun),
+            *((f"duration_p{p:g}", v) for p, v in r.duration_interval),
+            *((f"cost_p{p:g}", v) for p, v in r.cost_interval)]
 
 
 def _histogram(r: HistogramTable):
-    rows = [(r.edges[k], r.edges[k + 1], r.pdf[k], r.cdf[k]) for k in range(len(r.pdf))]
-    return ("bin_low", "bin_high", "pdf", "cdf"), rows
+    return ("bin_low", "bin_high", "pdf", "cdf"), (r.edges[:-1], r.edges[1:], r.pdf, r.cdf)
 
+
+_METRICS = {ControlIndices: _control, TriadReport: _triad, SevmForecast: _forecast}
 
 _TABULATORS = (
     (SensitivityReport, _sensitivity),
     (CpmResult, _cpm_table),
     (PathMatrix, _paths),
     (AriReport, _ari),
-    (ControlIndices, _control),
-    (TriadReport, _triad),
-    (SevmForecast, _forecast),
+    ((ControlIndices, TriadReport, SevmForecast), metric_table),
     (HistogramTable, _histogram),
 )
 
@@ -123,37 +106,54 @@ def _grid_times(plan: CpmResult, grid_points: int) -> np.ndarray:
 def pv_table(plan: CpmResult, grid_points: int):
     """The plan's PV(t) on the export grid; its last row is (PD, BAC)."""
     times = _grid_times(plan, grid_points)
-    return ("t", "PV"), list(zip(times, plan.value_at(times)))
+    return ("t", "PV"), (times, plan.value_at(times))
 
 
 def baseline_table(baseline: RiskBaseline, grid_points: int):
     times = _grid_times(baseline.plan, grid_points)
-    return ("t", "SRB", "CRB"), list(zip(times, baseline.srb_at(times),
-                                         baseline.crb_at(times)))
+    return ("t", "SRB", "CRB"), (times, baseline.srb_at(times), baseline.crb_at(times))
 
 
 def percentile_table(ensemble: Ensemble, steps=PERCENTILE_STEPS):
     """The 'show simulation data' table: duration and cost percentiles."""
-    duration = np.percentile(ensemble.total_duration, steps).tolist()
-    cost = np.percentile(ensemble.total_cost, steps).tolist()
-    return ("percentile", "duration", "cost"), list(zip(steps, duration, cost))
+    return (("percentile", "duration", "cost"),
+            (np.asarray(steps), np.percentile(ensemble.total_duration, steps),
+             np.percentile(ensemble.total_cost, steps)))
 
 
 def endpoint_table(ensemble: Ensemble):
-    rows = [(k, ensemble.total_duration[k], ensemble.total_cost[k])
-            for k in range(ensemble.n_runs)]
-    return ("run", "duration", "cost"), rows
+    return (("run", "duration", "cost"),
+            (np.arange(ensemble.n_runs), ensemble.total_duration, ensemble.total_cost))
 
 
 def neighbor_table(forecast: SevmForecast):
-    rows = [(int(forecast.neighbor_runs[k]),
-             forecast.neighbor_section_t[k], forecast.neighbor_section_c[k],
-             forecast.neighbor_duration[k], forecast.neighbor_cost[k],
-             "late" if forecast.neighbor_late[k] else "early")
-            for k in range(len(forecast.neighbor_runs))]
-    return ("run", "section_t", "section_c", "duration", "cost", "label"), rows
+    return (("run", "section_t", "section_c", "duration", "cost", "label"),
+            (forecast.neighbor_runs, forecast.neighbor_section_t, forecast.neighbor_section_c,
+             forecast.neighbor_duration, forecast.neighbor_cost,
+             np.where(forecast.neighbor_late, "late", "early").tolist()))
 
 
-def write_table(path, header, rows) -> None:
+def _cells(block):
+    """One column's block as str cells: floats .9g, ints as digits and bools
+    as 0/1; a sequence of str passes through."""
+    if not isinstance(block, np.ndarray):
+        return block
+    if block.dtype.kind == "f":
+        return [f"{x:.9g}" for x in block.tolist()]
+    if block.dtype.kind == "b" or block.dtype == np.uint8:  # path membership, criticality
+        return [_BYTE_CELLS[v] for v in block.tolist()]
+    return list(map(str, block.tolist()))
+
+
+def write_csv(stream, header, columns) -> None:
+    """Write header and columns to a text stream as CSV. Cells are formatted
+    _BLOCK rows at a time, so no table is ever held as rows or as one string."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    for lo in range(0, len(columns[0]), _BLOCK):
+        writer.writerows(zip(*(_cells(col[lo:lo + _BLOCK]) for col in columns)))
+
+
+def write_table(path, header, columns) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rows_to_csv(header, rows))
+        write_csv(fh, header, columns)

@@ -99,8 +99,9 @@ def inv_cdf(dist: Distribution, u):
         out = np.empty_like(u)
         fc = (m - a) / (b - a)
         left = u < fc
-        out[left] = a + np.sqrt(u[left] * (b - a) * (m - a))
-        out[~left] = b - np.sqrt((1.0 - u[~left]) * (b - a) * (b - m))
+        # each branch can round past the mode (or past a and b when m is one)
+        out[left] = np.minimum(a + _sqrt_product(u[left], b - a, m - a), m)
+        out[~left] = np.maximum(b - _sqrt_product(1.0 - u[~left], b - a, b - m), m)
         return out
     if k == "discrete":
         values = np.array([v for v, _ in p])
@@ -124,6 +125,13 @@ def build_tables(laws) -> None:
     inv_cdf would otherwise build each on its first draw."""
     quantiles.build_pert_tables([_pert_alpha(d) for d in laws
                                  if d.kind == "pert" and d.params[2] > d.params[0]])
+
+
+def _sqrt_product(u, x, y):
+    """sqrt(u * x * y) for u in [0, 1], split where x * y leaves the normal floats."""
+    if 2.0 ** -1022 <= x * y < math.inf:
+        return np.sqrt(u * x * y)
+    return np.sqrt(u * x) * np.sqrt(y)
 
 
 def _pert_alpha(dist):

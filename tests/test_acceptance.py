@@ -101,7 +101,7 @@ def test_criterion_1_determinism_and_runtime(figure3_path, tmp_path):
             assert np.array_equal(reference_cost, other_cost)
             assert np.array_equal(reference_ev, other_ev)
 
-        # trajectories are exact functions of starts/finishes (ev_at/cost_at),
+        # trajectories are exact functions of starts/durations (ev_at/cost_at),
         # evaluated on demand, so the budget covers run_ensemble alone
         start = time.perf_counter()
         run_ensemble(net, SimConfig(n_runs=N, seed=1))

@@ -1,3 +1,5 @@
+import csv
+import re
 import subprocess
 import sys
 import warnings
@@ -231,6 +233,62 @@ def test_full_pipeline_commands(project, tmp_path):
                  "endpoints.csv", "sensitivity.csv", "baseline.csv", "ari.csv",
                  "control.csv", "forecast.csv", "neighbors.csv"):
         assert (out / name).exists(), name
+
+
+AWKWARD_NAMES = {
+    "A1": "design, phase 1",
+    "A2": 'the "big" procurement',
+    "A3": 'build \\"fast\\"',  # a backslash before each quote
+    "A4": 'test, "QA" \\ sign-off',
+    "A5": 'R1 slips, "badly"',  # duration risks become activities
+    "A6": 'R2 \\"supplier\\" delay',
+    "R3": 'rework, "budget" hit',
+}
+
+
+def _quoted(name):
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+@pytest.fixture()
+def awkward_project(figure3_path, tmp_path):
+    lines = []
+    for line in figure3_path.read_text().splitlines():
+        ident = line.split(" ", 1)[0]
+        if ident in AWKWARD_NAMES:
+            line = re.sub(r'"[^"]*"', lambda _: _quoted(AWKWARD_NAMES[ident]), line, count=1)
+        lines.append(line)
+    path = tmp_path / "awkward.project"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, primary", [
+    (["cpm"], "cpm.csv"),
+    (["paths"], "paths.csv"),
+    (["simulate", "--runs", "300"], "percentiles.csv"),
+    (["indices", "--runs", "300"], "sensitivity.csv"),
+    (["baseline", "--runs", "300"], "baseline.csv"),
+    (["control", "--runs", "300", "--observe", "t=4,ev=430,ac=440"], "control.csv"),
+    (["forecast", "--runs", "300", "--observe", "t=4,ev=430,ac=440"], "forecast.csv"),
+])
+def test_awkward_names_round_trip_and_stdout_is_the_primary_file(
+        awkward_project, command, primary, tmp_path):
+    argv = [*RISKMC, command[0], "--project", awkward_project, *command[1:]]
+    printed = subprocess.run(argv, capture_output=True)
+    out = tmp_path / "out"
+    written = subprocess.run([*argv, "--out", str(out)], capture_output=True)
+    assert printed.returncode == written.returncode == 0, written.stderr
+    assert printed.stdout == (out / primary).read_bytes()
+
+    ids = ["A0", "A1", "A2", "A3", "A4", "A5", "A6", "Af"]
+    for name in {"cpm.csv", "sensitivity.csv", "ari.csv"} & {p.name for p in out.iterdir()}:
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            table = list(csv.DictReader(fh))
+        assert sorted(row["id"] for row in table) == ids, name
+        if name != "cpm.csv":  # the CPM table carries ids only
+            names = {row["id"]: row["name"] for row in table}
+            assert all(names[i] == AWKWARD_NAMES[i] for i in ids[1:-1]), name
 
 
 def test_contingency_prints_number(project):

@@ -114,8 +114,8 @@ def test_baselines_match_matrix_reference(seed, n_real, with_risks, n_runs, grid
     assert srb.tobytes() == np.array([base.srb_at(t) for t in times]).tobytes()
     assert crb.tobytes() == np.array([base.crb_at(t) for t in times]).tobytes()
     # and the exported table is them at the same grid
-    _, rows = baseline_table(base, grid_points)
-    assert np.array(rows).tobytes() == np.column_stack([times, srb, crb]).tobytes()
+    _, columns = baseline_table(base, grid_points)
+    assert np.array(columns).tobytes() == np.array([times, srb, crb]).tobytes()
 
 
 # -- activity risk index -----------------------------------------------------
@@ -270,7 +270,8 @@ def _reference_cross_section(ensemble, x):
         return ensemble.total_duration.copy(), ensemble.total_cost.copy()
 
     target = x * ensemble.plan.bac
-    starts, finishes = ensemble.starts, ensemble.finishes
+    starts = ensemble.starts
+    finishes = starts + ensemble.durations
     n, m = starts.shape
     events = np.concatenate([np.zeros((n, 1)), starts, finishes], axis=1)
     events.sort(axis=1)

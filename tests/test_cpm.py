@@ -189,9 +189,9 @@ def test_pv_linear_accrual():
 def test_pv_zero_costs():
     net = validate(chain_spec([Distribution.point(3)]))
     result = forward_backward(net, np.array([0.0, 3.0, 0.0]))
-    _, rows = pv_table(result, 101)
-    assert len(rows) == 101
-    assert all(value == 0.0 for _, value in rows)
+    _, (times, values) = pv_table(result, 101)
+    assert len(times) == len(values) == 101
+    assert (values == 0.0).all()
 
 
 def test_pv_symmetric_serial_midpoint():
@@ -431,7 +431,7 @@ def test_ensemble_passes_match_scalar_reference_bitwise(seed, n_real, with_risks
     for k in range(n_runs):
         want = reference_forward_backward(net, ens.durations[k])
         assert ens.starts[k].tobytes() == want["es"].tobytes()
-        assert ens.finishes[k].tobytes() == want["ef"].tobytes()
+        assert (ens.starts[k] + ens.durations[k]).tobytes() == want["ef"].tobytes()
         assert ens.critical[k].tobytes() == want["critical"].tobytes()
         assert _bits(ens.total_duration[k]) == _bits(want["duration"])
 
@@ -447,8 +447,8 @@ def test_planned_value_matches_knot_reference(seed, n_real, with_risks, grid_poi
     values, kt, kv = reference_planned_value(net, result, grid_points)
     assert result.value_at(times).tobytes() == values.tobytes()
     # the exported table is the same grid, bit for bit
-    _, rows = pv_table(result, grid_points)
-    assert np.array(rows).tobytes() == np.column_stack([times, values]).tobytes()
+    _, columns = pv_table(result, grid_points)
+    assert np.array(columns).tobytes() == np.array([times, values]).tobytes()
 
     # earned schedule bit for bit at every knot value, between knots and at
     # a drawn fraction; the knot search cannot look past PV(PD), the last knot
@@ -480,7 +480,7 @@ def test_plan_bac_is_planned_value_at_planned_end():
         net = validate(random_dag_spec(rng, n_real=int(rng.integers(6, 30))))
         result = plan(net)
         ens = run_ensemble(net, SimConfig(n_runs=1, seed=seed))
-        values = (result.value_at(result.duration), pv_table(result, 101)[1][-1][1],
+        values = (result.value_at(result.duration), pv_table(result, 101)[1][1][-1],
                   ens.plan.bac)
         assert [_bits(v) for v in values] == [_bits(result.bac)] * 3, seed
         earned = earned_schedule(result, float(np.nextafter(result.bac, 0.0)))

@@ -58,7 +58,7 @@ def test_bitwise_determinism(figure3_network):
     cfg = SimConfig(n_runs=3000, seed=99)
     a = run_ensemble(figure3_network, cfg)
     b = run_ensemble(figure3_network, cfg)
-    for field in ("durations", "starts", "finishes", "critical", "total_duration",
+    for field in ("durations", "starts", "critical", "total_duration",
                   "total_cost", "node_cost"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     for curve_a, curve_b in zip(trajectories(a, 11), trajectories(b, 11)):
@@ -76,7 +76,7 @@ def test_worker_count_never_changes_results(figure3_network):
         assert np.array_equal(base_ev, trajectories(other, 7)[1])
 
 
-RUN_FIELDS = ("durations", "starts", "finishes", "critical", "total_duration",
+RUN_FIELDS = ("durations", "starts", "critical", "total_duration",
               "total_cost", "node_cost")
 
 

@@ -84,15 +84,51 @@ three_points = st.one_of(
 )
 
 
-@given(three_points, st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-                              max_size=40))
+@given(st.sampled_from(("pert", "triangular")), three_points,
+       st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=40))
 # 0.3 + (0.9 - 0.3) rounds above 0.9, which x = 1 at u = nextafter(1, 0) reaches
-@example(points=(0.3, 0.9, 0.9), uniforms=[])
-def test_pert_sampler_properties(points, uniforms):
+@example(kind="pert", points=(0.3, 0.9, 0.9), uniforms=[])
+# triangular: 0.3 + sqrt(u * 0.6000000000000001 * 0.6000000000000001) rounds
+# above b near u = 1, and 0.9 - 0.6000000000000001 below a at u = 0
+@example(kind="triangular", points=(0.3, 0.9, 0.9), uniforms=[])
+@example(kind="triangular", points=(0.3, 0.3, 0.9), uniforms=[])
+# (b - a)(m - a) overflows
+@example(kind="triangular", points=(0.0, 1e300, 1e300), uniforms=[0.5])
+def test_pert_sampler_properties(kind, points, uniforms):
+    # the same properties hold for the triangular sampler
     a, m, b = points
     u = np.sort(np.array(uniforms + [0.0, np.nextafter(1.0, 0.0)]))
-    x = inv_cdf(Distribution.pert(a, m, b), u)
+    x = inv_cdf(getattr(Distribution, kind)(a, m, b), u)
     assert np.isfinite(x).all()
     assert (np.diff(x) >= 0.0).all()
     assert (x >= a).all() and (x <= b).all()
-    assert x[0] == a
+    if kind == "pert":  # a triangular law with m = a reaches a from b, within an ulp of b
+        assert x[0] == a
+
+
+def test_triangular_is_non_decreasing_on_adjacent_floats():
+    # runs of consecutive doubles around the split u = (m - a)/(b - a), where
+    # the two branches meet at the mode; m = a and m = b included
+    rng = np.random.default_rng(11)
+    shapes = np.sort(rng.random((2000, 3)) * 10.0, axis=1)
+    shapes[::3, 1] = shapes[::3, 0]
+    shapes[1::3, 1] = shapes[1::3, 2]
+    for a, m, b in shapes:
+        split = (m - a) / (b - a)
+        bits = np.array([split]).view(np.int64) + np.arange(-50, 51)
+        u = bits.view(np.float64)
+        u = np.sort(u[(u >= 0.0) & (u < 1.0)])
+        x = inv_cdf(Distribution.triangular(a, m, b), u)
+        assert (np.diff(x) >= 0.0).all(), (a, m, b)
+        assert (x >= a).all() and (x <= b).all(), (a, m, b)
+        assert (x[u < split] <= m).all() and (x[u >= split] >= m).all(), (a, m, b)
+
+
+def test_triangular_is_scale_free_at_extreme_magnitudes():
+    # (b - a)(m - a) overflows at 1e300 and underflows past the normal
+    # floats at 1e-170; the draws still scale with the law
+    u = np.linspace(0.0, 1.0, 20, endpoint=False)
+    unit = inv_cdf(Distribution.triangular(0.0, 0.25, 1.0), u)
+    for scale in (1e-170, 1e300):
+        x = inv_cdf(Distribution.triangular(0.0, 0.25 * scale, scale), u)
+        assert np.allclose(x / scale, unit, rtol=1e-14, atol=0.0), scale
