@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", "check the project structure and report its shape", cmd_validate)
     add("cpm", "deterministic pass at expected durations", cmd_cpm)
     sp = add("paths", "enumerate the source-to-sink path matrix", cmd_paths)
-    sp.add_argument("--max-paths", type=int, default=1_000_000)
+    sp.add_argument("--max-paths", type=_bounded(int, 1), default=1_000_000)
     add("simulate", "run the ensemble and print percentiles", cmd_simulate, sim=True)
     sp = add("indices", "activity sensitivity indices (CI/CrI/SSI)", cmd_indices, sim=True)
     sp.add_argument("--cri-method", choices=("pearson", "spearman"), default="pearson")

@@ -63,26 +63,24 @@ class CpmResult:
         return float(out) if out.ndim == 0 else out
 
 
-def passes(network: ValidatedNetwork, durations):
+def passes(network: ValidatedNetwork, durations, es):
     """Forward and backward CPM passes over (n_runs, n_nodes) durations.
 
-    Returns (es, ef, lf), each (n_runs, n_nodes); late starts are
-    lf - durations and are recomputed per successor, not stored. The sink
-    finishes late at the project duration.
+    Fills the caller's `es` with early starts and returns the late finishes
+    lf; finishes es + durations and late starts lf - durations are formed
+    where read, not stored. The sink finishes late at its early finish.
     """
-    n, m = durations.shape
-    es = np.zeros((n, m))
-    ef = np.empty((n, m))
+    lf = np.empty(durations.shape)
     for node in network.nodes:
         j = node.index
         if node.preds:
-            acc = ef[:, node.preds[0]].copy()
-            for p in node.preds[1:]:
-                np.maximum(acc, ef[:, p], out=acc)
+            first, *rest = node.preds
+            acc = es[:, first] + durations[:, first]
+            for p in rest:
+                np.maximum(acc, es[:, p] + durations[:, p], out=acc)
             es[:, j] = acc
-        ef[:, j] = es[:, j] + durations[:, j]
-
-    lf = np.empty((n, m))
+        else:
+            es[:, j] = 0.0
     for node in reversed(network.nodes):
         j = node.index
         if node.succs:
@@ -92,8 +90,8 @@ def passes(network: ValidatedNetwork, durations):
                 np.minimum(acc, lf[:, s] - durations[:, s], out=acc)
             lf[:, j] = acc
         else:
-            lf[:, j] = ef[:, network.sink]
-    return es, ef, lf
+            lf[:, j] = es[:, j] + durations[:, j]
+    return lf
 
 
 def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
@@ -107,7 +105,9 @@ def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
     if (d < 0).any():
         raise ValueError("durations must be nonnegative")
 
-    es, ef, lf = (row[0] for row in passes(network, d[None, :]))
+    es = np.empty(len(d))
+    lf = passes(network, d[None, :], es[None, :])[0]
+    ef = es + d
     ls = lf - d
     total_float = ls - es
     critical = total_float <= CRIT_TOL

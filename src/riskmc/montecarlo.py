@@ -27,11 +27,13 @@ _DURATION = "dur"
 _GATE = "gate"
 _IMPACT = "impact"
 
-# peak bytes that run_ensemble allocates, per run and node and per run:
-# tracemalloc measured at most 34 B per run and node plus 26 B per run on
-# networks of 4 to 152 nodes at 4000 and 40000 runs
+# peak bytes that run_ensemble allocates, per run and node and per run
+# (tracemalloc: 4 to 404 nodes, 300 to 32769 runs, 1 and 3 workers); the
+# per-run part is mostly the temporaries of one chunk's PERT draws
 _PEAK_PER_RUN_NODE = 34
-_PEAK_PER_RUN = 48
+_PEAK_PER_RUN = 96
+
+_CHUNK = 8192  # runs per task; a multiple of 4, so chunks start on a Philox block
 
 
 def _uniform_block(seed, purpose, ident, round_no, start, count):
@@ -108,8 +110,8 @@ class Ensemble:
 def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) -> Ensemble:
     """Simulate cfg.n_runs schedules of the network.
 
-    Bitwise deterministic in (network, cfg); the worker count only splits
-    the run range into aligned chunks and never changes any value.
+    Each chunk of _CHUNK runs is simulated end to end, up to `workers` chunks
+    at once; bitwise deterministic in (network, cfg), whatever the workers.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -117,41 +119,39 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     n, m = cfg.n_runs, len(nodes)
     _check_memory(n, m)
 
-    durations = np.empty((n, m))
-    cost_risk_val = np.zeros((n, len(network.cost_risks)))
+    durations, starts, node_cost = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))
+    critical = np.empty((n, m), dtype=bool)
+    total_duration, total_cost = np.empty(n), np.zeros(n)
+    fixed, rates = network.fixed_costs(), network.rates()
 
-    def fill(lo, hi):
+    def simulate(lo):
+        hi = min(lo + _CHUNK, n)
+        d, es, cost = durations[lo:hi], starts[lo:hi], node_cost[lo:hi]
         for node in nodes:
-            durations[lo:hi, node.index] = _draw(node.base, node.gate, cfg.seed, node.id, lo, hi)
-        for c, cr in enumerate(network.cost_risks):
-            cost_risk_val[lo:hi, c] = _draw(cr.impact, cr.probability, cfg.seed, cr.id, lo, hi)
+            d[:, node.index] = _draw(node.base, node.gate, cfg.seed, node.id, lo, hi)
+
+        # costs first, so their draws' temporaries never meet the late finishes
+        np.multiply(rates, d, out=cost)
+        cost += fixed
+        for cr in network.cost_risks:
+            cost[:, cr.target] += _draw(cr.impact, cr.probability, cfg.seed, cr.id, lo, hi)
+        # accumulate in node order, matching ev_at/cost_at and the plan's BAC,
+        # so the endpoint identities cost_k(PD_k) = C_k and ev_k(PD_k) = BAC
+        # hold bitwise
+        cost_sum = total_cost[lo:hi]
+        for j in range(m):
+            cost_sum += cost[:, j]
+
+        late = _cpm.passes(network, d, es)
+        total_duration[lo:hi] = late[:, network.sink]
+        late -= d  # late finish -> late start -> total float, in place
+        late -= es
+        np.less_equal(late, _cpm.CRIT_TOL, out=critical[lo:hi])
 
     build_tables([node.base for node in nodes] + [cr.impact for cr in network.cost_risks])
-    chunks = _chunks(n, workers)
-    if len(chunks) == 1:
-        fill(*chunks[0])
-    else:
-        with ThreadPoolExecutor(min(len(chunks), os.cpu_count() or 1)) as pool:
-            for future in [pool.submit(fill, lo, hi) for lo, hi in chunks]:
-                future.result()
-
-    starts, finishes, late = _cpm.passes(network, durations)
-    total_duration = finishes[:, network.sink].copy()
-    del finishes
-    late -= durations  # late finish -> late start -> total float, in place
-    late -= starts
-    critical = late <= _cpm.CRIT_TOL
-    del late
-
-    node_cost = network.fixed_costs()[None, :] + network.rates()[None, :] * durations
-    for c, cr in enumerate(network.cost_risks):
-        node_cost[:, cr.target] += cost_risk_val[:, c]
-    # accumulate in node order, matching ev_at/cost_at and the plan's BAC,
-    # so the endpoint identities cost_k(PD_k) = C_k and ev_k(PD_k) = BAC
-    # hold bitwise
-    total_cost = np.zeros(n)
-    for j in range(m):
-        total_cost += node_cost[:, j]
+    chunks = range(0, n, _CHUNK)
+    with ThreadPoolExecutor(min(workers, len(chunks), os.cpu_count() or 1)) as pool:
+        list(pool.map(simulate, chunks))  # re-raises the first chunk's error
 
     arrays = dict(
         durations=durations, starts=starts, critical=critical,
@@ -190,13 +190,6 @@ def _draw(law, gate, seed, ident, lo, hi):
         return sample_block(law, seed, ident, lo, hi - lo)
     active = _uniform_block(seed, _GATE, ident, 0, lo, hi - lo) < gate
     return np.where(active, sample_block(law, seed, ident, lo, hi - lo, purpose=_IMPACT), 0.0)
-
-
-def _chunks(n, workers):
-    w = min(int(workers), n)
-    size = -(-n // w)
-    size = ((size + 3) // 4) * 4  # chunk starts must be 4-aligned for Philox
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def empirical_percentile(samples, p) -> float:

@@ -26,6 +26,13 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 RISK_KINDS = ("duration", "cost")
 
 
+def _check_name(owner, ident, name):
+    """A name is one line of text: project files are read line by line, and
+    the CSV tables quote only a newline, not the other line breaks."""
+    if name.splitlines() not in ([], [name]):
+        raise BadDefinition(f"{owner} {ident}: name must be one line, got {name!r}")
+
+
 @dataclass(frozen=True)
 class Activity:
     id: str
@@ -37,6 +44,7 @@ class Activity:
     def __post_init__(self):
         if not _ID_RE.match(self.id):
             raise BadDefinition(f"invalid activity id {self.id!r}")
+        _check_name("activity", self.id, self.name)
         for field in ("fixed_cost", "variable_cost_rate"):
             if not 0.0 <= getattr(self, field) < np.inf:  # also rejects nan
                 raise BadDefinition(f"activity {self.id}: {field} must be finite and >= 0")
@@ -54,6 +62,7 @@ class RiskEvent:
     def __post_init__(self):
         if not _ID_RE.match(self.id):
             raise BadDefinition(f"invalid risk id {self.id!r}")
+        _check_name("risk", self.id, self.name)
         if not 0.0 <= self.probability <= 1.0:
             raise BadDefinition(f"risk {self.id}: probability must be in [0, 1]")
         if self.kind not in RISK_KINDS:

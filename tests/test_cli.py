@@ -121,6 +121,16 @@ def test_out_of_range_flags_are_only_config_errors(project, command, tmp_path, c
     assert err.startswith("ConfigError:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("max_paths", ["0", "-1"])
+def test_max_paths_below_one_is_only_a_config_error(project, max_paths, tmp_path, capsys):
+    # paths takes no --runs, so it is not a case of the test above
+    assert main(["paths", "--project", project, "--max-paths", max_paths,
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError:") and "--max-paths" in err, err
+    assert not any(tmp_path.iterdir())
+
+
 def test_linear_estimator_checks_the_default_neighbors_before_simulating(
         project, tmp_path, capsys, no_simulation):
     # without --neighbors, 3 runs give 3 neighbors: too few for the linear fit
@@ -358,6 +368,8 @@ Af "finish" point(0) fixed=0 rate=0
      "ProjectSyntaxError", "input:3:"),
     ("convert-matrix", "pre,A0,B1,Af\nA0,0,0,0\nB1,1,1,0\nAf,0,1,0\n",
      "BadPrecedence", "input:3:"),
+    ("convert-matrix", 'pre,A0,A1,Af\nA0,0,0,0\n"R1\nA1",1,0,0\nAf,0,1,0\n',
+     "BadDefinition", "input:3:"),
 ])
 def test_malformed_input_file_is_a_one_line_domain_error(command, data, error, needle,
                                                           tmp_path, capsys):

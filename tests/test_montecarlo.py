@@ -1,5 +1,7 @@
+import functools
 import threading
-from concurrent.futures import Future
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from riskmc import (
 )
 from riskmc.errors import ConfigError, DegenerateProject, EmptySample
 from riskmc.montecarlo import sample_block
+from test_cpm import reference_forward_backward
 
 
 def test_config_validation():
@@ -109,10 +112,10 @@ def test_workers_below_one_is_a_config_error(figure3_network, workers):
 
 
 def test_pool_has_at_most_one_thread_per_cpu(figure3_network, monkeypatch):
-    # any worker count still splits the runs into aligned chunks, as many as
-    # requested down to 4 runs each, but the pool never asks for more threads
-    # than CPUs; the stand-in pool records its size, runs each chunk at
-    # submit and starts no thread
+    # every run count goes through the pool in chunks of _CHUNK runs, up to
+    # `workers` of them at once, and the pool never asks for more threads
+    # than chunks or CPUs; the stand-in pool records its size, runs each
+    # chunk in order and starts no thread
     sizes = []
 
     class SerialPool:
@@ -125,26 +128,83 @@ def test_pool_has_at_most_one_thread_per_cpu(figure3_network, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
     threads = threading.active_count()
     cfg = SimConfig(n_runs=150, seed=5)
     base = run_ensemble(figure3_network, cfg, workers=1)
-    assert sizes == []  # one chunk runs inline
-    # 10**6 workers on 150 runs: 38 chunks of 4 runs (the last of 2)
-    for cpus, workers, want in ((3, 10**6, 3), (None, 10**6, 1), (64, 10**6, 38),
-                                (64, 2, 2), (1, 8, 1)):
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 4)  # 150 runs: 38 chunks, the last of 2
+    grid = ((3, 10**6), (None, 10**6), (64, 10**6), (64, 2), (1, 8), (64, 1))
+    for cpus, workers in grid:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         other = run_ensemble(figure3_network, cfg, workers=workers)
-        assert sizes[-1] == want, (cpus, workers)
-        for field in ("durations", "total_duration", "total_cost", "node_cost"):
+        assert sizes[-1] == min(workers, 38, cpus or 1), (cpus, workers)
+        for field in RUN_FIELDS:
             assert getattr(base, field).tobytes() == getattr(other, field).tobytes(), field
-    assert len(sizes) == 5
+    assert len(sizes) == len(grid)
     assert threading.active_count() == threads
+
+
+C = montecarlo._CHUNK
+
+
+def _normal_pert_ensemble(n_runs, workers):
+    return run_ensemble(validate(normal_pert_spec()), SimConfig(n_runs=n_runs, seed=8),
+                        workers=workers)
+
+
+@functools.cache
+def _one_worker_ensemble(n_runs, chunk=C):
+    with mock.patch.object(montecarlo, "_CHUNK", chunk):
+        return _normal_pert_ensemble(n_runs, 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("n_runs", [C - 1, C, C + 1, 2 * C + 1])
+def test_chunk_boundaries_never_change_a_run(n_runs, workers):
+    # normal laws redraw their negatives and PERT laws read their tables
+    # inside the worker threads; a run's values depend on neither the worker
+    # count nor the run count nor the chunking (chunks of 1028 runs start on
+    # other stream positions)
+    ens = _normal_pert_ensemble(n_runs, workers)
+    base = _one_worker_ensemble(n_runs)
+    rechunked = _one_worker_ensemble(n_runs, chunk=1028)
+    prefix = _one_worker_ensemble(C - 1)
+    for field in RUN_FIELDS:
+        assert getattr(ens, field).tobytes() == getattr(base, field).tobytes(), field
+        assert getattr(ens, field).tobytes() == getattr(rechunked, field).tobytes(), field
+        assert getattr(ens, field)[:C - 1].tobytes() == getattr(prefix, field).tobytes(), field
+    net = validate(normal_pert_spec())
+    for k in sorted({0, C - 2, *range(C, n_runs, 2731), n_runs - 1}):
+        want = reference_forward_backward(net, ens.durations[k])
+        assert ens.starts[k].tobytes() == want["es"].tobytes(), k
+        assert (ens.starts[k] + ens.durations[k]).tobytes() == want["ef"].tobytes(), k
+        assert ens.critical[k].tobytes() == want["critical"].tobytes(), k
+        assert ens.total_duration[k] == want["duration"], k
+
+
+@pytest.mark.parametrize("n_nodes", [4, 42, 152, 402])
+def test_memory_guard_bounds_the_traced_peak(n_nodes):
+    # the guard's per-run estimate covers what run_ensemble really allocates,
+    # with one chunk or several and with several chunks in flight; a handful
+    # of runs is left out, where ~25 KiB of pool and generator objects dominate
+    rng = np.random.default_rng(n_nodes)
+    net = validate(random_dag_spec(rng, n_real=n_nodes - 2,
+                                   edge_prob=min(0.4, 3 / n_nodes), with_risks=2))
+    m = len(net.nodes)
+    run_ensemble(net, SimConfig(n_runs=8))  # builds the PERT tables first
+    for n in (300, 1000, C - 1, C + 1, 4 * C + 1):
+        for workers in (1, 3):
+            tracemalloc.start()
+            try:
+                run_ensemble(net, SimConfig(n_runs=n, seed=3), workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            bound = n * (montecarlo._PEAK_PER_RUN_NODE * m + montecarlo._PEAK_PER_RUN)
+            assert peak <= bound, (m, n, workers, peak / bound)
 
 
 def test_runs_beyond_the_memory_ceiling_are_refused(figure3_network, monkeypatch):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskmc import (
@@ -144,9 +144,10 @@ def test_fixture_roundtrip(figure3_spec):
 # -- randomized round-trip ----------------------------------------------------
 
 IDENT = st.from_regex(r"[A-Za-z][A-Za-z0-9_.\-]{0,8}", fullmatch=True)
-NAMES = st.text(
-    st.characters(codec="ascii", exclude_characters="\n\r", min_codepoint=32),
-    min_size=0, max_size=12)
+# the characters str.splitlines breaks on; a name holding one is refused
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+ANY_NAMES = st.text(st.one_of(st.characters(), st.sampled_from(LINE_BREAKS)), max_size=12)
+NAMES = st.text(st.characters(exclude_characters=LINE_BREAKS), max_size=12)
 MONEY = st.floats(min_value=0, max_value=1e6, allow_nan=False)
 TIMES = st.floats(min_value=0, max_value=1e4, allow_nan=False)
 
@@ -202,6 +203,29 @@ def test_parse_render_roundtrip(spec):
     # round-trip must hold for any well-formed spec, even ones that fail
     # the deeper structural validation
     assert parse_project_text(render_project(spec)) == spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_NAMES)
+@example("R1\nA1")
+@example("\r")
+@example("tab\tand caf\xe9 # \\\" ok")
+def test_a_name_is_one_line_of_any_text(name):
+    def spec():
+        acts = [Activity(id="A0", name=name, duration=Distribution.point(0)),
+                Activity(id="Af", name="finish", duration=Distribution.point(1))]
+        risk = RiskEvent(id="R1", name=name, probability=0.5, kind="cost", target="Af",
+                         impact=Distribution.point(2))
+        return ProjectSpec(activities=acts, precedence=[("Af", "A0")], risks=[risk])
+
+    if set(name) & set(LINE_BREAKS):
+        with pytest.raises(BadDefinition, match="name must be one line"):
+            spec()
+        with pytest.raises(BadDefinition, match="name must be one line"):
+            RiskEvent(id="R1", name=name, probability=0.5, kind="cost", target="Af",
+                      impact=Distribution.point(2))
+    else:
+        assert parse_project_text(render_project(spec())) == spec()
 
 
 # -- matrix CSV conversion ----------------------------------------------------
