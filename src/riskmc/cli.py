@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=Path, default=None,
                         help="directory for output files (default: primary table to stdout)")
         if sim:
-            sp.add_argument("--runs", type=int, default=20_000)
+            sp.add_argument("--runs", type=_bounded(int, 1), default=20_000)
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--workers", type=int, default=1)
         if observe:
@@ -246,7 +246,7 @@ def cmd_forecast(args):
     network = _load(args)
     obs = _observation(args.observe)
     k = ctl.default_neighbors(args.runs) if args.neighbors is None else args.neighbors
-    ctl.check_estimator(args.estimator, k)  # before the runs it would waste
+    ctl.check_neighbors(k, args.runs, args.estimator)  # before the runs it would waste
     ens = _sim(args, network)
     forecast = ctl.sevm_forecast(obs, ens, k_neighbors=args.neighbors,
                                  estimator=args.estimator)
@@ -274,8 +274,10 @@ def cmd_plot(args):
     elif args.kind == "triad":
         report = ctl.triad(_require_observe(args), _sim(args, network))
     else:  # sevm
-        report = ctl.sevm_forecast(_require_observe(args), _sim(args, network),
-                                   k_neighbors=args.neighbors)
+        obs = _require_observe(args)
+        if args.neighbors is not None:
+            ctl.check_neighbors(args.neighbors, args.runs)  # before the runs it would waste
+        report = ctl.sevm_forecast(obs, _sim(args, network), k_neighbors=args.neighbors)
 
     svgplot.plot(report, path, args.grid)
     _info(f"wrote {path}")

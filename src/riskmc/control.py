@@ -233,12 +233,17 @@ def default_neighbors(n_runs: int) -> int:
     return min(n_runs, max(500, round(0.05 * n_runs)))
 
 
-def check_estimator(estimator: str, k: int) -> None:
-    """The linear estimator fits three coefficients, so it needs k >= 4 neighbors."""
+def check_neighbors(k: int, n_runs: int, estimator: str = "mean") -> None:
+    """Refuse k neighbors outside [1, n_runs], or below 4 for the linear
+    estimator, which fits three coefficients; needs no simulated run."""
+    if k < 1:
+        raise ConfigError(f"k_neighbors must be >= 1, got {k}")
     if estimator not in ("mean", "linear"):
         raise ConfigError(f"unknown estimator {estimator!r}")
     if estimator == "linear" and k < 4:
         raise ConfigError(f"the linear estimator needs at least 4 neighbors, got {k}")
+    if k > n_runs:
+        raise KTooLarge(f"k_neighbors {k} exceeds n_runs {n_runs}")
 
 
 def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
@@ -253,12 +258,8 @@ def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
     """
     n = ensemble.n_runs
     k = default_neighbors(n) if k_neighbors is None else int(k_neighbors)
-    if k < 1:
-        raise ConfigError(f"k_neighbors must be >= 1, got {k}")
-    check_estimator(estimator, k)
+    check_neighbors(k, n, estimator)
     x = completion_fraction(obs, ensemble)
-    if k > n:
-        raise KTooLarge(f"k_neighbors {k} exceeds n_runs {n}")
 
     section_t, section_c = cross_section(ensemble, x)
     dist2 = np.zeros(n)

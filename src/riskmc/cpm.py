@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvOutOfRange, PathExplosion
+from .errors import DegenerateProject, EvOutOfRange, PathExplosion
 from .network import ValidatedNetwork
 
 CRIT_TOL = 1e-9  # absolute float tolerance marking a node critical
@@ -97,7 +98,8 @@ def passes(network: ValidatedNetwork, durations, es):
 def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
     """CPM pass for one duration vector: the one-row case of `passes`.
 
-    The result owns read-only arrays; the durations are copied first.
+    The result owns read-only arrays; the durations are copied first. A
+    duration or cost that leaves the floats is DegenerateProject.
     """
     d = np.array(durations, dtype=float)
     if d.shape != (len(network.nodes),):
@@ -106,19 +108,26 @@ def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
         raise ValueError("durations must be nonnegative")
 
     es = np.empty(len(d))
-    lf = passes(network, d[None, :], es[None, :])[0]
-    ef = es + d
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        lf = passes(network, d[None, :], es[None, :])[0]
+        ef = es + d
+        costs = network.fixed_costs() + network.rates() * d
+        duration = float(ef[network.sink])
+        bac = float(accrue(duration, costs, es, ef))
+    # every node reaches the sink, and at the project's end its accrual is
+    # the sum of all costs: past the float range anywhere, one is non-finite
+    if not (math.isfinite(duration) and math.isfinite(bac)):
+        raise DegenerateProject(f"the plan exceeds the float range: duration {duration}, "
+                                f"cost {bac}")
     ls = lf - d
     total_float = ls - es
     critical = total_float <= CRIT_TOL
-    costs = network.fixed_costs() + network.rates() * d
-    duration = float(ef[network.sink])
     for arr in (d, es, ef, ls, lf, total_float, critical, costs):
         arr.flags.writeable = False
     return CpmResult(node_ids=network.ids(), node_names=network.names(), durations=d,
                      es=es, ef=ef, ls=ls, lf=lf,
                      total_float=total_float, critical=critical, costs=costs,
-                     duration=duration, bac=float(accrue(duration, costs, es, ef)))
+                     duration=duration, bac=bac)
 
 
 def plan(network: ValidatedNetwork) -> CpmResult:

@@ -11,6 +11,7 @@ from . import quantiles
 from .errors import BadDistributionParams
 
 VARIANTS = ("point", "discrete", "uniform", "triangular", "normal", "pert")
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -22,8 +23,8 @@ class Distribution:
       triangular(a, m, b); normal(mu, sigma); pert(a, m, b).
 
     Laws model durations and impacts, so the support must be nonnegative.
-    Normal laws are truncated at zero when sampled (resample until
-    nonnegative); ``mean()`` reports the untruncated mu and the small
+    Normal laws are sampled truncated at zero, as the normal conditioned
+    on x >= 0; ``mean()`` reports the untruncated mu and the small
     truncation bias is accepted.
     """
 
@@ -79,9 +80,9 @@ class Distribution:
 def inv_cdf(dist: Distribution, u):
     """Map uniforms in [0, 1) through the inverse CDF, elementwise.
 
-    Normal laws are not truncated here; callers must resample negatives.
     Every variant consumes exactly one uniform per draw, which the
-    simulation engine relies on for stream positioning. Normal and PERT
+    simulation engine relies on for stream positioning; a normal law
+    returns the quantile of its truncation at zero. Normal and PERT
     quantiles come from riskmc.quantiles (numpy only): AS 241 for the
     normal law, a cached inverse table per PERT shape.
     """
@@ -112,7 +113,13 @@ def inv_cdf(dist: Distribution, u):
         mu, sigma = p
         if sigma == 0.0:
             return np.full_like(u, mu)
-        return mu + sigma * quantiles.ndtri(u)
+        # the normal conditioned on x >= 0, with p0 = P(x < 0); v stays below 1,
+        # where ndtri is finite, and the clip at 0 takes mu + sigma z rounding
+        # below 0 near the truncation point, or -inf at u = 0 once p0 underflows
+        p0 = 0.5 * math.erfc(mu / sigma / math.sqrt(2.0))
+        v = np.minimum(p0 + (1.0 - p0) * u, _BELOW_ONE)
+        with np.errstate(over="ignore"):  # inf past the float range; run_ensemble refuses it
+            return np.maximum(mu + sigma * quantiles.ndtri(v), 0.0)
     a, m, b = p
     if b == a:
         return np.full_like(u, a)

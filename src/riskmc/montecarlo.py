@@ -1,10 +1,11 @@
 """Seeded, reproducible ensemble simulation and empirical statistics.
 
 Randomness layout: every (node, purpose) pair owns a Philox stream keyed
-by blake2b(seed | purpose | ident | round), and run k always reads
-position k of that stream. All variants sample by inverse CDF, one
-uniform per draw, so results are bitwise identical for any worker count
-and toggling one risk never perturbs any other draw.
+by blake2b(seed | purpose | ident | 0), and run k always reads position k
+of that stream. All variants sample by inverse CDF, one uniform per draw
+(a normal law through the inverse CDF of its truncation at zero), so
+results are bitwise identical for any worker count and toggling one risk
+never perturbs any other draw.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ _PEAK_PER_RUN = 96
 _CHUNK = 8192  # runs per task; a multiple of 4, so chunks start on a Philox block
 
 
-def _uniform_block(seed, purpose, ident, round_no, start, count):
+def _uniform_block(seed, purpose, ident, start, count):
     """Uniforms at stream positions [start, start+count); start is 4-aligned."""
-    msg = f"{seed}|{purpose}|{ident}|{round_no}".encode()
+    # the constant last field keeps every key, so every draw, as it was when
+    # that field numbered a normal law's redraw rounds
+    msg = f"{seed}|{purpose}|{ident}|0".encode()
     key = int.from_bytes(hashlib.blake2b(msg, digest_size=16).digest(), "little")
     bit_gen = Philox(key=key)
     bit_gen.advance(start // 4)  # Philox emits 4 doubles per counter tick
@@ -46,21 +49,9 @@ def _uniform_block(seed, purpose, ident, round_no, start, count):
 
 
 def sample_block(dist: Distribution, seed, ident, start, count, purpose=_DURATION):
-    """Nonnegative draws for runs [start, start+count), chunking-independent.
-
-    Truncation rounds for normal laws redraw rejected positions from a
-    fresh round-numbered stream, so a run's value never depends on which
-    chunk it was computed in.
-    """
-    x = inv_cdf(dist, _uniform_block(seed, purpose, ident, 0, start, count))
-    round_no = 1
-    while True:
-        bad = x < 0.0
-        if not bad.any():
-            return x
-        u = _uniform_block(seed, purpose, ident, round_no, start, count)
-        x = np.where(bad, inv_cdf(dist, u), x)
-        round_no += 1
+    """Nonnegative draws for runs [start, start+count), chunking-independent:
+    run k reads position k of the (ident, purpose) stream."""
+    return inv_cdf(dist, _uniform_block(seed, purpose, ident, start, count))
 
 
 @dataclass(frozen=True)
@@ -112,6 +103,7 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
 
     Each chunk of _CHUNK runs is simulated end to end, up to `workers` chunks
     at once; bitwise deterministic in (network, cfg), whatever the workers.
+    A plan or run whose duration or cost leaves the floats is DegenerateProject.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -123,6 +115,7 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     critical = np.empty((n, m), dtype=bool)
     total_duration, total_cost = np.empty(n), np.zeros(n)
     fixed, rates = network.fixed_costs(), network.rates()
+    plan = _cpm.plan(network)
 
     def simulate(lo):
         hi = min(lo + _CHUNK, n)
@@ -130,20 +123,25 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
         for node in nodes:
             d[:, node.index] = _draw(node.base, node.gate, cfg.seed, node.id, lo, hi)
 
-        # costs first, so their draws' temporaries never meet the late finishes
-        np.multiply(rates, d, out=cost)
-        cost += fixed
-        for cr in network.cost_risks:
-            cost[:, cr.target] += _draw(cr.impact, cr.probability, cfg.seed, cr.id, lo, hi)
-        # accumulate in node order, matching ev_at/cost_at and the plan's BAC,
-        # so the endpoint identities cost_k(PD_k) = C_k and ev_k(PD_k) = BAC
-        # hold bitwise
         cost_sum = total_cost[lo:hi]
-        for j in range(m):
-            cost_sum += cost[:, j]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            # costs first, so their draws' temporaries never meet the late finishes
+            np.multiply(rates, d, out=cost)
+            cost += fixed
+            for cr in network.cost_risks:
+                cost[:, cr.target] += _draw(cr.impact, cr.probability, cfg.seed, cr.id, lo, hi)
+            # accumulate in node order, matching ev_at/cost_at and the plan's BAC,
+            # so the endpoint identities cost_k(PD_k) = C_k and ev_k(PD_k) = BAC
+            # hold bitwise
+            for j in range(m):
+                cost_sum += cost[:, j]
 
-        late = _cpm.passes(network, d, es)
-        total_duration[lo:hi] = late[:, network.sink]
+            late = _cpm.passes(network, d, es)
+            total_duration[lo:hi] = late[:, network.sink]
+        # every node reaches the sink, so a duration or finish past the float
+        # range reaches the project's; a node cost past it reaches the total
+        if not (np.isfinite(total_duration[lo:hi]).all() and np.isfinite(cost_sum).all()):
+            raise DegenerateProject("a run's duration or cost exceeds the float range")
         late -= d  # late finish -> late start -> total float, in place
         late -= es
         np.less_equal(late, _cpm.CRIT_TOL, out=critical[lo:hi])
@@ -159,7 +157,7 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     )
     for arr in arrays.values():
         arr.flags.writeable = False
-    return Ensemble(plan=_cpm.plan(network), **arrays)
+    return Ensemble(plan=plan, **arrays)
 
 
 def _memory_ceiling() -> int:
@@ -188,7 +186,7 @@ def _draw(law, gate, seed, ident, lo, hi):
     risks share this code, so a risk id owns one gate stream whatever its kind."""
     if gate is None:
         return sample_block(law, seed, ident, lo, hi - lo)
-    active = _uniform_block(seed, _GATE, ident, 0, lo, hi - lo) < gate
+    active = _uniform_block(seed, _GATE, ident, lo, hi - lo) < gate
     return np.where(active, sample_block(law, seed, ident, lo, hi - lo, purpose=_IMPACT), 0.0)
 
 

@@ -140,6 +140,15 @@ def test_linear_estimator_checks_the_default_neighbors_before_simulating(
     assert err.startswith("ConfigError:") and "at least 4 neighbors" in err, err
 
 
+@pytest.mark.parametrize("command", [["forecast"], ["plot", "--kind", "sevm"]])
+def test_neighbors_above_runs_are_refused_before_simulating(project, command, tmp_path,
+                                                           capsys, no_simulation):
+    assert main([*command, "--project", project, "--observe", "t=4,ev=430,ac=440",
+                 "--runs", "200", "--neighbors", "300", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "KTooLarge: k_neighbors 300 exceeds n_runs 200\n", err
+
+
 @pytest.mark.parametrize("command", [
     ["simulate"], ["indices"], ["contingency", "--percentile", "90"],
     ["control", "--observe", "t=4,ev=430,ac=440"],
@@ -200,6 +209,46 @@ def test_plots_at_float_resolution_never_hang(tmp_path, kind):
         # and to one bin [x, x] for a constant sample
         assert result.returncode == 0, result.stderr
         ET.parse(tmp_path / f"{kind}.svg")
+
+
+# a project whose finish, or one run's duration, passes the largest double
+OVERFLOWING = {
+    "cpm": """[activities]
+A0 "start" point(0) fixed=0 rate=0
+A1 "one" uniform(1e308,1.5e308) fixed=0 rate=0
+A2 "two" uniform(1e308,1.5e308) fixed=0 rate=0
+A3 "three" uniform(1e308,1.5e308) fixed=0 rate=0
+Af "finish" point(0) fixed=0 rate=0
+
+[precedence]
+A1 <- A0
+A2 <- A1
+A3 <- A2
+Af <- A3
+""",
+    "simulate": """[activities]
+A0 "start" point(0) fixed=0 rate=0
+A1 "huge" normal(1e308,1e308) fixed=0 rate=0
+Af "finish" point(0) fixed=0 rate=0
+
+[precedence]
+A1 <- A0
+Af <- A1
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERFLOWING))
+def test_schedule_past_the_float_range_is_one_domain_error(command, tmp_path, capsys):
+    project = tmp_path / "overflow.project"
+    project.write_text(OVERFLOWING[command])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--project", str(project)]) == 1
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith("DegenerateProject:") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_missing_project_file_is_io_error():

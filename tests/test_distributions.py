@@ -65,8 +65,7 @@ def test_inv_cdf_monotone_and_in_support(dist):
     u = np.linspace(0.0, 0.999999, 2001)
     x = inv_cdf(dist, u)
     assert (np.diff(x) >= 0).all()
-    if dist.kind != "normal":
-        assert (x >= 0).all()
+    assert (x >= 0).all()
 
 
 def test_point_sampling_constant():

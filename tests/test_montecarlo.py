@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import threading
 import tracemalloc
 from unittest import mock
@@ -84,7 +85,7 @@ RUN_FIELDS = ("durations", "starts", "critical", "total_duration",
 
 
 def test_worker_count_never_changes_normal_and_pert_results():
-    # normal laws redraw their negatives, PERT laws read their shape's table
+    # normal laws are truncated at zero, PERT laws read their shape's table
     net = validate(normal_pert_spec())
     cfg = SimConfig(n_runs=2500, seed=4)
     base = run_ensemble(net, cfg, workers=1)
@@ -164,7 +165,7 @@ def _one_worker_ensemble(n_runs, chunk=C):
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 @pytest.mark.parametrize("n_runs", [C - 1, C, C + 1, 2 * C + 1])
 def test_chunk_boundaries_never_change_a_run(n_runs, workers):
-    # normal laws redraw their negatives and PERT laws read their tables
+    # normal laws are truncated at zero and PERT laws read their tables
     # inside the worker threads; a run's values depend on neither the worker
     # count nor the run count nor the chunking (chunks of 1028 runs start on
     # other stream positions)
@@ -183,6 +184,34 @@ def test_chunk_boundaries_never_change_a_run(n_runs, workers):
         assert (ens.starts[k] + ens.durations[k]).tobytes() == want["ef"].tobytes(), k
         assert ens.critical[k].tobytes() == want["critical"].tobytes(), k
         assert ens.total_duration[k] == want["duration"], k
+
+
+# sha256 of each array of the normal_pert_spec ensemble of 3 * C + 5 runs at
+# seed 14: no golden output holds a normal law, so these pin its draws
+NORMAL_PERT_SHA256 = {
+    "durations": "ee6af84bab908d738d6c6310378b49cb7da60d2138c08f56b290fb515ff41e27",
+    "starts": "a8ef2a0a8b466de3805c6bd94a75be20eb8e5022e3976034cc1290e1a026768d",
+    "critical": "e68c33df7147a754b5959b456b5662bb4db554ef043b9f938e6bdeb4948fe9c1",
+    "total_duration": "f78a50ea0001be063a805ae3eae5ba403b380cdeb61a6067cfe96fffa8e4ed15",
+    "total_cost": "969081e2335c74ae6b50fc11272ce0b0ed3195201dab9fce8b5bbba64275ea2e",
+    "node_cost": "67013773f6c56f9e18eec8304dfd96c328255791a2452b932c411319cd22e4d5",
+}
+
+
+def test_normal_and_pert_draws_are_pinned():
+    ens = run_ensemble(validate(normal_pert_spec()), SimConfig(n_runs=3 * C + 5, seed=14))
+    for field in RUN_FIELDS:
+        digest = hashlib.sha256(getattr(ens, field).tobytes()).hexdigest()
+        assert digest == NORMAL_PERT_SHA256[field], field
+
+
+@pytest.mark.parametrize("dist", [Distribution.normal(0.5, 2.0), Distribution.normal(5, 2)])
+def test_normal_block_reads_one_uniform_block(dist):
+    # one uniform per draw: a block of normal draws reads its stream once
+    with mock.patch.object(montecarlo, "_uniform_block",
+                           wraps=montecarlo._uniform_block) as uniforms:
+        sample_block(dist, seed=3, ident="once", start=0, count=C)
+    assert uniforms.call_count == 1
 
 
 @pytest.mark.parametrize("n_nodes", [4, 42, 152, 402])
@@ -325,7 +354,7 @@ def test_run_cost_identity(figure3_network):
     rate = np.array([n.variable_cost_rate for n in figure3_network.nodes])
     base = (fixed[None, :] + rate[None, :] * ens.durations).sum(axis=1)
     risk_part = ens.total_cost - base
-    active = montecarlo._uniform_block(37, "gate", "R3", 0, 0, ens.n_runs) < 0.25
+    active = montecarlo._uniform_block(37, "gate", "R3", 0, ens.n_runs) < 0.25
     assert (risk_part[~active] == pytest.approx(0.0, abs=1e-9))
     assert (risk_part[active] >= 10.0 - 1e-9).all()
     assert (risk_part[active] <= 40.0 + 1e-9).all()

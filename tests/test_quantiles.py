@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.special import betaincinv, ndtri
+from scipy.special import betaincinv, ndtr, ndtri
 
 from riskmc import Distribution, quantiles
 from riskmc.distributions import inv_cdf
+from riskmc.montecarlo import sample_block
 
 EDGES = np.array([5e-324, 1e-300, 1e-12, 0.5, 1 - 1e-12, np.nextafter(1.0, 0.0)])
 UNIFORMS = np.concatenate([np.random.default_rng(2024).random(100_000), EDGES])
@@ -34,7 +35,7 @@ def test_pert_within_1e_12_of_betaincinv(alpha):
 
 
 def test_normal_within_8_ulp_of_ndtri():
-    z = inv_cdf(Distribution.normal(0.0, 1.0), UNIFORMS)
+    z = quantiles.ndtri(UNIFORMS)
     ref = ndtri(UNIFORMS)
     err = np.abs(z - ref)
     near_half = np.abs(UNIFORMS - 0.5) < 1e-3
@@ -104,6 +105,43 @@ def test_pert_sampler_properties(kind, points, uniforms):
     assert (x >= a).all() and (x <= b).all()
     if kind == "pert":  # a triangular law with m = a reaches a from b, within an ulp of b
         assert x[0] == a
+
+
+TOP = np.nextafter(1.0, 0.0)
+
+
+@given(st.one_of(st.just(0.0), values),
+       st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+       st.floats(min_value=37.0, max_value=41.0),
+       st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=40))
+# mu = 0: p0 + (1 - p0) u rounds to 1 at u = nextafter(1, 0), where ndtri is nan
+@example(mu=0.0, sigma=1.0, ratio=37.0, uniforms=[])
+# mu / sigma >= ~37.5: p0 underflows to 0, so u = 0 reaches ndtri(0) = -inf
+@example(mu=40.0, sigma=1.0, ratio=40.0, uniforms=[])
+# mu / sigma = 38: p0 is subnormal and mu + sigma z rounds below 0
+@example(mu=38.0, sigma=1.0, ratio=38.0, uniforms=[])
+def test_truncated_normal_sampler_properties(mu, sigma, ratio, uniforms):
+    # at the drawn (mu, sigma) and at mu = ratio * sigma, about where the mass
+    # below 0 underflows: finite, nonnegative and non-decreasing in u
+    u = np.sort(np.array(uniforms + [0.0, TOP]))
+    for law in (Distribution.normal(mu, sigma), Distribution.normal(ratio * sigma, sigma)):
+        x = inv_cdf(law, u)
+        assert np.isfinite(x).all() and (x >= 0.0).all(), law
+        assert (np.diff(x) >= 0.0).all(), law
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.5, 2.0)])
+def test_truncated_normal_within_the_dkw_band(mu, sigma):
+    # KS distance of 1e5 draws to the exact CDF of the normal conditioned
+    # on x >= 0, inside the 99% DKW band sqrt(ln(2/0.01)/(2n))
+    n = 100_000
+    x = np.sort(sample_block(Distribution.normal(mu, sigma), seed=5, ident="dkw",
+                             start=0, count=n))
+    p0 = ndtr(-mu / sigma)
+    cdf = (ndtr((x - mu) / sigma) - p0) / (1.0 - p0)
+    ranks = np.arange(1, n + 1) / n
+    ks = max((ranks - cdf).max(), (cdf - (ranks - 1.0 / n)).max())
+    assert ks < math.sqrt(math.log(2 / 0.01) / (2 * n))
 
 
 def test_triangular_is_non_decreasing_on_adjacent_floats():
