@@ -48,6 +48,9 @@ def _bounded(kind, lo, hi=math.inf):
     return parse
 
 
+_grid_points = _bounded(int, 2, csvout.MAX_GRID_POINTS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="riskmc",
                      description="Monte Carlo schedule/cost risk analysis for "
@@ -63,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         if sim:
             sp.add_argument("--runs", type=_bounded(int, 1), default=20_000)
             sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--workers", type=int, default=1)
+            sp.add_argument("--workers", type=_bounded(int, 1), default=1)
         if observe:
             sp.add_argument("--observe", required=True, metavar="t=T,ev=EV,ac=AC",
                             help="control observation")
@@ -80,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--percentile", type=_bounded(float, 0, 100), required=True)
     sp.add_argument("--dimension", choices=("cost", "duration"), default="cost")
     sp = add("baseline", "SRB/CRB risk baselines and ARI ranking", cmd_baseline, sim=True)
-    sp.add_argument("--grid", type=_bounded(int, 2), default=csvout.GRID_POINTS,
+    sp.add_argument("--grid", type=_grid_points, default=csvout.GRID_POINTS,
                     help="points on the SRB/CRB grid")
     sp = add("control", "SCoI/CCoI and Triad percentiles at an observation",
              cmd_control, sim=True, observe=True)
@@ -92,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--estimator", choices=("mean", "linear"), default="mean")
     sp = add("plot", "render one SVG chart", cmd_plot, sim=True)
     sp.add_argument("--kind", choices=PLOT_KINDS, required=True)
-    sp.add_argument("--grid", type=_bounded(int, 2), default=csvout.GRID_POINTS,
+    sp.add_argument("--grid", type=_grid_points, default=csvout.GRID_POINTS,
                     help="points on the PV and SRB/CRB grids")
     sp.add_argument("--observe", default=None, metavar="t=T,ev=EV,ac=AC",
                     help="required for triad and sevm plots")
     sp.add_argument("--neighbors", type=_bounded(int, 1), default=None)
-    sp.add_argument("--bins", type=_bounded(int, 1), default=40)
+    sp.add_argument("--bins", type=_bounded(int, 1, mc.MAX_BINS), default=40)
 
     sp = sub.add_parser("convert-matrix",
                         help="turn a Figure-style precedence matrix CSV into a project skeleton")

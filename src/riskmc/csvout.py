@@ -13,7 +13,8 @@ from .indices import SensitivityReport
 from .montecarlo import Ensemble, HistogramTable
 
 PERCENTILE_STEPS = tuple(range(5, 100, 5))
-GRID_POINTS = 101  # default samples of the planned timeline [0, PD] at export
+GRID_POINTS = 101            # default samples of the planned timeline [0, PD] at export
+MAX_GRID_POINTS = 1_000_000  # the most it takes: bounds an export's arrays and file
 _BLOCK = 4096      # rows formatted at a time; bounds the cells held at once
 _BYTE_CELLS = tuple(str(k) for k in range(256))  # the cell of each uint8 value
 
@@ -98,8 +99,8 @@ _TABULATORS = (
 
 def _grid_times(plan: CpmResult, grid_points: int) -> np.ndarray:
     """The export grid: uniform times on the plan's [0, PD]."""
-    if grid_points < 2:
-        raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
+    if not 2 <= grid_points <= MAX_GRID_POINTS:
+        raise ConfigError(f"grid_points must be in [2, {MAX_GRID_POINTS}], got {grid_points}")
     return np.linspace(0.0, plan.duration, grid_points)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,6 +77,13 @@ class Distribution:
             return (p[0] + 4.0 * p[1] + p[2]) / 6.0
         return p[0]  # normal
 
+    @functools.cached_property
+    def _pert_table(self):
+        """The inverse table of pert(a, m, b), a < b: beta(alpha, 6 - alpha) on
+        [a, b]. The ratio comes first, so 4 (m - a) cannot overflow."""
+        a, m, b = self.params
+        return quantiles.pert_table(1.0 + 4.0 * ((m - a) / (b - a)))
+
 
 def inv_cdf(dist: Distribution, u):
     """Map uniforms in [0, 1) through the inverse CDF, elementwise.
@@ -84,7 +92,7 @@ def inv_cdf(dist: Distribution, u):
     simulation engine relies on for stream positioning; a normal law
     returns the quantile of its truncation at zero. Normal and PERT
     quantiles come from riskmc.quantiles (numpy only): AS 241 for the
-    normal law, a cached inverse table per PERT shape.
+    normal law, for a PERT law the inverse table of its shape, held by the law.
     """
     u = np.asarray(u, dtype=float)
     k, p = dist.kind, dist.params
@@ -124,14 +132,7 @@ def inv_cdf(dist: Distribution, u):
     if b == a:
         return np.full_like(u, a)
     # a + (b - a) can round above b
-    return np.minimum(a + (b - a) * quantiles.pert_unit(_pert_alpha(dist), u), b)
-
-
-def build_tables(laws) -> None:
-    """Build the inverse tables of all PERT shapes among `laws` in one pass;
-    inv_cdf would otherwise build each on its first draw."""
-    quantiles.build_pert_tables([_pert_alpha(d) for d in laws
-                                 if d.kind == "pert" and d.params[2] > d.params[0]])
+    return np.minimum(a + (b - a) * quantiles.pert_unit(dist._pert_table, u), b)
 
 
 def _sqrt_product(u, x, y):
@@ -139,13 +140,6 @@ def _sqrt_product(u, x, y):
     if 2.0 ** -1022 <= x * y < math.inf:
         return np.sqrt(u * x * y)
     return np.sqrt(u * x) * np.sqrt(y)
-
-
-def _pert_alpha(dist):
-    """pert(a, m, b) is beta(alpha, 6 - alpha) stretched onto [a, b]; the
-    ratio comes first, so 4 (m - a) cannot overflow."""
-    a, m, b = dist.params
-    return 1.0 + 4.0 * ((m - a) / (b - a))
 
 
 def _finite(*xs):

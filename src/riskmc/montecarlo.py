@@ -20,7 +20,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import cpm as _cpm
-from .distributions import Distribution, build_tables, inv_cdf
+from .distributions import Distribution, inv_cdf
 from .errors import ConfigError, DegenerateProject, EmptySample
 from .network import ValidatedNetwork
 
@@ -35,6 +35,7 @@ _PEAK_PER_RUN_NODE = 34
 _PEAK_PER_RUN = 96
 
 _CHUNK = 8192  # runs per task; a multiple of 4, so chunks start on a Philox block
+MAX_BINS = 100_000  # the most histogram bins; bounds the histogram's arrays
 
 
 def _uniform_block(seed, purpose, ident, start, count):
@@ -146,7 +147,6 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
         late -= es
         np.less_equal(late, _cpm.CRIT_TOL, out=critical[lo:hi])
 
-    build_tables([node.base for node in nodes] + [cr.impact for cr in network.cost_risks])
     chunks = range(0, n, _CHUNK)
     with ThreadPoolExecutor(min(workers, len(chunks), os.cpu_count() or 1)) as pool:
         list(pool.map(simulate, chunks))  # re-raises the first chunk's error
@@ -213,8 +213,8 @@ def histogram_and_cdf(samples, bins: int = 40) -> HistogramTable:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise EmptySample("histogram_and_cdf needs at least one sample")
-    if bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {bins}")
+    if not 1 <= bins <= MAX_BINS:
+        raise ConfigError(f"bins must be in [1, {MAX_BINS}], got {bins}")
     counts, edges = _bin_counts(x, bins)
     pdf = counts / x.size
     cdf = np.cumsum(counts) / x.size

@@ -21,7 +21,8 @@ from .errors import (
     UnknownPredecessor,
 )
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+ID_PATTERN = r"[A-Za-z0-9_.\-]+"  # the syntax of an activity or risk id
+_ID_RE = re.compile(rf"^{ID_PATTERN}$")
 
 RISK_KINDS = ("duration", "cost")
 

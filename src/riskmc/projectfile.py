@@ -40,14 +40,13 @@ from .errors import (
     UnknownField,
     UnknownPredecessor,
 )
-from .network import Activity, ProjectSpec, RiskEvent
+from .network import ID_PATTERN, Activity, ProjectSpec, RiskEvent
 
 _SECTIONS = ("activities", "risks", "precedence", "precedence-matrix")
-_ID = r"[A-Za-z0-9_.\-]+"
-_ID_RE = re.compile(rf"^{_ID}$")
+_ID_RE = re.compile(rf"^{ID_PATTERN}$")
 _NAME_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _DIST_RE = re.compile(rf"({'|'.join(VARIANTS)})\(([^)]*)\)")
-_PAIR_RE = re.compile(rf"^({_ID})\s*<-\s*((?:{_ID})(?:\s+{_ID})*)$")
+_PAIR_RE = re.compile(rf"^({ID_PATTERN})\s*<-\s*((?:{ID_PATTERN})(?:\s+{ID_PATTERN})*)$")
 
 
 def parse_project(path) -> ProjectSpec:

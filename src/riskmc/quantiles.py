@@ -5,7 +5,8 @@ rational approximations accurate to about 1e-16 relative.
 
 PERT laws are beta(alpha, beta) laws stretched onto [a, b] with
 alpha + beta = 6, so every shape lies on the segment alpha in [1, 5].
-Each shape gets an inverse table, cached by alpha:
+Each shape gets an inverse table, pert_table(alpha), which lives as long
+as some PERT law of that shape holds it:
 
 - The forward CDF F = I_x(alpha, beta) comes at the knots x = j/4096
   from the incomplete-beta continued fraction (Numerical Recipes'
@@ -16,14 +17,16 @@ Each shape gets an inverse table, cached by alpha:
   s = (1 - u)^(1/beta). Slopes come from the closed-form pdf, and the
   end slope is (alpha B)^(1/alpha), resp. (beta B)^(1/beta).
 
-A table is a function of alpha alone: a batch of shapes is built with
-elementwise operations only, so no row depends on the others, and
-neither a chunk nor the number of workers ever reaches it.
+A table is a function of alpha alone: neither a chunk nor the number of
+workers ever reaches it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +83,6 @@ def ndtri(u):
 _CELLS = 2048           # Hermite cells on each half of [0, 1]
 _H = 0.5 / _CELLS       # knot spacing in x; a power of two, so knots are exact
 _CF_TERMS = 14          # continued-fraction steps; within ~2e-15 of betainc
-_BATCH = 16             # shapes built per vectorized pass, bounding its memory
 
 
 class _Half(NamedTuple):
@@ -96,26 +98,33 @@ class _Half(NamedTuple):
     c3: np.ndarray
 
 
-class _Table(NamedTuple):
+@dataclass(frozen=True)  # not a NamedTuple: a tuple cannot be weakly referenced
+class _Table:
     split: float        # F(1/2)
     lower: _Half        # x for u < split, from v = u
     upper: _Half        # 1 - x for u >= split, from v = 1 - u
 
 
-_TABLES: dict = {}      # alpha -> _Table
+_TABLES = weakref.WeakValueDictionary()  # alpha -> _Table, while some law holds it
+_BUILDING = threading.Lock()             # so threads sampling one shape build it once
 
 
-def pert_unit(alpha: float, u):
-    """Quantile of beta(alpha, 6 - alpha) at u in [0, 1), for alpha in [1, 5].
+def pert_table(alpha: float) -> _Table:
+    """The inverse table of beta(alpha, 6 - alpha), alpha in [1, 5]; laws of
+    one shape share it, and it is freed with the last of them."""
+    with _BUILDING:
+        table = _TABLES.get(alpha)
+        if table is None:
+            table = _TABLES[alpha] = _build(alpha)
+    return table
+
+
+def pert_unit(table: _Table, u):
+    """Quantile of beta(alpha, 6 - alpha) at u in [0, 1), from pert_table(alpha).
 
     Non-decreasing in u, 0 at u = 0 and inside [0, 1]; within 4e-14 of
-    scipy.special.betaincinv. Builds and caches the shape's table if
-    build_pert_tables has not.
+    scipy.special.betaincinv.
     """
-    table = _TABLES.get(alpha)
-    if table is None:
-        build_pert_tables([alpha])
-        table = _TABLES[alpha]
     u = np.asarray(u, dtype=float)
     x = np.empty_like(u)
     lower = u < table.split
@@ -133,22 +142,11 @@ def _half_quantile(half: _Half, v):
     return np.minimum(y, 0.5)
 
 
-def build_pert_tables(alphas) -> None:
-    """Build and cache the table of every alpha in [1, 5] not cached yet,
-    _BATCH shapes per vectorized pass."""
-    new = sorted(a for a in {float(a) for a in alphas} if a not in _TABLES)
-    for lo in range(0, len(new), _BATCH):
-        batch = new[lo:lo + _BATCH]
-        # one row per half: lower halves are beta(alpha, beta) in x,
-        # upper halves beta(beta, alpha) in 1 - x
-        halves, splits = _halves(np.array(batch + [6.0 - a for a in batch]))
-        for k, alpha in enumerate(batch):
-            _TABLES[alpha] = _Table(splits[k], halves[k], halves[k + len(batch)])
-
-
-def _halves(p):
-    """One _Half per shape parameter p, and I_{1/2}(p, 6 - p) for each."""
-    p = p[:, None]
+def _build(alpha):
+    """The table of shape alpha: its lower half is beta(alpha, beta) in x, its upper
+    beta(beta, alpha) in 1 - x. Both come from one (2, 1) array p: numpy's shortcuts
+    for exponents like 0.5 and -1, and so a table's last bits, depend on array shapes."""
+    p = np.array([[alpha], [6.0 - alpha]])
     q = 6.0 - p
     ln_b = np.array([[math.lgamma(a) + math.lgamma(6.0 - a) - math.lgamma(6.0)]
                      for a in p[:, 0]])
@@ -167,9 +165,9 @@ def _halves(p):
     d0 = slope[:, :-1] * width / _H     # cell end slopes in units of the cell
     d1 = slope[:, 1:] * width / _H
     c2, c3 = 3.0 - 2.0 * d0 - d1, d0 + d1 - 2.0
-    halves = [_Half(1.0 / p[k, 0], s[k], 1.0 / width[k], d0[k], c2[k], c3[k])
-              for k in range(p.shape[0])]
-    return halves, v[:, -1].tolist()
+    lower, upper = (_Half(1.0 / p[k, 0], s[k], 1.0 / width[k], d0[k], c2[k], c3[k])
+                    for k in (0, 1))
+    return _Table(float(v[0, -1]), lower, upper)
 
 
 def _betacf(p, swap, x):
@@ -183,9 +181,17 @@ def _betacf(p, swap, x):
     d = 1.0 / (1.0 - 6.0 * x / (np.where(swap, q, p) + 1.0))
     c = np.ones_like(x)
     h = d
+    # `swap` holds on a tail of each row; there and before it a term's
+    # coefficient is a Python float, whose IEEE arithmetic is the arrays'
+    rows = [(k, x.shape[1] - np.count_nonzero(swap[k]), pk, 6.0 - pk)
+            for k, pk in enumerate(p[:, 0].tolist())]
+    aa = np.empty_like(x)
     for m in range(1, _CF_TERMS + 1):
-        for plain, swapped in zip(_cf_coefs(m, p, q), _cf_coefs(m, q, p)):
-            aa = np.where(swap, swapped, plain) * x
+        coefs = [(k, n, _cf_coefs(m, a, b), _cf_coefs(m, b, a)) for k, n, a, b in rows]
+        for i in (0, 1):
+            for k, n, plain, swapped in coefs:
+                np.multiply(x[k, :n], plain[i], out=aa[k, :n])
+                np.multiply(x[k, n:], swapped[i], out=aa[k, n:])
             d = 1.0 / (1.0 + aa * d)
             c = 1.0 + aa / c
             h = h * (d * c)

@@ -8,8 +8,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from netgen import ladder_spec
-from riskmc import render_project
+from riskmc import csvout, render_project
 from riskmc.cli import main
+from riskmc.montecarlo import MAX_BINS
 
 RISKMC = [sys.executable, "-m", "riskmc"]
 
@@ -112,6 +113,11 @@ def test_grid_below_two_is_only_a_config_error(project, command, tmp_path, capsy
     ["control", "--observe", "t=4,ev=430,ac=440", "--band", "60"],
     ["control", "--observe", "t=1,t=4,ev=430,ac=445"],
     ["forecast", "--observe", "t=4,ev=430,ac=440", "--estimator", "linear", "--neighbors", "3"],
+    # above the ceilings, whose arrays could not be allocated
+    ["baseline", "--grid", str(csvout.MAX_GRID_POINTS + 1)],
+    ["plot", "--kind", "pv", "--grid", "1000000000000"],
+    ["plot", "--kind", "pdfcdf", "--bins", str(MAX_BINS + 1)],
+    ["plot", "--kind", "pdfcdf", "--bins", "1000000000000"],
 ])
 def test_out_of_range_flags_are_only_config_errors(project, command, tmp_path, capsys,
                                                    no_simulation):
@@ -171,10 +177,20 @@ def test_runs_beyond_memory_are_one_config_error(project, tmp_path, capsys):
     assert "runs fit" in err and not out.exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-7"])
-def test_workers_below_one_is_a_config_error(project, workers, capsys):
-    assert main(["simulate", "--project", project, "--runs", "100",
-                 "--workers", workers]) == 3
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--runs", "100", "--workers", "0"], id="0"),
+    pytest.param(["simulate", "--runs", "100", "--workers", "-7"], id="-7"),
+    # checked while parsing: before the project is read (an IoError, exit 2)
+    # and before --neighbors is checked against --runs (KTooLarge, exit 1)
+    pytest.param(["simulate", "--project", "missing.project", "--workers", "0"],
+                 id="missing-project"),
+    pytest.param(["forecast", "--observe", "t=4,ev=430,ac=440", "--runs", "10",
+                  "--neighbors", "20", "--workers", "0"], id="neighbors-above-runs"),
+])
+def test_workers_below_one_is_a_config_error(project, argv, capsys, no_simulation):
+    if "--project" not in argv:
+        argv = [*argv, "--project", project]
+    assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("ConfigError:") and err.count("\n") == 1, err
 

@@ -22,6 +22,7 @@ from riskmc import (
 )
 from riskmc.csvout import (
     _BLOCK,
+    MAX_GRID_POINTS,
     baseline_table,
     endpoint_table,
     metric_table,
@@ -32,6 +33,7 @@ from riskmc.csvout import (
     write_csv,
     write_table,
 )
+from riskmc.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +178,12 @@ def test_cpm_and_endpoint_tables(stack):
 def test_unknown_report_type_rejected(tmp_path):
     with pytest.raises(TypeError):
         write_table(tmp_path / "x.csv", *tabulate(object()))
+
+
+@pytest.mark.parametrize("grid_points", [1, MAX_GRID_POINTS + 1, 10**12])
+def test_grid_out_of_range_is_a_config_error(stack, grid_points):
+    net, ens = stack
+    with pytest.raises(ConfigError, match="grid_points must be in"):
+        pv_table(plan(net), grid_points)
+    with pytest.raises(ConfigError, match="grid_points must be in"):
+        baseline_table(risk_baselines(ens), grid_points)

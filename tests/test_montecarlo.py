@@ -223,7 +223,8 @@ def test_memory_guard_bounds_the_traced_peak(n_nodes):
     net = validate(random_dag_spec(rng, n_real=n_nodes - 2,
                                    edge_prob=min(0.4, 3 / n_nodes), with_risks=2))
     m = len(net.nodes)
-    run_ensemble(net, SimConfig(n_runs=8))  # builds the PERT tables first
+    # a first run builds the PERT tables, which the network's laws then hold
+    run_ensemble(net, SimConfig(n_runs=8))
     for n in (300, 1000, C - 1, C + 1, 4 * C + 1):
         for workers in (1, 3):
             tracemalloc.start()
@@ -381,6 +382,12 @@ def test_percentile_monotone_in_p():
     samples = rng.normal(size=501)
     values = [empirical_percentile(samples, p) for p in np.linspace(0, 100, 41)]
     assert (np.diff(values) >= 0).all()
+
+
+@pytest.mark.parametrize("bins", [0, montecarlo.MAX_BINS + 1, 10**12])
+def test_histogram_bins_out_of_range_is_a_config_error(bins):
+    with pytest.raises(ConfigError, match="bins must be in"):
+        histogram_and_cdf(np.arange(10.0), bins=bins)
 
 
 def test_histogram_constant_sample():

@@ -1,7 +1,11 @@
 """The numpy-only normal and PERT quantiles against scipy.special, which
 riskmc uses only here, as a test-time oracle."""
 
+import gc
+import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -43,18 +47,75 @@ def test_normal_within_8_ulp_of_ndtri():
     assert quantiles.ndtri(np.array([0.0]))[0] == -np.inf
 
 
-def test_pert_table_depends_on_its_shape_alone(monkeypatch):
-    monkeypatch.setattr(quantiles, "_TABLES", {})
-    quantiles.build_pert_tables([2.5])
-    alone = quantiles._TABLES[2.5]
-    quantiles._TABLES.clear()
-    # a batch of several shapes, the shape in the middle of it
-    quantiles.build_pert_tables([1.0, 1.7, 2.5, 3.25, 5.0])
-    batched = quantiles._TABLES[2.5]
-    assert alone.split == batched.split
-    for part_alone, part_batched in zip(alone.lower + alone.upper,
-                                        batched.lower + batched.upper):
-        assert np.array_equal(part_alone, part_batched)
+# sha256 of each table's split and its halves' fields, in order. A table
+# must not move by a bit, and numpy's shortcuts for exponents such as 0.5
+# and -1 depend on the shapes of the arrays it is built from
+TABLE_SHA256 = {
+    1.0: "bb612453076c474ce90d068c2864ebaf056652b9672fe5ae1567175b00fbc60a",
+    1.0001: "236cc0dae2b5847bfbd143ae4ea2048d789e8c91e01db324d26ed96705df8bda",
+    2.0: "ab79ce685360e6fcdf57f45cb7a9f4c3661df4f76ed2179cf48b5ee20ecb4c50",
+    3.0: "3d29ac367e0482c00d8f0c39cf2dcbb91a4988992eb4d58659e5c84079d3cd40",
+    4.0: "3263c9cd15e2b9a2d421b7f7f91fde4a1d47e684e75e45279ddbcdf2b588b570",
+    4.9: "b9cc14085fee02c0028c0bf5a7e04bf7998e49d7a03d763f0fc2b51eb62e8bbf",
+    5.0: "601b2e7f3ad9ca02e23589ffcfcdb01400e5dbb37edc945fe1de8b2ee6e3b2b6",
+}
+
+
+def _table_digest(table):
+    digest = hashlib.sha256(np.float64(table.split).tobytes())
+    for half in (table.lower, table.upper):
+        for part in half:
+            digest.update(np.asarray(part, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("alpha", TABLE_SHA256)
+def test_pert_table_is_pinned(alpha):
+    assert _table_digest(quantiles.pert_table(alpha)) == TABLE_SHA256[alpha]
+
+
+def test_pert_tables_live_as_long_as_their_laws():
+    # 300 laws of distinct shapes; laws alive elsewhere in the session may
+    # hold tables of their own, so the count is taken relative to theirs
+    gc.collect()
+    held = len(quantiles._TABLES)
+    laws = [Distribution.pert(0.0, (k + 0.5) / 300, 1.0) for k in range(300)]
+    for law in laws:
+        inv_cdf(law, np.array([0.5]))
+    assert len(quantiles._TABLES) == held + 300
+    del law, laws
+    gc.collect()
+    assert len(quantiles._TABLES) == held
+
+
+def test_equal_pert_laws_share_one_table():
+    a, b = Distribution.pert(1, 2, 6), Distribution.pert(1, 2, 6)
+    assert a is not b
+    inv_cdf(a, UNIFORMS[:10])
+    inv_cdf(b, UNIFORMS[:10])
+    assert a._pert_table is b._pert_table
+
+
+def test_threads_sampling_one_shape_share_one_table():
+    # more threads than cores, switching often, each with its own laws of the
+    # same four shapes: a shape built twice would leave two tables
+    shapes = [(1.0, 1.0 + k / 7.0, 2.0) for k in range(1, 5)]
+
+    def sample(_):
+        laws = [Distribution.pert(*points) for points in shapes]
+        for law in laws:
+            inv_cdf(law, UNIFORMS[:100])
+        return [law._pert_table for law in laws]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            tables = [f.result(timeout=60) for f in [pool.submit(sample, t) for t in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for k in range(len(shapes)):
+        assert len({id(held[k]) for held in tables}) == 1
 
 
 def test_pert_is_non_decreasing_on_adjacent_floats():
@@ -63,14 +124,13 @@ def test_pert_is_non_decreasing_on_adjacent_floats():
     # the upper table's last knot falls just short of 1 - F(1/2)
     rng = np.random.default_rng(7)
     for alpha in ALPHAS + (1.002,):
-        quantiles.build_pert_tables([alpha])  # a no-op once cached
-        table = quantiles._TABLES[alpha]
+        table = quantiles.pert_table(alpha)
         centers = np.concatenate([rng.random(20), [table.split],
                                   table.lower.knots[1:40] ** alpha])
         bits = np.array(centers).view(np.int64)[:, None] + np.arange(-200, 200)
         u = bits.ravel().view(np.float64)
         u = np.sort(u[(u >= 0.0) & (u < 1.0)])
-        x = quantiles.pert_unit(alpha, u)
+        x = quantiles.pert_unit(table, u)
         assert (np.diff(x) >= 0.0).all(), alpha
         lower = u < table.split
         assert (x[lower] <= 0.5).all() and (x[~lower] >= 0.5).all(), alpha
