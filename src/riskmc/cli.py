@@ -12,6 +12,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import control as ctl
 from . import cpm as cpmmod
 from . import csvout
@@ -198,14 +200,27 @@ def cmd_simulate(args):
     _emit(args, "percentiles.csv", *csvout.percentile_table(ens), primary=True)
     _emit(args, "endpoints.csv", *csvout.endpoint_table(ens))
     _info(f"runs: {ens.n_runs}  seed: {args.seed}")
-    _info(f"duration mean: {ens.total_duration.mean():.9g}  sd: {_sd(ens.total_duration)}")
-    _info(f"cost mean: {ens.total_cost.mean():.9g}  sd: {_sd(ens.total_cost)}")
+    for name, samples in (("duration", ens.total_duration), ("cost", ens.total_cost)):
+        _info(f"{name} mean: {_scaled(np.mean, samples):.9g}  sd: {_sd(samples)}")
     return 0
 
 
 def _sd(samples):
     """Sample standard deviation, or n/a below the two runs it needs."""
-    return f"{samples.std(ddof=1):.9g}" if samples.size >= 2 else "n/a"
+    if samples.size < 2:
+        return "n/a"
+    return f"{_scaled(lambda x: x.std(ddof=1), samples):.9g}"
+
+
+def _scaled(stat, samples):
+    """stat(samples), or where its sums pass the largest double, stat of the
+    samples scaled below 1 by a power of two, scaled back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(stat(samples))
+        if math.isfinite(value):
+            return value
+        shift = math.frexp(np.abs(samples).max())[1]
+        return math.ldexp(float(stat(np.ldexp(samples, -shift))), shift)
 
 
 def cmd_indices(args):

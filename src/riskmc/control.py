@@ -62,11 +62,11 @@ def risk_baselines(ensemble: Ensemble) -> RiskBaseline:
 
 
 def _variance_shares(per_node, totals):
-    """Covariance of each node column with the total, clamped >= 0, normalized."""
+    """Covariance of each node's row with the total, clamped >= 0, normalized."""
     n = len(totals)
     tc = totals - totals.mean()
-    dc = per_node - per_node.mean(axis=0)
-    cov = (dc * tc[:, None]).sum(axis=0) / (n - 1)
+    dc = per_node - per_node.mean(axis=1, keepdims=True)
+    cov = (dc * tc).sum(axis=1) / (n - 1)
     cov = np.maximum(cov, 0.0)  # merge-bias artifacts can push covariances negative
     total = cov.sum()
     return cov / total if total > 0.0 else np.zeros_like(cov)

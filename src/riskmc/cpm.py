@@ -65,8 +65,9 @@ class CpmResult:
 
 
 def passes(network: ValidatedNetwork, durations, es):
-    """Forward and backward CPM passes over (n_runs, n_nodes) durations.
+    """Forward and backward CPM passes over (n_nodes, n_runs) durations.
 
+    Row j holds node j's runs, so each step reads and writes whole rows.
     Fills the caller's `es` with early starts and returns the late finishes
     lf; finishes es + durations and late starts lf - durations are formed
     where read, not stored. The sink finishes late at its early finish.
@@ -76,27 +77,27 @@ def passes(network: ValidatedNetwork, durations, es):
         j = node.index
         if node.preds:
             first, *rest = node.preds
-            acc = es[:, first] + durations[:, first]
+            acc = es[first] + durations[first]
             for p in rest:
-                np.maximum(acc, es[:, p] + durations[:, p], out=acc)
-            es[:, j] = acc
+                np.maximum(acc, es[p] + durations[p], out=acc)
+            es[j] = acc
         else:
-            es[:, j] = 0.0
+            es[j] = 0.0
     for node in reversed(network.nodes):
         j = node.index
         if node.succs:
             first, *rest = node.succs
-            acc = lf[:, first] - durations[:, first]
+            acc = lf[first] - durations[first]
             for s in rest:
-                np.minimum(acc, lf[:, s] - durations[:, s], out=acc)
-            lf[:, j] = acc
+                np.minimum(acc, lf[s] - durations[s], out=acc)
+            lf[j] = acc
         else:
-            lf[:, j] = es[:, j] + durations[:, j]
+            lf[j] = es[j] + durations[j]
     return lf
 
 
 def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
-    """CPM pass for one duration vector: the one-row case of `passes`.
+    """CPM pass for one duration vector: the one-run case of `passes`.
 
     The result owns read-only arrays; the durations are copied first. A
     duration or cost that leaves the floats is DegenerateProject.
@@ -109,7 +110,7 @@ def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
 
     es = np.empty(len(d))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        lf = passes(network, d[None, :], es[None, :])[0]
+        lf = passes(network, d[:, None], es[:, None])[:, 0]
         ef = es + d
         costs = network.fixed_costs() + network.rates() * d
         duration = float(ef[network.sink])
@@ -187,42 +188,41 @@ def enumerate_paths(network: ValidatedNetwork, cap: int = 1_000_000) -> PathMatr
 
 
 def accrue(t, weights, start, finish, step_closed: bool = True):
-    """Node-order sum of weights[..., j] * window_fraction(t, start_j, finish_j).
+    """Node-order sum of weights[j] * window_fraction(t, start[j], finish[j]).
 
-    Windows are (n_nodes,) for one schedule or (n_runs, n_nodes) for an
-    ensemble; weights are (n_nodes,) or (n_runs, n_nodes). This is the
+    Windows are (n_nodes,) for one schedule or (n_nodes, n_runs) for an
+    ensemble; weights are (n_nodes,) or (n_nodes, n_runs). This is the
     accrual behind planned value, earned value, cumulative cost and the
     risk baselines; summing in node order makes the value at a schedule's
     end equal the node-order sum of its weights bit for bit.
     """
-    total = np.zeros(np.broadcast_shapes(np.shape(t), start.shape[:-1]))
-    for j in range(start.shape[-1]):
-        total += weights[..., j] * window_fraction(t, start[..., j], finish[..., j],
-                                                   step_closed)
+    total = np.zeros(np.broadcast_shapes(np.shape(t), start.shape[1:]))
+    for j in range(len(start)):
+        total += weights[j] * window_fraction(t, start[j], finish[j], step_closed)
     return total
 
 
 def first_reach(target, weights, start, finish):
-    """Per row of (n_rows, n_nodes) windows: inf{t : accrue(t) >= target}.
+    """Per run of (n_nodes, n_runs) windows: inf{t : accrue(t) >= target}.
 
-    The accrual is nondecreasing and piecewise linear between the row's
-    start/finish times, so all rows bisect their sorted event times at
+    A run's accrual is nondecreasing and piecewise linear between its
+    start/finish times, so all runs bisect their sorted event times at
     once for the first event whose value reaches the target, then
     interpolate from the right value before it to the left limit at it:
-    ~log2(2m) accruals, O(n * m * log m) in all. A row whose accrual
+    ~log2(2m) accruals, O(n * m * log m) in all. A run whose accrual
     never reaches the target gets its last event time.
     """
-    n = start.shape[0]
-    rows = np.arange(n)
-    events = np.column_stack([np.zeros(n), start, finish])
-    events.sort(axis=1)
+    n = start.shape[1]
+    runs = np.arange(n)
+    events = np.concatenate([np.zeros((1, n)), start, finish])
+    events.sort(axis=0)
 
     # the first event reaching the target lies in [lo, hi] throughout;
     # v0 is the accrual at lo - 1
-    lo, hi, v0 = np.zeros(n, dtype=int), np.full(n, events.shape[1] - 1), np.zeros(n)
+    lo, hi, v0 = np.zeros(n, dtype=int), np.full(n, len(events) - 1), np.zeros(n)
     while (lo < hi).any():
         mid = (lo + hi) // 2
-        value = accrue(events[rows, mid], weights, start, finish)
+        value = accrue(events[mid, runs], weights, start, finish)
         below = value < target
         lo = np.where(below, mid + 1, lo)
         hi = np.where(below, hi, mid)
@@ -230,8 +230,8 @@ def first_reach(target, weights, start, finish):
 
     at_origin = lo == 0
     idx = np.maximum(lo, 1)
-    t0 = events[rows, idx - 1]
-    t1 = events[rows, idx]
+    t0 = events[idx - 1, runs]
+    t1 = events[idx, runs]
     v1_left = accrue(t1, weights, start, finish, step_closed=False)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -253,4 +253,4 @@ def earned_schedule(plan: CpmResult, ev: float) -> float:
     ev = min(max(float(ev), 0.0), plan.bac)
     if ev >= plan.bac:
         return plan.duration  # completion maps to the planned end by convention
-    return float(first_reach(ev, plan.costs, plan.es[None, :], plan.ef[None, :])[0])
+    return float(first_reach(ev, plan.costs, plan.es[:, None], plan.ef[:, None])[0])

@@ -65,17 +65,16 @@ class Distribution:
     def mean(self) -> float:
         """Analytic mean (untruncated mu for normal laws)."""
         k, p = self.kind, self.params
-        if k == "point":
-            return p[0]
         if k == "discrete":
             return math.fsum(v * q for v, q in p)
-        if k == "uniform":
-            return (p[0] + p[1]) / 2.0
-        if k == "triangular":
-            return (p[0] + p[1] + p[2]) / 3.0
-        if k == "pert":
-            return (p[0] + 4.0 * p[1] + p[2]) / 6.0
-        return p[0]  # normal
+        if k not in _MEANS:
+            return p[0]  # point, normal
+        mean = _MEANS[k](*p)
+        if mean == math.inf:
+            # the sum passed the largest double, the mean cannot: the same
+            # formula on parameters scaled by 2^-3 keeps its sum below it
+            mean = math.ldexp(_MEANS[k](*(math.ldexp(x, -3) for x in p)), 3)
+        return mean
 
     @functools.cached_property
     def _pert_table(self):
@@ -93,6 +92,7 @@ def inv_cdf(dist: Distribution, u):
     returns the quantile of its truncation at zero. Normal and PERT
     quantiles come from riskmc.quantiles (numpy only): AS 241 for the
     normal law, for a PERT law the inverse table of its shape, held by the law.
+    Non-decreasing in u, a normal law only to within ndtri's 8 ulp.
     """
     u = np.asarray(u, dtype=float)
     k, p = dist.kind, dist.params
@@ -133,6 +133,13 @@ def inv_cdf(dist: Distribution, u):
         return np.full_like(u, a)
     # a + (b - a) can round above b
     return np.minimum(a + (b - a) * quantiles.pert_unit(dist._pert_table, u), b)
+
+
+_MEANS = {
+    "uniform": lambda a, b: (a + b) / 2.0,
+    "triangular": lambda a, m, b: (a + m + b) / 3.0,
+    "pert": lambda a, m, b: (a + 4.0 * m + b) / 6.0,
+}
 
 
 def _sqrt_product(u, x, y):

@@ -24,7 +24,7 @@ class SensitivityReport:
 
 def criticality_index(ensemble: Ensemble) -> np.ndarray:
     """Fraction of runs in which each node sits on a critical path."""
-    return ensemble.critical.mean(axis=0)
+    return ensemble.critical.mean(axis=1)
 
 
 def cruciality_index(ensemble: Ensemble, method: str = "pearson") -> np.ndarray:
@@ -37,12 +37,12 @@ def cruciality_index(ensemble: Ensemble, method: str = "pearson") -> np.ndarray:
     d = ensemble.durations
     if method == "spearman":
         totals = _average_ranks(totals)
-        d = np.column_stack([_average_ranks(d[:, j]) for j in range(d.shape[1])])
+        d = np.array([_average_ranks(row) for row in d])
     tc = totals - totals.mean()
-    dc = d - d.mean(axis=0)
-    denom = np.sqrt((dc * dc).sum(axis=0) * (tc * tc).sum())
+    dc = d - d.mean(axis=1, keepdims=True)
+    denom = np.sqrt((dc * dc).sum(axis=1) * (tc * tc).sum())
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = (dc * tc[:, None]).sum(axis=0) / denom
+        r = (dc * tc).sum(axis=1) / denom
     r = np.where(denom == 0.0, 0.0, r)
     return np.clip(np.abs(r), 0.0, 1.0)
 
@@ -62,18 +62,11 @@ def _average_ranks(x) -> np.ndarray:
     return ranks
 
 
-def _column_stds(matrix) -> np.ndarray:
-    # contiguous copies so each column reduces exactly like a 1-D array;
-    # a single-activity project then gets sigma_i / sigma_PD == 1.0 bitwise
-    return np.array([np.ascontiguousarray(matrix[:, j]).std(ddof=1)
-                     for j in range(matrix.shape[1])])
-
-
 def schedule_sensitivity_index(ensemble: Ensemble) -> np.ndarray:
     """CI scaled by the sd ratio of node duration to project duration."""
     if ensemble.n_runs < 2:
         raise ConfigError("schedule_sensitivity_index needs at least 2 runs")
-    return _ssi(criticality_index(ensemble), _column_stds(ensemble.durations),
+    return _ssi(criticality_index(ensemble), ensemble.durations.std(axis=1, ddof=1),
                 float(ensemble.total_duration.std(ddof=1)))
 
 
@@ -87,7 +80,8 @@ def sensitivity_report(ensemble: Ensemble, method: str = "pearson") -> Sensitivi
     if ensemble.n_runs < 2:
         raise ConfigError("sensitivity indices need at least 2 runs")
     ci = criticality_index(ensemble)
-    sigma = _column_stds(ensemble.durations)
+    # a row reduces like a 1-D array: one activity gets SSI 1.0 bitwise
+    sigma = ensemble.durations.std(axis=1, ddof=1)
     sigma_pd = float(ensemble.total_duration.std(ddof=1))
     cri = cruciality_index(ensemble, method=method)
     return SensitivityReport(node_ids=ensemble.plan.node_ids,

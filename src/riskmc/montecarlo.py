@@ -69,26 +69,27 @@ class SimConfig:
 class Ensemble:
     """Immutable record of one simulation campaign.
 
-    Run-level arrays are indexed (run, node). Trajectories are not stored:
+    Per-node arrays are indexed (node, run), so each node's runs are one
+    contiguous row; the totals are (n_runs,). Trajectories are not stored:
     ev_at/cost_at evaluate each run's exact piecewise-linear earned-value
     and cumulative-cost trajectories at arbitrary times.
     """
 
     plan: _cpm.CpmResult        # the baseline, and the node ids and names
-    durations: np.ndarray       # (n_runs, n_nodes) sampled node durations
+    durations: np.ndarray       # (n_nodes, n_runs) sampled node durations
     starts: np.ndarray          # a run's finishes are starts + durations, bitwise
     critical: np.ndarray        # bool, total float <= tolerance per run
     total_duration: np.ndarray  # (n_runs,)
     total_cost: np.ndarray      # (n_runs,) including cost-risk realizations
-    node_cost: np.ndarray       # (n_runs, n_nodes) with cost risks on their target
+    node_cost: np.ndarray       # (n_nodes, n_runs) with cost risks on their target
 
     @property
     def n_runs(self) -> int:
-        return self.durations.shape[0]
+        return self.durations.shape[1]
 
     @property
     def n_nodes(self) -> int:
-        return self.durations.shape[1]
+        return self.durations.shape[0]
 
     def ev_at(self, times) -> np.ndarray:
         """Exact earned-value trajectory values at per-run times (or a scalar)."""
@@ -112,40 +113,40 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     n, m = cfg.n_runs, len(nodes)
     _check_memory(n, m)
 
-    durations, starts, node_cost = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))
-    critical = np.empty((n, m), dtype=bool)
+    durations, starts, node_cost = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
+    critical = np.empty((m, n), dtype=bool)
     total_duration, total_cost = np.empty(n), np.zeros(n)
     fixed, rates = network.fixed_costs(), network.rates()
     plan = _cpm.plan(network)
 
     def simulate(lo):
         hi = min(lo + _CHUNK, n)
-        d, es, cost = durations[lo:hi], starts[lo:hi], node_cost[lo:hi]
+        d, es, cost = durations[:, lo:hi], starts[:, lo:hi], node_cost[:, lo:hi]
         for node in nodes:
-            d[:, node.index] = _draw(node.base, node.gate, cfg.seed, node.id, lo, hi)
+            d[node.index] = _draw(node.base, node.gate, cfg.seed, node.id, lo, hi)
 
         cost_sum = total_cost[lo:hi]
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             # costs first, so their draws' temporaries never meet the late finishes
-            np.multiply(rates, d, out=cost)
-            cost += fixed
+            np.multiply(rates[:, None], d, out=cost)
+            cost += fixed[:, None]
             for cr in network.cost_risks:
-                cost[:, cr.target] += _draw(cr.impact, cr.probability, cfg.seed, cr.id, lo, hi)
+                cost[cr.target] += _draw(cr.impact, cr.probability, cfg.seed, cr.id, lo, hi)
             # accumulate in node order, matching ev_at/cost_at and the plan's BAC,
             # so the endpoint identities cost_k(PD_k) = C_k and ev_k(PD_k) = BAC
             # hold bitwise
-            for j in range(m):
-                cost_sum += cost[:, j]
+            for row in cost:
+                cost_sum += row
 
             late = _cpm.passes(network, d, es)
-            total_duration[lo:hi] = late[:, network.sink]
+            total_duration[lo:hi] = late[network.sink]
         # every node reaches the sink, so a duration or finish past the float
         # range reaches the project's; a node cost past it reaches the total
         if not (np.isfinite(total_duration[lo:hi]).all() and np.isfinite(cost_sum).all()):
             raise DegenerateProject("a run's duration or cost exceeds the float range")
         late -= d  # late finish -> late start -> total float, in place
         late -= es
-        np.less_equal(late, _cpm.CRIT_TOL, out=critical[lo:hi])
+        np.less_equal(late, _cpm.CRIT_TOL, out=critical[:, lo:hi])
 
     chunks = range(0, n, _CHUNK)
     with ThreadPoolExecutor(min(workers, len(chunks), os.cpu_count() or 1)) as pool:

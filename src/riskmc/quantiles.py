@@ -61,7 +61,8 @@ def _poly(coeffs, r):
 
 
 def ndtri(u):
-    """Standard normal quantile of u in [0, 1); -inf at 0."""
+    """Standard normal quantile of u in [0, 1); -inf at 0. Monotone only to
+    within 8 ulp: between adjacent doubles it can step down by a few ulp."""
     u = np.asarray(u, dtype=float)
     q = u - 0.5
     out = np.empty_like(q)

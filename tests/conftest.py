@@ -1,13 +1,14 @@
-import sys
+import os
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))  # oracles / netgen helpers
-
 from riskmc import parse_project, validate
 
 REPO = Path(__file__).resolve().parents[1]
+# child interpreters (`python -m riskmc`) import the riskmc under test
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
 FIGURE3 = REPO / "projects" / "figure3.project"
 
 

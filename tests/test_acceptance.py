@@ -178,8 +178,8 @@ def test_criterion_6_risk_arithmetic():
         assert np.array_equal(ens_noop.total_duration, ens_free.total_duration)
         assert np.array_equal(ens_noop.total_cost, ens_free.total_cost)
         for node_id in ("B1", "B2"):
-            a = ens_free.durations[:, net_free.index_of(node_id)]
-            b = ens_noop.durations[:, net_noop.index_of(node_id)]
+            a = ens_free.durations[net_free.index_of(node_id)]
+            b = ens_noop.durations[net_noop.index_of(node_id)]
             assert np.array_equal(a, b)
 
 

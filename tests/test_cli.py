@@ -267,6 +267,39 @@ def test_schedule_past_the_float_range_is_one_domain_error(command, tmp_path, ca
     assert captured.out == ""
 
 
+def _one_activity(law):
+    return ('[activities]\nA0 "start" point(0) fixed=0 rate=0\n'
+            f'A1 "huge" {law} fixed=0 rate=0\nAf "finish" point(0) fixed=0 rate=0\n\n'
+            "[precedence]\nA1 <- A0\nAf <- A1\n")
+
+
+def test_a_mean_whose_sum_overflows_plans_finite(tmp_path, capsys):
+    # uniform(1e308, 1.5e308) sums its ends past the largest double, but its
+    # mean and every draw are finite
+    project = tmp_path / "huge.project"
+    project.write_text(_one_activity("uniform(1e308,1.5e308)"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["cpm", "--project", str(project)]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert "planned duration: 1.25e+308\n" in capsys.readouterr().err
+
+
+def test_simulate_prints_finite_moments_when_their_sums_overflow(tmp_path, capsys):
+    # every run is finite, but 100 runs near 1e308 sum past the largest double
+    project = tmp_path / "huge.project"
+    project.write_text(_one_activity("normal(1e308,1e300)"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--project", str(project), "--runs", "100"]) == 0
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "inf" not in err and "nan" not in err
+    mean, sd = re.search(r"duration mean: (\S+)  sd: (\S+)", err).groups()
+    assert float(mean) == pytest.approx(1e308, rel=1e-9)
+    assert 0.5e300 < float(sd) < 2e300
+
+
 def test_missing_project_file_is_io_error():
     result = run_cli("validate", "--project", "no-such-file.project")
     assert result.returncode == 2

@@ -216,7 +216,7 @@ def test_cross_section_half_is_first_activity_finish(serial_iid):
     net, ens, _ = serial_iid
     section_t, section_c = cross_section(ens, 0.5)
     first = net.index_of("B1")
-    assert np.allclose(section_t, ens.durations[:, first], atol=1e-12)
+    assert np.allclose(section_t, ens.durations[first], atol=1e-12)
     # the first activity's full fixed cost is in by then, the second not started
     assert np.allclose(section_c, 10.0, atol=1e-12)
 
@@ -270,8 +270,8 @@ def _reference_cross_section(ensemble, x):
         return ensemble.total_duration.copy(), ensemble.total_cost.copy()
 
     target = x * ensemble.plan.bac
-    starts = ensemble.starts
-    finishes = starts + ensemble.durations
+    starts = ensemble.starts.T  # (run, node), so each run's events form a row
+    finishes = starts + ensemble.durations.T
     n, m = starts.shape
     events = np.concatenate([np.zeros((n, 1)), starts, finishes], axis=1)
     events.sort(axis=1)

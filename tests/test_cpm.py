@@ -429,10 +429,10 @@ def test_ensemble_passes_match_scalar_reference_bitwise(seed, n_real, with_risks
     assert ens.plan.ef.tobytes() == planned["ef"].tobytes()
     assert ens.plan.duration == planned["duration"]
     for k in range(n_runs):
-        want = reference_forward_backward(net, ens.durations[k])
-        assert ens.starts[k].tobytes() == want["es"].tobytes()
-        assert (ens.starts[k] + ens.durations[k]).tobytes() == want["ef"].tobytes()
-        assert ens.critical[k].tobytes() == want["critical"].tobytes()
+        want = reference_forward_backward(net, ens.durations[:, k])
+        assert ens.starts[:, k].tobytes() == want["es"].tobytes()
+        assert (ens.starts[:, k] + ens.durations[:, k]).tobytes() == want["ef"].tobytes()
+        assert ens.critical[:, k].tobytes() == want["critical"].tobytes()
         assert _bits(ens.total_duration[k]) == _bits(want["duration"])
 
 

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskmc import Distribution
 from riskmc.distributions import inv_cdf
@@ -25,6 +28,38 @@ def test_analytic_means():
     assert Distribution.point(7).mean() == 7.0
     assert Distribution.uniform(4, 6).mean() == 5.0
     assert Distribution.normal(10, 2).mean() == 10.0
+    # the ends sum past the largest double, the mean does not
+    assert Distribution.uniform(1e308, 1.5e308).mean() == 1.25e308
+    assert Distribution.triangular(1.5e308, 1.5e308, 1.5e308).mean() == 1.5e308
+    assert Distribution.pert(1.5e308, 1.5e308, 1.5e308).mean() == 1.5e308
+
+
+PLAIN_MEANS = {
+    "uniform": lambda a, b: (a + b) / 2.0,
+    "triangular": lambda a, m, b: (a + m + b) / 3.0,
+    "pert": lambda a, m, b: (a + 4.0 * m + b) / 6.0,
+}
+ENDS = st.one_of(st.floats(0.0, 1.7976931348623157e308),
+                 st.sampled_from([0.0, 5e-324, 2.5e-310, 1e308, 1.7976931348623157e308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(PLAIN_MEANS)), st.lists(ENDS, min_size=3, max_size=3))
+@example("uniform", [5e-324, 1e-323, 0.0])
+@example("pert", [1e308, 1.5e308, 1.7e308])
+@example("pert", [1.2716471787998418e308] * 3)
+def test_mean_is_the_plain_formula_or_its_finite_scaled_form(kind, ends):
+    # bitwise the plain formula wherever it is finite, subnormal ends too;
+    # where its sum overflows, finite and within 4e-16 of the exact mean
+    params = sorted(ends)[:2] if kind == "uniform" else sorted(ends)
+    dist = Distribution(kind, tuple(params))
+    plain = PLAIN_MEANS[kind](*params)
+    if plain < math.inf:
+        assert dist.mean() == plain
+        return
+    weights = {"uniform": (1, 1), "triangular": (1, 1, 1), "pert": (1, 4, 1)}[kind]
+    exact = sum(w * Fraction(x) for w, x in zip(weights, params)) / sum(weights)
+    assert dist.mean() == pytest.approx(float(exact), rel=4e-16)
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import riskmc.indices
-from netgen import chain_spec, parallel_spec, random_dag_spec
+from netgen import chain_spec, normal_pert_spec, parallel_spec, random_dag_spec
 from riskmc import (
     Distribution,
     SimConfig,
@@ -18,6 +20,7 @@ from riskmc import (
     sensitivity_report,
     validate,
 )
+from riskmc.control import _variance_shares
 from riskmc.errors import ConfigError, DegenerateProject
 
 
@@ -125,6 +128,29 @@ def test_spearman_cri_matches_rankdata_reference_bitwise(seed, monkeypatch):
     assert ours.tobytes() == ref.tobytes()
 
 
+def _fsum_moments(x, t):
+    """(sum dx dt, sum dx^2, sum dt^2) about the means, with math.fsum sums."""
+    dx = x - math.fsum(x) / len(x)
+    dt = t - math.fsum(t) / len(t)
+    return math.fsum(dx * dt), math.fsum(dx * dx), math.fsum(dt * dt)
+
+
+def test_pearson_and_variance_shares_match_fsum_reference():
+    # both reduce each node's runs with numpy's pairwise sums; a reference
+    # summing with math.fsum bounds their rounding
+    ens = run_ensemble(validate(normal_pert_spec()), SimConfig(n_runs=30_000, seed=14))
+    cri = []
+    for row in ens.durations:
+        sxt, sxx, stt = _fsum_moments(row, ens.total_duration)
+        cri.append(abs(sxt) / math.sqrt(sxx * stt) if sxx > 0.0 else 0.0)
+    assert cruciality_index(ens) == pytest.approx(cri, rel=1e-12, abs=0.0)
+    for per_node, totals in ((ens.durations, ens.total_duration),
+                             (ens.node_cost, ens.total_cost)):
+        cov = [max(_fsum_moments(row, totals)[0], 0.0) for row in per_node]
+        shares = np.array(cov) / math.fsum(cov)
+        assert _variance_shares(per_node, totals) == pytest.approx(shares, rel=1e-12, abs=0.0)
+
+
 def test_ssi_identities():
     net, ens = simulate(chain_spec([Distribution.uniform(2, 6)]), n=4000)
     ssi = schedule_sensitivity_index(ens)
@@ -162,7 +188,7 @@ def test_every_run_has_a_fully_critical_path():
         ens = run_ensemble(net, SimConfig(n_runs=300, seed=int(rng.integers(1 << 30))))
         membership = enumerate_paths(net).membership.astype(bool)
         # each run: some path with every node flagged critical
-        full = (ens.critical[:, None, :] | ~membership[None, :, :]).all(axis=2)
+        full = (ens.critical.T[:, None, :] | ~membership[None, :, :]).all(axis=2)
         assert full.any(axis=1).all()
         # consequently path criticality probabilities sum to at least 1
         assert full.mean(axis=0).sum() >= 1.0 - 1e-9

@@ -39,7 +39,7 @@ def test_point_network_reproduces_cpm():
     assert (ens.total_duration == expected.duration).all()
     assert ens.total_duration.std() == 0.0
     assert (ens.total_cost == ens.plan.bac).all()
-    assert (ens.critical == expected.critical[None, :]).all()
+    assert (ens.critical == expected.critical[:, None]).all()
 
 
 def test_serial_normals_match_analytic_sum():
@@ -103,7 +103,7 @@ def test_first_runs_do_not_depend_on_the_run_count(workers):
     short = run_ensemble(net, SimConfig(n_runs=1000, seed=21), workers=workers)
     long = run_ensemble(net, SimConfig(n_runs=5000, seed=21), workers=workers)
     for field in RUN_FIELDS:
-        assert getattr(short, field).tobytes() == getattr(long, field)[:1000].tobytes(), field
+        assert getattr(short, field).tobytes() == getattr(long, field)[..., :1000].tobytes(), field
 
 
 @pytest.mark.parametrize("workers", [0, -7])
@@ -176,18 +176,19 @@ def test_chunk_boundaries_never_change_a_run(n_runs, workers):
     for field in RUN_FIELDS:
         assert getattr(ens, field).tobytes() == getattr(base, field).tobytes(), field
         assert getattr(ens, field).tobytes() == getattr(rechunked, field).tobytes(), field
-        assert getattr(ens, field)[:C - 1].tobytes() == getattr(prefix, field).tobytes(), field
+        assert getattr(ens, field)[..., :C - 1].tobytes() == getattr(prefix, field).tobytes(), field
     net = validate(normal_pert_spec())
     for k in sorted({0, C - 2, *range(C, n_runs, 2731), n_runs - 1}):
-        want = reference_forward_backward(net, ens.durations[k])
-        assert ens.starts[k].tobytes() == want["es"].tobytes(), k
-        assert (ens.starts[k] + ens.durations[k]).tobytes() == want["ef"].tobytes(), k
-        assert ens.critical[k].tobytes() == want["critical"].tobytes(), k
+        want = reference_forward_backward(net, ens.durations[:, k])
+        assert ens.starts[:, k].tobytes() == want["es"].tobytes(), k
+        assert (ens.starts[:, k] + ens.durations[:, k]).tobytes() == want["ef"].tobytes(), k
+        assert ens.critical[:, k].tobytes() == want["critical"].tobytes(), k
         assert ens.total_duration[k] == want["duration"], k
 
 
 # sha256 of each array of the normal_pert_spec ensemble of 3 * C + 5 runs at
-# seed 14: no golden output holds a normal law, so these pin its draws
+# seed 14, in (run, node) order: no golden output holds a normal law, so
+# these pin its draws
 NORMAL_PERT_SHA256 = {
     "durations": "ee6af84bab908d738d6c6310378b49cb7da60d2138c08f56b290fb515ff41e27",
     "starts": "a8ef2a0a8b466de3805c6bd94a75be20eb8e5022e3976034cc1290e1a026768d",
@@ -201,7 +202,7 @@ NORMAL_PERT_SHA256 = {
 def test_normal_and_pert_draws_are_pinned():
     ens = run_ensemble(validate(normal_pert_spec()), SimConfig(n_runs=3 * C + 5, seed=14))
     for field in RUN_FIELDS:
-        digest = hashlib.sha256(getattr(ens, field).tobytes()).hexdigest()
+        digest = hashlib.sha256(getattr(ens, field).T.tobytes()).hexdigest()
         assert digest == NORMAL_PERT_SHA256[field], field
 
 
@@ -285,12 +286,12 @@ def test_risk_probability_zero_matches_riskfree_network():
     gated = run_ensemble(validate(risky_spec), cfg)
     assert np.array_equal(free.total_duration, gated.total_duration)
     assert np.array_equal(free.total_cost, gated.total_cost)
-    assert not gated.durations[:, validate(risky_spec).index_of("R1")].any()
-    # per-activity draws are keyed by id, so shared columns agree exactly
+    assert not gated.durations[validate(risky_spec).index_of("R1")].any()
+    # per-activity draws are keyed by id, so shared rows agree exactly
     for node_id in ("B1", "B2"):
         i = validate(base_spec).index_of(node_id)
         j = validate(risky_spec).index_of(node_id)
-        assert np.array_equal(free.durations[:, i], gated.durations[:, j])
+        assert np.array_equal(free.durations[i], gated.durations[j])
 
 
 def test_a_risk_id_owns_one_gate_stream_whatever_its_kind():
@@ -306,10 +307,10 @@ def test_a_risk_id_owns_one_gate_stream_whatever_its_kind():
         net = validate(ProjectSpec(base.activities, base.precedence, risks=(risk,)))
         ens[kind] = (net, run_ensemble(net, cfg))
     net, dur = ens["duration"]
-    delayed = dur.durations[:, net.index_of("R")] > 0.0
+    delayed = dur.durations[net.index_of("R")] > 0.0
     net, cost = ens["cost"]
     b1 = net.index_of("B1")
-    overrun = cost.node_cost[:, b1] > 10 + 2 * cost.durations[:, b1]
+    overrun = cost.node_cost[b1] > 10 + 2 * cost.durations[b1]
     assert 0 < delayed.sum() < cfg.n_runs
     assert np.array_equal(delayed, overrun)
 
@@ -318,10 +319,10 @@ def test_each_run_matches_scalar_cpm(figure3_network):
     # the vectorized per-run pass must agree with the one-shot CPM
     ens = run_ensemble(figure3_network, SimConfig(n_runs=400, seed=29))
     for k in range(0, ens.n_runs, 37):
-        result = forward_backward(figure3_network, ens.durations[k])
+        result = forward_backward(figure3_network, ens.durations[:, k])
         assert ens.total_duration[k] == result.duration
-        assert np.array_equal(ens.starts[k], result.es)
-        assert np.array_equal(ens.critical[k], result.critical)
+        assert np.array_equal(ens.starts[:, k], result.es)
+        assert np.array_equal(ens.critical[:, k], result.critical)
 
 
 def test_trajectory_invariants(figure3_network):
@@ -353,7 +354,7 @@ def test_run_cost_identity(figure3_network):
     ens = run_ensemble(figure3_network, SimConfig(n_runs=500, seed=37))
     fixed = np.array([n.fixed_cost for n in figure3_network.nodes])
     rate = np.array([n.variable_cost_rate for n in figure3_network.nodes])
-    base = (fixed[None, :] + rate[None, :] * ens.durations).sum(axis=1)
+    base = (fixed[:, None] + rate[:, None] * ens.durations).sum(axis=0)
     risk_part = ens.total_cost - base
     active = montecarlo._uniform_block(37, "gate", "R3", 0, ens.n_runs) < 0.25
     assert (risk_part[~active] == pytest.approx(0.0, abs=1e-9))
