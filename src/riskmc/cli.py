@@ -201,7 +201,7 @@ def cmd_simulate(args):
     _emit(args, "endpoints.csv", *csvout.endpoint_table(ens))
     _info(f"runs: {ens.n_runs}  seed: {args.seed}")
     for name, samples in (("duration", ens.total_duration), ("cost", ens.total_cost)):
-        _info(f"{name} mean: {_scaled(np.mean, samples):.9g}  sd: {_sd(samples)}")
+        _info(f"{name} mean: {mc.scaled(np.mean, samples):.9g}  sd: {_sd(samples)}")
     return 0
 
 
@@ -209,18 +209,7 @@ def _sd(samples):
     """Sample standard deviation, or n/a below the two runs it needs."""
     if samples.size < 2:
         return "n/a"
-    return f"{_scaled(lambda x: x.std(ddof=1), samples):.9g}"
-
-
-def _scaled(stat, samples):
-    """stat(samples), or where its sums pass the largest double, stat of the
-    samples scaled below 1 by a power of two, scaled back."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(stat(samples))
-        if math.isfinite(value):
-            return value
-        shift = math.frexp(np.abs(samples).max())[1]
-        return math.ldexp(float(stat(np.ldexp(samples, -shift))), shift)
+    return f"{mc.sample_sd(samples):.9g}"
 
 
 def cmd_indices(args):

@@ -14,7 +14,7 @@ from .errors import (
     EvZero,
     KTooLarge,
 )
-from .montecarlo import Ensemble, empirical_percentile
+from .montecarlo import Ensemble, empirical_percentile, sample_sd, unit_scaled
 
 INTERVAL_PERCENTILES = (5.0, 95.0)  # of the SEVM forecast's duration and cost intervals
 
@@ -42,7 +42,7 @@ class RiskBaseline:
         return self._at(t, self.cost_shares, self.sigma_cost)
 
     def _at(self, t, shares, sigma):
-        out = sigma * np.sqrt(_cpm.accrue(t, shares, self.plan.es, self.plan.ef))
+        out = sigma * np.sqrt(_cpm.accrue(t, shares, self.plan.es, self.plan.durations))
         return float(out) if out.ndim == 0 else out
 
 
@@ -50,26 +50,40 @@ def risk_baselines(ensemble: Ensemble) -> RiskBaseline:
     """SRB/CRB over the ensemble's plan, from the runs' variance shares."""
     if ensemble.n_runs < 2:
         raise ConfigError("risk baselines need at least 2 runs")
-    sigma_pd = float(ensemble.total_duration.std(ddof=1))
-    sigma_c = float(ensemble.total_cost.std(ddof=1))
+    sigma_pd = sample_sd(ensemble.total_duration)
+    sigma_c = sample_sd(ensemble.total_cost)
     if sigma_pd == 0.0 and sigma_c == 0.0:
         raise DegenerateProject("neither duration nor cost shows any variance")
 
     return RiskBaseline(
-        schedule_shares=_variance_shares(ensemble.durations, ensemble.total_duration),
-        cost_shares=_variance_shares(ensemble.node_cost, ensemble.total_cost),
+        schedule_shares=_variance_shares(lambda: ensemble.durations, ensemble.total_duration),
+        cost_shares=_variance_shares(ensemble.cost_rows, ensemble.total_cost),
         sigma_duration=sigma_pd, sigma_cost=sigma_c, plan=ensemble.plan)
 
 
-def _variance_shares(per_node, totals):
-    """Covariance of each node's row with the total, clamped >= 0, normalized."""
-    n = len(totals)
-    tc = totals - totals.mean()
-    dc = per_node - per_node.mean(axis=1, keepdims=True)
-    cov = (dc * tc).sum(axis=1) / (n - 1)
-    cov = np.maximum(cov, 0.0)  # merge-bias artifacts can push covariances negative
+def _variance_shares(rows, totals):
+    """Covariance of each node's row with the total, clamped >= 0, normalized.
+
+    rows() iterates the (n_runs,) rows in node order, one at a time. Where a
+    plain sum passes the largest double, every row and the totals are scaled
+    by one power of two, the totals': the rows are nonnegative, and each
+    total is a longest path or a sum of them, so no row exceeds it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = _covariances(rows(), totals)
+        if not np.isfinite(cov.sum()):
+            unit, shift = unit_scaled(totals)
+            cov = _covariances((np.ldexp(row, -shift) for row in rows()), unit)
     total = cov.sum()
     return cov / total if total > 0.0 else np.zeros_like(cov)
+
+
+def _covariances(rows, totals):
+    """Covariance of each row with the totals, clamped >= 0: merge-bias
+    artifacts can push covariances negative."""
+    tc = totals - totals.mean()
+    cov = np.array([((row - row.mean()) * tc).sum() for row in rows]) / (len(totals) - 1)
+    return np.maximum(cov, 0.0)
 
 
 @dataclass(frozen=True)
@@ -143,7 +157,7 @@ def cross_section(ensemble: Ensemble, x: float):
         return ensemble.total_duration.copy(), ensemble.total_cost.copy()
 
     times = _cpm.first_reach(x * ensemble.plan.bac, ensemble.plan.costs,
-                             ensemble.starts, ensemble.starts + ensemble.durations)
+                             ensemble.starts, ensemble.durations)
     return times, ensemble.cost_at(times)
 
 

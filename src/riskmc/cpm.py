@@ -60,19 +60,14 @@ class CpmResult:
 
     def value_at(self, t):
         """Exact PV at time t (right-continuous at steps); scalar or array."""
-        out = accrue(t, self.costs, self.es, self.ef)
+        out = accrue(t, self.costs, self.es, self.durations)
         return float(out) if out.ndim == 0 else out
 
 
-def passes(network: ValidatedNetwork, durations, es):
-    """Forward and backward CPM passes over (n_nodes, n_runs) durations.
-
-    Row j holds node j's runs, so each step reads and writes whole rows.
-    Fills the caller's `es` with early starts and returns the late finishes
-    lf; finishes es + durations and late starts lf - durations are formed
-    where read, not stored. The sink finishes late at its early finish.
-    """
-    lf = np.empty(durations.shape)
+def forward(network: ValidatedNetwork, durations, es):
+    """Forward CPM pass over (n_nodes, n_runs) durations: fills the caller's
+    `es` with early starts, one row per node; finishes es + durations are
+    formed where read, not stored."""
     for node in network.nodes:
         j = node.index
         if node.preds:
@@ -83,6 +78,18 @@ def passes(network: ValidatedNetwork, durations, es):
             es[j] = acc
         else:
             es[j] = 0.0
+
+
+def passes(network: ValidatedNetwork, durations, es):
+    """Forward and backward CPM passes over (n_nodes, n_runs) durations.
+
+    Row j holds node j's runs, so each step reads and writes whole rows.
+    Fills the caller's `es` with early starts (`forward`) and returns the
+    late finishes lf; late starts lf - durations are formed where read, not
+    stored. The sink finishes late at its early finish.
+    """
+    forward(network, durations, es)
+    lf = np.empty(durations.shape)
     for node in reversed(network.nodes):
         j = node.index
         if node.succs:
@@ -114,7 +121,7 @@ def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
         ef = es + d
         costs = network.fixed_costs() + network.rates() * d
         duration = float(ef[network.sink])
-        bac = float(accrue(duration, costs, es, ef))
+        bac = float(accrue(duration, costs, es, d))
     # every node reaches the sink, and at the project's end its accrual is
     # the sum of all costs: past the float range anywhere, one is non-finite
     if not (math.isfinite(duration) and math.isfinite(bac)):
@@ -187,22 +194,23 @@ def enumerate_paths(network: ValidatedNetwork, cap: int = 1_000_000) -> PathMatr
     return PathMatrix(node_ids=network.ids(), membership=membership)
 
 
-def accrue(t, weights, start, finish, step_closed: bool = True):
-    """Node-order sum of weights[j] * window_fraction(t, start[j], finish[j]).
+def accrue(t, weights, start, durations, step_closed: bool = True):
+    """Node-order sum of weights[j] * window_fraction(t, start[j], start[j] + durations[j]).
 
     Windows are (n_nodes,) for one schedule or (n_nodes, n_runs) for an
     ensemble; weights are (n_nodes,) or (n_nodes, n_runs). This is the
     accrual behind planned value, earned value, cumulative cost and the
     risk baselines; summing in node order makes the value at a schedule's
-    end equal the node-order sum of its weights bit for bit.
+    end equal the node-order sum of its weights bit for bit. A window's
+    finish is formed one row at a time, as the passes form it.
     """
     total = np.zeros(np.broadcast_shapes(np.shape(t), start.shape[1:]))
     for j in range(len(start)):
-        total += weights[j] * window_fraction(t, start[j], finish[j], step_closed)
+        total += weights[j] * window_fraction(t, start[j], start[j] + durations[j], step_closed)
     return total
 
 
-def first_reach(target, weights, start, finish):
+def first_reach(target, weights, start, durations):
     """Per run of (n_nodes, n_runs) windows: inf{t : accrue(t) >= target}.
 
     A run's accrual is nondecreasing and piecewise linear between its
@@ -212,9 +220,12 @@ def first_reach(target, weights, start, finish):
     ~log2(2m) accruals, O(n * m * log m) in all. A run whose accrual
     never reaches the target gets its last event time.
     """
-    n = start.shape[1]
+    m, n = start.shape
     runs = np.arange(n)
-    events = np.concatenate([np.zeros((1, n)), start, finish])
+    events = np.empty((2 * m + 1, n))
+    events[0] = 0.0
+    events[1:m + 1] = start
+    np.add(start, durations, out=events[m + 1:])  # the finishes
     events.sort(axis=0)
 
     # the first event reaching the target lies in [lo, hi] throughout;
@@ -222,7 +233,7 @@ def first_reach(target, weights, start, finish):
     lo, hi, v0 = np.zeros(n, dtype=int), np.full(n, len(events) - 1), np.zeros(n)
     while (lo < hi).any():
         mid = (lo + hi) // 2
-        value = accrue(events[mid, runs], weights, start, finish)
+        value = accrue(events[mid, runs], weights, start, durations)
         below = value < target
         lo = np.where(below, mid + 1, lo)
         hi = np.where(below, hi, mid)
@@ -232,7 +243,7 @@ def first_reach(target, weights, start, finish):
     idx = np.maximum(lo, 1)
     t0 = events[idx - 1, runs]
     t1 = events[idx, runs]
-    v1_left = accrue(t1, weights, start, finish, step_closed=False)
+    v1_left = accrue(t1, weights, start, durations, step_closed=False)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         interp = t0 + (target - v0) * (t1 - t0) / (v1_left - v0)
@@ -253,4 +264,4 @@ def earned_schedule(plan: CpmResult, ev: float) -> float:
     ev = min(max(float(ev), 0.0), plan.bac)
     if ev >= plan.bac:
         return plan.duration  # completion maps to the planned end by convention
-    return float(first_reach(ev, plan.costs, plan.es[:, None], plan.ef[:, None])[0])
+    return float(first_reach(ev, plan.costs, plan.es[:, None], plan.durations[:, None])[0])

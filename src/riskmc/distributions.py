@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -76,12 +75,17 @@ class Distribution:
             mean = math.ldexp(_MEANS[k](*(math.ldexp(x, -3) for x in p)), 3)
         return mean
 
-    @functools.cached_property
+    @property
     def _pert_table(self):
         """The inverse table of pert(a, m, b), a < b: beta(alpha, 6 - alpha) on
-        [a, b]. The ratio comes first, so 4 (m - a) cannot overflow."""
-        a, m, b = self.params
-        return quantiles.pert_table(1.0 + 4.0 * ((m - a) / (b - a)))
+        [a, b], set on first use. The ratio comes first, so 4 (m - a) cannot
+        overflow. Threads racing here get the same table from pert_table."""
+        table = self.__dict__.get("_table")
+        if table is None:
+            a, m, b = self.params
+            table = quantiles.pert_table(1.0 + 4.0 * ((m - a) / (b - a)))
+            object.__setattr__(self, "_table", table)
+        return table
 
 
 def inv_cdf(dist: Distribution, u):

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateProject
-from .montecarlo import Ensemble, empirical_percentile
+from .montecarlo import Ensemble, empirical_percentile, sample_sd, unit_scaled
 
 
 @dataclass(frozen=True)
@@ -28,23 +29,48 @@ def criticality_index(ensemble: Ensemble) -> np.ndarray:
 
 
 def cruciality_index(ensemble: Ensemble, method: str = "pearson") -> np.ndarray:
-    """|corr(node duration, project duration)| per node; 0 for degenerate sides."""
+    """|corr(node duration, project duration)| per node; 0 for degenerate sides.
+
+    Reduced one node's row at a time; where a row's or the totals' sums pass
+    the largest double, both sides are scaled below 1 by a power of two,
+    which leaves a correlation as it is.
+    """
     if ensemble.n_runs < 2:
         raise ConfigError("cruciality_index needs at least 2 runs")
     if method not in ("pearson", "spearman"):
         raise ConfigError(f"unknown correlation method {method!r}")
     totals = ensemble.total_duration
-    d = ensemble.durations
+    rows = ensemble.durations
     if method == "spearman":
         totals = _average_ranks(totals)
-        d = np.array([_average_ranks(row) for row in d])
+        rows = map(_average_ranks, rows)
+    r = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain, unit = _centered(totals), None
+        for row in rows:
+            rj = _correlation(row, *plain)
+            if not math.isfinite(rj):
+                if unit is None:
+                    unit = _centered(unit_scaled(totals)[0])
+                rj = _correlation(unit_scaled(row)[0], *unit)
+            r.append(rj)
+    return np.clip(np.abs(np.array(r)), 0.0, 1.0)
+
+
+def _centered(totals):
+    """(totals - mean, sum of squares of that): one side of a correlation."""
     tc = totals - totals.mean()
-    dc = d - d.mean(axis=1, keepdims=True)
-    denom = np.sqrt((dc * dc).sum(axis=1) * (tc * tc).sum())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = (dc * tc).sum(axis=1) / denom
-    r = np.where(denom == 0.0, 0.0, r)
-    return np.clip(np.abs(r), 0.0, 1.0)
+    return tc, (tc * tc).sum()
+
+
+def _correlation(row, tc, stt):
+    """Pearson r of a row with centered totals tc of sum of squares stt; 0 for
+    a degenerate side, nan where a sum or their product leaves the floats."""
+    dc = row - row.mean()
+    denom = np.sqrt((dc * dc).sum() * stt)
+    if denom == 0.0:
+        return 0.0
+    return (dc * tc).sum() / denom if math.isfinite(denom) else math.nan
 
 
 def _average_ranks(x) -> np.ndarray:
@@ -66,8 +92,14 @@ def schedule_sensitivity_index(ensemble: Ensemble) -> np.ndarray:
     """CI scaled by the sd ratio of node duration to project duration."""
     if ensemble.n_runs < 2:
         raise ConfigError("schedule_sensitivity_index needs at least 2 runs")
-    return _ssi(criticality_index(ensemble), ensemble.durations.std(axis=1, ddof=1),
-                float(ensemble.total_duration.std(ddof=1)))
+    return _ssi(criticality_index(ensemble), _row_sds(ensemble.durations),
+                sample_sd(ensemble.total_duration))
+
+
+def _row_sds(rows):
+    """Sample sd of each row, one row at a time: a row reduces like a 1-D
+    array, so one activity gets SSI 1.0 bitwise."""
+    return np.array([sample_sd(row) for row in rows])
 
 
 def _ssi(ci, sigma, sigma_pd):
@@ -80,9 +112,8 @@ def sensitivity_report(ensemble: Ensemble, method: str = "pearson") -> Sensitivi
     if ensemble.n_runs < 2:
         raise ConfigError("sensitivity indices need at least 2 runs")
     ci = criticality_index(ensemble)
-    # a row reduces like a 1-D array: one activity gets SSI 1.0 bitwise
-    sigma = ensemble.durations.std(axis=1, ddof=1)
-    sigma_pd = float(ensemble.total_duration.std(ddof=1))
+    sigma = _row_sds(ensemble.durations)
+    sigma_pd = sample_sd(ensemble.total_duration)
     cri = cruciality_index(ensemble, method=method)
     return SensitivityReport(node_ids=ensemble.plan.node_ids,
                              node_names=ensemble.plan.node_names,

@@ -11,6 +11,7 @@ never perturbs any other draw.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import resource
 from concurrent.futures import ThreadPoolExecutor
@@ -69,19 +70,22 @@ class SimConfig:
 class Ensemble:
     """Immutable record of one simulation campaign.
 
-    Per-node arrays are indexed (node, run), so each node's runs are one
-    contiguous row; the totals are (n_runs,). Trajectories are not stored:
+    Its fields are what was sampled and what each run's schedule decided;
+    per-node arrays are indexed (node, run), so each node's runs are one
+    contiguous row, and the totals are (n_runs,). Early starts and node
+    costs are not fields: each is derived on first use, bitwise as
+    run_ensemble formed it, and then kept. Trajectories are not stored:
     ev_at/cost_at evaluate each run's exact piecewise-linear earned-value
     and cumulative-cost trajectories at arbitrary times.
     """
 
     plan: _cpm.CpmResult        # the baseline, and the node ids and names
+    network: ValidatedNetwork   # whose nodes and cost risks were sampled
     durations: np.ndarray       # (n_nodes, n_runs) sampled node durations
-    starts: np.ndarray          # a run's finishes are starts + durations, bitwise
+    impacts: np.ndarray         # (n_cost_risks, n_runs) cost-risk draws, 0 where inactive
     critical: np.ndarray        # bool, total float <= tolerance per run
     total_duration: np.ndarray  # (n_runs,)
     total_cost: np.ndarray      # (n_runs,) including cost-risk realizations
-    node_cost: np.ndarray       # (n_nodes, n_runs) with cost risks on their target
 
     @property
     def n_runs(self) -> int:
@@ -91,13 +95,55 @@ class Ensemble:
     def n_nodes(self) -> int:
         return self.durations.shape[0]
 
+    @property
+    def starts(self) -> np.ndarray:
+        """(n_nodes, n_runs) early starts, read-only; a run's finishes are
+        starts + durations, bitwise."""
+        starts = self.__dict__.get("_starts")
+        if starts is None:
+            starts = np.empty(self.durations.shape)
+            _cpm.forward(self.network, self.durations, starts)
+            starts.flags.writeable = False
+            object.__setattr__(self, "_starts", starts)
+        return starts
+
+    @property
+    def node_cost(self) -> np.ndarray:
+        """(n_nodes, n_runs) node costs with cost risks on their target, read-only."""
+        cost = self.__dict__.get("_node_cost")
+        if cost is None:
+            cost = np.empty(self.durations.shape)
+            for j, row in enumerate(self.cost_rows()):
+                cost[j] = row
+            cost.flags.writeable = False
+            object.__setattr__(self, "_node_cost", cost)
+        return cost
+
+    def cost_rows(self):
+        """The rows of node_cost in node order, each formed as it is read."""
+        return _cost_rows(self.network, self.durations, self.impacts)
+
     def ev_at(self, times) -> np.ndarray:
         """Exact earned-value trajectory values at per-run times (or a scalar)."""
-        return _cpm.accrue(times, self.plan.costs, self.starts, self.starts + self.durations)
+        return _cpm.accrue(times, self.plan.costs, self.starts, self.durations)
 
     def cost_at(self, times) -> np.ndarray:
         """Exact cumulative-cost trajectory values at per-run times (or a scalar)."""
-        return _cpm.accrue(times, self.node_cost, self.starts, self.starts + self.durations)
+        return _cpm.accrue(times, self.node_cost, self.starts, self.durations)
+
+
+def _cost_rows(network: ValidatedNetwork, d, impacts):
+    """Node j's costs per run, one row at a time in node order: rates[j] * d[j]
+    + fixed[j], plus the impacts of the cost risks on j in cost_risks order."""
+    on = {}
+    for i, cr in enumerate(network.cost_risks):
+        on.setdefault(cr.target, []).append(i)
+    for j, (rate, fixed) in enumerate(zip(network.rates(), network.fixed_costs())):
+        row = rate * d[j]
+        row += fixed
+        for i in on.get(j, ()):
+            row += impacts[i]
+        yield row
 
 
 def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) -> Ensemble:
@@ -113,31 +159,27 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     n, m = cfg.n_runs, len(nodes)
     _check_memory(n, m)
 
-    durations, starts, node_cost = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
+    durations, impacts = np.empty((m, n)), np.empty((len(network.cost_risks), n))
     critical = np.empty((m, n), dtype=bool)
     total_duration, total_cost = np.empty(n), np.zeros(n)
-    fixed, rates = network.fixed_costs(), network.rates()
     plan = _cpm.plan(network)
 
     def simulate(lo):
         hi = min(lo + _CHUNK, n)
-        d, es, cost = durations[:, lo:hi], starts[:, lo:hi], node_cost[:, lo:hi]
+        d, imp = durations[:, lo:hi], impacts[:, lo:hi]
         for node in nodes:
             d[node.index] = _draw(node.base, node.gate, cfg.seed, node.id, lo, hi)
+        for i, cr in enumerate(network.cost_risks):
+            imp[i] = _draw(cr.impact, cr.probability, cfg.seed, cr.id, lo, hi)
 
         cost_sum = total_cost[lo:hi]
+        es = np.empty(d.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            # costs first, so their draws' temporaries never meet the late finishes
-            np.multiply(rates[:, None], d, out=cost)
-            cost += fixed[:, None]
-            for cr in network.cost_risks:
-                cost[cr.target] += _draw(cr.impact, cr.probability, cfg.seed, cr.id, lo, hi)
             # accumulate in node order, matching ev_at/cost_at and the plan's BAC,
             # so the endpoint identities cost_k(PD_k) = C_k and ev_k(PD_k) = BAC
             # hold bitwise
-            for row in cost:
+            for row in _cost_rows(network, d, imp):
                 cost_sum += row
-
             late = _cpm.passes(network, d, es)
             total_duration[lo:hi] = late[network.sink]
         # every node reaches the sink, so a duration or finish past the float
@@ -152,13 +194,11 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     with ThreadPoolExecutor(min(workers, len(chunks), os.cpu_count() or 1)) as pool:
         list(pool.map(simulate, chunks))  # re-raises the first chunk's error
 
-    arrays = dict(
-        durations=durations, starts=starts, critical=critical,
-        total_duration=total_duration, total_cost=total_cost, node_cost=node_cost,
-    )
+    arrays = dict(durations=durations, impacts=impacts, critical=critical,
+                  total_duration=total_duration, total_cost=total_cost)
     for arr in arrays.values():
         arr.flags.writeable = False
-    return Ensemble(plan=plan, **arrays)
+    return Ensemble(plan=plan, network=network, **arrays)
 
 
 def _memory_ceiling() -> int:
@@ -199,6 +239,30 @@ def empirical_percentile(samples, p) -> float:
     if not 0.0 <= p <= 100.0:
         raise ConfigError(f"percentile must be in [0, 100], got {p}")
     return float(np.percentile(x, p))
+
+
+def unit_scaled(samples):
+    """(samples * 2**-shift, shift) for the shift that brings the largest
+    magnitude into [1/2, 1); exact where no value falls below the normal floats."""
+    shift = math.frexp(float(np.abs(samples).max()))[1]
+    return np.ldexp(samples, -shift), shift
+
+
+def scaled(stat, samples) -> float:
+    """stat(samples) for a stat that scales with the samples, such as a mean
+    or an sd; where its sums pass the largest double, stat of the samples
+    scaled below 1 by a power of two, scaled back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(stat(samples))
+        if math.isfinite(value):
+            return value
+        unit, shift = unit_scaled(samples)
+        return math.ldexp(float(stat(unit)), shift)
+
+
+def sample_sd(samples) -> float:
+    """Sample standard deviation (ddof 1), with the scaled fallback."""
+    return scaled(lambda x: x.std(ddof=1), samples)
 
 
 @dataclass(frozen=True)

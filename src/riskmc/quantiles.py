@@ -107,16 +107,31 @@ class _Table:
 
 
 _TABLES = weakref.WeakValueDictionary()  # alpha -> _Table, while some law holds it
-_BUILDING = threading.Lock()             # so threads sampling one shape build it once
+_BUILDING = {}                           # alpha -> lock, while its table is built
+_GUARD = threading.Lock()                # held only to read or change the two dicts
 
 
 def pert_table(alpha: float) -> _Table:
     """The inverse table of beta(alpha, 6 - alpha), alpha in [1, 5]; laws of
-    one shape share it, and it is freed with the last of them."""
-    with _BUILDING:
+    one shape share it, and it is freed with the last of them.
+
+    Threads sampling one shape wait on that shape's lock, so it is built
+    once; threads building different shapes build them at once.
+    """
+    with _GUARD:
         table = _TABLES.get(alpha)
+        if table is not None:
+            return table
+        lock = _BUILDING.setdefault(alpha, threading.Lock())
+    with lock:
+        with _GUARD:
+            table = _TABLES.get(alpha)
         if table is None:
-            table = _TABLES[alpha] = _build(alpha)
+            table = _build(alpha)
+            with _GUARD:
+                _TABLES[alpha] = table
+                if _BUILDING.get(alpha) is lock:
+                    del _BUILDING[alpha]
     return table
 
 

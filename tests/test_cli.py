@@ -300,6 +300,29 @@ def test_simulate_prints_finite_moments_when_their_sums_overflow(tmp_path, capsy
     assert 0.5e300 < float(sd) < 2e300
 
 
+def test_indices_and_baseline_are_finite_when_per_node_sums_overflow(tmp_path):
+    # the runs of one activity near 1e308 sum past the largest double, node
+    # by node as well as in total; the reductions fall back to scaled runs
+    project = tmp_path / "huge.project"
+    project.write_text(_one_activity("normal(1e308,1e300)"))
+    runs = ["--project", str(project), "--runs", "200"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command in ("indices", "baseline"):
+            assert main([command, *runs, "--out", str(tmp_path / command)]) == 0, command
+    assert [str(w.message) for w in caught] == []
+    with open(tmp_path / "indices" / "sensitivity.csv", newline="") as fh:
+        rows = {row["id"]: row for row in csv.DictReader(fh)}
+    assert [rows["A1"][k] for k in ("CI", "CrI", "SSI")] == ["1", "1", "1"]
+    assert 0.5e300 < float(rows["A1"]["sigma_i"]) < 2e300
+    with open(tmp_path / "baseline" / "ari.csv", newline="") as fh:
+        ari = {row["id"]: float(row["ari_percent"]) for row in csv.DictReader(fh)}
+    assert ari["A1"] == 100.0
+    for name in ("indices/sensitivity.csv", "baseline/baseline.csv", "baseline/ari.csv"):
+        text = (tmp_path / name).read_text()
+        assert "nan" not in text and "inf" not in text, name
+
+
 def test_missing_project_file_is_io_error():
     result = run_cli("validate", "--project", "no-such-file.project")
     assert result.returncode == 2

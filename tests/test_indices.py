@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from riskmc import (
     sensitivity_report,
     validate,
 )
-from riskmc.control import _variance_shares
+from riskmc.control import _variance_shares, risk_baselines
 from riskmc.errors import ConfigError, DegenerateProject
 
 
@@ -144,11 +146,47 @@ def test_pearson_and_variance_shares_match_fsum_reference():
         sxt, sxx, stt = _fsum_moments(row, ens.total_duration)
         cri.append(abs(sxt) / math.sqrt(sxx * stt) if sxx > 0.0 else 0.0)
     assert cruciality_index(ens) == pytest.approx(cri, rel=1e-12, abs=0.0)
-    for per_node, totals in ((ens.durations, ens.total_duration),
-                             (ens.node_cost, ens.total_cost)):
-        cov = [max(_fsum_moments(row, totals)[0], 0.0) for row in per_node]
+    for rows, totals in ((lambda: ens.durations, ens.total_duration),
+                         (ens.cost_rows, ens.total_cost)):
+        cov = [max(_fsum_moments(row, totals)[0], 0.0) for row in rows()]
         shares = np.array(cov) / math.fsum(cov)
-        assert _variance_shares(per_node, totals) == pytest.approx(shares, rel=1e-12, abs=0.0)
+        assert _variance_shares(rows, totals) == pytest.approx(shares, rel=1e-12, abs=0.0)
+
+
+def test_overflowing_sums_reduce_as_the_unscaled_runs_bitwise():
+    # durations scaled by 2**1015 stay finite, but every plain sum of their
+    # runs passes the largest double; the fallback scales each side back
+    # below 1 by a power of two, so CrI, SSI and the variance shares equal
+    # the unscaled ensemble's bit for bit, and each sigma is 2**1015 times its own
+    ens = run_ensemble(validate(normal_pert_spec()), SimConfig(n_runs=3000, seed=14))
+    big = dataclasses.replace(ens, durations=np.ldexp(ens.durations, 1015),
+                              total_duration=np.ldexp(ens.total_duration, 1015))
+    plain, scaled = sensitivity_report(ens), sensitivity_report(big)
+    for field in ("ci", "cri", "ssi"):
+        assert getattr(scaled, field).tobytes() == getattr(plain, field).tobytes(), field
+    assert scaled.sigma.tobytes() == np.ldexp(plain.sigma, 1015).tobytes()
+    for rows, totals in ((lambda: ens.durations, ens.total_duration),
+                         (lambda: ens.node_cost, ens.total_cost)):
+        want = _variance_shares(rows, totals)
+        got = _variance_shares(lambda: np.ldexp(rows(), 1015), np.ldexp(totals, 1015))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_analysis_reduces_one_row_at_a_time():
+    # beyond the ensemble, the indices, the baselines and the reserve hold a
+    # few run-sized arrays at once, never one per node: 42 nodes here
+    rng = np.random.default_rng(40)
+    net = validate(random_dag_spec(rng, n_real=40, edge_prob=0.1, with_risks=4))
+    n = 20_000
+    ens = run_ensemble(net, SimConfig(n_runs=n, seed=5))
+    for analysis in (sensitivity_report, risk_baselines, lambda e: contingency_reserve(e, 90)):
+        tracemalloc.start()
+        try:
+            analysis(ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * n, (analysis, peak / (8 * n))
 
 
 def test_ssi_identities():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import threading
@@ -6,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import riskmc.montecarlo as montecarlo
@@ -313,6 +316,52 @@ def test_a_risk_id_owns_one_gate_stream_whatever_its_kind():
     overrun = cost.node_cost[b1] > 10 + 2 * cost.durations[b1]
     assert 0 < delayed.sum() < cfg.n_runs
     assert np.array_equal(delayed, overrun)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 3), st.integers(1, 40))
+@example(3, 6, 2, 1)
+def test_derived_starts_and_node_costs_match_their_references_bitwise(seed, n_real,
+                                                                      with_risks, n_runs):
+    # two more cost risks on one target, whose impacts add in declaration order
+    rng = np.random.default_rng(seed)
+    spec = random_dag_spec(rng, n_real=n_real, with_risks=with_risks)
+    target = f"B{int(rng.integers(1, n_real + 1))}"
+    extra = tuple(RiskEvent(id=f"C{k}", name=f"cost {k}", probability=0.5, kind="cost",
+                            target=target, impact=Distribution.uniform(0.25, 3.0 + k))
+                  for k in (1, 2))
+    net = validate(ProjectSpec(spec.activities, spec.precedence, spec.risks + extra))
+    ens = run_ensemble(net, SimConfig(n_runs=n_runs, seed=seed % 1000))
+    assert not (ens.starts.flags.writeable or ens.node_cost.flags.writeable)
+    assert ens.starts is ens.starts and ens.node_cost is ens.node_cost
+    for k in range(n_runs):
+        want = reference_forward_backward(net, ens.durations[:, k])
+        assert ens.starts[:, k].tobytes() == want["es"].tobytes(), k
+
+    cost = net.fixed_costs()[:, None] + net.rates()[:, None] * ens.durations
+    for cr in net.cost_risks:
+        cost[cr.target] += montecarlo._draw(cr.impact, cr.probability, seed % 1000, cr.id,
+                                            0, n_runs)
+    assert ens.node_cost.tobytes() == cost.tobytes()
+    assert np.array(list(ens.cost_rows())).tobytes() == cost.tobytes()
+    total = np.zeros(n_runs)
+    for row in cost:
+        total += row
+    assert ens.total_cost.tobytes() == total.tobytes()
+
+
+def test_the_ensemble_stores_only_what_was_sampled():
+    # durations (8 B), critical flags (1 B) and cost-risk impacts (8 B) per
+    # run and node or risk, and the two totals; starts and node costs are
+    # derived on first use and are not fields
+    net = validate(normal_pert_spec())
+    n = 3 * C + 5
+    ens = run_ensemble(net, SimConfig(n_runs=n, seed=14))
+    m, k = len(net.nodes), len(net.cost_risks)
+    arrays = [getattr(ens, f.name) for f in dataclasses.fields(ens)]
+    stored = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    assert stored == (9 * m + 16 + 8 * k) * n
+    assert not {"starts", "node_cost"} & {f.name for f in dataclasses.fields(ens)}
 
 
 def test_each_run_matches_scalar_cpm(figure3_network):

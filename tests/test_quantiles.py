@@ -5,7 +5,10 @@ import gc
 import hashlib
 import math
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -140,6 +143,34 @@ def test_threads_sampling_one_shape_share_one_table():
         sys.setswitchinterval(interval)
     for k in range(len(shapes)):
         assert len({id(held[k]) for held in tables}) == 1
+
+
+def test_threads_build_different_shapes_at_once_and_one_shape_once(monkeypatch):
+    # each build waits at a barrier for a second one: two threads drawing
+    # from laws of different shapes must both be inside _build at the same
+    # time, so no lock is held across a build of another shape
+    build, builds = quantiles._build, []
+    barrier = threading.Barrier(2, timeout=10)
+
+    def meeting_build(alpha):
+        builds.append(alpha)
+        barrier.wait()
+        return build(alpha)
+
+    monkeypatch.setattr(quantiles, "_build", meeting_build)
+    laws = [Distribution.pert(0.0, 0.1234567, 1.0), Distribution.pert(0.0, 0.7654321, 1.0)]
+    with ThreadPoolExecutor(2) as pool:
+        tables = list(pool.map(lambda law: law._pert_table, laws))
+    assert tables[0] is not tables[1]
+
+    # one new shape from eight threads at once is built once: its build now
+    # sleeps instead, while the other threads queue on that shape's lock
+    barrier = SimpleNamespace(wait=lambda: time.sleep(0.05))
+    laws = [Distribution.pert(0.0, 0.3456789, 1.0) for _ in range(8)]
+    builds.clear()
+    with ThreadPoolExecutor(8) as pool:
+        tables = list(pool.map(lambda law: law._pert_table, laws))
+    assert len(builds) == 1 and len({id(t) for t in tables}) == 1
 
 
 def test_pert_is_non_decreasing_on_adjacent_floats():
