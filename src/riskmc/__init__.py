@@ -55,7 +55,6 @@ from .network import (
     validate,
 )
 from .projectfile import parse_project, parse_project_text, render_project
-from .svgplot import plot
 
 __version__ = "0.1.0"
 
@@ -71,3 +70,11 @@ __all__ = [
     "risk_baselines", "run_ensemble", "schedule_sensitivity_index",
     "sensitivity_report", "sevm_forecast", "triad", "validate",
 ]
+
+
+def __getattr__(name):
+    # the SVG renderer loads on first use, since most commands draw nothing
+    if name == "plot":
+        from .svgplot import plot
+        return plot
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

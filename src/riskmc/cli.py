@@ -19,7 +19,6 @@ from . import cpm as cpmmod
 from . import csvout
 from . import indices as idx
 from . import montecarlo as mc
-from . import svgplot
 from .errors import ConfigError, RiskMcError
 from .network import validate
 from .projectfile import convert_matrix_csv, parse_project, read_text
@@ -263,6 +262,8 @@ def cmd_forecast(args):
 
 
 def cmd_plot(args):
+    from . import svgplot  # loaded here: no other command draws
+
     network = _load(args)
     out_dir = args.out if args.out is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)

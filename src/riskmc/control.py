@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,7 @@ from .errors import (
     EvZero,
     KTooLarge,
 )
-from .montecarlo import Ensemble, empirical_percentile, sample_sd, unit_scaled
+from .montecarlo import Ensemble, empirical_percentile, sample_sd, scaled, unit_scaled
 
 INTERVAL_PERCENTILES = (5.0, 95.0)  # of the SEVM forecast's duration and cost intervals
 
@@ -278,7 +279,7 @@ def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
     section_t, section_c = cross_section(ensemble, x)
     dist2 = np.zeros(n)
     for values, center in ((section_t, obs.t), (section_c, obs.ac)):
-        spread = values.std(ddof=1) if n > 1 else 0.0
+        spread = sample_sd(values) if n > 1 else 0.0
         if spread > 0.0:
             dist2 += ((values - center) / spread) ** 2
     order = np.argsort(dist2, kind="stable")
@@ -290,8 +291,8 @@ def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
         eac_t = _linear_predict(section_t[chosen], section_c[chosen], pd_n, obs.t, obs.ac)
         eac_c = _linear_predict(section_t[chosen], section_c[chosen], c_n, obs.t, obs.ac)
     else:
-        eac_t = float(np.mean(pd_n))
-        eac_c = float(np.mean(c_n))
+        eac_t = scaled(np.mean, pd_n)
+        eac_c = scaled(np.mean, c_n)
 
     late = pd_n > ensemble.plan.duration
     overrun = c_n > ensemble.plan.bac
@@ -310,6 +311,11 @@ def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
 
 
 def _linear_predict(t, c, y, at_t, at_c):
+    """The least-squares plane y ~ 1 + t + c at (at_t, at_c). The columns
+    are fit scaled below 1 by powers of two, which is exact, so no sum in
+    the fit passes the largest double; the prediction is scaled back."""
+    (t, st), (c, sc), (y, sy) = unit_scaled(t), unit_scaled(c), unit_scaled(y)
     design = np.column_stack([np.ones_like(t), t, c])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(coef[0] + coef[1] * at_t + coef[2] * at_c)
+    return math.ldexp(float(coef[0] + coef[1] * math.ldexp(at_t, -st)
+                            + coef[2] * math.ldexp(at_c, -sc)), sy)

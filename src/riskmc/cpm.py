@@ -80,31 +80,34 @@ def forward(network: ValidatedNetwork, durations, es):
             es[j] = 0.0
 
 
-def passes(network: ValidatedNetwork, durations, es):
-    """Forward and backward CPM passes over (n_nodes, n_runs) durations.
+def backward(network: ValidatedNetwork, durations, buf, critical):
+    """Backward CPM pass over (n_nodes, n_runs) durations, in place.
 
-    Row j holds node j's runs, so each step reads and writes whole rows.
-    Fills the caller's `es` with early starts (`forward`) and returns the
-    late finishes lf; late starts lf - durations are formed where read, not
-    stored. The sink finishes late at its early finish.
+    On entry `buf` holds the early starts (`forward`). Each reverse step
+    forms node j's late finish lf_j from its successors' rows, which it
+    has already overwritten, fills critical[j] with the total-float test
+    (lf_j - d_j) - es_j <= CRIT_TOL and then overwrites row j with lf_j;
+    on return `buf` holds the late finishes. The sink finishes late at its
+    early finish, so buf[sink] is then each run's project duration.
     """
-    forward(network, durations, es)
-    lf = np.empty(durations.shape)
     for node in reversed(network.nodes):
         j = node.index
         if node.succs:
             first, *rest = node.succs
-            acc = lf[first] - durations[first]
+            lf = buf[first] - durations[first]
             for s in rest:
-                np.minimum(acc, lf[s] - durations[s], out=acc)
-            lf[j] = acc
+                np.minimum(lf, buf[s] - durations[s], out=lf)
         else:
-            lf[j] = es[j] + durations[j]
-    return lf
+            lf = buf[j] + durations[j]
+        total_float = lf - durations[j]  # late start, then total float
+        total_float -= buf[j]
+        np.less_equal(total_float, CRIT_TOL, out=critical[j])
+        buf[j] = lf
 
 
 def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
-    """CPM pass for one duration vector: the one-run case of `passes`.
+    """CPM pass for one duration vector: the one-run case of `forward` and
+    `backward`.
 
     The result owns read-only arrays; the durations are copied first. A
     duration or cost that leaves the floats is DegenerateProject.
@@ -116,8 +119,11 @@ def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
         raise ValueError("durations must be nonnegative")
 
     es = np.empty(len(d))
+    critical = np.empty(len(d), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        lf = passes(network, d[:, None], es[:, None])[:, 0]
+        forward(network, d[:, None], es[:, None])
+        lf = es.copy()
+        backward(network, d[:, None], lf[:, None], critical[:, None])
         ef = es + d
         costs = network.fixed_costs() + network.rates() * d
         duration = float(ef[network.sink])
@@ -129,7 +135,6 @@ def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
                                 f"cost {bac}")
     ls = lf - d
     total_float = ls - es
-    critical = total_float <= CRIT_TOL
     for arr in (d, es, ef, ls, lf, total_float, critical, costs):
         arr.flags.writeable = False
     return CpmResult(node_ids=network.ids(), node_names=network.names(), durations=d,

@@ -15,7 +15,7 @@ from .montecarlo import Ensemble, HistogramTable
 PERCENTILE_STEPS = tuple(range(5, 100, 5))
 GRID_POINTS = 101            # default samples of the planned timeline [0, PD] at export
 MAX_GRID_POINTS = 1_000_000  # the most it takes: bounds an export's arrays and file
-_BLOCK = 4096      # rows formatted at a time; bounds the cells held at once
+_BLOCK = 1024      # rows formatted at a time; bounds the cells held at once
 _BYTE_CELLS = tuple(str(k) for k in range(256))  # the cell of each uint8 value
 
 

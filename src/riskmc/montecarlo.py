@@ -14,7 +14,6 @@ import hashlib
 import math
 import os
 import resource
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +28,17 @@ _DURATION = "dur"
 _GATE = "gate"
 _IMPACT = "impact"
 
-# peak bytes that run_ensemble allocates, per run and node and per run
-# (tracemalloc: 4 to 404 nodes, 300 to 32769 runs, 1 and 3 workers); the
+# peak bytes that a simulating command allocates, per run and node and per
+# run. run_ensemble itself, the ensemble plus one (nodes x chunk) CPM buffer
+# per thread, peaks at <= 21.2 B per run and node (tracemalloc: 6 to 403
+# nodes, 300 to 32769 runs, 1 and 3 workers; <= 17.3 from 42 nodes up); the
+# cross-section of control and forecast sets the command's peak, with its
+# (2m+1)-row event array and the derived starts on top of the ensemble. The
 # per-run part is mostly the temporaries of one chunk's PERT draws
 _PEAK_PER_RUN_NODE = 34
 _PEAK_PER_RUN = 96
+
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"  # this process's cgroup v2 limit
 
 _CHUNK = 8192  # runs per task; a multiple of 4, so chunks start on a Philox block
 MAX_BINS = 100_000  # the most histogram bins; bounds the histogram's arrays
@@ -173,26 +178,33 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
             imp[i] = _draw(cr.impact, cr.probability, cfg.seed, cr.id, lo, hi)
 
         cost_sum = total_cost[lo:hi]
-        es = np.empty(d.shape)
+        buf = np.empty(d.shape)  # early starts, then late finishes
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             # accumulate in node order, matching ev_at/cost_at and the plan's BAC,
             # so the endpoint identities cost_k(PD_k) = C_k and ev_k(PD_k) = BAC
             # hold bitwise
             for row in _cost_rows(network, d, imp):
                 cost_sum += row
-            late = _cpm.passes(network, d, es)
-            total_duration[lo:hi] = late[network.sink]
+            _cpm.forward(network, d, buf)
+            _cpm.backward(network, d, buf, critical[:, lo:hi])
+            total_duration[lo:hi] = buf[network.sink]
         # every node reaches the sink, so a duration or finish past the float
         # range reaches the project's; a node cost past it reaches the total
         if not (np.isfinite(total_duration[lo:hi]).all() and np.isfinite(cost_sum).all()):
             raise DegenerateProject("a run's duration or cost exceeds the float range")
-        late -= d  # late finish -> late start -> total float, in place
-        late -= es
-        np.less_equal(late, _cpm.CRIT_TOL, out=critical[:, lo:hi])
 
     chunks = range(0, n, _CHUNK)
-    with ThreadPoolExecutor(min(workers, len(chunks), os.cpu_count() or 1)) as pool:
-        list(pool.map(simulate, chunks))  # re-raises the first chunk's error
+    threads = min(workers, len(chunks), os.cpu_count() or 1)
+    if threads == 1:
+        # no pool: a pool thread would draw the chunk's temporaries from a
+        # malloc arena of its own, which the main thread never reuses
+        for lo in chunks:
+            simulate(lo)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(simulate, chunks))  # re-raises the first chunk's error
 
     arrays = dict(durations=durations, impacts=impacts, critical=critical,
                   total_duration=total_duration, total_cost=total_cost)
@@ -203,10 +215,20 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
 
 def _memory_ceiling() -> int:
     """Bytes one simulation may plan to use: physical memory, or the
-    address-space limit (RLIMIT_AS) where that is lower."""
-    ceiling = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    address-space limit (RLIMIT_AS) or the cgroup v2 memory limit where
+    either is lower."""
+    limits = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")]
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    return ceiling if soft == resource.RLIM_INFINITY else min(ceiling, soft)
+    if soft != resource.RLIM_INFINITY:
+        limits.append(soft)
+    try:
+        with open(_CGROUP_MEMORY_MAX, encoding="ascii") as fh:
+            cgroup = fh.read().strip()  # a byte count, or "max" for none
+    except OSError:
+        cgroup = "max"
+    if cgroup.isdigit():
+        limits.append(int(cgroup))
+    return min(limits)
 
 
 def _check_memory(n_runs, n_nodes):

@@ -1,4 +1,5 @@
 import csv
+import math
 import re
 import subprocess
 import sys
@@ -267,9 +268,9 @@ def test_schedule_past_the_float_range_is_one_domain_error(command, tmp_path, ca
     assert captured.out == ""
 
 
-def _one_activity(law):
+def _one_activity(law, rate=0):
     return ('[activities]\nA0 "start" point(0) fixed=0 rate=0\n'
-            f'A1 "huge" {law} fixed=0 rate=0\nAf "finish" point(0) fixed=0 rate=0\n\n'
+            f'A1 "huge" {law} fixed=0 rate={rate}\nAf "finish" point(0) fixed=0 rate=0\n\n'
             "[precedence]\nA1 <- A0\nAf <- A1\n")
 
 
@@ -321,6 +322,24 @@ def test_indices_and_baseline_are_finite_when_per_node_sums_overflow(tmp_path):
     for name in ("indices/sensitivity.csv", "baseline/baseline.csv", "baseline/ari.csv"):
         text = (tmp_path / name).read_text()
         assert "nan" not in text and "inf" not in text, name
+
+
+@pytest.mark.parametrize("estimator", ["mean", "linear"])
+def test_forecast_is_finite_when_its_sums_overflow(tmp_path, capsys, estimator):
+    # one activity near 1e308 that costs its duration: the spread of the
+    # cross-section and the neighbors' mean sum past the largest double
+    project = tmp_path / "huge.project"
+    project.write_text(_one_activity("normal(1e308,1e300)", rate=1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["forecast", "--project", str(project), "--runs", "200",
+                     "--observe", "t=5e307,ev=5e307,ac=5e307", "--estimator", estimator]) == 0
+    assert [str(w.message) for w in caught] == []
+    rows = dict(csv.reader(capsys.readouterr().out.splitlines()))
+    eac = [float(rows[key]) for key in ("EAC_duration", "EAC_cost")]
+    assert all(0.0 < v < math.inf for v in eac), eac
+    if estimator == "mean":  # all 200 runs are the neighbors
+        assert eac == [pytest.approx(1e308, rel=1e-9)] * 2
 
 
 def test_missing_project_file_is_io_error():

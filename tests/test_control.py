@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -22,6 +23,7 @@ from riskmc import (
     triad,
     validate,
 )
+from riskmc.control import _linear_predict
 from riskmc.cpm import window_fraction
 from riskmc.csvout import baseline_table
 from riskmc.errors import ConfigError, DegenerateProject, EvOutOfRange, EvZero, KTooLarge
@@ -458,6 +460,19 @@ def test_sevm_linear_estimator_needs_four_neighbors(figure3_network):
     linear = sevm_forecast(obs, ens, k_neighbors=4, estimator="linear")
     mean = sevm_forecast(obs, ens, k_neighbors=4)
     assert np.isfinite(linear.eac_duration) and linear.eac_duration != mean.eac_duration
+
+
+def test_linear_fit_near_the_float_range_matches_the_fit_scaled_down():
+    # y = 2.7e308 - t: the intercept lies past the largest double, where a
+    # fit on the plain columns goes wrong; on columns scaled by powers of
+    # two it predicts what the same runs scaled down by 2**4 predict
+    rng = np.random.default_rng(7)
+    t = rng.uniform(1.0, 1.7, 500) * 1e308
+    c = rng.uniform(0.0, 1.0, 500)
+    y = 2 * (1.35e308 - t / 2)
+    got = _linear_predict(t, c, y, 1.2e308, 0.5)
+    assert got == pytest.approx(1.5e308, rel=1e-9)
+    assert got == math.ldexp(_linear_predict(t / 16, c, y / 16, 1.2e308 / 16, 0.5), 4)
 
 
 # -- scale -------------------------------------------------------------------

@@ -301,8 +301,9 @@ def test_window_fraction_matches_reference_bitwise(windows, step_closed):
 # -- one implementation against the code it replaced -------------------------
 
 def reference_forward_backward(network, d):
-    """The scalar CPM loops that cpm.passes replaced, as a dict of the
-    CpmResult fields they set; every pass must match them bit for bit."""
+    """The scalar CPM loops that cpm.forward and cpm.backward replaced, as a
+    dict of the CpmResult fields they set; every pass must match them bit
+    for bit."""
     nodes = network.nodes
     n = len(nodes)
     es = np.zeros(n)

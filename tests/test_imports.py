@@ -1,7 +1,8 @@
 """Cold start: no riskmc command loads scipy, which is a test-only
-dependency. Each case runs the commands in a fresh interpreter and lists
-the scipy modules it loaded, so a scipy import anywhere on a command's
-path fails here."""
+dependency, and only the commands that use them load the SVG renderer and
+the thread pool. Each case runs the commands in a fresh interpreter and
+lists the modules it loaded, so an import anywhere on a command's path
+that the command does not need fails here."""
 
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import riskmc
 from netgen import normal_pert_spec
 from riskmc.projectfile import render_project
 
@@ -20,8 +22,7 @@ PROBE = """
 import json, sys
 import riskmc, riskmc.cli
 codes = [riskmc.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(m for m in sys.modules
-                               if m == "scipy" or m.startswith("scipy."))]))
+print(json.dumps([codes, sorted(sys.modules)]))
 """
 
 # every law but normal and PERT, as durations and as risk impacts
@@ -47,9 +48,9 @@ Af <- A3
 OBSERVE = {"figure3": "t=4,ev=430,ac=445", "normal_pert": "t=6,ev=30,ac=33"}
 
 
-def scipy_modules(commands):
-    """Exit codes of `commands` run by riskmc.cli.main in a fresh interpreter,
-    and the scipy modules loaded by then."""
+def loaded_modules(commands):
+    """The modules loaded once `commands` have run, each by riskmc.cli.main
+    and with exit code 0, in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands)],
                             capture_output=True, text=True, env=env, timeout=120)
@@ -57,6 +58,37 @@ def scipy_modules(commands):
     codes, modules = json.loads(result.stdout.splitlines()[-1])
     assert codes == [0] * len(commands), result.stderr
     return modules
+
+
+def scipy_modules(commands):
+    return [m for m in loaded_modules(commands) if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_commands_that_draw_nothing_on_one_thread_load_no_plot_or_pool(figure3_path,
+                                                                       tmp_path):
+    # one thread runs its chunks without a pool, and only plot draws
+    sim = ["--project", str(figure3_path), "--runs", "400", "--out", str(tmp_path)]
+    modules = loaded_modules([["validate", "--project", str(figure3_path)],
+                              ["simulate", *sim], ["indices", *sim]])
+    assert [m for m in modules if m == "riskmc.svgplot" or m == "concurrent.futures"
+            or m.startswith("concurrent.futures.")] == []
+
+
+def test_plot_loads_the_renderer_when_it_draws(figure3_path, tmp_path):
+    modules = loaded_modules([["plot", "--project", str(figure3_path), "--kind", "pv",
+                               "--out", str(tmp_path)]])
+    assert "riskmc.svgplot" in modules
+    assert (tmp_path / "pv.svg").read_text().startswith("<svg")
+    probe = ("import sys, riskmc\n"
+             "assert 'riskmc.svgplot' not in sys.modules\n"
+             "from riskmc import plot\n"
+             "from riskmc.svgplot import plot as svg_plot\n"
+             "assert plot is svg_plot and riskmc.plot is svg_plot\n")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert result.returncode == 0, result.stderr
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        riskmc.no_such_name  # noqa: B018
 
 
 def test_validate_cpm_and_paths_load_no_scipy(figure3_path, tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import hashlib
@@ -116,11 +117,12 @@ def test_workers_below_one_is_a_config_error(figure3_network, workers):
 
 
 def test_pool_has_at_most_one_thread_per_cpu(figure3_network, monkeypatch):
-    # every run count goes through the pool in chunks of _CHUNK runs, up to
-    # `workers` of them at once, and the pool never asks for more threads
-    # than chunks or CPUs; the stand-in pool records its size, runs each
-    # chunk in order and starts no thread
-    sizes = []
+    # every run count is simulated in chunks of _CHUNK runs, up to `workers`
+    # of them at once, on a pool that never asks for more threads than
+    # chunks or CPUs; where that is one thread, no pool is built and every
+    # chunk runs on the calling thread. The stand-in pool records its size,
+    # runs each chunk in order and starts no thread
+    sizes, runners = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -135,19 +137,33 @@ def test_pool_has_at_most_one_thread_per_cpu(figure3_network, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
+    cost_rows_of_chunk = montecarlo._cost_rows
+
+    def cost_rows(*args):  # read once per chunk, on the thread simulating it
+        runners.append(threading.current_thread())
+        return cost_rows_of_chunk(*args)
+
     threads = threading.active_count()
     cfg = SimConfig(n_runs=150, seed=5)
     base = run_ensemble(figure3_network, cfg, workers=1)
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo, "_cost_rows", cost_rows)
     monkeypatch.setattr(montecarlo, "_CHUNK", 4)  # 150 runs: 38 chunks, the last of 2
     grid = ((3, 10**6), (None, 10**6), (64, 10**6), (64, 2), (1, 8), (64, 1))
     for cpus, workers in grid:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        pools = len(sizes)
+        runners.clear()
         other = run_ensemble(figure3_network, cfg, workers=workers)
-        assert sizes[-1] == min(workers, 38, cpus or 1), (cpus, workers)
+        want = min(workers, 38, cpus or 1)
+        if want == 1:
+            assert len(sizes) == pools, (cpus, workers)
+            assert runners == [threading.main_thread()] * 38, (cpus, workers)
+        else:
+            assert sizes[pools:] == [want], (cpus, workers)
         for field in RUN_FIELDS:
             assert getattr(base, field).tobytes() == getattr(other, field).tobytes(), field
-    assert len(sizes) == len(grid)
+    assert sizes == [3, 38, 2]
     assert threading.active_count() == threads
 
 
@@ -253,6 +269,22 @@ def test_runs_beyond_the_memory_ceiling_are_refused(figure3_network, monkeypatch
     for runs in (fit + 1, 10**12):
         with pytest.raises(ConfigError, match=rf"^{runs} runs of 8 nodes .* at most {fit} runs fit$"):
             run_ensemble(figure3_network, SimConfig(n_runs=runs))
+
+
+def test_memory_ceiling_respects_a_cgroup_limit(figure3_network, monkeypatch, tmp_path):
+    # a cgroup v2 memory.max holds a byte count, or "max" for no limit; an
+    # absent file, as outside a cgroup v2 hierarchy, is no limit either
+    resource = montecarlo.resource
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2)
+    physical = montecarlo.os.sysconf("SC_PAGE_SIZE") * montecarlo.os.sysconf("SC_PHYS_PAGES")
+    limit = tmp_path / "memory.max"
+    monkeypatch.setattr(montecarlo, "_CGROUP_MEMORY_MAX", str(limit))
+    assert montecarlo._memory_ceiling() == physical
+    for text, want in (("max\n", physical), (f"{2 * physical}\n", physical), ("65536\n", 2**16)):
+        limit.write_text(text)
+        assert montecarlo._memory_ceiling() == want, text
+    with pytest.raises(ConfigError, match="above the 6.1e-05 GiB memory ceiling"):
+        run_ensemble(figure3_network, SimConfig(n_runs=10**4))
 
 
 def test_seed_changes_results(figure3_network):
