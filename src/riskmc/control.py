@@ -15,7 +15,8 @@ from .errors import (
     EvZero,
     KTooLarge,
 )
-from .montecarlo import Ensemble, empirical_percentile, sample_sd, scaled, unit_scaled
+from .montecarlo import (Ensemble, empirical_percentile, row_moments, sample_sd, scaled,
+                         unit_scaled)
 
 INTERVAL_PERCENTILES = (5.0, 95.0)  # of the SEVM forecast's duration and cost intervals
 
@@ -57,34 +58,20 @@ def risk_baselines(ensemble: Ensemble) -> RiskBaseline:
         raise DegenerateProject("neither duration nor cost shows any variance")
 
     return RiskBaseline(
-        schedule_shares=_variance_shares(lambda: ensemble.durations, ensemble.total_duration),
-        cost_shares=_variance_shares(ensemble.cost_rows, ensemble.total_cost),
+        schedule_shares=_variance_shares(ensemble.durations, ensemble.total_duration),
+        cost_shares=_variance_shares(ensemble.cost_rows(), ensemble.total_cost),
         sigma_duration=sigma_pd, sigma_cost=sigma_c, plan=ensemble.plan)
 
 
 def _variance_shares(rows, totals):
-    """Covariance of each node's row with the total, clamped >= 0, normalized.
-
-    rows() iterates the (n_runs,) rows in node order, one at a time. Where a
-    plain sum passes the largest double, every row and the totals are scaled
-    by one power of two, the totals': the rows are nonnegative, and each
-    total is a longest path or a sum of them, so no row exceeds it.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov = _covariances(rows(), totals)
-        if not np.isfinite(cov.sum()):
-            unit, shift = unit_scaled(totals)
-            cov = _covariances((np.ldexp(row, -shift) for row in rows()), unit)
+    """Covariance of each node's row with the total, clamped >= 0 (merge-bias
+    artifacts can push covariances negative), normalized; the rows are
+    iterated once, in node order. A duration is at most its run's longest
+    path and a node cost at most the run's total cost, so `row_moments`
+    applies."""
+    cov = np.maximum(row_moments(rows, totals)[2], 0.0)
     total = cov.sum()
     return cov / total if total > 0.0 else np.zeros_like(cov)
-
-
-def _covariances(rows, totals):
-    """Covariance of each row with the totals, clamped >= 0: merge-bias
-    artifacts can push covariances negative."""
-    tc = totals - totals.mean()
-    cov = np.array([((row - row.mean()) * tc).sum() for row in rows]) / (len(totals) - 1)
-    return np.maximum(cov, 0.0)
 
 
 @dataclass(frozen=True)

@@ -203,15 +203,16 @@ def accrue(t, weights, start, durations, step_closed: bool = True):
     """Node-order sum of weights[j] * window_fraction(t, start[j], start[j] + durations[j]).
 
     Windows are (n_nodes,) for one schedule or (n_nodes, n_runs) for an
-    ensemble; weights are (n_nodes,) or (n_nodes, n_runs). This is the
+    ensemble; weights are (n_nodes,), (n_nodes, n_runs) or any iterable of
+    one weight or row per node, read once in node order. This is the
     accrual behind planned value, earned value, cumulative cost and the
     risk baselines; summing in node order makes the value at a schedule's
     end equal the node-order sum of its weights bit for bit. A window's
     finish is formed one row at a time, as the passes form it.
     """
     total = np.zeros(np.broadcast_shapes(np.shape(t), start.shape[1:]))
-    for j in range(len(start)):
-        total += weights[j] * window_fraction(t, start[j], start[j] + durations[j], step_closed)
+    for w, s, d in zip(weights, start, durations):
+        total += w * window_fraction(t, s, s + d, step_closed)
     return total
 
 
@@ -250,8 +251,15 @@ def first_reach(target, weights, start, durations):
     t1 = events[idx, runs]
     v1_left = accrue(t1, weights, start, durations, step_closed=False)
 
+    # near the float range the step's product (target - v0) * (t1 - t0) can
+    # pass the largest double: per run, the time span is scaled down by the
+    # power of two that keeps the product below 2**1023, and the step back up.
+    # The shift is 0 unless the product is at least 2**1022, so the scaling
+    # is exact and every step that is finite unscaled keeps its bits
+    gain, span = target - v0, t1 - t0
+    shift = np.maximum(np.frexp(gain)[1] + np.frexp(span)[1] - 1023, 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        interp = t0 + (target - v0) * (t1 - t0) / (v1_left - v0)
+        interp = t0 + np.ldexp(gain * np.ldexp(span, -shift) / (v1_left - v0), shift)
     # the crossing lies in (t0, t1]: exactly t1 when the left limit there
     # only just reaches the target, and never past t1 however interp rounds
     crosses_open = v1_left > target

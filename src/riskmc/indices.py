@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateProject
-from .montecarlo import Ensemble, empirical_percentile, sample_sd, unit_scaled
+from .montecarlo import Ensemble, empirical_percentile, row_moments, sample_sd
 
 
 @dataclass(frozen=True)
@@ -31,46 +30,21 @@ def criticality_index(ensemble: Ensemble) -> np.ndarray:
 def cruciality_index(ensemble: Ensemble, method: str = "pearson") -> np.ndarray:
     """|corr(node duration, project duration)| per node; 0 for degenerate sides.
 
-    Reduced one node's row at a time; where a row's or the totals' sums pass
-    the largest double, both sides are scaled below 1 by a power of two,
-    which leaves a correlation as it is.
+    Reduced one node's row at a time by `row_moments`; Spearman's is
+    Pearson's on the average ranks.
     """
     if ensemble.n_runs < 2:
         raise ConfigError("cruciality_index needs at least 2 runs")
     if method not in ("pearson", "spearman"):
         raise ConfigError(f"unknown correlation method {method!r}")
-    totals = ensemble.total_duration
-    rows = ensemble.durations
+    totals, rows = ensemble.total_duration, ensemble.durations
     if method == "spearman":
-        totals = _average_ranks(totals)
-        rows = map(_average_ranks, rows)
-    r = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        plain, unit = _centered(totals), None
-        for row in rows:
-            rj = _correlation(row, *plain)
-            if not math.isfinite(rj):
-                if unit is None:
-                    unit = _centered(unit_scaled(totals)[0])
-                rj = _correlation(unit_scaled(row)[0], *unit)
-            r.append(rj)
-    return np.clip(np.abs(np.array(r)), 0.0, 1.0)
+        totals, rows = _average_ranks(totals), map(_average_ranks, rows)
+    return _abs_r(row_moments(rows, totals)[1])
 
 
-def _centered(totals):
-    """(totals - mean, sum of squares of that): one side of a correlation."""
-    tc = totals - totals.mean()
-    return tc, (tc * tc).sum()
-
-
-def _correlation(row, tc, stt):
-    """Pearson r of a row with centered totals tc of sum of squares stt; 0 for
-    a degenerate side, nan where a sum or their product leaves the floats."""
-    dc = row - row.mean()
-    denom = np.sqrt((dc * dc).sum() * stt)
-    if denom == 0.0:
-        return 0.0
-    return (dc * tc).sum() / denom if math.isfinite(denom) else math.nan
+def _abs_r(r):
+    return np.clip(np.abs(r), 0.0, 1.0)
 
 
 def _average_ranks(x) -> np.ndarray:
@@ -92,14 +66,8 @@ def schedule_sensitivity_index(ensemble: Ensemble) -> np.ndarray:
     """CI scaled by the sd ratio of node duration to project duration."""
     if ensemble.n_runs < 2:
         raise ConfigError("schedule_sensitivity_index needs at least 2 runs")
-    return _ssi(criticality_index(ensemble), _row_sds(ensemble.durations),
-                sample_sd(ensemble.total_duration))
-
-
-def _row_sds(rows):
-    """Sample sd of each row, one row at a time: a row reduces like a 1-D
-    array, so one activity gets SSI 1.0 bitwise."""
-    return np.array([sample_sd(row) for row in rows])
+    sigma = row_moments(ensemble.durations, ensemble.total_duration)[0]
+    return _ssi(criticality_index(ensemble), sigma, sample_sd(ensemble.total_duration))
 
 
 def _ssi(ci, sigma, sigma_pd):
@@ -109,12 +77,15 @@ def _ssi(ci, sigma, sigma_pd):
 
 
 def sensitivity_report(ensemble: Ensemble, method: str = "pearson") -> SensitivityReport:
+    """CI, CrI and SSI per node. Each row's sd (SSI's sigma) comes from the
+    one row_moments pass that gives its Pearson CrI; a Spearman CrI takes a
+    second pass, on the ranks."""
     if ensemble.n_runs < 2:
         raise ConfigError("sensitivity indices need at least 2 runs")
     ci = criticality_index(ensemble)
-    sigma = _row_sds(ensemble.durations)
+    sigma, r, _ = row_moments(ensemble.durations, ensemble.total_duration)
     sigma_pd = sample_sd(ensemble.total_duration)
-    cri = cruciality_index(ensemble, method=method)
+    cri = _abs_r(r) if method == "pearson" else cruciality_index(ensemble, method=method)
     return SensitivityReport(node_ids=ensemble.plan.node_ids,
                              node_names=ensemble.plan.node_names,
                              ci=ci, cri=cri, ssi=_ssi(ci, sigma, sigma_pd), sigma=sigma)

@@ -33,7 +33,8 @@ _IMPACT = "impact"
 # per thread, peaks at <= 21.2 B per run and node (tracemalloc: 6 to 403
 # nodes, 300 to 32769 runs, 1 and 3 workers; <= 17.3 from 42 nodes up); the
 # cross-section of control and forecast sets the command's peak, with its
-# (2m+1)-row event array and the derived starts on top of the ensemble. The
+# (2m+1)-row event array (16 B) and the derived starts (8 B) on top of the
+# ensemble (9 B); the node costs it reads are formed one row at a time. The
 # per-run part is mostly the temporaries of one chunk's PERT draws
 _PEAK_PER_RUN_NODE = 34
 _PEAK_PER_RUN = 96
@@ -78,8 +79,9 @@ class Ensemble:
     Its fields are what was sampled and what each run's schedule decided;
     per-node arrays are indexed (node, run), so each node's runs are one
     contiguous row, and the totals are (n_runs,). Early starts and node
-    costs are not fields: each is derived on first use, bitwise as
-    run_ensemble formed it, and then kept. Trajectories are not stored:
+    costs are not fields: the starts are derived on first use, bitwise as
+    run_ensemble formed them, and then kept; the node costs are formed a
+    row at a time wherever they are read. Trajectories are not stored:
     ev_at/cost_at evaluate each run's exact piecewise-linear earned-value
     and cumulative-cost trajectories at arbitrary times.
     """
@@ -112,20 +114,9 @@ class Ensemble:
             object.__setattr__(self, "_starts", starts)
         return starts
 
-    @property
-    def node_cost(self) -> np.ndarray:
-        """(n_nodes, n_runs) node costs with cost risks on their target, read-only."""
-        cost = self.__dict__.get("_node_cost")
-        if cost is None:
-            cost = np.empty(self.durations.shape)
-            for j, row in enumerate(self.cost_rows()):
-                cost[j] = row
-            cost.flags.writeable = False
-            object.__setattr__(self, "_node_cost", cost)
-        return cost
-
     def cost_rows(self):
-        """The rows of node_cost in node order, each formed as it is read."""
+        """Node j's costs per run, cost risks on their target, one row at a
+        time in node order, each formed as it is read."""
         return _cost_rows(self.network, self.durations, self.impacts)
 
     def ev_at(self, times) -> np.ndarray:
@@ -134,7 +125,7 @@ class Ensemble:
 
     def cost_at(self, times) -> np.ndarray:
         """Exact cumulative-cost trajectory values at per-run times (or a scalar)."""
-        return _cpm.accrue(times, self.node_cost, self.starts, self.durations)
+        return _cpm.accrue(times, self.cost_rows(), self.starts, self.durations)
 
 
 def _cost_rows(network: ValidatedNetwork, d, impacts):
@@ -272,19 +263,45 @@ def unit_scaled(samples):
 
 def scaled(stat, samples) -> float:
     """stat(samples) for a stat that scales with the samples, such as a mean
-    or an sd; where its sums pass the largest double, stat of the samples
-    scaled below 1 by a power of two, scaled back."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(stat(samples))
-        if math.isfinite(value):
-            return value
-        unit, shift = unit_scaled(samples)
-        return math.ldexp(float(stat(unit)), shift)
+    or an sd: stat of the samples scaled below 1 by a power of two, scaled
+    back. That is the plain stat bit for bit wherever its sums stay finite,
+    and finite where they would pass the largest double."""
+    unit, shift = unit_scaled(samples)
+    return math.ldexp(float(stat(unit)), shift)
 
 
 def sample_sd(samples) -> float:
-    """Sample standard deviation (ddof 1), with the scaled fallback."""
+    """Sample standard deviation (ddof 1), taken on the scaled samples."""
     return scaled(lambda x: x.std(ddof=1), samples)
+
+
+def row_moments(rows, totals):
+    """(sd, r, cov) of each (n_runs,) row in turn against the totals: the
+    row's sample sd, its Pearson r with the totals (0 where either side is
+    constant) and its covariance with them.
+
+    Rows are nonnegative and at most about the totals' largest value (a
+    duration is at most its run's longest path, a node cost at most the
+    run's total cost, a rank at most the run count), so one power of two,
+    the totals', brings both sides below 2 and every sum stays finite. The
+    sd is scaled back and r needs no scaling, so both equal the plain
+    reductions bit for bit wherever those are finite; cov stays scaled, by
+    2**(-2 * shift), so its ratios are the plain covariances' ratios.
+    """
+    tc, shift = unit_scaled(totals)
+    tc -= tc.mean()
+    stt = (tc * tc).sum()
+    dof = len(tc) - 1
+    sd, r, cov = [], [], []
+    for row in rows:
+        dc = np.ldexp(row, -shift)
+        dc -= dc.mean()
+        sxx, sxt = (dc * dc).sum(), (dc * tc).sum()
+        denom = math.sqrt(sxx * stt)
+        sd.append(math.ldexp(math.sqrt(sxx / dof), shift))
+        r.append(sxt / denom if denom > 0.0 else 0.0)
+        cov.append(sxt / dof)
+    return np.array(sd), np.array(r), np.array(cov)
 
 
 @dataclass(frozen=True)

@@ -197,17 +197,9 @@ def _betacf(p, swap, x):
     d = 1.0 / (1.0 - 6.0 * x / (np.where(swap, q, p) + 1.0))
     c = np.ones_like(x)
     h = d
-    # `swap` holds on a tail of each row; there and before it a term's
-    # coefficient is a Python float, whose IEEE arithmetic is the arrays'
-    rows = [(k, x.shape[1] - np.count_nonzero(swap[k]), pk, 6.0 - pk)
-            for k, pk in enumerate(p[:, 0].tolist())]
-    aa = np.empty_like(x)
     for m in range(1, _CF_TERMS + 1):
-        coefs = [(k, n, _cf_coefs(m, a, b), _cf_coefs(m, b, a)) for k, n, a, b in rows]
-        for i in (0, 1):
-            for k, n, plain, swapped in coefs:
-                np.multiply(x[k, :n], plain[i], out=aa[k, :n])
-                np.multiply(x[k, n:], swapped[i], out=aa[k, n:])
+        for plain, swapped in zip(_cf_coefs(m, p, q), _cf_coefs(m, q, p)):
+            aa = x * np.where(swap, swapped, plain)
             d = 1.0 / (1.0 + aa * d)
             c = 1.0 + aa / c
             h = h * (d * c)

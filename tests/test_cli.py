@@ -303,7 +303,7 @@ def test_simulate_prints_finite_moments_when_their_sums_overflow(tmp_path, capsy
 
 def test_indices_and_baseline_are_finite_when_per_node_sums_overflow(tmp_path):
     # the runs of one activity near 1e308 sum past the largest double, node
-    # by node as well as in total; the reductions fall back to scaled runs
+    # by node as well as in total; the reductions take the runs scaled below 1
     project = tmp_path / "huge.project"
     project.write_text(_one_activity("normal(1e308,1e300)"))
     runs = ["--project", str(project), "--runs", "200"]
@@ -338,8 +338,9 @@ def test_forecast_is_finite_when_its_sums_overflow(tmp_path, capsys, estimator):
     rows = dict(csv.reader(capsys.readouterr().out.splitlines()))
     eac = [float(rows[key]) for key in ("EAC_duration", "EAC_cost")]
     assert all(0.0 < v < math.inf for v in eac), eac
-    if estimator == "mean":  # all 200 runs are the neighbors
-        assert eac == [pytest.approx(1e308, rel=1e-9)] * 2
+    # all 200 runs are the neighbors, and each ends at twice its time at the
+    # observed half of the budget, so both estimators forecast about 1e308
+    assert eac == [pytest.approx(1e308, rel=1e-9)] * 2
 
 
 def test_missing_project_file_is_io_error():

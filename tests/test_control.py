@@ -245,6 +245,17 @@ def test_cross_section_handles_value_jumps():
         assert (section_t == expected_t).all(), x
 
 
+def test_cross_section_near_the_float_range_is_where_the_runs_reach_it():
+    # one activity near 1e308 that costs its duration is half done at half
+    # its duration; the interpolation's product of value and time spans
+    # passes the largest double there, and used to give each run's finish
+    net = validate(chain_spec([Distribution.normal(1e308, 1e300)], fixed=0, rate=1))
+    ens = run_ensemble(net, SimConfig(n_runs=200, seed=0))
+    section_t, section_c = cross_section(ens, 0.5)
+    assert section_t == pytest.approx(0.5 * ens.total_duration, rel=1e-12, abs=0.0)
+    assert section_c == pytest.approx(0.5 * ens.total_cost, rel=1e-12, abs=0.0)
+
+
 def test_cross_section_monotone_in_x(figure3_network):
     ens = run_ensemble(figure3_network, SimConfig(n_runs=2000, seed=8))
     previous = np.zeros(ens.n_runs)

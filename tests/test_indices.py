@@ -23,6 +23,7 @@ from riskmc import (
     validate,
 )
 from riskmc.control import _variance_shares, risk_baselines
+from riskmc.montecarlo import row_moments, sample_sd, scaled, unit_scaled
 from riskmc.errors import ConfigError, DegenerateProject
 
 
@@ -150,14 +151,15 @@ def test_pearson_and_variance_shares_match_fsum_reference():
                          (ens.cost_rows, ens.total_cost)):
         cov = [max(_fsum_moments(row, totals)[0], 0.0) for row in rows()]
         shares = np.array(cov) / math.fsum(cov)
-        assert _variance_shares(rows, totals) == pytest.approx(shares, rel=1e-12, abs=0.0)
+        assert _variance_shares(rows(), totals) == pytest.approx(shares, rel=1e-12, abs=0.0)
 
 
 def test_overflowing_sums_reduce_as_the_unscaled_runs_bitwise():
     # durations scaled by 2**1015 stay finite, but every plain sum of their
-    # runs passes the largest double; the fallback scales each side back
-    # below 1 by a power of two, so CrI, SSI and the variance shares equal
-    # the unscaled ensemble's bit for bit, and each sigma is 2**1015 times its own
+    # runs passes the largest double; the reductions scale each side back
+    # below 1 by a power of two, so CrI (Pearson and Spearman), SSI and the
+    # variance shares equal the unscaled ensemble's bit for bit, and each
+    # sigma is 2**1015 times its own
     ens = run_ensemble(validate(normal_pert_spec()), SimConfig(n_runs=3000, seed=14))
     big = dataclasses.replace(ens, durations=np.ldexp(ens.durations, 1015),
                               total_duration=np.ldexp(ens.total_duration, 1015))
@@ -165,11 +167,52 @@ def test_overflowing_sums_reduce_as_the_unscaled_runs_bitwise():
     for field in ("ci", "cri", "ssi"):
         assert getattr(scaled, field).tobytes() == getattr(plain, field).tobytes(), field
     assert scaled.sigma.tobytes() == np.ldexp(plain.sigma, 1015).tobytes()
+    spearman = cruciality_index(big, "spearman")
+    assert spearman.tobytes() == cruciality_index(ens, "spearman").tobytes()
     for rows, totals in ((lambda: ens.durations, ens.total_duration),
-                         (lambda: ens.node_cost, ens.total_cost)):
-        want = _variance_shares(rows, totals)
-        got = _variance_shares(lambda: np.ldexp(rows(), 1015), np.ldexp(totals, 1015))
+                         (ens.cost_rows, ens.total_cost)):
+        want = _variance_shares(rows(), totals)
+        got = _variance_shares((np.ldexp(row, 1015) for row in rows()), np.ldexp(totals, 1015))
         assert got.tobytes() == want.tobytes()
+
+
+def _plain_moments(row, totals):
+    """(sd, r, cov) of a row against the totals with plain numpy sums; r is
+    nan where its denominator passes the largest double."""
+    dc, tc = row - row.mean(), totals - totals.mean()
+    sxx, stt, sxt = (dc * dc).sum(), (tc * tc).sum(), (dc * tc).sum()
+    denom = np.sqrt(sxx * stt)
+    r = (sxt / denom if denom != 0.0 else 0.0) if np.isfinite(denom) else np.nan
+    return row.std(ddof=1), r, sxt / (len(row) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-200, 1000), st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(1000, 40, 4, 0)
+@example(-200, 2, 1, 1)
+def test_scaled_reductions_equal_the_plain_ones_wherever_those_are_finite(exponent, n, m,
+                                                                          seed):
+    # nonnegative rows of magnitude 2**exponent, each a few powers of two
+    # apart, with totals that no row exceeds, as durations against their
+    # longest paths: scaling by powers of two is exact in that range, so every
+    # scaled reduction is the plain one bit for bit wherever the plain one is
+    # finite; the covariance stays scaled by 2**(-2 * shift)
+    rng = np.random.default_rng(seed)
+    rows = np.ldexp(rng.integers(0, 2**20, size=(m, n)) / 2**20,
+                    exponent - rng.integers(0, 8, size=(m, 1)))
+    totals = rows.sum(axis=0)
+    shift = unit_scaled(totals)[1]
+    sd, r, cov = row_moments(iter(rows), totals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, row in enumerate(rows):
+            for got, want in zip((sd[j], r[j], np.ldexp(cov[j], 2 * shift)),
+                                 _plain_moments(row, totals)):
+                if np.isfinite(want):
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), j
+        for got, want in ((scaled(np.mean, totals), totals.mean()),
+                          (sample_sd(totals), totals.std(ddof=1))):
+            if np.isfinite(want):
+                assert np.float64(got).tobytes() == want.tobytes()
 
 
 def test_analysis_reduces_one_row_at_a_time():

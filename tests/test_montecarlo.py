@@ -66,9 +66,8 @@ def test_bitwise_determinism(figure3_network):
     cfg = SimConfig(n_runs=3000, seed=99)
     a = run_ensemble(figure3_network, cfg)
     b = run_ensemble(figure3_network, cfg)
-    for field in ("durations", "starts", "critical", "total_duration",
-                  "total_cost", "node_cost"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    for field in RUN_FIELDS:
+        assert np.array_equal(_field(a, field), _field(b, field)), field
     for curve_a, curve_b in zip(trajectories(a, 11), trajectories(b, 11)):
         assert np.array_equal(curve_a, curve_b)
 
@@ -88,6 +87,13 @@ RUN_FIELDS = ("durations", "starts", "critical", "total_duration",
               "total_cost", "node_cost")
 
 
+def _field(ens, field):
+    """An ensemble array, or the node costs, read row by row through cost_rows()."""
+    if field == "node_cost":
+        return np.array(list(ens.cost_rows()))
+    return getattr(ens, field)
+
+
 def test_worker_count_never_changes_normal_and_pert_results():
     # normal laws are truncated at zero, PERT laws read their shape's table
     net = validate(normal_pert_spec())
@@ -96,7 +102,7 @@ def test_worker_count_never_changes_normal_and_pert_results():
     for workers in range(2, 9):
         other = run_ensemble(net, cfg, workers=workers)
         for field in RUN_FIELDS:
-            assert getattr(base, field).tobytes() == getattr(other, field).tobytes(), field
+            assert _field(base, field).tobytes() == _field(other, field).tobytes(), field
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -107,7 +113,7 @@ def test_first_runs_do_not_depend_on_the_run_count(workers):
     short = run_ensemble(net, SimConfig(n_runs=1000, seed=21), workers=workers)
     long = run_ensemble(net, SimConfig(n_runs=5000, seed=21), workers=workers)
     for field in RUN_FIELDS:
-        assert getattr(short, field).tobytes() == getattr(long, field)[..., :1000].tobytes(), field
+        assert _field(short, field).tobytes() == _field(long, field)[..., :1000].tobytes(), field
 
 
 @pytest.mark.parametrize("workers", [0, -7])
@@ -162,7 +168,7 @@ def test_pool_has_at_most_one_thread_per_cpu(figure3_network, monkeypatch):
         else:
             assert sizes[pools:] == [want], (cpus, workers)
         for field in RUN_FIELDS:
-            assert getattr(base, field).tobytes() == getattr(other, field).tobytes(), field
+            assert _field(base, field).tobytes() == _field(other, field).tobytes(), field
     assert sizes == [3, 38, 2]
     assert threading.active_count() == threads
 
@@ -193,9 +199,9 @@ def test_chunk_boundaries_never_change_a_run(n_runs, workers):
     rechunked = _one_worker_ensemble(n_runs, chunk=1028)
     prefix = _one_worker_ensemble(C - 1)
     for field in RUN_FIELDS:
-        assert getattr(ens, field).tobytes() == getattr(base, field).tobytes(), field
-        assert getattr(ens, field).tobytes() == getattr(rechunked, field).tobytes(), field
-        assert getattr(ens, field)[..., :C - 1].tobytes() == getattr(prefix, field).tobytes(), field
+        assert _field(ens, field).tobytes() == _field(base, field).tobytes(), field
+        assert _field(ens, field).tobytes() == _field(rechunked, field).tobytes(), field
+        assert _field(ens, field)[..., :C - 1].tobytes() == _field(prefix, field).tobytes(), field
     net = validate(normal_pert_spec())
     for k in sorted({0, C - 2, *range(C, n_runs, 2731), n_runs - 1}):
         want = reference_forward_backward(net, ens.durations[:, k])
@@ -221,7 +227,7 @@ NORMAL_PERT_SHA256 = {
 def test_normal_and_pert_draws_are_pinned():
     ens = run_ensemble(validate(normal_pert_spec()), SimConfig(n_runs=3 * C + 5, seed=14))
     for field in RUN_FIELDS:
-        digest = hashlib.sha256(getattr(ens, field).T.tobytes()).hexdigest()
+        digest = hashlib.sha256(_field(ens, field).T.tobytes()).hexdigest()
         assert digest == NORMAL_PERT_SHA256[field], field
 
 
@@ -345,7 +351,7 @@ def test_a_risk_id_owns_one_gate_stream_whatever_its_kind():
     delayed = dur.durations[net.index_of("R")] > 0.0
     net, cost = ens["cost"]
     b1 = net.index_of("B1")
-    overrun = cost.node_cost[b1] > 10 + 2 * cost.durations[b1]
+    overrun = list(cost.cost_rows())[b1] > 10 + 2 * cost.durations[b1]
     assert 0 < delayed.sum() < cfg.n_runs
     assert np.array_equal(delayed, overrun)
 
@@ -364,8 +370,8 @@ def test_derived_starts_and_node_costs_match_their_references_bitwise(seed, n_re
                   for k in (1, 2))
     net = validate(ProjectSpec(spec.activities, spec.precedence, spec.risks + extra))
     ens = run_ensemble(net, SimConfig(n_runs=n_runs, seed=seed % 1000))
-    assert not (ens.starts.flags.writeable or ens.node_cost.flags.writeable)
-    assert ens.starts is ens.starts and ens.node_cost is ens.node_cost
+    assert not ens.starts.flags.writeable
+    assert ens.starts is ens.starts
     for k in range(n_runs):
         want = reference_forward_backward(net, ens.durations[:, k])
         assert ens.starts[:, k].tobytes() == want["es"].tobytes(), k
@@ -374,7 +380,6 @@ def test_derived_starts_and_node_costs_match_their_references_bitwise(seed, n_re
     for cr in net.cost_risks:
         cost[cr.target] += montecarlo._draw(cr.impact, cr.probability, seed % 1000, cr.id,
                                             0, n_runs)
-    assert ens.node_cost.tobytes() == cost.tobytes()
     assert np.array(list(ens.cost_rows())).tobytes() == cost.tobytes()
     total = np.zeros(n_runs)
     for row in cost:
@@ -384,8 +389,8 @@ def test_derived_starts_and_node_costs_match_their_references_bitwise(seed, n_re
 
 def test_the_ensemble_stores_only_what_was_sampled():
     # durations (8 B), critical flags (1 B) and cost-risk impacts (8 B) per
-    # run and node or risk, and the two totals; starts and node costs are
-    # derived on first use and are not fields
+    # run and node or risk, and the two totals; starts are derived on first
+    # use and node costs formed row by row, and neither is a field
     net = validate(normal_pert_spec())
     n = 3 * C + 5
     ens = run_ensemble(net, SimConfig(n_runs=n, seed=14))
