@@ -178,6 +178,14 @@ def enumerate_paths(network: ValidatedNetwork, cap: int = 1_000_000) -> PathMatr
     n_paths = count_paths(network)
     if n_paths > cap:
         raise PathExplosion(f"{n_paths} paths exceed the cap of {cap}")
+    from .montecarlo import _memory_ceiling  # here: montecarlo imports this module
+
+    ceiling = _memory_ceiling()
+    if n_paths * len(nodes) > ceiling:  # one byte per path and node
+        raise PathExplosion(f"{n_paths} paths of {len(nodes)} nodes need "
+                            f"{n_paths * len(nodes) / 2**30:.3g} GiB, above the "
+                            f"{ceiling / 2**30:.3g} GiB memory ceiling; at most "
+                            f"{ceiling // len(nodes)} paths fit")
 
     membership = np.zeros((n_paths, len(nodes)), dtype=np.uint8)
     row = 0

@@ -115,11 +115,12 @@ def baseline_table(baseline: RiskBaseline, grid_points: int):
     return ("t", "SRB", "CRB"), (times, baseline.srb_at(times), baseline.crb_at(times))
 
 
-def percentile_table(ensemble: Ensemble, steps=PERCENTILE_STEPS):
+def percentile_table(ensemble: Ensemble):
     """The 'show simulation data' table: duration and cost percentiles."""
     return (("percentile", "duration", "cost"),
-            (np.asarray(steps), np.percentile(ensemble.total_duration, steps),
-             np.percentile(ensemble.total_cost, steps)))
+            (np.asarray(PERCENTILE_STEPS),
+             np.percentile(ensemble.total_duration, PERCENTILE_STEPS),
+             np.percentile(ensemble.total_cost, PERCENTILE_STEPS)))
 
 
 def endpoint_table(ensemble: Ensemble):

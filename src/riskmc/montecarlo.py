@@ -40,6 +40,7 @@ _PEAK_PER_RUN_NODE = 34
 _PEAK_PER_RUN = 96
 
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"  # this process's cgroup v2 limit
+_CGROUP_V1_LIMIT = "/sys/fs/cgroup/memory/memory.limit_in_bytes"  # and its v1 limit
 
 _CHUNK = 8192  # runs per task; a multiple of 4, so chunks start on a Philox block
 MAX_BINS = 100_000  # the most histogram bins; bounds the histogram's arrays
@@ -205,20 +206,21 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
 
 
 def _memory_ceiling() -> int:
-    """Bytes one simulation may plan to use: physical memory, or the
-    address-space limit (RLIMIT_AS) or the cgroup v2 memory limit where
-    either is lower."""
+    """Bytes one command may plan to use: physical memory, or the
+    address-space limit (RLIMIT_AS) or a cgroup v2 or v1 memory limit where
+    one is lower."""
     limits = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")]
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft != resource.RLIM_INFINITY:
         limits.append(soft)
-    try:
-        with open(_CGROUP_MEMORY_MAX, encoding="ascii") as fh:
-            cgroup = fh.read().strip()  # a byte count, or "max" for none
-    except OSError:
-        cgroup = "max"
-    if cgroup.isdigit():
-        limits.append(int(cgroup))
+    for path in (_CGROUP_MEMORY_MAX, _CGROUP_V1_LIMIT):
+        try:
+            with open(path, "rb") as fh:
+                cgroup = fh.read().strip()  # a byte count; v2 writes "max" for none
+        except OSError:  # absent outside a cgroup hierarchy of that version
+            continue
+        if cgroup.isdigit():
+            limits.append(int(cgroup))
     return min(limits)
 
 

@@ -107,31 +107,20 @@ class _Table:
 
 
 _TABLES = weakref.WeakValueDictionary()  # alpha -> _Table, while some law holds it
-_BUILDING = {}                           # alpha -> lock, while its table is built
-_GUARD = threading.Lock()                # held only to read or change the two dicts
+_GUARD = threading.Lock()                # held across a lookup and the build it needs
 
 
 def pert_table(alpha: float) -> _Table:
     """The inverse table of beta(alpha, 6 - alpha), alpha in [1, 5]; laws of
     one shape share it, and it is freed with the last of them.
 
-    Threads sampling one shape wait on that shape's lock, so it is built
-    once; threads building different shapes build them at once.
+    One lock covers the lookup and the build, so each shape is built once,
+    by the first thread that asks for it.
     """
     with _GUARD:
         table = _TABLES.get(alpha)
-        if table is not None:
-            return table
-        lock = _BUILDING.setdefault(alpha, threading.Lock())
-    with lock:
-        with _GUARD:
-            table = _TABLES.get(alpha)
         if table is None:
-            table = _build(alpha)
-            with _GUARD:
-                _TABLES[alpha] = table
-                if _BUILDING.get(alpha) is lock:
-                    del _BUILDING[alpha]
+            table = _TABLES[alpha] = _build(alpha)
     return table
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .control import RiskBaseline, SevmForecast, TriadReport
 from .cpm import CpmResult
-from .csvout import GRID_POINTS, _grid_times
+from .csvout import GRID_POINTS, baseline_table, pv_table
 from .indices import SensitivityReport
 from .montecarlo import Ensemble, HistogramTable, _bin_counts
 
@@ -26,6 +26,8 @@ _GRAY = "#607d8b"
 _ORANGE = "#ef6c00"
 _GREEN = "#2e7d32"
 MAX_POINTS = 4000  # scatter clouds subsample deterministically above this
+_MARKER = 7.0      # half-width of the observation marker's cross
+_MARGIN_BINS = 36  # bins of the scatter chart's margin histograms
 
 
 def plot(report, path, grid_points: int = GRID_POINTS) -> None:
@@ -69,16 +71,16 @@ class _Chart:
         if label:
             self.legend.append((label, color, "line"))
 
-    def add_points(self, xs, ys, color, label=None, r=2.0, axis="left"):
-        dots = "".join(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{r}" fill="{color}" '
+    def add_points(self, xs, ys, color, label=None):
+        dots = "".join(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.0" fill="{color}" '
                        f'fill-opacity="0.55"/>'
-                       for px, py in zip(self.x(xs), self.y(ys, axis)))
+                       for px, py in zip(self.x(xs), self.y(ys)))
         self.series.append(dots)
         if label:
             self.legend.append((label, color, "point"))
 
-    def add_bars(self, lefts, rights, heights, color, label=None, base=0.0):
-        y0 = self.y(base)
+    def add_bars(self, lefts, rights, heights, color, label=None):
+        y0 = self.y(0.0)
         parts = []
         for lo, hi, h in zip(self.x(lefts), self.x(rights), self.y(heights)):
             top = min(h, y0)
@@ -88,12 +90,12 @@ class _Chart:
         if label:
             self.legend.append((label, color, "bar"))
 
-    def add_marker(self, x, y, color, label=None, size=7.0):
+    def add_marker(self, x, y, color, label=None):
         px, py = float(self.x(x)), float(self.y(y))
         self.series.append(
-            f'<path d="M {px - size} {py} L {px + size} {py} M {px} {py - size} '
-            f'L {px} {py + size}" stroke="{color}" stroke-width="2.5" fill="none"/>'
-            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{size * 0.55:.2f}" fill="none" '
+            f'<path d="M {px - _MARKER} {py} L {px + _MARKER} {py} M {px} {py - _MARKER} '
+            f'L {px} {py + _MARKER}" stroke="{color}" stroke-width="2.5" fill="none"/>'
+            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{_MARKER * 0.55:.2f}" fill="none" '
             f'stroke="{color}" stroke-width="2"/>')
         if label:
             self.legend.append((label, color, "point"))
@@ -150,8 +152,6 @@ class _Chart:
         return "".join(parts)
 
     def _legend_box(self):
-        if not self.legend:
-            return '<g class="legend"/>'
         parts = ['<g class="legend">']
         x = _LEFT + 10
         y = _TOP - 14
@@ -181,9 +181,9 @@ def _pad_range(lo, hi):
     return lo - pad, hi + pad
 
 
-def _ticks(lo, hi, target=6):
+def _ticks(lo, hi):
     span = hi - lo
-    raw = span / target
+    raw = span / 6  # about six ticks
     mag = 10 ** math.floor(math.log10(raw))
     step = next(s * mag for s in (1, 2, 2.5, 5, 10) if raw <= s * mag)
     first = math.ceil(lo / step) * step
@@ -217,10 +217,10 @@ def _subsample(*arrays):
 # chart builders
 
 def _build_pv(planned, grid_points):
-    times = _grid_times(planned, grid_points)
+    _, (times, values) = pv_table(planned, grid_points)
     chart = _Chart("Planned value", "time", "planned value",
                    (0.0, max(planned.duration, 1e-9)), (0.0, max(planned.bac, 1e-9)))
-    chart.add_line(times, planned.value_at(times), _BLUE, "PV(t)")
+    chart.add_line(times, values, _BLUE, "PV(t)")
     return chart.render()
 
 
@@ -239,35 +239,27 @@ def _build_scatter(ens, _grid_points):
     chart = _Chart("Simulated endpoints", "duration", "cost",
                    (float(d.min()), float(d.max())), (float(c.min()), float(c.max())))
     chart.add_points(d, c, _BLUE, "runs")
-    chart.series.append(_margin_hist_x(chart, ens.total_duration))
-    chart.series.append(_margin_hist_y(chart, ens.total_cost))
+    chart.series.append(_margin_hist(chart, ens.total_duration, vertical=False))
+    chart.series.append(_margin_hist(chart, ens.total_cost, vertical=True))
     return chart.render()
 
 
-def _margin_hist_x(chart, values, bins=36):
-    counts, edges = _bin_counts(values, bins)
+def _margin_hist(chart, values, vertical):
+    """The histogram of values as gray bars 22 px at the tallest, in a strip
+    above the plot along its x axis or, vertical, right of it along its y axis."""
+    counts, edges = _bin_counts(values, _MARGIN_BINS)
     top = counts.max() or 1
-    strip = _TOP - 26
     parts = []
     for k in range(counts.size):
         h = 22.0 * counts[k] / top
-        x0, x1 = float(chart.x(edges[k])), float(chart.x(edges[k + 1]))
-        parts.append(f'<rect x="{x0:.2f}" y="{strip + 22 - h:.2f}" '
-                     f'width="{max(x1 - x0, 0.5):.2f}" height="{h:.2f}" '
+        if vertical:
+            lo, hi = float(chart.y(edges[k + 1])), float(chart.y(edges[k]))
+            x, y, width, height = _W - _RIGHT + 6, f"{lo:.2f}", h, max(hi - lo, 0.5)
+        else:
+            lo, hi = float(chart.x(edges[k])), float(chart.x(edges[k + 1]))
+            x, y, width, height = f"{lo:.2f}", f"{_TOP - 4 - h:.2f}", max(hi - lo, 0.5), h
+        parts.append(f'<rect x="{x}" y="{y}" width="{width:.2f}" height="{height:.2f}" '
                      f'fill="{_GRAY}" fill-opacity="0.6"/>')
-    return "".join(parts)
-
-
-def _margin_hist_y(chart, values, bins=36):
-    counts, edges = _bin_counts(values, bins)
-    top = counts.max() or 1
-    strip = _W - _RIGHT + 6
-    parts = []
-    for k in range(counts.size):
-        w = 22.0 * counts[k] / top
-        y0, y1 = float(chart.y(edges[k + 1])), float(chart.y(edges[k]))
-        parts.append(f'<rect x="{strip}" y="{y0:.2f}" width="{w:.2f}" '
-                     f'height="{max(y1 - y0, 0.5):.2f}" fill="{_GRAY}" fill-opacity="0.6"/>')
     return "".join(parts)
 
 
@@ -284,8 +276,7 @@ def _build_ci_bars(rep, _grid_points):
 
 
 def _build_srb_crb(base, grid_points):
-    times = _grid_times(base.plan, grid_points)
-    srb, crb = base.srb_at(times), base.crb_at(times)
+    _, (times, srb, crb) = baseline_table(base, grid_points)
     chart = _Chart("Risk baselines", "time", "SRB (time units)",
                    (float(times[0]), float(times[-1])),
                    (0.0, max(float(srb.max()), 1e-9)),

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -11,7 +12,7 @@ import pytest
 from netgen import ladder_spec
 from riskmc import csvout, render_project
 from riskmc.cli import main
-from riskmc.montecarlo import MAX_BINS
+from riskmc.montecarlo import MAX_BINS, _memory_ceiling
 
 RISKMC = [sys.executable, "-m", "riskmc"]
 
@@ -52,6 +53,24 @@ def test_validate_counts_paths_without_listing_them(tmp_path):
     capped = run_cli("paths", "--project", str(ladder), "--max-paths", "1000")
     assert capped.returncode == 1
     assert "PathExplosion" in capped.stderr
+
+
+def test_paths_beyond_the_memory_ceiling_are_refused(tmp_path, capsys):
+    # 2**40 paths of 82 nodes: a membership matrix of 82 TiB, refused with
+    # the most paths that fit before any of it is allocated
+    ladder = tmp_path / "ladder.project"
+    ladder.write_text(render_project(ladder_spec(40)))
+    fit = _memory_ceiling() // 82
+    tracemalloc.start()
+    try:
+        code = main(["paths", "--project", str(ladder), "--max-paths", str(10**13)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 2**20
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"PathExplosion: {2**40} paths of 82 nodes need .* GiB, above the "
+                        rf".* GiB memory ceiling; at most {fit} paths fit\n", err), err
 
 
 def test_simulate_one_run_prints_no_nan(project):

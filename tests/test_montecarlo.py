@@ -285,12 +285,34 @@ def test_memory_ceiling_respects_a_cgroup_limit(figure3_network, monkeypatch, tm
     physical = montecarlo.os.sysconf("SC_PAGE_SIZE") * montecarlo.os.sysconf("SC_PHYS_PAGES")
     limit = tmp_path / "memory.max"
     monkeypatch.setattr(montecarlo, "_CGROUP_MEMORY_MAX", str(limit))
+    monkeypatch.setattr(montecarlo, "_CGROUP_V1_LIMIT", str(tmp_path / "absent"))
     assert montecarlo._memory_ceiling() == physical
     for text, want in (("max\n", physical), (f"{2 * physical}\n", physical), ("65536\n", 2**16)):
         limit.write_text(text)
         assert montecarlo._memory_ceiling() == want, text
     with pytest.raises(ConfigError, match="above the 6.1e-05 GiB memory ceiling"):
         run_ensemble(figure3_network, SimConfig(n_runs=10**4))
+
+
+def test_memory_ceiling_respects_a_cgroup_v1_limit(monkeypatch, tmp_path):
+    # cgroup v1 writes no limit as a huge byte count; an absent or
+    # non-numeric file is no limit; the lower of a v1 and a v2 limit holds
+    resource = montecarlo.resource
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2)
+    physical = montecarlo.os.sysconf("SC_PAGE_SIZE") * montecarlo.os.sysconf("SC_PHYS_PAGES")
+    v1, v2 = tmp_path / "memory.limit_in_bytes", tmp_path / "memory.max"
+    monkeypatch.setattr(montecarlo, "_CGROUP_V1_LIMIT", str(v1))
+    monkeypatch.setattr(montecarlo, "_CGROUP_MEMORY_MAX", str(v2))
+    assert montecarlo._memory_ceiling() == physical
+    for text, want in (("9223372036854771712\n", physical), ("65536\n", 2**16),
+                       ("-1\n", physical), ("\xff\n", physical), ("", physical)):
+        v1.write_text(text, encoding="latin-1")
+        assert montecarlo._memory_ceiling() == want, text
+    v1.write_text("65536\n")
+    v2.write_text("4096\n")
+    assert montecarlo._memory_ceiling() == 4096
+    v2.write_text("max\n")
+    assert montecarlo._memory_ceiling() == 2**16
 
 
 def test_seed_changes_results(figure3_network):

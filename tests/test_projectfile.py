@@ -13,6 +13,7 @@ from riskmc import (
 )
 from riskmc.errors import (
     BadDefinition,
+    BadDistributionParams,
     BadPrecedence,
     DuplicateId,
     MultipleSources,
@@ -122,6 +123,106 @@ def test_syntax_errors_carry_line_numbers():
     with pytest.raises(ProjectSyntaxError) as err:
         parse_project_text('[activities]\nA0 point(0) fixed=0 rate=0\n', source="x")
     assert "x:2" in str(err.value)
+
+
+HEAD = '[activities]\nA0 "s" point(0) fixed=0 rate=0\n'
+MATRIX_HEAD = HEAD + 'Af "e" point(1) fixed=0 rate=0\n[precedence-matrix]\n'  # lines 1-4
+ACT = "[activities]\nA0 "  # line 2 is activity A0, completed by the case
+RISK = HEAD + '[risks]\nR1 "r" p=0.5 '  # line 4 is risk R1, completed by the case
+
+# (text, error type, line, a piece of the message): one case per raise site;
+# a project text goes to parse_project_text, a CSV text to convert_matrix_csv
+DIAGNOSTICS = {
+    "unterminated header": ("[activities\n", ProjectSyntaxError, 1, "unterminated section"),
+    "unknown section": ("[budget]\n", UnknownField, 1, "unknown section [budget]"),
+    "repeated section": (HEAD + "[activities]\n", ProjectSyntaxError, 3,
+                         "section [activities] appears twice"),
+    "mixed precedence": (HEAD + "[precedence]\n[precedence-matrix]\n", ProjectSyntaxError, 4,
+                         "cannot mix [precedence] and [precedence-matrix]"),
+    "content before header": ('A0 "s" point(0) fixed=0 rate=0\n', ProjectSyntaxError, 1,
+                              "content before the first section header"),
+    "bad pair": (HEAD + "[precedence]\nA0 -> Af\n", ProjectSyntaxError, 4,
+                 "expected 'SUCC <- PRED [PRED ...]', got 'A0 -> Af'"),
+    "unknown successor": (HEAD + "[precedence]\nB1 <- A0\n", UnknownPredecessor, 4,
+                          "unknown activity 'B1'"),
+    "unknown predecessor": (HEAD + "[precedence]\nA0 <- B1\n", UnknownPredecessor, 4,
+                            "unknown predecessor 'B1'"),
+    "matrix without cols": (MATRIX_HEAD + "A0: 0 0\n", ProjectSyntaxError, 5,
+                            "matrix section must start with a 'cols' header"),
+    "matrix row without colon": (MATRIX_HEAD + "cols A0 Af\nA0 0 0\n", ProjectSyntaxError, 6,
+                                 "matrix row must look like 'ID: 0 1 ...'"),
+    "repeated matrix row": (MATRIX_HEAD + "cols A0 Af\nA0: 0 0\nA0: 0 0\n", DuplicateId, 7,
+                            "duplicate matrix row 'A0'"),
+    "matrix cols out of order": (MATRIX_HEAD + "cols Af A0\nA0: 0 0\nAf: 1 0\n",
+                                 ProjectSyntaxError, 5, "matrix cols must list all activities"),
+    "matrix row missing": (MATRIX_HEAD + "cols A0 Af\nA0: 0 0\n", ProjectSyntaxError, 5,
+                           "matrix row missing for 'Af'"),
+    "matrix row of no activity": (MATRIX_HEAD + "cols A0 Af\nA0: 0 0\nAf: 1 0\nB1: 0 0\n",
+                                  UnknownPredecessor, 8, "matrix row for unknown activity 'B1'"),
+    "matrix row too short": (MATRIX_HEAD + "cols A0 Af\nA0: 0 0\nAf: 1\n", ProjectSyntaxError,
+                             7, "matrix row 'Af' has 1 entries, expected 2"),
+    "matrix row non-binary": (MATRIX_HEAD + "cols A0 Af\nA0: 0 0\nAf: 2 0\n",
+                              ProjectSyntaxError, 7, "matrix row 'Af' has non-binary entry '2'"),
+    "repeated id": (HEAD + 'A0 "t" point(0) fixed=0 rate=0\n', DuplicateId, 3,
+                    "duplicate id 'A0' (first defined on line 2)"),
+    "invalid id": ('[activities]\n!x "s" point(0) fixed=0 rate=0\n', ProjectSyntaxError, 2,
+                   "invalid id token '!x'"),
+    "unquoted name": (ACT + "s point(0) fixed=0 rate=0\n", ProjectSyntaxError, 2,
+                      'expected a quoted "name"'),
+    "bad key=value": (ACT + '"s" point(0) fixed=0 junk\n', ProjectSyntaxError, 2,
+                      "expected key=value, got 'junk'"),
+    "missing value": (ACT + '"s" point(0) fixed=0 rate=\n', ProjectSyntaxError, 2,
+                      "missing value for rate="),
+    "repeated field": (ACT + '"s" point(0) fixed=0 fixed=1 rate=0\n', ProjectSyntaxError, 2,
+                       "field fixed= given twice"),
+    "unknown field": (ACT + '"s" point(0) fixed=0 rate=0 color=red\n', UnknownField, 2,
+                      "unknown field color="),
+    "missing field": (ACT + '"s" point(0) fixed=0\n', ProjectSyntaxError, 2,
+                      "missing field rate="),
+    "missing duration law": (ACT + '"s" fixed=0 rate=0\n', ProjectSyntaxError, 2,
+                             "expected a duration distribution like uniform(4,6)"),
+    "bad law parameters": (ACT + '"s" uniform(5,1) fixed=0 rate=0\n', BadDistributionParams, 2,
+                           "uniform needs 0 <= a <= b"),
+    "non-law impact": (RISK + "kind=cost target=A0 impact=5\n", ProjectSyntaxError, 4,
+                       "impact= must be a distribution, got '5'"),
+    "bad kind": (RISK + "kind=schedule target=A0 impact=point(1)\n", ProjectSyntaxError, 4,
+                 "kind= must be duration or cost, got 'schedule'"),
+    "atom without colon": (ACT + '"s" discrete(1,2) fixed=0 rate=0\n', ProjectSyntaxError, 2,
+                           "discrete atoms look like value:prob"),
+    "wrong parameter count": (ACT + '"s" uniform(1) fixed=0 rate=0\n', ProjectSyntaxError, 2,
+                              "uniform takes 2 parameters, got 1"),
+    "non-number": (ACT + '"s" uniform(1,x) fixed=0 rate=0\n', ProjectSyntaxError, 2,
+                   "uniform: expected a number, got 'x'"),
+    "csv without rows": ("h,A0\n", ProjectSyntaxError, None,
+                         "matrix CSV needs a header row and one row per activity"),
+    "csv row without label": ("h,A0\n,1\n", ProjectSyntaxError, 2, "matrix row without a label"),
+    "csv row too wide": ("h,A0\nA0,0,0\n", ProjectSyntaxError, 2,
+                         "matrix row 'A0' has 2 cells, expected 1"),
+    "csv non-binary": ("h,A0\nA0,2\n", ProjectSyntaxError, 2,
+                       "matrix row 'A0' has non-binary cell '2'"),
+    "csv empty header": ("h,,A0\nA0,1,0\n", ProjectSyntaxError, 2,
+                         "matrix row 'A0' marks a column with an empty header"),
+    "csv own predecessor": ("h,A0\nA0,1\n", BadPrecedence, 2,
+                            "activity 'A0' is listed as its own predecessor"),
+    "csv repeated row": ("h,A0\nA0,0\nA0,0\n", DuplicateId, 3, "duplicate matrix row 'A0'"),
+    "csv bad label": ("h,A0\n!x,0\n", BadDefinition, 2, "invalid activity id '!x'"),
+    "csv unknown column": ("h,A0,B1\nA0,0,1\n", UnknownPredecessor, 1,
+                           "column 'B1', marked in row 'A0', names no matrix row"),
+}
+
+
+@pytest.mark.parametrize("case", DIAGNOSTICS)
+def test_each_diagnostic_names_its_type_and_line(case):
+    text, error, line, message = DIAGNOSTICS[case]
+    if case.startswith("csv"):
+        source, parse = "m.csv", convert_matrix_csv
+    else:
+        source, parse = "p.project", parse_project_text
+    with pytest.raises(error) as err:
+        parse(text, source=source)
+    where = source if line is None else f"{source}:{line}"
+    assert type(err.value) is error
+    assert str(err.value).startswith(f"{where}: ") and message in str(err.value)
 
 
 def test_empty_activities_fails_downstream():

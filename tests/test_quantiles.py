@@ -5,10 +5,8 @@ import gc
 import hashlib
 import math
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -145,29 +143,18 @@ def test_threads_sampling_one_shape_share_one_table():
         assert len({id(held[k]) for held in tables}) == 1
 
 
-def test_threads_build_different_shapes_at_once_and_one_shape_once(monkeypatch):
-    # each build waits at a barrier for a second one: two threads drawing
-    # from laws of different shapes must both be inside _build at the same
-    # time, so no lock is held across a build of another shape
+def test_threads_drawing_one_new_shape_build_it_once(monkeypatch):
+    # eight threads ask at once for a shape no law holds yet; its build
+    # sleeps, while the other threads queue on the lock
     build, builds = quantiles._build, []
-    barrier = threading.Barrier(2, timeout=10)
 
-    def meeting_build(alpha):
+    def slow_build(alpha):
         builds.append(alpha)
-        barrier.wait()
+        time.sleep(0.05)
         return build(alpha)
 
-    monkeypatch.setattr(quantiles, "_build", meeting_build)
-    laws = [Distribution.pert(0.0, 0.1234567, 1.0), Distribution.pert(0.0, 0.7654321, 1.0)]
-    with ThreadPoolExecutor(2) as pool:
-        tables = list(pool.map(lambda law: law._pert_table, laws))
-    assert tables[0] is not tables[1]
-
-    # one new shape from eight threads at once is built once: its build now
-    # sleeps instead, while the other threads queue on that shape's lock
-    barrier = SimpleNamespace(wait=lambda: time.sleep(0.05))
+    monkeypatch.setattr(quantiles, "_build", slow_build)
     laws = [Distribution.pert(0.0, 0.3456789, 1.0) for _ in range(8)]
-    builds.clear()
     with ThreadPoolExecutor(8) as pool:
         tables = list(pool.map(lambda law: law._pert_table, laws))
     assert len(builds) == 1 and len({id(t) for t in tables}) == 1
