@@ -8,20 +8,39 @@ or stdout.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import control as ctl
-from . import cpm as cpmmod
-from . import csvout
-from . import indices as idx
-from . import montecarlo as mc
-from .errors import ConfigError, RiskMcError
-from .network import validate
+from .errors import GRID_POINTS, MAX_BINS, MAX_GRID_POINTS, ConfigError, RiskMcError
+from .network import count_paths, validate
 from .projectfile import convert_matrix_csv, parse_project, read_text
+
+
+def _lazy(name):
+    """riskmc.<name>, registered in sys.modules now and executed on its first
+    attribute access, so a command runs only the modules it uses and
+    validate loads no numpy. Before Python 3.12.3 that first access is not
+    thread-safe; every command makes it on the main thread, and
+    run_ensemble plans there before its pool starts."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)  # as an import binds it
+    return module
+
+
+ctl = _lazy("control")
+cpmmod = _lazy("cpm")
+csvout = _lazy("csvout")
+idx = _lazy("indices")
+mc = _lazy("montecarlo")
 
 PLOT_KINDS = ("pv", "pdfcdf", "scatter", "ci_bars", "srb_crb", "triad", "sevm")
 
@@ -49,7 +68,7 @@ def _bounded(kind, lo, hi=math.inf):
     return parse
 
 
-_grid_points = _bounded(int, 2, csvout.MAX_GRID_POINTS)
+_grid_points = _bounded(int, 2, MAX_GRID_POINTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--percentile", type=_bounded(float, 0, 100), required=True)
     sp.add_argument("--dimension", choices=("cost", "duration"), default="cost")
     sp = add("baseline", "SRB/CRB risk baselines and ARI ranking", cmd_baseline, sim=True)
-    sp.add_argument("--grid", type=_grid_points, default=csvout.GRID_POINTS,
+    sp.add_argument("--grid", type=_grid_points, default=GRID_POINTS,
                     help="points on the SRB/CRB grid")
     sp = add("control", "SCoI/CCoI and Triad percentiles at an observation",
              cmd_control, sim=True, observe=True)
@@ -96,12 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--estimator", choices=("mean", "linear"), default="mean")
     sp = add("plot", "render one SVG chart", cmd_plot, sim=True)
     sp.add_argument("--kind", choices=PLOT_KINDS, required=True)
-    sp.add_argument("--grid", type=_grid_points, default=csvout.GRID_POINTS,
+    sp.add_argument("--grid", type=_grid_points, default=GRID_POINTS,
                     help="points on the PV and SRB/CRB grids")
     sp.add_argument("--observe", default=None, metavar="t=T,ev=EV,ac=AC",
                     help="required for triad and sevm plots")
     sp.add_argument("--neighbors", type=_bounded(int, 1), default=None)
-    sp.add_argument("--bins", type=_bounded(int, 1, mc.MAX_BINS), default=40)
+    sp.add_argument("--bins", type=_bounded(int, 1, MAX_BINS), default=40)
 
     sp = sub.add_parser("convert-matrix",
                         help="turn a Figure-style precedence matrix CSV into a project skeleton")
@@ -170,7 +189,7 @@ def _info(text):
 def cmd_validate(args):
     network = _load(args)
     print(f"nodes: {len(network.nodes)}")
-    print(f"paths: {cpmmod.count_paths(network)}")
+    print(f"paths: {count_paths(network)}")
     return 0
 
 
@@ -178,7 +197,7 @@ def cmd_cpm(args):
     network = _load(args)
     plan = cpmmod.plan(network)
     _emit(args, "cpm.csv", *csvout.tabulate(plan), primary=True)
-    _emit(args, "planned_value.csv", *csvout.pv_table(plan, csvout.GRID_POINTS))
+    _emit(args, "planned_value.csv", *csvout.pv_table(plan, GRID_POINTS))
     _info(f"planned duration: {plan.duration:.9g}")
     _info(f"planned cost (BAC): {plan.bac:.9g}")
     _info("critical path: " + " ".join(plan.critical_ids()))
@@ -200,7 +219,7 @@ def cmd_simulate(args):
     _emit(args, "endpoints.csv", *csvout.endpoint_table(ens))
     _info(f"runs: {ens.n_runs}  seed: {args.seed}")
     for name, samples in (("duration", ens.total_duration), ("cost", ens.total_cost)):
-        _info(f"{name} mean: {mc.scaled(np.mean, samples):.9g}  sd: {_sd(samples)}")
+        _info(f"{name} mean: {mc.scaled(lambda x: x.mean(), samples):.9g}  sd: {_sd(samples)}")
     return 0
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProject, EvOutOfRange, PathExplosion
-from .network import ValidatedNetwork
+from .network import ValidatedNetwork, count_paths
 
 CRIT_TOL = 1e-9  # absolute float tolerance marking a node critical
 
@@ -158,16 +158,6 @@ class PathMatrix:
     @property
     def n_paths(self) -> int:
         return self.membership.shape[0]
-
-
-def count_paths(network: ValidatedNetwork) -> int:
-    """Number of source->sink paths, counted backwards over the DAG without listing them."""
-    counts = [0] * len(network.nodes)
-    counts[network.sink] = 1
-    for node in reversed(network.nodes):
-        if node.succs:
-            counts[node.index] = sum(counts[s] for s in node.succs)
-    return counts[network.source]
 
 
 def enumerate_paths(network: ValidatedNetwork, cap: int = 1_000_000) -> PathMatrix:

@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import csv
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .control import AriReport, ControlIndices, RiskBaseline, SevmForecast, TriadReport
-from .cpm import CpmResult, PathMatrix
-from .errors import ConfigError
-from .indices import SensitivityReport
-from .montecarlo import Ensemble, HistogramTable
+from .errors import MAX_GRID_POINTS, ConfigError
+
+if TYPE_CHECKING:  # reports dispatch by type name, so writing one loads no other module
+    from .control import AriReport, ControlIndices, RiskBaseline, SevmForecast, TriadReport
+    from .cpm import CpmResult, PathMatrix
+    from .indices import SensitivityReport
+    from .montecarlo import Ensemble, HistogramTable
 
 PERCENTILE_STEPS = tuple(range(5, 100, 5))
-GRID_POINTS = 101            # default samples of the planned timeline [0, PD] at export
-MAX_GRID_POINTS = 1_000_000  # the most it takes: bounds an export's arrays and file
 _BLOCK = 1024      # rows formatted at a time; bounds the cells held at once
 _BYTE_CELLS = tuple(str(k) for k in range(256))  # the cell of each uint8 value
 
@@ -22,10 +23,10 @@ _BYTE_CELLS = tuple(str(k) for k in range(256))  # the cell of each uint8 value
 def tabulate(report):
     """(header, columns) for every exportable report type; a column is one of
     the report's numpy arrays or a sequence of str."""
-    for kind, handler in _TABULATORS:
-        if isinstance(report, kind):
-            return handler(report)
-    raise TypeError(f"no CSV form for {type(report).__name__}")
+    handler = _TABULATORS.get(type(report).__name__)
+    if handler is None:
+        raise TypeError(f"no CSV form for {type(report).__name__}")
+    return handler(report)
 
 
 def _sensitivity(r: SensitivityReport):
@@ -52,7 +53,7 @@ def _ari(r: AriReport):
 def metric_table(*reports):
     """The (metric, value) table of control, Triad and forecast reports,
     joined in order: floats at 9 significant digits, ints and labels as str."""
-    pairs = [pair for r in reports for pair in _METRICS[type(r)](r)]
+    pairs = [pair for r in reports for pair in _METRICS[type(r).__name__](r)]
     return ("metric", "value"), ([name for name, _ in pairs],
                                  [f"{v:.9g}" if isinstance(v, float) else str(v)
                                   for _, v in pairs])
@@ -85,16 +86,16 @@ def _histogram(r: HistogramTable):
     return ("bin_low", "bin_high", "pdf", "cdf"), (r.edges[:-1], r.edges[1:], r.pdf, r.cdf)
 
 
-_METRICS = {ControlIndices: _control, TriadReport: _triad, SevmForecast: _forecast}
+_METRICS = {"ControlIndices": _control, "TriadReport": _triad, "SevmForecast": _forecast}
 
-_TABULATORS = (
-    (SensitivityReport, _sensitivity),
-    (CpmResult, _cpm_table),
-    (PathMatrix, _paths),
-    (AriReport, _ari),
-    ((ControlIndices, TriadReport, SevmForecast), metric_table),
-    (HistogramTable, _histogram),
-)
+_TABULATORS = {
+    "SensitivityReport": _sensitivity,
+    "CpmResult": _cpm_table,
+    "PathMatrix": _paths,
+    "AriReport": _ari,
+    **dict.fromkeys(_METRICS, metric_table),
+    "HistogramTable": _histogram,
+}
 
 
 def _grid_times(plan: CpmResult, grid_points: int) -> np.ndarray:

@@ -5,9 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import quantiles
 from .errors import BadDistributionParams
 
 VARIANTS = ("point", "discrete", "uniform", "triangular", "normal", "pert")
@@ -82,6 +79,8 @@ class Distribution:
         overflow. Threads racing here get the same table from pert_table."""
         table = self.__dict__.get("_table")
         if table is None:
+            from . import quantiles
+
             a, m, b = self.params
             table = quantiles.pert_table(1.0 + 4.0 * ((m - a) / (b - a)))
             object.__setattr__(self, "_table", table)
@@ -98,6 +97,12 @@ def inv_cdf(dist: Distribution, u):
     normal law, for a PERT law the inverse table of its shape, held by the law.
     Non-decreasing in u, a normal law only to within ndtri's 8 ulp.
     """
+    # imported here, so a law can be parsed without numpy; the import lock
+    # makes these safe in the pool's threads
+    import numpy as np
+
+    from . import quantiles
+
     u = np.asarray(u, dtype=float)
     k, p = dist.kind, dist.params
     if k == "point":
@@ -148,6 +153,8 @@ _MEANS = {
 
 def _sqrt_product(u, x, y):
     """sqrt(u * x * y) for u in [0, 1], split where x * y leaves the normal floats."""
+    import numpy as np
+
     if 2.0 ** -1022 <= x * y < math.inf:
         return np.sqrt(u * x * y)
     return np.sqrt(u * x) * np.sqrt(y)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the export limits that
+the command line and the library both check with ConfigError."""
+
+GRID_POINTS = 101            # default samples of the planned timeline [0, PD] at export
+MAX_GRID_POINTS = 1_000_000  # the most it takes: bounds an export's arrays and file
+MAX_BINS = 100_000           # the most histogram bins; bounds the histogram's arrays
 
 
 class RiskMcError(Exception):

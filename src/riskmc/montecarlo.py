@@ -21,7 +21,7 @@ from numpy.random import Generator, Philox
 
 from . import cpm as _cpm
 from .distributions import Distribution, inv_cdf
-from .errors import ConfigError, DegenerateProject, EmptySample
+from .errors import MAX_BINS, ConfigError, DegenerateProject, EmptySample
 from .network import ValidatedNetwork
 
 _DURATION = "dur"
@@ -43,7 +43,6 @@ _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"  # this process's cgroup v2 lim
 _CGROUP_V1_LIMIT = "/sys/fs/cgroup/memory/memory.limit_in_bytes"  # and its v1 limit
 
 _CHUNK = 8192  # runs per task; a multiple of 4, so chunks start on a Philox block
-MAX_BINS = 100_000  # the most histogram bins; bounds the histogram's arrays
 
 
 def _uniform_block(seed, purpose, ident, start, count):

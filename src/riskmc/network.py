@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from .distributions import Distribution
 from .errors import (
@@ -47,7 +46,7 @@ class Activity:
             raise BadDefinition(f"invalid activity id {self.id!r}")
         _check_name("activity", self.id, self.name)
         for field in ("fixed_cost", "variable_cost_rate"):
-            if not 0.0 <= getattr(self, field) < np.inf:  # also rejects nan
+            if not 0.0 <= getattr(self, field) < math.inf:  # also rejects nan
                 raise BadDefinition(f"activity {self.id}: {field} must be finite and >= 0")
 
 
@@ -145,14 +144,29 @@ class ValidatedNetwork:
                 return n.index
         raise KeyError(node_id)
 
-    def mean_durations(self) -> np.ndarray:
+    # numpy arrays over the nodes; numpy loads with the first of them, so
+    # parsing and validating never load it
+    def mean_durations(self):
+        import numpy as np
         return np.array([n.mean_duration() for n in self.nodes])
 
-    def fixed_costs(self) -> np.ndarray:
+    def fixed_costs(self):
+        import numpy as np
         return np.array([n.fixed_cost for n in self.nodes])
 
-    def rates(self) -> np.ndarray:
+    def rates(self):
+        import numpy as np
         return np.array([n.variable_cost_rate for n in self.nodes])
+
+
+def count_paths(network: ValidatedNetwork) -> int:
+    """Number of source->sink paths, counted backwards over the DAG without listing them."""
+    counts = [0] * len(network.nodes)
+    counts[network.sink] = 1
+    for node in reversed(network.nodes):
+        if node.succs:
+            counts[node.index] = sum(counts[s] for s in node.succs)
+    return counts[network.source]
 
 
 def validate(spec: ProjectSpec) -> ValidatedNetwork:

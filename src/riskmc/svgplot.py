@@ -14,7 +14,8 @@ import numpy as np
 
 from .control import RiskBaseline, SevmForecast, TriadReport
 from .cpm import CpmResult
-from .csvout import GRID_POINTS, baseline_table, pv_table
+from .csvout import baseline_table, pv_table
+from .errors import GRID_POINTS
 from .indices import SensitivityReport
 from .montecarlo import Ensemble, HistogramTable, _bin_counts
 

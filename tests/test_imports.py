@@ -1,9 +1,12 @@
 """Cold start: no riskmc command loads scipy, which is a test-only
-dependency, and only the commands that use them load the SVG renderer and
-the thread pool. Each case runs the commands in a fresh interpreter and
-lists the modules it loaded, so an import anywhere on a command's path
-that the command does not need fails here."""
+dependency; parsing and validating load no numpy; and only the commands
+that use them run the analysis modules, the SVG renderer and the thread
+pool. Each case runs the commands in a fresh interpreter and lists the
+modules it loaded, so an import anywhere on a command's path that the
+command does not need fails here."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -16,13 +19,17 @@ import riskmc
 from netgen import normal_pert_spec
 from riskmc.projectfile import render_project
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
+# a riskmc module that the CLI registered to run on first use, and that no
+# command used, is listed as not loaded
 PROBE = """
-import json, sys
+import json, sys, types
 import riskmc, riskmc.cli
 codes = [riskmc.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(sys.modules)]))
+print(json.dumps([codes, sorted(m for m, v in sys.modules.items()
+                                if not m.startswith("riskmc") or type(v) is types.ModuleType)]))
 """
 
 # every law but normal and PERT, as durations and as risk impacts
@@ -60,6 +67,21 @@ def loaded_modules(commands):
     return modules
 
 
+def run_fresh(code, *args):
+    """Run `code` in a fresh interpreter with riskmc importable; its stdout."""
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def bench_probe():
+    """The benchmark's set-up probe, read from perfbench/run.py without running it."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and node.targets[0].id == "PROBE")
+
+
 def scipy_modules(commands):
     return [m for m in loaded_modules(commands) if m == "scipy" or m.startswith("scipy.")]
 
@@ -84,9 +106,7 @@ def test_plot_loads_the_renderer_when_it_draws(figure3_path, tmp_path):
              "from riskmc import plot\n"
              "from riskmc.svgplot import plot as svg_plot\n"
              "assert plot is svg_plot and riskmc.plot is svg_plot\n")
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
-    assert result.returncode == 0, result.stderr
+    run_fresh(probe)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         riskmc.no_such_name  # noqa: B018
 
@@ -128,3 +148,42 @@ def test_no_simulating_command_loads_scipy(figure3_path, tmp_path, name, workers
         ["plot", *sim, "--kind", "sevm", *observe, *out],
     ]
     assert scipy_modules(commands) == []
+
+
+def test_parsing_and_validating_load_no_numpy(figure3_path, tmp_path):
+    listing = "\nimport sys; print('numpy' in sys.modules)"
+    assert run_fresh(bench_probe() + listing, str(figure3_path)).split()[-1] == "False"
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("pre,A0,B1,Af\nA0,0,0,0\nB1,1,0,0\nAf,0,1,0\n")
+    modules = loaded_modules([["validate", "--project", str(figure3_path)],
+                              ["convert-matrix", "--matrix", str(matrix),
+                               "--out", str(tmp_path / "converted.project")]])
+    assert [m for m in modules if m == "numpy" or m.startswith("numpy.")] == []
+    assert {"riskmc.cpm", "riskmc.montecarlo", "riskmc.csvout"}.isdisjoint(modules)
+
+
+def test_simulate_runs_no_analysis_module(figure3_path, tmp_path):
+    modules = loaded_modules([["simulate", "--project", str(figure3_path), "--runs", "400",
+                               "--out", str(tmp_path)]])
+    assert "riskmc.montecarlo" in modules
+    assert "riskmc.control" not in modules and "riskmc.indices" not in modules
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    for name in riskmc.__all__:
+        obj = getattr(riskmc, name)
+        assert obj.__module__.startswith("riskmc."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    namespace = {}
+    exec("from riskmc import *", namespace)
+    assert all(namespace[name] is getattr(riskmc, name) for name in riskmc.__all__)
+
+
+def test_the_library_alone_registers_no_lazy_module():
+    # only the CLI defers its modules; a library import runs each module it names
+    probe = ("import sys, types, riskmc\n"
+             "riskmc.run_ensemble\n"
+             "print([m for m, v in sys.modules.items()\n"
+             "       if m.startswith('riskmc') and type(v) is not types.ModuleType])\n"
+             "print('riskmc.montecarlo' in sys.modules, 'riskmc.cli' in sys.modules)\n")
+    assert run_fresh(probe).split("\n")[:2] == ["[]", "True False"]
