@@ -250,8 +250,9 @@ def cmd_baseline(args):
     network = _load(args)
     ens = _sim(args, network)
     baseline = ctl.risk_baselines(ens)
+    ari = ctl.activity_risk_index(baseline)  # may refuse: before any output is written
     _emit(args, "baseline.csv", *csvout.baseline_table(baseline, args.grid), primary=True)
-    _emit(args, "ari.csv", *csvout.tabulate(ctl.activity_risk_index(baseline)))
+    _emit(args, "ari.csv", *csvout.tabulate(ari))
     _info(f"sigma duration: {baseline.sigma_duration:.9g}  "
           f"sigma cost: {baseline.sigma_cost:.9g}")
     return 0

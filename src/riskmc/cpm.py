@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProject, EvOutOfRange, PathExplosion
+from .errors import DegenerateProject, EvOutOfRange, PathExplosion, check_memory
 from .network import ValidatedNetwork, count_paths
 
 CRIT_TOL = 1e-9  # absolute float tolerance marking a node critical
@@ -168,14 +168,7 @@ def enumerate_paths(network: ValidatedNetwork, cap: int = 1_000_000) -> PathMatr
     n_paths = count_paths(network)
     if n_paths > cap:
         raise PathExplosion(f"{n_paths} paths exceed the cap of {cap}")
-    from .montecarlo import _memory_ceiling  # here: montecarlo imports this module
-
-    ceiling = _memory_ceiling()
-    if n_paths * len(nodes) > ceiling:  # one byte per path and node
-        raise PathExplosion(f"{n_paths} paths of {len(nodes)} nodes need "
-                            f"{n_paths * len(nodes) / 2**30:.3g} GiB, above the "
-                            f"{ceiling / 2**30:.3g} GiB memory ceiling; at most "
-                            f"{ceiling // len(nodes)} paths fit")
+    check_memory(PathExplosion, n_paths, "paths", len(nodes), len(nodes))  # 1 B per node
 
     membership = np.zeros((n_paths, len(nodes)), dtype=np.uint8)
     row = 0

@@ -1,9 +1,16 @@
-"""Exception types shared across the package, and the export limits that
-the command line and the library both check with ConfigError."""
+"""Exception types shared across the package, the export limits that the
+command line and the library both check with ConfigError, and the memory
+ceiling that both the ensemble and the path matrix are refused above."""
+
+import os
+import resource
 
 GRID_POINTS = 101            # default samples of the planned timeline [0, PD] at export
 MAX_GRID_POINTS = 1_000_000  # the most it takes: bounds an export's arrays and file
 MAX_BINS = 100_000           # the most histogram bins; bounds the histogram's arrays
+
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"  # this process's cgroup v2 limit
+_CGROUP_V1_LIMIT = "/sys/fs/cgroup/memory/memory.limit_in_bytes"  # and its v1 limit
 
 
 class RiskMcError(Exception):
@@ -106,3 +113,34 @@ class KTooLarge(RiskMcError):
 
 class DegenerateProject(RiskMcError):
     pass
+
+
+def _memory_ceiling() -> int:
+    """Bytes one command may plan to use: physical memory, or the
+    address-space limit (RLIMIT_AS) or a cgroup v2 or v1 memory limit where
+    one is lower."""
+    limits = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")]
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limits.append(soft)
+    for path in (_CGROUP_MEMORY_MAX, _CGROUP_V1_LIMIT):
+        try:
+            with open(path, "rb") as fh:
+                cgroup = fh.read().strip()  # a byte count; v2 writes "max" for none
+        except OSError:  # absent outside a cgroup hierarchy of that version
+            continue
+        if cgroup.isdigit():
+            limits.append(int(cgroup))
+    return min(limits)
+
+
+def check_memory(error, count, unit, n_nodes, per_unit, need="need"):
+    """Refuse, before anything is allocated, `count` runs or paths (`unit`)
+    of `n_nodes` nodes, at `per_unit` bytes each, that would not fit in
+    _memory_ceiling(): raise `error`, naming the most that fit."""
+    ceiling = _memory_ceiling()
+    if count * per_unit > ceiling:
+        raise error(f"{count} {unit} of {n_nodes} nodes {need} "
+                    f"{count * per_unit / 2**30:.3g} GiB, above the "
+                    f"{ceiling / 2**30:.3g} GiB memory ceiling; at most "
+                    f"{ceiling // per_unit} {unit} fit")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from numpy.random import Generator, Philox
 
 from . import cpm as _cpm
 from .distributions import Distribution, inv_cdf
-from .errors import MAX_BINS, ConfigError, DegenerateProject, EmptySample
+from .errors import MAX_BINS, ConfigError, DegenerateProject, EmptySample, check_memory
 from .network import ValidatedNetwork
 
 _DURATION = "dur"
@@ -29,18 +28,17 @@ _GATE = "gate"
 _IMPACT = "impact"
 
 # peak bytes that a simulating command allocates, per run and node and per
-# run. run_ensemble itself, the ensemble plus one (nodes x chunk) CPM buffer
-# per thread, peaks at <= 21.2 B per run and node (tracemalloc: 6 to 403
-# nodes, 300 to 32769 runs, 1 and 3 workers; <= 17.3 from 42 nodes up); the
-# cross-section of control and forecast sets the command's peak, with its
-# (2m+1)-row event array (16 B) and the derived starts (8 B) on top of the
-# ensemble (9 B); the node costs it reads are formed one row at a time. The
-# per-run part is mostly the temporaries of one chunk's PERT draws
+# run, on top of its cost risks' draws (8 B per run and risk). run_ensemble
+# itself, the ensemble plus one (nodes x chunk) CPM buffer per thread, peaks
+# at <= 21.2 B per run and node (tracemalloc: 6 to 403 nodes, 300 to 32769
+# runs, 1 and 3 workers; <= 17.3 from 42 nodes up); the cross-section of
+# control and forecast sets the command's peak, with its (2m+1)-row event
+# array (16 B) and the starts derived for it (8 B) on top of the ensemble
+# (9 B); the node costs it reads are formed one row at a time. The per-run
+# part is the cross-section's per-run vectors and temporaries: <= 173 B
+# (tracemalloc: control and forecast at 300 and 1000 runs, 3 to 403 nodes)
 _PEAK_PER_RUN_NODE = 34
-_PEAK_PER_RUN = 96
-
-_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"  # this process's cgroup v2 limit
-_CGROUP_V1_LIMIT = "/sys/fs/cgroup/memory/memory.limit_in_bytes"  # and its v1 limit
+_PEAK_PER_RUN = 184
 
 _CHUNK = 8192  # runs per task; a multiple of 4, so chunks start on a Philox block
 
@@ -78,10 +76,10 @@ class Ensemble:
 
     Its fields are what was sampled and what each run's schedule decided;
     per-node arrays are indexed (node, run), so each node's runs are one
-    contiguous row, and the totals are (n_runs,). Early starts and node
-    costs are not fields: the starts are derived on first use, bitwise as
-    run_ensemble formed them, and then kept; the node costs are formed a
-    row at a time wherever they are read. Trajectories are not stored:
+    contiguous row, and the totals are (n_runs,). Nothing else is stored:
+    the early starts are derived by a forward pass on each read, bitwise
+    as run_ensemble formed them, and the node costs are formed a row at a
+    time wherever they are read. Trajectories are not stored either:
     ev_at/cost_at evaluate each run's exact piecewise-linear earned-value
     and cumulative-cost trajectories at arbitrary times.
     """
@@ -104,14 +102,11 @@ class Ensemble:
 
     @property
     def starts(self) -> np.ndarray:
-        """(n_nodes, n_runs) early starts, read-only; a run's finishes are
-        starts + durations, bitwise."""
-        starts = self.__dict__.get("_starts")
-        if starts is None:
-            starts = np.empty(self.durations.shape)
-            _cpm.forward(self.network, self.durations, starts)
-            starts.flags.writeable = False
-            object.__setattr__(self, "_starts", starts)
+        """(n_nodes, n_runs) early starts, read-only, formed by a forward
+        pass on each read; a run's finishes are starts + durations, bitwise."""
+        starts = np.empty(self.durations.shape)
+        _cpm.forward(self.network, self.durations, starts)
+        starts.flags.writeable = False
         return starts
 
     def cost_rows(self):
@@ -153,7 +148,8 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
         raise ConfigError(f"workers must be >= 1, got {workers}")
     nodes = network.nodes
     n, m = cfg.n_runs, len(nodes)
-    _check_memory(n, m)
+    per_run = _PEAK_PER_RUN_NODE * m + 8 * len(network.cost_risks) + _PEAK_PER_RUN
+    check_memory(ConfigError, n, "runs", m, per_run, need="need about")
 
     durations, impacts = np.empty((m, n)), np.empty((len(network.cost_risks), n))
     critical = np.empty((m, n), dtype=bool)
@@ -202,37 +198,6 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
     for arr in arrays.values():
         arr.flags.writeable = False
     return Ensemble(plan=plan, network=network, **arrays)
-
-
-def _memory_ceiling() -> int:
-    """Bytes one command may plan to use: physical memory, or the
-    address-space limit (RLIMIT_AS) or a cgroup v2 or v1 memory limit where
-    one is lower."""
-    limits = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")]
-    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    if soft != resource.RLIM_INFINITY:
-        limits.append(soft)
-    for path in (_CGROUP_MEMORY_MAX, _CGROUP_V1_LIMIT):
-        try:
-            with open(path, "rb") as fh:
-                cgroup = fh.read().strip()  # a byte count; v2 writes "max" for none
-        except OSError:  # absent outside a cgroup hierarchy of that version
-            continue
-        if cgroup.isdigit():
-            limits.append(int(cgroup))
-    return min(limits)
-
-
-def _check_memory(n_runs, n_nodes):
-    """Refuse, before allocating anything, a run count whose ensemble would
-    not fit in _memory_ceiling(); the error names the largest that fits."""
-    per_run = _PEAK_PER_RUN_NODE * n_nodes + _PEAK_PER_RUN
-    ceiling = _memory_ceiling()
-    if n_runs * per_run > ceiling:
-        raise ConfigError(f"{n_runs} runs of {n_nodes} nodes need about "
-                          f"{n_runs * per_run / 2**30:.3g} GiB, above the "
-                          f"{ceiling / 2**30:.3g} GiB memory ceiling; at most "
-                          f"{ceiling // per_run} runs fit")
 
 
 def _draw(law, gate, seed, ident, lo, hi):

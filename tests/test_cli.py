@@ -12,7 +12,7 @@ import pytest
 from netgen import ladder_spec
 from riskmc import csvout, render_project
 from riskmc.cli import main
-from riskmc.montecarlo import MAX_BINS, _memory_ceiling
+from riskmc.errors import MAX_BINS, _memory_ceiling
 
 RISKMC = [sys.executable, "-m", "riskmc"]
 
@@ -318,6 +318,21 @@ def test_simulate_prints_finite_moments_when_their_sums_overflow(tmp_path, capsy
     mean, sd = re.search(r"duration mean: (\S+)  sd: (\S+)", err).groups()
     assert float(mean) == pytest.approx(1e308, rel=1e-9)
     assert 0.5e300 < float(sd) < 2e300
+
+
+def test_baseline_of_a_constant_schedule_writes_nothing(tmp_path, capsys):
+    # one point(2) activity and one cost risk: the cost varies, the duration
+    # never does, so the ARI ranking is refused before the SRB/CRB table is
+    # written, to stdout or to --out
+    project = tmp_path / "constant.project"
+    project.write_text(_one_activity("point(2)", rate=1)
+                       + '\n[risks]\nR1 "spend" p=0.5 kind=cost target=A1 impact=uniform(1,2)\n')
+    for out in ([], ["--out", str(tmp_path / "out")]):
+        assert main(["baseline", "--project", str(project), "--runs", "200", *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "DegenerateProject: no schedule variance to rank\n"
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_indices_and_baseline_are_finite_when_per_node_sums_overflow(tmp_path):

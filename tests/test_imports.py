@@ -169,6 +169,14 @@ def test_simulate_runs_no_analysis_module(figure3_path, tmp_path):
     assert "riskmc.control" not in modules and "riskmc.indices" not in modules
 
 
+def test_paths_runs_no_simulation_module(figure3_path, tmp_path):
+    # the memory ceiling that bounds the path matrix lives in errors
+    modules = loaded_modules([["paths", "--project", str(figure3_path), "--out", str(tmp_path)]])
+    assert "riskmc.montecarlo" not in modules
+    assert [m for m in modules if m == "hashlib" or m == "numpy.random"
+            or m.startswith("numpy.random.")] == []
+
+
 def test_every_public_name_is_its_defining_modules_object():
     for name in riskmc.__all__:
         obj = getattr(riskmc, name)

@@ -12,17 +12,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import riskmc.errors as errors
 import riskmc.montecarlo as montecarlo
 from netgen import chain_spec, normal_pert_spec, parallel_spec, random_dag_spec, trajectories
 from riskmc import (
+    ControlObservation,
     Distribution,
     ProjectSpec,
     RiskEvent,
     SimConfig,
+    control_indices,
     empirical_percentile,
     forward_backward,
     histogram_and_cdf,
+    risk_baselines,
     run_ensemble,
+    sevm_forecast,
+    triad,
     validate,
 )
 from riskmc.errors import ConfigError, DegenerateProject, EmptySample
@@ -240,56 +246,96 @@ def test_normal_block_reads_one_uniform_block(dist):
     assert uniforms.call_count == 1
 
 
-@pytest.mark.parametrize("n_nodes", [4, 42, 152, 402])
+def many_cost_risks_spec():
+    """3 nodes and 200 cost risks on one of them: the risks' draws, 8 B per
+    run each, are most of the ensemble."""
+    base = chain_spec([Distribution.uniform(1, 3)], fixed=10, rate=2)
+    risks = tuple(RiskEvent(id=f"C{i}", name=f"cost {i}", probability=0.5, kind="cost",
+                            target="B1", impact=Distribution.uniform(0, 5))
+                  for i in range(200))
+    return ProjectSpec(base.activities, base.precedence, risks)
+
+
+@pytest.mark.parametrize("n_nodes", [3, 4, 42, 152, 402])
 def test_memory_guard_bounds_the_traced_peak(n_nodes):
-    # the guard's per-run estimate covers what run_ensemble really allocates,
-    # with one chunk or several and with several chunks in flight; a handful
-    # of runs is left out, where ~25 KiB of pool and generator objects dominate
-    rng = np.random.default_rng(n_nodes)
-    net = validate(random_dag_spec(rng, n_real=n_nodes - 2,
-                                   edge_prob=min(0.4, 3 / n_nodes), with_risks=2))
-    m = len(net.nodes)
-    # a first run builds the PERT tables, which the network's laws then hold
-    run_ensemble(net, SimConfig(n_runs=8))
-    for n in (300, 1000, C - 1, C + 1, 4 * C + 1):
-        for workers in (1, 3):
+    # the guard's per-run estimate covers what a simulating command really
+    # allocates: run_ensemble with one chunk or several and with several
+    # chunks in flight, and the simulation followed by the control and the
+    # forecast analyses, whose cross-section sets their peak. A handful of
+    # runs is left out, where ~25 KiB of pool and generator objects dominate.
+    # 3 nodes is the many-cost-risk network; the others are random DAGs
+    if n_nodes == 3:
+        net = validate(many_cost_risks_spec())
+    else:
+        rng = np.random.default_rng(n_nodes)
+        net = validate(random_dag_spec(rng, n_real=n_nodes - 2,
+                                       edge_prob=min(0.4, 3 / n_nodes), with_risks=2))
+    m, k = len(net.nodes), len(net.cost_risks)
+    plan = forward_backward(net, net.mean_durations())
+    obs = ControlObservation(t=plan.duration / 2, ev=plan.bac / 2, ac=plan.bac / 2)
+
+    def control(cfg, workers):
+        ens = run_ensemble(net, cfg, workers=workers)
+        control_indices(obs, risk_baselines(ens))
+        triad(obs, ens)
+
+    def forecast(cfg, workers):
+        ens = run_ensemble(net, cfg, workers=workers)
+        for estimator in ("mean", "linear"):
+            sevm_forecast(obs, ens, estimator=estimator)
+
+    sim_sizes = [(n, workers) for n in (300, 1000, C - 1, C + 1, 4 * C + 1)
+                 for workers in (1, 3)]
+    for sequence, sizes in ((functools.partial(run_ensemble, net), sim_sizes),
+                            (control, [(300, 1), (1000, 1)]),
+                            (forecast, [(300, 1), (1000, 1)])):
+        # a first, small run builds the PERT tables, which the network's laws
+        # then hold
+        sequence(SimConfig(n_runs=8), workers=1)
+        for n, workers in sizes:
             tracemalloc.start()
             try:
-                run_ensemble(net, SimConfig(n_runs=n, seed=3), workers=workers)
+                sequence(SimConfig(n_runs=n, seed=3), workers=workers)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            bound = n * (montecarlo._PEAK_PER_RUN_NODE * m + montecarlo._PEAK_PER_RUN)
-            assert peak <= bound, (m, n, workers, peak / bound)
+            per_run = montecarlo._PEAK_PER_RUN_NODE * m + 8 * k + montecarlo._PEAK_PER_RUN
+            assert peak <= n * per_run, (m, k, n, workers, sequence, peak / (n * per_run))
 
 
 def test_runs_beyond_the_memory_ceiling_are_refused(figure3_network, monkeypatch):
     # a 64 KiB address-space limit; the largest run count that fits still
-    # runs, one more is refused before anything is allocated
-    resource = montecarlo.resource
+    # runs, one more is refused before anything is allocated. The guard
+    # counts 8 B per run for each cost risk's draws, most of what the
+    # many-cost-risk network stores
+    resource = errors.resource
     monkeypatch.setattr(resource, "getrlimit", lambda which: (2**16, resource.RLIM_INFINITY))
-    assert montecarlo._memory_ceiling() == 2**16
-    per_run = montecarlo._PEAK_PER_RUN_NODE * len(figure3_network.nodes) + montecarlo._PEAK_PER_RUN
-    fit = 2**16 // per_run
-    assert run_ensemble(figure3_network, SimConfig(n_runs=fit)).n_runs == fit
-    for runs in (fit + 1, 10**12):
-        with pytest.raises(ConfigError, match=rf"^{runs} runs of 8 nodes .* at most {fit} runs fit$"):
-            run_ensemble(figure3_network, SimConfig(n_runs=runs))
+    assert errors._memory_ceiling() == 2**16
+    for net in (figure3_network, validate(many_cost_risks_spec())):
+        m = len(net.nodes)
+        per_run = (montecarlo._PEAK_PER_RUN_NODE * m + 8 * len(net.cost_risks)
+                   + montecarlo._PEAK_PER_RUN)
+        fit = 2**16 // per_run
+        assert run_ensemble(net, SimConfig(n_runs=fit)).n_runs == fit
+        for runs in (fit + 1, 10**12):
+            with pytest.raises(ConfigError,
+                               match=rf"^{runs} runs of {m} nodes .* at most {fit} runs fit$"):
+                run_ensemble(net, SimConfig(n_runs=runs))
 
 
 def test_memory_ceiling_respects_a_cgroup_limit(figure3_network, monkeypatch, tmp_path):
     # a cgroup v2 memory.max holds a byte count, or "max" for no limit; an
     # absent file, as outside a cgroup v2 hierarchy, is no limit either
-    resource = montecarlo.resource
+    resource = errors.resource
     monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2)
-    physical = montecarlo.os.sysconf("SC_PAGE_SIZE") * montecarlo.os.sysconf("SC_PHYS_PAGES")
+    physical = errors.os.sysconf("SC_PAGE_SIZE") * errors.os.sysconf("SC_PHYS_PAGES")
     limit = tmp_path / "memory.max"
-    monkeypatch.setattr(montecarlo, "_CGROUP_MEMORY_MAX", str(limit))
-    monkeypatch.setattr(montecarlo, "_CGROUP_V1_LIMIT", str(tmp_path / "absent"))
-    assert montecarlo._memory_ceiling() == physical
+    monkeypatch.setattr(errors, "_CGROUP_MEMORY_MAX", str(limit))
+    monkeypatch.setattr(errors, "_CGROUP_V1_LIMIT", str(tmp_path / "absent"))
+    assert errors._memory_ceiling() == physical
     for text, want in (("max\n", physical), (f"{2 * physical}\n", physical), ("65536\n", 2**16)):
         limit.write_text(text)
-        assert montecarlo._memory_ceiling() == want, text
+        assert errors._memory_ceiling() == want, text
     with pytest.raises(ConfigError, match="above the 6.1e-05 GiB memory ceiling"):
         run_ensemble(figure3_network, SimConfig(n_runs=10**4))
 
@@ -297,22 +343,22 @@ def test_memory_ceiling_respects_a_cgroup_limit(figure3_network, monkeypatch, tm
 def test_memory_ceiling_respects_a_cgroup_v1_limit(monkeypatch, tmp_path):
     # cgroup v1 writes no limit as a huge byte count; an absent or
     # non-numeric file is no limit; the lower of a v1 and a v2 limit holds
-    resource = montecarlo.resource
+    resource = errors.resource
     monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2)
-    physical = montecarlo.os.sysconf("SC_PAGE_SIZE") * montecarlo.os.sysconf("SC_PHYS_PAGES")
+    physical = errors.os.sysconf("SC_PAGE_SIZE") * errors.os.sysconf("SC_PHYS_PAGES")
     v1, v2 = tmp_path / "memory.limit_in_bytes", tmp_path / "memory.max"
-    monkeypatch.setattr(montecarlo, "_CGROUP_V1_LIMIT", str(v1))
-    monkeypatch.setattr(montecarlo, "_CGROUP_MEMORY_MAX", str(v2))
-    assert montecarlo._memory_ceiling() == physical
+    monkeypatch.setattr(errors, "_CGROUP_V1_LIMIT", str(v1))
+    monkeypatch.setattr(errors, "_CGROUP_MEMORY_MAX", str(v2))
+    assert errors._memory_ceiling() == physical
     for text, want in (("9223372036854771712\n", physical), ("65536\n", 2**16),
                        ("-1\n", physical), ("\xff\n", physical), ("", physical)):
         v1.write_text(text, encoding="latin-1")
-        assert montecarlo._memory_ceiling() == want, text
+        assert errors._memory_ceiling() == want, text
     v1.write_text("65536\n")
     v2.write_text("4096\n")
-    assert montecarlo._memory_ceiling() == 4096
+    assert errors._memory_ceiling() == 4096
     v2.write_text("max\n")
-    assert montecarlo._memory_ceiling() == 2**16
+    assert errors._memory_ceiling() == 2**16
 
 
 def test_seed_changes_results(figure3_network):
@@ -393,7 +439,6 @@ def test_derived_starts_and_node_costs_match_their_references_bitwise(seed, n_re
     net = validate(ProjectSpec(spec.activities, spec.precedence, spec.risks + extra))
     ens = run_ensemble(net, SimConfig(n_runs=n_runs, seed=seed % 1000))
     assert not ens.starts.flags.writeable
-    assert ens.starts is ens.starts
     for k in range(n_runs):
         want = reference_forward_backward(net, ens.durations[:, k])
         assert ens.starts[:, k].tobytes() == want["es"].tobytes(), k
@@ -411,8 +456,8 @@ def test_derived_starts_and_node_costs_match_their_references_bitwise(seed, n_re
 
 def test_the_ensemble_stores_only_what_was_sampled():
     # durations (8 B), critical flags (1 B) and cost-risk impacts (8 B) per
-    # run and node or risk, and the two totals; starts are derived on first
-    # use and node costs formed row by row, and neither is a field
+    # run and node or risk, and the two totals; starts are derived on each
+    # read and node costs formed row by row, and no analysis stores either
     net = validate(normal_pert_spec())
     n = 3 * C + 5
     ens = run_ensemble(net, SimConfig(n_runs=n, seed=14))
@@ -420,7 +465,14 @@ def test_the_ensemble_stores_only_what_was_sampled():
     arrays = [getattr(ens, f.name) for f in dataclasses.fields(ens)]
     stored = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
     assert stored == (9 * m + 16 + 8 * k) * n
-    assert not {"starts", "node_cost"} & {f.name for f in dataclasses.fields(ens)}
+    fields = {f.name for f in dataclasses.fields(ens)}
+    assert not {"starts", "node_cost"} & fields
+    obs = ControlObservation(t=6, ev=30, ac=33)
+    triad(obs, ens)
+    sevm_forecast(obs, ens)
+    ens.ev_at(6.0)
+    ens.cost_at(6.0)
+    assert set(vars(ens)) == fields
 
 
 def test_each_run_matches_scalar_cpm(figure3_network):
