@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DegenerateProject, EvOutOfRange, PathExplosion, check_memory
 from .network import ValidatedNetwork, count_paths
 
-CRIT_TOL = 1e-9  # absolute float tolerance marking a node critical
+CRIT_TOL = 1e-9  # total float at most this share of the run's PD marks a node critical
 
 
 def window_fraction(t, start, finish, step_closed: bool = True):
@@ -86,10 +86,11 @@ def backward(network: ValidatedNetwork, durations, buf, critical):
     On entry `buf` holds the early starts (`forward`). Each reverse step
     forms node j's late finish lf_j from its successors' rows, which it
     has already overwritten, fills critical[j] with the total-float test
-    (lf_j - d_j) - es_j <= CRIT_TOL and then overwrites row j with lf_j;
-    on return `buf` holds the late finishes. The sink finishes late at its
-    early finish, so buf[sink] is then each run's project duration.
+    (lf_j - d_j) - es_j <= CRIT_TOL * PD, with PD the run's project
+    duration, and then overwrites row j with lf_j; on return `buf` holds the
+    late finishes, and buf[sink] each run's PD.
     """
+    tol = CRIT_TOL * (buf[network.sink] + durations[network.sink])
     for node in reversed(network.nodes):
         j = node.index
         if node.succs:
@@ -101,7 +102,7 @@ def backward(network: ValidatedNetwork, durations, buf, critical):
             lf = buf[j] + durations[j]
         total_float = lf - durations[j]  # late start, then total float
         total_float -= buf[j]
-        np.less_equal(total_float, CRIT_TOL, out=critical[j])
+        np.less_equal(total_float, tol, out=critical[j])
         buf[j] = lf
 
 

@@ -64,16 +64,7 @@ def _average_ranks(x) -> np.ndarray:
 
 def schedule_sensitivity_index(ensemble: Ensemble) -> np.ndarray:
     """CI scaled by the sd ratio of node duration to project duration."""
-    if ensemble.n_runs < 2:
-        raise ConfigError("schedule_sensitivity_index needs at least 2 runs")
-    sigma = row_moments(ensemble.durations, ensemble.total_duration)[0]
-    return _ssi(criticality_index(ensemble), sigma, sample_sd(ensemble.total_duration))
-
-
-def _ssi(ci, sigma, sigma_pd):
-    if sigma_pd == 0.0:
-        raise DegenerateProject("project duration has zero variance")
-    return ci * sigma / sigma_pd
+    return sensitivity_report(ensemble).ssi
 
 
 def sensitivity_report(ensemble: Ensemble, method: str = "pearson") -> SensitivityReport:
@@ -86,9 +77,11 @@ def sensitivity_report(ensemble: Ensemble, method: str = "pearson") -> Sensitivi
     sigma, r, _ = row_moments(ensemble.durations, ensemble.total_duration)
     sigma_pd = sample_sd(ensemble.total_duration)
     cri = _abs_r(r) if method == "pearson" else cruciality_index(ensemble, method=method)
+    if sigma_pd == 0.0:
+        raise DegenerateProject("project duration has zero variance")
     return SensitivityReport(node_ids=ensemble.plan.node_ids,
                              node_names=ensemble.plan.node_names,
-                             ci=ci, cri=cri, ssi=_ssi(ci, sigma, sigma_pd), sigma=sigma)
+                             ci=ci, cri=cri, ssi=ci * sigma / sigma_pd, sigma=sigma)
 
 
 def contingency_reserve(ensemble: Ensemble, p: float, dimension: str = "cost") -> float:

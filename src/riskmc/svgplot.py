@@ -9,15 +9,12 @@ bytes.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .control import RiskBaseline, SevmForecast, TriadReport
-from .cpm import CpmResult
 from .csvout import baseline_table, pv_table
 from .errors import GRID_POINTS
-from .indices import SensitivityReport
-from .montecarlo import Ensemble, HistogramTable, _bin_counts
 
 _W, _H = 760, 490
 _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 70, 56, 52
@@ -29,19 +26,19 @@ _GREEN = "#2e7d32"
 MAX_POINTS = 4000  # scatter clouds subsample deterministically above this
 _MARKER = 7.0      # half-width of the observation marker's cross
 _MARGIN_BINS = 36  # bins of the scatter chart's margin histograms
+_MAX = sys.float_info.max
 
 
 def plot(report, path, grid_points: int = GRID_POINTS) -> None:
     """Render the chart for the report's type to a standalone SVG file.
 
     grid_points sizes the pv and srb_crb curves; the other charts ignore it.
+    Reports dispatch by exact type name, as in csvout.tabulate.
     """
-    for cls, build in _BUILDERS:
-        if isinstance(report, cls):
-            svg = build(report, grid_points)
-            break
-    else:
+    build = _BUILDERS.get(type(report).__name__)
+    if build is None:
         raise TypeError(f"no chart for {type(report).__name__}")
+    svg = build(report, grid_points)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(svg)
 
@@ -57,12 +54,11 @@ class _Chart:
         self.legend = []
 
     def x(self, v):
-        lo, hi = self.xlim
-        return _LEFT + (np.asarray(v, float) - lo) / (hi - lo) * (_W - _LEFT - _RIGHT)
+        return _LEFT + _fraction(v, *self.xlim) * (_W - _LEFT - _RIGHT)
 
     def y(self, v, axis="left"):
-        lo, hi = self.ylim if axis == "left" else self.y2lim
-        return _H - _BOTTOM - (np.asarray(v, float) - lo) / (hi - lo) * (_H - _TOP - _BOTTOM)
+        lim = self.ylim if axis == "left" else self.y2lim
+        return _H - _BOTTOM - _fraction(v, *lim) * (_H - _TOP - _BOTTOM)
 
     def add_line(self, xs, ys, color, label=None, axis="left", width=1.6):
         pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in
@@ -172,26 +168,33 @@ class _Chart:
 
 
 def _pad_range(lo, hi):
+    """Axis bounds 4 % of the span beyond [lo, hi] (an empty one first widens
+    by half its magnitude), inside the floats. Spans are taken in exact halves,
+    hi / 2 - lo / 2, here and where drawn, so one past the largest double draws."""
     lo, hi = float(lo), float(hi)
     if not math.isfinite(lo) or not math.isfinite(hi):
         lo, hi = 0.0, 1.0
     if hi <= lo:
-        span = abs(lo) if lo != 0 else 1.0
-        lo, hi = lo - 0.5 * span, hi + 0.5 * span
-    pad = 0.04 * (hi - lo)
-    return lo - pad, hi + pad
+        half = abs(lo) / 2 if lo != 0 else 0.5
+        lo, hi = max(lo - half, -_MAX), min(hi + half, _MAX)
+    pad = 0.08 * (hi / 2 - lo / 2)
+    return max(lo - pad, -_MAX), min(hi + pad, _MAX)
+
+
+def _fraction(v, lo, hi):
+    return (np.asarray(v, float) / 2 - lo / 2) / (hi / 2 - lo / 2)
 
 
 def _ticks(lo, hi):
-    span = hi - lo
-    raw = span / 6  # about six ticks
+    half = hi / 2 - lo / 2
+    raw = half / 3  # about six ticks
     mag = 10 ** math.floor(math.log10(raw))
     step = next(s * mag for s in (1, 2, 2.5, 5, 10) if raw <= s * mag)
     first = math.ceil(lo / step) * step
     ticks = []
     v = first
-    while v <= hi + 1e-12 * span:
-        ticks.append(0.0 if abs(v) < 1e-12 * span else v)
+    while v / 2 <= hi / 2 + 1e-12 * half:
+        ticks.append(0.0 if abs(v) / 2 < 1e-12 * half else v)
         if v + step == v:  # step below the float spacing at v
             break
         v += step
@@ -220,15 +223,14 @@ def _subsample(*arrays):
 def _build_pv(planned, grid_points):
     _, (times, values) = pv_table(planned, grid_points)
     chart = _Chart("Planned value", "time", "planned value",
-                   (0.0, max(planned.duration, 1e-9)), (0.0, max(planned.bac, 1e-9)))
+                   (0.0, planned.duration), (0.0, planned.bac))
     chart.add_line(times, values, _BLUE, "PV(t)")
     return chart.render()
 
 
 def _build_pdfcdf(hist, _grid_points):
-    top = max(float(hist.pdf.max()), 1e-9)
     chart = _Chart("Distribution", "value", "probability mass",
-                   (float(hist.edges[0]), float(hist.edges[-1])), (0.0, top),
+                   (float(hist.edges[0]), float(hist.edges[-1])), (0.0, float(hist.pdf.max())),
                    y2label="cumulative", y2lim=(0.0, 1.0))
     chart.add_bars(hist.edges[:-1], hist.edges[1:], hist.pdf, _BLUE, "pdf")
     chart.add_line(hist.edges[1:], hist.cdf, _RED, "cdf", axis="right")
@@ -248,6 +250,8 @@ def _build_scatter(ens, _grid_points):
 def _margin_hist(chart, values, vertical):
     """The histogram of values as gray bars 22 px at the tallest, in a strip
     above the plot along its x axis or, vertical, right of it along its y axis."""
+    from .montecarlo import _bin_counts  # a scatter has simulated, so this runs nothing new
+
     counts, edges = _bin_counts(values, _MARGIN_BINS)
     top = counts.max() or 1
     parts = []
@@ -280,9 +284,8 @@ def _build_srb_crb(base, grid_points):
     _, (times, srb, crb) = baseline_table(base, grid_points)
     chart = _Chart("Risk baselines", "time", "SRB (time units)",
                    (float(times[0]), float(times[-1])),
-                   (0.0, max(float(srb.max()), 1e-9)),
-                   y2label="CRB (money units)",
-                   y2lim=(0.0, max(float(crb.max()), 1e-9)))
+                   (0.0, float(srb.max())),
+                   y2label="CRB (money units)", y2lim=(0.0, float(crb.max())))
     chart.add_line(times, srb, _BLUE, "SRB")
     chart.add_line(times, crb, _ORANGE, "CRB", axis="right")
     return chart.render()
@@ -318,12 +321,12 @@ def _build_sevm(fc, _grid_points):
     return chart.render()
 
 
-_BUILDERS = (
-    (CpmResult, _build_pv),
-    (HistogramTable, _build_pdfcdf),
-    (Ensemble, _build_scatter),
-    (SensitivityReport, _build_ci_bars),
-    (RiskBaseline, _build_srb_crb),
-    (TriadReport, _build_triad),
-    (SevmForecast, _build_sevm),
-)
+_BUILDERS = {
+    "CpmResult": _build_pv,
+    "HistogramTable": _build_pdfcdf,
+    "Ensemble": _build_scatter,
+    "SensitivityReport": _build_ci_bars,
+    "RiskBaseline": _build_srb_crb,
+    "TriadReport": _build_triad,
+    "SevmForecast": _build_sevm,
+}

@@ -229,22 +229,34 @@ Af <- A1
 # every run costs 1e16 + 2 exactly: np.histogram's +-0.5 widening of a
 # constant range is below the float spacing there
 CONSTANT_HUGE_COST = HUGE_COST.replace("uniform(0,4)", "point(2)")
+# durations whose padded axis spans more than the largest double
+HUGE_DURATION = HUGE_COST.replace("uniform(0,4) fixed=10000000000000000 rate=1",
+                                  "uniform(1.6e308,1.75e308) fixed=10 rate=0")
 
 
-@pytest.mark.parametrize("kind", ["triad", "pdfcdf", "scatter"])
+@pytest.mark.parametrize("kind", ["pv", "srb_crb", "triad", "pdfcdf", "scatter"])
 def test_plots_at_float_resolution_never_hang(tmp_path, kind):
-    for text in (HUGE_COST, CONSTANT_HUGE_COST):
+    for text, observe in ((HUGE_COST, "t=1,ev=5e15,ac=5e15"),
+                          (CONSTANT_HUGE_COST, "t=1,ev=5e15,ac=5e15"),
+                          (HUGE_DURATION, "t=1e308,ev=5,ac=5")):
         project = tmp_path / "huge.project"
         project.write_text(text)
         # a hung tick loop fails here (TimeoutExpired) instead of stalling the suite
         result = subprocess.run(RISKMC + ["plot", "--kind", kind, "--project", str(project),
-                                          "--runs", "200", "--observe", "t=1,ev=5e15,ac=5e15",
+                                          "--runs", "200", "--observe", observe,
                                           "--out", str(tmp_path)],
                                 capture_output=True, text=True, timeout=60)
+        if kind == "srb_crb" and text == CONSTANT_HUGE_COST:
+            # a project without variance has no risk baselines to draw
+            assert result.returncode == 1, result.stderr
+            assert result.stderr.startswith("DegenerateProject:"), result.stderr
+            continue
         # the histograms fall back to fewer, wider bins than float spacing allows,
-        # and to one bin [x, x] for a constant sample
+        # and to one bin [x, x] for a constant sample; the axes stay in the floats
         assert result.returncode == 0, result.stderr
-        ET.parse(tmp_path / f"{kind}.svg")
+        svg = (tmp_path / f"{kind}.svg").read_text()
+        ET.fromstring(svg)
+        assert re.search(r"\b(inf|nan)\b", svg) is None
 
 
 # a project whose finish, or one run's duration, passes the largest double

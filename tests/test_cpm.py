@@ -169,6 +169,32 @@ def test_critical_set_is_union_of_argmax_paths():
         assert set(np.flatnonzero(result.critical)) == expected
 
 
+def two_chains_spec(s):
+    """A0 fans out to a chain of three and a chain of two uniform(s, 2s)
+    activities, which join at Af; the three-chain is the plan's path."""
+    laws = {f"{c}{k}": Distribution.uniform(s, 2 * s) for c, n in (("L", 3), ("S", 2))
+            for k in range(1, n + 1)}
+    acts = [dummy("A0", "start"), *(Activity(id=i, name=i, duration=law)
+                                    for i, law in laws.items()), dummy("Af", "finish")]
+    pairs = [("L1", "A0"), ("L2", "L1"), ("L3", "L2"), ("Af", "L3"),
+             ("S1", "A0"), ("S2", "S1"), ("Af", "S2")]
+    return ProjectSpec(activities=acts, precedence=pairs)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-3, 1.0, 1e7, 1e150, 1e300])
+def test_criticality_is_relative_to_each_runs_duration(scale):
+    # the passes round in proportion to the schedule, so an absolute
+    # tolerance misses critical nodes at 1e7 and marks every node at 1e-12
+    net = validate(two_chains_spec(scale))
+    assert plan(net).critical_ids() == ("A0", "L1", "L2", "L3", "Af")
+    crit = run_ensemble(net, SimConfig(n_runs=2000, seed=1)).critical
+    assert crit[net.source].all() and crit[net.sink].all()
+    chains = [[net.index_of(f"{c}{k}") for k in range(1, n + 1)] for c, n in (("L", 3), ("S", 2))]
+    assert (crit[chains[0]].all(axis=0) | crit[chains[1]].all(axis=0)).all()
+    # ties between the chains have probability 0: one chain is critical per run
+    assert (crit[chains[0]].any(axis=0) != crit[chains[1]].any(axis=0)).all()
+
+
 # -- planned value curve -----------------------------------------------------
 
 def one_activity_network(dist=None, fixed=8.0, rate=1.0):
@@ -325,7 +351,8 @@ def reference_forward_backward(network, d):
 
     total_float = ls - es
     return dict(es=es, ef=ef, ls=ls, lf=lf, total_float=total_float,
-                critical=total_float <= CRIT_TOL, duration=project_duration)
+                critical=total_float <= CRIT_TOL * project_duration,
+                duration=project_duration)
 
 
 def _reference_accrual(ts, costs, start, finish, step_closed):

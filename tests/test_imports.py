@@ -100,6 +100,8 @@ def test_plot_loads_the_renderer_when_it_draws(figure3_path, tmp_path):
     modules = loaded_modules([["plot", "--project", str(figure3_path), "--kind", "pv",
                                "--out", str(tmp_path)]])
     assert "riskmc.svgplot" in modules
+    # charts find their builder by type name, so the plan's chart runs no analysis module
+    assert {"riskmc.control", "riskmc.indices", "riskmc.montecarlo"}.isdisjoint(modules)
     assert (tmp_path / "pv.svg").read_text().startswith("<svg")
     probe = ("import sys, riskmc\n"
              "assert 'riskmc.svgplot' not in sys.modules\n"
