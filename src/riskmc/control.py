@@ -135,7 +135,8 @@ def cross_section(ensemble: Ensemble, x: float):
     T_k = inf{t : ev_k(t) >= x * BAC}, solved exactly on the piecewise-linear
     run trajectories; C_k = cost_k(T_k). x = 1 returns the endpoint scatter
     (total duration, total cost) exactly. Otherwise `cpm.first_reach`
-    bisects all runs at once: O(n * m * log m) in all.
+    bisects the runs of each of the ensemble's blocks at once: O(n * m * log m)
+    in all, holding one block's events and node costs at a time.
     """
     if x <= 0.0:
         raise EvZero(f"completion fraction must be positive, got {x}")
@@ -144,9 +145,12 @@ def cross_section(ensemble: Ensemble, x: float):
     if x == 1.0:
         return ensemble.total_duration.copy(), ensemble.total_cost.copy()
 
-    times = _cpm.first_reach(x * ensemble.plan.bac, ensemble.plan.costs,
-                             ensemble.starts, ensemble.durations)
-    return times, ensemble.cost_at(times)
+    target = x * ensemble.plan.bac
+    times, costs = np.empty(ensemble.n_runs), np.empty(ensemble.n_runs)
+    for runs, starts, d, node_costs in ensemble.blocks(costs=True):
+        times[runs] = _cpm.first_reach(target, ensemble.plan.costs, starts, d)
+        costs[runs] = _cpm.accrue(times[runs], node_costs, starts, d)
+    return times, costs
 
 
 @dataclass(frozen=True)

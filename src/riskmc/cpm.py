@@ -11,26 +11,35 @@ from .errors import DegenerateProject, EvOutOfRange, PathExplosion, check_memory
 from .network import ValidatedNetwork, count_paths
 
 CRIT_TOL = 1e-9  # total float at most this share of the run's PD marks a node critical
+_BLOCK_CELLS = 2**17  # windows (nodes x times) that one accrual step takes at once
 
 
 def window_fraction(t, start, finish, step_closed: bool = True):
     """Fraction of the window [start, finish] elapsed at time t, in [0, 1].
 
-    Windows have start <= finish. Zero-length windows step from 0 to 1
-    at t == start; `step_closed` selects whether the step counts at
-    t == start (right value) or only for t > start (left limit). The
-    order of the two endpoint tests decides that step: closed tests
-    t >= finish first, open tests t <= start first. Endpoint comparisons
-    use the bounds directly so window completion is exact, never 1 - ulp.
+    Windows have start <= finish, and no value is nan. Zero-length windows
+    step from 0 to 1 at t == start; `step_closed` selects whether the step
+    counts at t == start (right value) or only for t > start (left limit).
+
+    The ratio (t - start) / (finish - start) is clamped to [0, 1]. Rounding
+    is monotone, so the ratio is at least 1 wherever t >= finish and at
+    most 0 wherever t <= start: the clamp completes a window exactly, never
+    at 1 - ulp. Only a zero-length window at its step gives 0/0 = nan,
+    which fmin takes to 1 on the closed side and fmax to 0 on the open
+    side. Adding 0.0 last turns the -0.0 of an underflowed ratio into 0.0.
     """
     t = np.asarray(t, dtype=float)
     start = np.asarray(start, dtype=float)
     finish = np.asarray(finish, dtype=float)
+    frac = np.empty(np.broadcast_shapes(t.shape, start.shape, finish.shape))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        frac = (t - start) / (finish - start)
+        np.divide(np.subtract(t, start, out=frac), finish - start, out=frac)
     if step_closed:
-        return np.where(t >= finish, 1.0, np.where(t <= start, 0.0, frac))
-    return np.where(t <= start, 0.0, np.where(t >= finish, 1.0, frac))
+        np.maximum(np.fmin(frac, 1.0, out=frac), 0.0, out=frac)
+    else:
+        np.minimum(np.fmax(frac, 0.0, out=frac), 1.0, out=frac)
+    frac += 0.0
+    return frac
 
 
 @dataclass(frozen=True)
@@ -194,18 +203,44 @@ def enumerate_paths(network: ValidatedNetwork, cap: int = 1_000_000) -> PathMatr
 def accrue(t, weights, start, durations, step_closed: bool = True):
     """Node-order sum of weights[j] * window_fraction(t, start[j], start[j] + durations[j]).
 
-    Windows are (n_nodes,) for one schedule or (n_nodes, n_runs) for an
-    ensemble; weights are (n_nodes,), (n_nodes, n_runs) or any iterable of
-    one weight or row per node, read once in node order. This is the
-    accrual behind planned value, earned value, cumulative cost and the
-    risk baselines; summing in node order makes the value at a schedule's
-    end equal the node-order sum of its weights bit for bit. A window's
-    finish is formed one row at a time, as the passes form it.
+    Windows are (n_nodes,) for one schedule, met by a scalar time or an
+    array of times, or (n_nodes, n_runs) for runs, met by a scalar time or
+    one time per run; weights are (n_nodes,) or shaped as the windows.
+    This is the accrual behind planned value, earned value, cumulative
+    cost and the risk baselines. Every node is taken at once, on blocks of
+    at most _BLOCK_CELLS windows, and the weighted fractions are summed
+    down the nodes one at a time, so the value at a schedule's end is the
+    node-order sum of its weights bit for bit.
     """
-    total = np.zeros(np.broadcast_shapes(np.shape(t), start.shape[1:]))
-    for w, s, d in zip(weights, start, durations):
-        total += w * window_fraction(t, s, s + d, step_closed)
-    return total
+    t = np.asarray(t, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    m = len(start)
+    shape = np.broadcast_shapes(t.shape, start.shape[1:])  # () or (k,)
+    k = shape[0] if shape else 1
+    t = np.broadcast_to(t, (k,))
+    start, durations, weights = (np.broadcast_to(a.reshape(m, -1), (m, k))
+                                 for a in (start, durations, weights))
+    total = np.empty(k)
+    step = max(2, _BLOCK_CELLS // m)
+    for lo in range(0, k, step):
+        cols = slice(lo, lo + step)
+        s = start[:, cols]
+        total[cols] = _accrued(t[cols], weights[:, cols], s, s + durations[:, cols],
+                               step_closed)
+    return total.reshape(shape)
+
+
+def _accrued(t, weights, start, finish, step_closed=True):
+    """accrue on (n_nodes, k) windows given by their starts and finishes:
+    0.0 plus each node's weighted fraction in turn. numpy sums along an axis
+    that is not the fastest in memory one element at a time, so with k >= 2
+    add.reduce is that sum; with one column the node axis is the fast one,
+    which add.reduce would sum pairwise, and the cumulative sum is used."""
+    rows = window_fraction(t, start, finish, step_closed)
+    rows *= weights
+    if rows.shape[1] >= 2:
+        return np.add.reduce(rows, axis=0, initial=0.0)
+    return np.cumsum(rows, axis=0)[-1] + 0.0
 
 
 def first_reach(target, weights, start, durations):
@@ -216,22 +251,26 @@ def first_reach(target, weights, start, durations):
     once for the first event whose value reaches the target, then
     interpolate from the right value before it to the left limit at it:
     ~log2(2m) accruals, O(n * m * log m) in all. A run whose accrual
-    never reaches the target gets its last event time.
+    never reaches the target gets its last event time. Its arrays are
+    (n_runs, 2m + 1) events and (n_nodes, n_runs) windows, so an ensemble
+    passes its runs a block at a time (Ensemble.blocks).
     """
     m, n = start.shape
     runs = np.arange(n)
-    events = np.empty((2 * m + 1, n))
-    events[0] = 0.0
-    events[1:m + 1] = start
-    np.add(start, durations, out=events[m + 1:])  # the finishes
-    events.sort(axis=0)
+    weights = np.reshape(weights, (m, -1))
+    finish = start + durations
+    events = np.empty((n, 2 * m + 1))  # a row per run, sorted along the row
+    events[:, 0] = 0.0
+    events[:, 1:m + 1] = start.T
+    events[:, m + 1:] = finish.T
+    events.sort(axis=1)
 
     # the first event reaching the target lies in [lo, hi] throughout;
     # v0 is the accrual at lo - 1
-    lo, hi, v0 = np.zeros(n, dtype=int), np.full(n, len(events) - 1), np.zeros(n)
+    lo, hi, v0 = np.zeros(n, dtype=int), np.full(n, 2 * m), np.zeros(n)
     while (lo < hi).any():
         mid = (lo + hi) // 2
-        value = accrue(events[mid, runs], weights, start, durations)
+        value = _accrued(events[runs, mid], weights, start, finish)
         below = value < target
         lo = np.where(below, mid + 1, lo)
         hi = np.where(below, hi, mid)
@@ -239,9 +278,9 @@ def first_reach(target, weights, start, durations):
 
     at_origin = lo == 0
     idx = np.maximum(lo, 1)
-    t0 = events[idx - 1, runs]
-    t1 = events[idx, runs]
-    v1_left = accrue(t1, weights, start, durations, step_closed=False)
+    t0 = events[runs, idx - 1]
+    t1 = events[runs, idx]
+    v1_left = _accrued(t1, weights, start, finish, step_closed=False)
 
     # near the float range the step's product (target - v0) * (t1 - t0) can
     # pass the largest double: per run, the time span is scaled down by the

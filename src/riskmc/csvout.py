@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -17,7 +18,6 @@ if TYPE_CHECKING:  # reports dispatch by type name, so writing one loads no othe
 
 PERCENTILE_STEPS = tuple(range(5, 100, 5))
 _BLOCK = 1024      # rows formatted at a time; bounds the cells held at once
-_BYTE_CELLS = tuple(str(k) for k in range(256))  # the cell of each uint8 value
 
 
 def tabulate(report):
@@ -118,10 +118,12 @@ def baseline_table(baseline: RiskBaseline, grid_points: int):
 
 def percentile_table(ensemble: Ensemble):
     """The 'show simulation data' table: duration and cost percentiles."""
+    from .montecarlo import percentiles  # an ensemble's module, loaded with it
+
     return (("percentile", "duration", "cost"),
             (np.asarray(PERCENTILE_STEPS),
-             np.percentile(ensemble.total_duration, PERCENTILE_STEPS),
-             np.percentile(ensemble.total_cost, PERCENTILE_STEPS)))
+             percentiles(ensemble.total_duration, PERCENTILE_STEPS),
+             percentiles(ensemble.total_cost, PERCENTILE_STEPS)))
 
 
 def endpoint_table(ensemble: Ensemble):
@@ -136,25 +138,40 @@ def neighbor_table(forecast: SevmForecast):
              np.where(forecast.neighbor_late, "late", "early").tolist()))
 
 
+def _template(column) -> str:
+    """A column's field in the row template: %.9g for floats, %d for ints
+    and bools, %s for str cells, which _cells quotes."""
+    if not isinstance(column, np.ndarray):
+        return "%s"
+    return "%.9g" if column.dtype.kind == "f" else "%d"
+
+
 def _cells(block):
-    """One column's block as str cells: floats .9g, ints as digits and bools
-    as 0/1; a sequence of str passes through."""
-    if not isinstance(block, np.ndarray):
-        return block
-    if block.dtype.kind == "f":
-        return [f"{x:.9g}" for x in block.tolist()]
-    if block.dtype.kind == "b" or block.dtype == np.uint8:  # path membership, criticality
-        return [_BYTE_CELLS[v] for v in block.tolist()]
-    return list(map(str, block.tolist()))
+    """One column's block as template values: numbers as Python numbers, and
+    each str cell as the csv module quotes it in a row of two (in a row of
+    one, csv writes an empty cell as "")."""
+    if isinstance(block, np.ndarray):
+        return block.tolist()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    quoted = []
+    for cell in block:
+        writer.writerow((cell, ""))
+        quoted.append(buf.getvalue()[:-2])  # less the empty cell's "," and "\n"
+        buf.seek(0)
+        buf.truncate()
+    return quoted
 
 
 def write_csv(stream, header, columns) -> None:
-    """Write header and columns to a text stream as CSV. Cells are formatted
-    _BLOCK rows at a time, so no table is ever held as rows or as one string."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
+    """Write header and columns to a text stream as CSV: one printf template
+    per row, filled _BLOCK rows at a time, so no table is ever held as rows
+    or as one string."""
+    csv.writer(stream, lineterminator="\n").writerow(header)
+    row = ",".join(map(_template, columns)) + "\n"
     for lo in range(0, len(columns[0]), _BLOCK):
-        writer.writerows(zip(*(_cells(col[lo:lo + _BLOCK]) for col in columns)))
+        cells = zip(*(_cells(col[lo:lo + _BLOCK]) for col in columns))
+        stream.write("".join(map(row.__mod__, cells)))
 
 
 def write_table(path, header, columns) -> None:

@@ -28,17 +28,19 @@ _GATE = "gate"
 _IMPACT = "impact"
 
 # peak bytes that a simulating command allocates, per run and node and per
-# run, on top of its cost risks' draws (8 B per run and risk). run_ensemble
-# itself, the ensemble plus one (nodes x chunk) CPM buffer per thread, peaks
-# at <= 21.2 B per run and node (tracemalloc: 6 to 403 nodes, 300 to 32769
-# runs, 1 and 3 workers; <= 17.3 from 42 nodes up); the cross-section of
-# control and forecast sets the command's peak, with its (2m+1)-row event
-# array (16 B) and the starts derived for it (8 B) on top of the ensemble
-# (9 B); the node costs it reads are formed one row at a time. The per-run
-# part is the cross-section's per-run vectors and temporaries: <= 173 B
-# (tracemalloc: control and forecast at 300 and 1000 runs, 3 to 403 nodes)
-_PEAK_PER_RUN_NODE = 34
-_PEAK_PER_RUN = 184
+# run, on top of its cost risks' draws (8 B per run and risk). run_ensemble,
+# the ensemble (9 B) plus one (nodes x chunk) CPM buffer per thread, sets the
+# peak of every command: it measured <= 21.2 B per run and node (tracemalloc:
+# 6 to 403 nodes, 300 to 32769 runs, 1 and 3 workers; <= 17.3 from 42 nodes
+# up). The analyses after it hold no per-run-and-node array: the control
+# cross-section works on blocks of runs (Ensemble.blocks) and the node costs
+# are formed a row or a block at a time. The per-run part covers the analyses'
+# per-run vectors and the fixed objects that weigh at a few hundred runs:
+# <= 107 B beyond 22 B per run and node (tracemalloc: control and forecast
+# at 300, 1000 and 8193 runs, 3 to 403 nodes); 160 keeps 3 % of the bound
+# spare where it is tightest, 300 runs of 3 nodes and 200 cost risks
+_PEAK_PER_RUN_NODE = 22
+_PEAK_PER_RUN = 160
 
 _CHUNK = 8192  # runs per task; a multiple of 4, so chunks start on a Philox block
 
@@ -77,11 +79,12 @@ class Ensemble:
     Its fields are what was sampled and what each run's schedule decided;
     per-node arrays are indexed (node, run), so each node's runs are one
     contiguous row, and the totals are (n_runs,). Nothing else is stored:
-    the early starts are derived by a forward pass on each read, bitwise
-    as run_ensemble formed them, and the node costs are formed a row at a
-    time wherever they are read. Trajectories are not stored either:
+    the early starts are derived by a forward pass where they are read,
+    bitwise as run_ensemble formed them, and the node costs are formed a
+    row or a block of runs at a time. Trajectories are not stored either:
     ev_at/cost_at evaluate each run's exact piecewise-linear earned-value
-    and cumulative-cost trajectories at arbitrary times.
+    and cumulative-cost trajectories at arbitrary times, a block of runs
+    at a time.
     """
 
     plan: _cpm.CpmResult        # the baseline, and the node ids and names
@@ -114,13 +117,47 @@ class Ensemble:
         time in node order, each formed as it is read."""
         return _cost_rows(self.network, self.durations, self.impacts)
 
+    def blocks(self, costs: bool = False):
+        """(runs, starts, durations, weights) for each block of runs in turn:
+        a slice of the runs, their early starts from a forward pass on the
+        block's own durations, those durations, and the plan's node costs,
+        or with `costs` the block's own node costs as cost_rows forms them.
+
+        A run's values depend on its own column alone, so any blocking gives
+        the whole ensemble's values bit for bit. A block holds at most
+        cpm._BLOCK_CELLS windows and a sixteenth of the runs (at least 2),
+        so what a block forms stays small beside the ensemble.
+        """
+        m, n = self.durations.shape
+        size = max(2, min(n // 16, _cpm._BLOCK_CELLS // m))
+        rates, fixed = self.network.rates()[:, None], self.network.fixed_costs()[:, None]
+        for lo in range(0, n, size):
+            runs = slice(lo, lo + size)
+            d = self.durations[:, runs]
+            starts = np.empty(d.shape)
+            _cpm.forward(self.network, d, starts)
+            weights = self.plan.costs
+            if costs:
+                weights = rates * d
+                weights += fixed
+                for i, cr in enumerate(self.network.cost_risks):
+                    weights[cr.target] += self.impacts[i, runs]
+            yield runs, starts, d, weights
+
     def ev_at(self, times) -> np.ndarray:
         """Exact earned-value trajectory values at per-run times (or a scalar)."""
-        return _cpm.accrue(times, self.plan.costs, self.starts, self.durations)
+        return self._accrue(times, costs=False)
 
     def cost_at(self, times) -> np.ndarray:
         """Exact cumulative-cost trajectory values at per-run times (or a scalar)."""
-        return _cpm.accrue(times, self.cost_rows(), self.starts, self.durations)
+        return self._accrue(times, costs=True)
+
+    def _accrue(self, times, costs):
+        times = np.broadcast_to(np.asarray(times, dtype=float), (self.n_runs,))
+        out = np.empty(self.n_runs)
+        for runs, starts, d, weights in self.blocks(costs):
+            out[runs] = _cpm.accrue(times[runs], weights, starts, d)
+        return out
 
 
 def _cost_rows(network: ValidatedNetwork, d, impacts):
@@ -217,7 +254,37 @@ def empirical_percentile(samples, p) -> float:
         raise EmptySample("empirical_percentile needs at least one sample")
     if not 0.0 <= p <= 100.0:
         raise ConfigError(f"percentile must be in [0, 100], got {p}")
-    return float(np.percentile(x, p))
+    return float(percentiles(x, [p])[0])
+
+
+def percentiles(samples, ps) -> np.ndarray:
+    """The samples' percentiles at each p in ps (in [0, 100]): Hyndman and
+    Fan's type 7, linear interpolation between the order statistics around
+    rank p/100 * (n - 1), nan if any sample is nan.
+
+    This is np.percentile's default, bit for bit: the same index and weight
+    arithmetic, the same partition, and numpy's interpolation, which steps back
+    from the upper order statistic where the weight is at least 1/2. It does
+    not call np.percentile, whose np.unique loads numpy.ma.
+    """
+    x = np.array(samples, dtype=float).ravel()  # a copy, partitioned in place
+    n = x.size
+    rank = (n - 1) * (np.asarray(ps, dtype=float) / 100)
+    # past the last order statistic both neighbours are the last one, and
+    # the weight is taken from index -1, as numpy takes it
+    lower = np.floor(rank).astype(np.intp)
+    lower[rank >= n - 1] = -1
+    upper = np.where(lower == -1, -1, lower + 1)
+    # numpy's partition points, 0 and n - 1 among them: which of several equal
+    # values (0.0 and -0.0) lands at an order statistic depends on them
+    x.partition(sorted({0, n - 1, *(lower % n).tolist(), *(upper % n).tolist()}))
+    if np.isnan(x[-1]):  # nan sorts last
+        return np.full(rank.shape, np.nan)
+    a, b, t = x[lower], x[upper], rank - lower
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
 
 
 def unit_scaled(samples):

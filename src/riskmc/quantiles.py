@@ -16,6 +16,13 @@ as some PERT law of that shape holds it:
   is close to linear in x near 0; above it, 1 - x is one of
   s = (1 - u)^(1/beta). Slopes come from the closed-form pdf, and the
   end slope is (alpha B)^(1/alpha), resp. (beta B)^(1/beta).
+- A draw finds its cell by indexed search (Chen and Asau 1974): each
+  half keeps a guide of _BUCKETS equal buckets on s in [0, 1], holding
+  the cell at each bucket's left edge. A draw starts at its bucket's
+  cell and steps past the knots that its bucket holds, a fixed number of
+  times per table (the most knots in one bucket). _BUCKETS is a power of
+  two, so the buckets' edges and a draw's bucket are exact, and the cell
+  is the one a binary search of the knots finds.
 
 A table is a function of alpha alone: neither a chunk nor the number of
 workers ever reaches it.
@@ -84,6 +91,7 @@ def ndtri(u):
 _CELLS = 2048           # Hermite cells on each half of [0, 1]
 _H = 0.5 / _CELLS       # knot spacing in x; a power of two, so knots are exact
 _CF_TERMS = 14          # continued-fraction steps; within ~2e-15 of betainc
+_BUCKETS = 4096         # guide buckets on s in [0, 1]; a power of two, so exact
 
 
 class _Half(NamedTuple):
@@ -99,11 +107,22 @@ class _Half(NamedTuple):
     c3: np.ndarray
 
 
+class _Guide(NamedTuple):
+    """Where a half's cell search starts: first[i] is the cell holding
+    s = i / _BUCKETS, and `steps` advances reach the cell of any s in that
+    bucket below `last`, the double below the last knot."""
+
+    first: np.ndarray   # (_BUCKETS,) int16 cell indices
+    steps: int
+    last: float
+
+
 @dataclass(frozen=True)  # not a NamedTuple: a tuple cannot be weakly referenced
 class _Table:
     split: float        # F(1/2)
     lower: _Half        # x for u < split, from v = u
     upper: _Half        # 1 - x for u >= split, from v = 1 - u
+    guides: tuple       # (lower, upper) _Guide; found from the knots, so kept off the halves
 
 
 _TABLES = weakref.WeakValueDictionary()  # alpha -> _Table, while some law holds it
@@ -133,15 +152,21 @@ def pert_unit(table: _Table, u):
     u = np.asarray(u, dtype=float)
     x = np.empty_like(u)
     lower = u < table.split
-    x[lower] = _half_quantile(table.lower, u[lower])
+    guide_lower, guide_upper = table.guides
+    x[lower] = _half_quantile(table.lower, guide_lower, u[lower])
     upper = ~lower
-    x[upper] = 1.0 - _half_quantile(table.upper, 1.0 - u[upper])
+    x[upper] = 1.0 - _half_quantile(table.upper, guide_upper, 1.0 - u[upper])
     return x
 
 
-def _half_quantile(half: _Half, v):
+def _half_quantile(half: _Half, guide: _Guide, v):
     s = v ** half.inv_p
-    j = np.minimum(np.searchsorted(half.knots, s, side="right") - 1, _CELLS - 1)
+    # the last cell j with knots[j] <= s, or the last cell for s past the
+    # last knot, which the search sees as `last`
+    key = np.minimum(s, guide.last)
+    j = guide.first[(key * _BUCKETS).astype(np.intp)].astype(np.intp)
+    for _ in range(guide.steps):
+        j += half.knots[j + 1] <= key
     t = (s - half.knots[j]) * half.r[j]
     y = (j + t * (half.c1[j] + t * (half.c2[j] + t * half.c3[j]))) * _H
     return np.minimum(y, 0.5)
@@ -172,7 +197,17 @@ def _build(alpha):
     c2, c3 = 3.0 - 2.0 * d0 - d1, d0 + d1 - 2.0
     lower, upper = (_Half(1.0 / p[k, 0], s[k], 1.0 / width[k], d0[k], c2[k], c3[k])
                     for k in (0, 1))
-    return _Table(float(v[0, -1]), lower, upper)
+    return _Table(float(v[0, -1]), lower, upper, (_guide(s[0]), _guide(s[1])))
+
+
+def _guide(knots):
+    """The guide of a half's knots (increasing from 0, the last below 1)."""
+    edges = np.arange(_BUCKETS + 1) / _BUCKETS
+    at_or_below = np.searchsorted(knots, edges, side="right")
+    first = np.minimum(at_or_below[:-1] - 1, _CELLS - 1)
+    inside = np.searchsorted(knots, edges[1:], side="left") - at_or_below[:-1]
+    return _Guide(first.astype(np.int16), int(inside.max()),
+                  float(np.nextafter(knots[-1], 0.0)))
 
 
 def _betacf(p, swap, x):

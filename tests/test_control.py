@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netgen import chain_spec, random_dag_spec, with_degenerate_nodes
+from test_cpm import reference_accrue
 from riskmc import (
     ControlObservation,
     Distribution,
@@ -23,8 +24,9 @@ from riskmc import (
     triad,
     validate,
 )
+import riskmc.montecarlo as montecarlo
 from riskmc.control import _linear_predict
-from riskmc.cpm import window_fraction
+from riskmc.cpm import _BLOCK_CELLS, window_fraction
 from riskmc.csvout import baseline_table
 from riskmc.errors import ConfigError, DegenerateProject, EvOutOfRange, EvZero, KTooLarge
 
@@ -344,6 +346,73 @@ def test_cross_section_matches_reference_bitwise(seed, n_real, with_risks, x):
         floor = fraction * ens.plan.bac * (1.0 - 1e-12) - np.finfo(float).tiny
         assert (ens.ev_at(section_t) >= floor).all()
         assert section_c.tobytes() == ens.cost_at(section_t).tobytes()
+
+
+def _whole_ensemble_section(ensemble, x):
+    """The cross-section over the whole ensemble at once, as it was before
+    the blocks: every run's (2m+1) events sorted in one (2m+1, n) array,
+    one bisection of all runs through the node loop, then the node costs,
+    a row at a time, accrued by the node loop at the times found. The
+    blocked cross-section must match it bit for bit."""
+    target = x * ensemble.plan.bac
+    costs, starts, d = ensemble.plan.costs, ensemble.starts, ensemble.durations
+    m, n = starts.shape
+    runs = np.arange(n)
+    events = np.concatenate([np.zeros((1, n)), starts, starts + d])
+    events.sort(axis=0)
+    lo, hi, v0 = np.zeros(n, dtype=int), np.full(n, 2 * m), np.zeros(n)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        value = reference_accrue(events[mid, runs], costs, starts, d)
+        below = value < target
+        lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
+        v0 = np.where(below, value, v0)
+    idx = np.maximum(lo, 1)
+    t0, t1 = events[idx - 1, runs], events[idx, runs]
+    v1_left = reference_accrue(t1, costs, starts, d, step_closed=False)
+    gain, span = target - v0, t1 - t0
+    shift = np.maximum(np.frexp(gain)[1] + np.frexp(span)[1] - 1023, 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        interp = t0 + np.ldexp(gain * np.ldexp(span, -shift) / (v1_left - v0), shift)
+    times = np.where(lo == 0, 0.0, np.where(v1_left > target, np.minimum(interp, t1), t1))
+    return times, reference_accrue(times, list(ensemble.cost_rows()), starts, d)
+
+
+def _block_sizes(ensemble):
+    return [len(range(ensemble.n_runs)[runs]) for runs, *_ in ensemble.blocks()]
+
+
+C = montecarlo._CHUNK
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 48, 49, C + 1])
+def test_blocked_cross_section_matches_the_whole_ensemble_bitwise(n):
+    # a block holds n // 16 runs (at least 2), so these run counts end on a
+    # full block, one run past it (a block of one) or one short of it
+    rng = np.random.default_rng(n)
+    spec = random_dag_spec(rng, n_real=9, edge_prob=0.4, with_risks=3)
+    ens = run_ensemble(validate(with_degenerate_nodes(rng, spec)), SimConfig(n_runs=n, seed=n))
+    sizes = _block_sizes(ens)
+    assert sum(sizes) == n and sizes[0] == min(n, max(2, n // 16))
+    for x in (0.3, 0.5, 0.999):
+        got, want = cross_section(ens, x), _whole_ensemble_section(ens, x)
+        assert got[0].tobytes() == want[0].tobytes(), x
+        assert got[1].tobytes() == want[1].tobytes(), x
+        assert ens.ev_at(got[0]).tobytes() == reference_accrue(
+            got[0], ens.plan.costs, ens.starts, ens.durations).tobytes()
+
+
+def test_blocked_cross_section_matches_the_whole_ensemble_at_the_block_cap():
+    # 402 nodes cap a block at 2**17 // 402 = 326 runs, below n // 16; 16
+    # full blocks and a last one of one run
+    rng = np.random.default_rng(402)
+    net = validate(random_dag_spec(rng, n_real=400, edge_prob=3 / 402, with_risks=2))
+    cap = _BLOCK_CELLS // len(net.nodes)
+    ens = run_ensemble(net, SimConfig(n_runs=16 * cap + 1, seed=4))
+    assert _block_sizes(ens) == [cap] * 16 + [1]
+    got, want = cross_section(ens, 0.5), _whole_ensemble_section(ens, 0.5)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 # -- triad -------------------------------------------------------------------

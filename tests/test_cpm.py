@@ -24,7 +24,7 @@ from riskmc import (
     run_ensemble,
     validate,
 )
-from riskmc.cpm import CRIT_TOL, count_paths, window_fraction
+from riskmc.cpm import CRIT_TOL, accrue, count_paths, window_fraction
 from riskmc.csvout import pv_table
 from riskmc.errors import EvOutOfRange, PathExplosion
 from netgen import dummy
@@ -322,6 +322,44 @@ def test_window_fraction_matches_reference_bitwise(windows, step_closed):
     got = window_fraction(t, start, finish, step_closed)
     want = reference_window_fraction(t, start, finish, step_closed)
     assert got.tobytes() == want.tobytes()
+
+
+def reference_accrue(t, weights, start, durations, step_closed=True):
+    """The node loop that accrue replaced, over the masked window fraction:
+    one weighted fraction per node, added in node order to a zero total;
+    accrue must match it bit for bit."""
+    total = np.zeros(np.broadcast_shapes(np.shape(t), start.shape[1:]))
+    for w, s, d in zip(weights, start, durations):
+        total += w * reference_window_fraction(t, s, s + d, step_closed)
+    return total
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_accrue_matches_the_node_loop_bitwise(seed):
+    # plans and ensembles of random DAGs, every other one with point(0) and
+    # zero-cost nodes; times at, between and past the windows' ends
+    rng = np.random.default_rng(seed)
+    spec = random_dag_spec(rng, n_real=int(rng.integers(1, 25)), edge_prob=0.3,
+                           with_risks=int(rng.integers(0, 4)))
+    net = validate(with_degenerate_nodes(rng, spec) if seed % 2 else spec)
+    ens = run_ensemble(net, SimConfig(n_runs=int(rng.integers(1, 40)), seed=seed))
+    p, starts, d = ens.plan, ens.starts, ens.durations
+    node_costs = np.array(list(ens.cost_rows()))
+    grid = np.linspace(0.0, 1.1 * p.duration, 101)
+    per_run = rng.choice([0.0, 0.5, 1.0, 1.2], ens.n_runs) * ens.total_duration
+    per_run[::3] = starts[rng.integers(0, len(net.nodes)), ::3]  # at a window's start
+    cases = [(p.duration / 3, p.costs, p.es, p.durations),             # scalar time
+             (grid, p.costs, p.es, p.durations),                      # 101-point grid
+             (grid[37:38], p.costs, p.es[:, None], p.durations[:, None]),  # one column
+             (p.duration / 3, p.costs, starts, d),
+             (per_run, p.costs, starts, d),
+             (per_run, node_costs, starts, d)]
+    for step_closed in (True, False):
+        for t, weights, start, durations in cases:
+            got = accrue(t, weights, start, durations, step_closed)
+            want = reference_accrue(t, weights, start, durations, step_closed)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (np.shape(t), start.shape, step_closed)
 
 
 # -- one implementation against the code it replaced -------------------------

@@ -152,6 +152,18 @@ def test_no_simulating_command_loads_scipy(figure3_path, tmp_path, name, workers
     assert scipy_modules(commands) == []
 
 
+def test_simulate_contingency_and_forecast_load_no_numpy_ma(figure3_path, tmp_path):
+    # their percentiles are riskmc's own; np.percentile loads numpy.ma
+    sim = ["--project", str(figure3_path), "--runs", "400"]
+    out = ["--out", str(tmp_path)]
+    modules = loaded_modules([["simulate", *sim, *out],
+                              ["contingency", *sim, "--percentile", "90"],
+                              ["forecast", *sim, "--observe", OBSERVE["figure3"], *out],
+                              ["forecast", *sim, "--observe", OBSERVE["figure3"],
+                               "--estimator", "linear", *out]])
+    assert [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+
+
 def test_parsing_and_validating_load_no_numpy(figure3_path, tmp_path):
     listing = "\nimport sys; print('numpy' in sys.modules)"
     assert run_fresh(bench_probe() + listing, str(figure3_path)).split()[-1] == "False"

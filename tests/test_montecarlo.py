@@ -32,7 +32,7 @@ from riskmc import (
     validate,
 )
 from riskmc.errors import ConfigError, DegenerateProject, EmptySample
-from riskmc.montecarlo import sample_block
+from riskmc.montecarlo import percentiles, sample_block
 from test_cpm import reference_forward_backward
 
 
@@ -261,8 +261,9 @@ def test_memory_guard_bounds_the_traced_peak(n_nodes):
     # the guard's per-run estimate covers what a simulating command really
     # allocates: run_ensemble with one chunk or several and with several
     # chunks in flight, and the simulation followed by the control and the
-    # forecast analyses, whose cross-section sets their peak. A handful of
-    # runs is left out, where ~25 KiB of pool and generator objects dominate.
+    # forecast analyses, whose cross-section works in blocks of runs, one
+    # block or many (C + 1 runs). A handful of runs is left out, where
+    # ~25 KiB of pool and generator objects dominate.
     # 3 nodes is the many-cost-risk network; the others are random DAGs
     if n_nodes == 3:
         net = validate(many_cost_risks_spec())
@@ -287,8 +288,8 @@ def test_memory_guard_bounds_the_traced_peak(n_nodes):
     sim_sizes = [(n, workers) for n in (300, 1000, C - 1, C + 1, 4 * C + 1)
                  for workers in (1, 3)]
     for sequence, sizes in ((functools.partial(run_ensemble, net), sim_sizes),
-                            (control, [(300, 1), (1000, 1)]),
-                            (forecast, [(300, 1), (1000, 1)])):
+                            (control, [(300, 1), (1000, 1), (C + 1, 1)]),
+                            (forecast, [(300, 1), (1000, 1), (C + 1, 1)])):
         # a first, small run builds the PERT tables, which the network's laws
         # then hold
         sequence(SimConfig(n_runs=8), workers=1)
@@ -543,6 +544,35 @@ def test_percentile_monotone_in_p():
     samples = rng.normal(size=501)
     values = [empirical_percentile(samples, p) for p in np.linspace(0, 100, 41)]
     assert (np.diff(values) >= 0).all()
+
+
+_SAMPLES = st.lists(st.one_of(st.floats(-1e307, 1e307, allow_nan=False),
+                              st.sampled_from([0.0, -0.0, 1.0, 2.5, 5e-324])),
+                    min_size=1, max_size=300)
+_PERCENTS = st.lists(st.one_of(st.floats(0.0, 100.0), st.sampled_from([0, 5, 50, 90, 100])),
+                     min_size=1, max_size=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SAMPLES, _PERCENTS)
+@example([7.0], [0, 50, 100])
+@example([1.0, 2.0], [49.999999999999, 50.0, 50.000000000001])  # either side of weight 1/2
+@example([-0.0, -0.0, 3.0], [0, 25, 100])
+# which of the equal zeros lands at an order statistic depends on the partition
+@example([0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 44.0])
+def test_percentiles_are_numpys_bit_for_bit(samples, ps):
+    x = np.array(samples)
+    assert percentiles(x, ps).tobytes() == np.percentile(x, ps).tobytes()
+    assert percentiles(x, list(range(5, 100, 5))).tobytes() == \
+        np.percentile(x, range(5, 100, 5)).tobytes()
+    for p in ps[:3]:
+        want = np.percentile(x, p)
+        assert np.float64(empirical_percentile(x, p)).tobytes() == want.tobytes()
+    assert x.tobytes() == np.array(samples).tobytes()  # the samples are not reordered
+
+
+def test_percentiles_of_a_sample_with_nan_are_nan():
+    assert np.isnan(percentiles([1.0, np.nan, 3.0], [0, 50, 100])).all()
 
 
 @pytest.mark.parametrize("bins", [0, montecarlo.MAX_BINS + 1, 10**12])

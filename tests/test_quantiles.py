@@ -178,6 +178,40 @@ def test_pert_is_non_decreasing_on_adjacent_floats():
         assert (x[lower] <= 0.5).all() and (x[~lower] >= 0.5).all(), alpha
 
 
+def _binary_search_unit(table, u):
+    """pert_unit with the binary search of the knots that the guide replaced;
+    pert_unit must match it bit for bit."""
+    def half_quantile(half, v):
+        s = v ** half.inv_p
+        j = np.minimum(np.searchsorted(half.knots, s, side="right") - 1,
+                       quantiles._CELLS - 1)
+        t = (s - half.knots[j]) * half.r[j]
+        y = (j + t * (half.c1[j] + t * (half.c2[j] + t * half.c3[j]))) * quantiles._H
+        return np.minimum(y, 0.5)
+
+    x = np.empty_like(u)
+    lower = u < table.split
+    x[lower] = half_quantile(table.lower, u[lower])
+    x[~lower] = 1.0 - half_quantile(table.upper, 1.0 - u[~lower])
+    return x
+
+
+def test_guide_finds_the_cell_that_binary_search_finds():
+    # 67 shapes; random uniforms, the ends, the split and its neighbours, and
+    # the uniforms whose s lands on a knot, where a short guide would stop
+    rng = np.random.default_rng(67)
+    for alpha in ALPHAS + (1.002, 4.9999) + tuple(rng.uniform(1.0, 5.0, 57)):
+        table = quantiles.pert_table(alpha)
+        at_knots = [table.lower.knots[1:-1] ** alpha,
+                    1.0 - table.upper.knots[1:-1] ** (6.0 - alpha)]
+        u = np.concatenate([rng.random(2000), EDGES, [0.0, table.split], *at_knots,
+                            np.nextafter(table.split, [0.0, 1.0])])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert quantiles.pert_unit(table, u).tobytes() == \
+            _binary_search_unit(table, u).tobytes(), alpha
+        assert all(1 <= guide.steps <= 8 for guide in table.guides), alpha
+
+
 values = st.floats(min_value=0.0, max_value=1e300)
 three_points = st.one_of(
     st.tuples(values, values, values).map(sorted),
