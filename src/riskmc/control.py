@@ -44,7 +44,7 @@ class RiskBaseline:
         return self._at(t, self.cost_shares, self.sigma_cost)
 
     def _at(self, t, shares, sigma):
-        out = sigma * np.sqrt(_cpm.accrue(t, shares, self.plan.es, self.plan.durations))
+        out = sigma * np.sqrt(_cpm.accrue(t, shares, self.plan.es, self.plan.ef))
         return float(out) if out.ndim == 0 else out
 
 
@@ -140,16 +140,16 @@ def cross_section(ensemble: Ensemble, x: float):
     """
     if x <= 0.0:
         raise EvZero(f"completion fraction must be positive, got {x}")
-    if x > 1.0:
+    if not x <= 1.0:  # also refuses nan
         raise EvOutOfRange(f"completion fraction must be <= 1, got {x}")
     if x == 1.0:
         return ensemble.total_duration.copy(), ensemble.total_cost.copy()
 
     target = x * ensemble.plan.bac
     times, costs = np.empty(ensemble.n_runs), np.empty(ensemble.n_runs)
-    for runs, starts, d, node_costs in ensemble.blocks(costs=True):
-        times[runs] = _cpm.first_reach(target, ensemble.plan.costs, starts, d)
-        costs[runs] = _cpm.accrue(times[runs], node_costs, starts, d)
+    for runs, start, finish, node_costs in ensemble.blocks():
+        times[runs] = _cpm.first_reach(target, ensemble.plan.costs, start, finish)
+        costs[runs] = _cpm.accrue_runs(times[runs], node_costs, start, finish)
     return times, costs
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProject, EvOutOfRange, PathExplosion, check_memory
+from .errors import ConfigError, DegenerateProject, EvOutOfRange, PathExplosion, check_memory
 from .network import ValidatedNetwork, count_paths
 
 CRIT_TOL = 1e-9  # total float at most this share of the run's PD marks a node critical
@@ -17,9 +17,11 @@ _BLOCK_CELLS = 2**17  # windows (nodes x times) that one accrual step takes at o
 def window_fraction(t, start, finish, step_closed: bool = True):
     """Fraction of the window [start, finish] elapsed at time t, in [0, 1].
 
-    Windows have start <= finish, and no value is nan. Zero-length windows
-    step from 0 to 1 at t == start; `step_closed` selects whether the step
-    counts at t == start (right value) or only for t > start (left limit).
+    Windows have start <= finish, and no value is nan: the clamp below
+    would take a nan to a bound, so `accrue` and `ev_at`/`cost_at` refuse them.
+    Zero-length windows step from 0 to 1 at t == start; `step_closed`
+    selects whether the step counts at t == start (right value) or only
+    for t > start (left limit).
 
     The ratio (t - start) / (finish - start) is clamped to [0, 1]. Rounding
     is monotone, so the ratio is at least 1 wherever t >= finish and at
@@ -69,14 +71,14 @@ class CpmResult:
 
     def value_at(self, t):
         """Exact PV at time t (right-continuous at steps); scalar or array."""
-        out = accrue(t, self.costs, self.es, self.durations)
+        out = accrue(t, self.costs, self.es, self.ef)
         return float(out) if out.ndim == 0 else out
 
 
 def forward(network: ValidatedNetwork, durations, es):
     """Forward CPM pass over (n_nodes, n_runs) durations: fills the caller's
     `es` with early starts, one row per node; finishes es + durations are
-    formed where read, not stored."""
+    not stored (an ensemble's are formed a block at a time, Ensemble.blocks)."""
     for node in network.nodes:
         j = node.index
         if node.preds:
@@ -125,7 +127,7 @@ def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
     d = np.array(durations, dtype=float)
     if d.shape != (len(network.nodes),):
         raise ValueError(f"expected {len(network.nodes)} durations, got shape {d.shape}")
-    if (d < 0).any():
+    if not (d >= 0).all():  # also refuses nan
         raise ValueError("durations must be nonnegative")
 
     es = np.empty(len(d))
@@ -137,7 +139,7 @@ def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
         ef = es + d
         costs = network.fixed_costs() + network.rates() * d
         duration = float(ef[network.sink])
-        bac = float(accrue(duration, costs, es, d))
+        bac = float(accrue(duration, costs, es, ef))
     # every node reaches the sink, and at the project's end its accrual is
     # the sum of all costs: past the float range anywhere, one is non-finite
     if not (math.isfinite(duration) and math.isfinite(bac)):
@@ -200,51 +202,45 @@ def enumerate_paths(network: ValidatedNetwork, cap: int = 1_000_000) -> PathMatr
     return PathMatrix(node_ids=network.ids(), membership=membership)
 
 
-def accrue(t, weights, start, durations, step_closed: bool = True):
-    """Node-order sum of weights[j] * window_fraction(t, start[j], start[j] + durations[j]).
+def accrue(t, weights, start, finish, step_closed: bool = True):
+    """One schedule's curve: the node-order sum of
+    weights[j] * window_fraction(t, start[j], finish[j]), shaped like t.
 
-    Windows are (n_nodes,) for one schedule, met by a scalar time or an
-    array of times, or (n_nodes, n_runs) for runs, met by a scalar time or
-    one time per run; weights are (n_nodes,) or shaped as the windows.
-    This is the accrual behind planned value, earned value, cumulative
-    cost and the risk baselines. Every node is taken at once, on blocks of
-    at most _BLOCK_CELLS windows, and the weighted fractions are summed
-    down the nodes one at a time, so the value at a schedule's end is the
-    node-order sum of its weights bit for bit.
+    The windows and weights are (n_nodes,), and t a scalar or an array of
+    times, none of them nan. This is the curve behind planned value, the
+    BAC and the risk baselines. The times are taken in blocks of at most
+    _BLOCK_CELLS windows, each accrued by accrue_runs, so the value at the
+    schedule's end is the node-order sum of its weights bit for bit.
     """
     t = np.asarray(t, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    m = len(start)
-    shape = np.broadcast_shapes(t.shape, start.shape[1:])  # () or (k,)
-    k = shape[0] if shape else 1
-    t = np.broadcast_to(t, (k,))
-    start, durations, weights = (np.broadcast_to(a.reshape(m, -1), (m, k))
-                                 for a in (start, durations, weights))
-    total = np.empty(k)
-    step = max(2, _BLOCK_CELLS // m)
-    for lo in range(0, k, step):
+    if np.isnan(t).any():
+        raise ConfigError("accrual times must not be nan")
+    times = t.reshape(-1)
+    total = np.empty(times.size)
+    step = max(2, _BLOCK_CELLS // len(start))
+    for lo in range(0, times.size, step):
         cols = slice(lo, lo + step)
-        s = start[:, cols]
-        total[cols] = _accrued(t[cols], weights[:, cols], s, s + durations[:, cols],
-                               step_closed)
-    return total.reshape(shape)
+        total[cols] = accrue_runs(times[cols], weights, start[:, None], finish[:, None],
+                                  step_closed)
+    return total.reshape(t.shape)
 
 
-def _accrued(t, weights, start, finish, step_closed=True):
-    """accrue on (n_nodes, k) windows given by their starts and finishes:
-    0.0 plus each node's weighted fraction in turn. numpy sums along an axis
-    that is not the fastest in memory one element at a time, so with k >= 2
-    add.reduce is that sum; with one column the node axis is the fast one,
-    which add.reduce would sum pairwise, and the cumulative sum is used."""
+def accrue_runs(t, weights, start, finish, step_closed=True):
+    """Accrual of (n_nodes, k) windows at a scalar time or one time per
+    column: 0.0 plus each node's weighted fraction in turn, with weights
+    (n_nodes,) or (n_nodes, k). numpy sums along an axis that is not the
+    fastest in memory one element at a time, so with k >= 2 add.reduce is
+    that sum; with one column the node axis is the fast one, which
+    add.reduce would sum pairwise, and the cumulative sum is used."""
     rows = window_fraction(t, start, finish, step_closed)
-    rows *= weights
+    rows *= np.reshape(weights, (len(start), -1))
     if rows.shape[1] >= 2:
         return np.add.reduce(rows, axis=0, initial=0.0)
     return np.cumsum(rows, axis=0)[-1] + 0.0
 
 
-def first_reach(target, weights, start, durations):
-    """Per run of (n_nodes, n_runs) windows: inf{t : accrue(t) >= target}.
+def first_reach(target, weights, start, finish):
+    """Per run of (n_nodes, n_runs) windows: inf{t : accrue_runs(t) >= target}.
 
     A run's accrual is nondecreasing and piecewise linear between its
     start/finish times, so all runs bisect their sorted event times at
@@ -253,12 +249,11 @@ def first_reach(target, weights, start, durations):
     ~log2(2m) accruals, O(n * m * log m) in all. A run whose accrual
     never reaches the target gets its last event time. Its arrays are
     (n_runs, 2m + 1) events and (n_nodes, n_runs) windows, so an ensemble
-    passes its runs a block at a time (Ensemble.blocks).
+    passes its runs a block at a time, with the windows Ensemble.blocks
+    forms; weights are (n_nodes,) or (n_nodes, n_runs).
     """
     m, n = start.shape
     runs = np.arange(n)
-    weights = np.reshape(weights, (m, -1))
-    finish = start + durations
     events = np.empty((n, 2 * m + 1))  # a row per run, sorted along the row
     events[:, 0] = 0.0
     events[:, 1:m + 1] = start.T
@@ -270,7 +265,7 @@ def first_reach(target, weights, start, durations):
     lo, hi, v0 = np.zeros(n, dtype=int), np.full(n, 2 * m), np.zeros(n)
     while (lo < hi).any():
         mid = (lo + hi) // 2
-        value = _accrued(events[runs, mid], weights, start, finish)
+        value = accrue_runs(events[runs, mid], weights, start, finish)
         below = value < target
         lo = np.where(below, mid + 1, lo)
         hi = np.where(below, hi, mid)
@@ -280,7 +275,7 @@ def first_reach(target, weights, start, durations):
     idx = np.maximum(lo, 1)
     t0 = events[runs, idx - 1]
     t1 = events[runs, idx]
-    v1_left = _accrued(t1, weights, start, finish, step_closed=False)
+    v1_left = accrue_runs(t1, weights, start, finish, step_closed=False)
 
     # near the float range the step's product (target - v0) * (t1 - t0) can
     # pass the largest double: per run, the time span is scaled down by the
@@ -303,9 +298,9 @@ def earned_schedule(plan: CpmResult, ev: float) -> float:
     ES(0) = 0 and ES(BAC) = PD; values outside [0, BAC] raise EvOutOfRange.
     """
     tol = 1e-9 * max(1.0, abs(plan.bac))
-    if ev < -tol or ev > plan.bac + tol:
+    if not -tol <= ev <= plan.bac + tol:  # also refuses nan
         raise EvOutOfRange(f"earned value {ev} outside [0, {plan.bac}]")
     ev = min(max(float(ev), 0.0), plan.bac)
     if ev >= plan.bac:
         return plan.duration  # completion maps to the planned end by convention
-    return float(first_reach(ev, plan.costs, plan.es[:, None], plan.durations[:, None])[0])
+    return float(first_reach(ev, plan.costs, plan.es[:, None], plan.ef[:, None])[0])

@@ -79,12 +79,12 @@ class Ensemble:
     Its fields are what was sampled and what each run's schedule decided;
     per-node arrays are indexed (node, run), so each node's runs are one
     contiguous row, and the totals are (n_runs,). Nothing else is stored:
-    the early starts are derived by a forward pass where they are read,
-    bitwise as run_ensemble formed them, and the node costs are formed a
-    row or a block of runs at a time. Trajectories are not stored either:
-    ev_at/cost_at evaluate each run's exact piecewise-linear earned-value
-    and cumulative-cost trajectories at arbitrary times, a block of runs
-    at a time.
+    `blocks` derives each block's starts and finishes by a forward pass,
+    bitwise as run_ensemble formed them, and its node costs; cost_rows
+    forms the node costs a row at a time. Trajectories are not stored
+    either: ev_at/cost_at evaluate each run's exact piecewise-linear
+    earned-value and cumulative-cost trajectories at arbitrary times,
+    a block of runs at a time.
     """
 
     plan: _cpm.CpmResult        # the baseline, and the node ids and names
@@ -103,25 +103,17 @@ class Ensemble:
     def n_nodes(self) -> int:
         return self.durations.shape[0]
 
-    @property
-    def starts(self) -> np.ndarray:
-        """(n_nodes, n_runs) early starts, read-only, formed by a forward
-        pass on each read; a run's finishes are starts + durations, bitwise."""
-        starts = np.empty(self.durations.shape)
-        _cpm.forward(self.network, self.durations, starts)
-        starts.flags.writeable = False
-        return starts
-
     def cost_rows(self):
         """Node j's costs per run, cost risks on their target, one row at a
         time in node order, each formed as it is read."""
         return _cost_rows(self.network, self.durations, self.impacts)
 
-    def blocks(self, costs: bool = False):
-        """(runs, starts, durations, weights) for each block of runs in turn:
+    def blocks(self):
+        """(runs, start, finish, node_costs) for each block of runs in turn:
         a slice of the runs, their early starts from a forward pass on the
-        block's own durations, those durations, and the plan's node costs,
-        or with `costs` the block's own node costs as cost_rows forms them.
+        block's own durations, their finishes start + durations, and their
+        node costs as cost_rows forms them. These are the only per-run
+        windows: every accrual over the runs reads them here.
 
         A run's values depend on its own column alone, so any blocking gives
         the whole ensemble's values bit for bit. A block holds at most
@@ -134,15 +126,13 @@ class Ensemble:
         for lo in range(0, n, size):
             runs = slice(lo, lo + size)
             d = self.durations[:, runs]
-            starts = np.empty(d.shape)
-            _cpm.forward(self.network, d, starts)
-            weights = self.plan.costs
-            if costs:
-                weights = rates * d
-                weights += fixed
-                for i, cr in enumerate(self.network.cost_risks):
-                    weights[cr.target] += self.impacts[i, runs]
-            yield runs, starts, d, weights
+            start = np.empty(d.shape)
+            _cpm.forward(self.network, d, start)
+            node_costs = rates * d
+            node_costs += fixed
+            for i, cr in enumerate(self.network.cost_risks):
+                node_costs[cr.target] += self.impacts[i, runs]
+            yield runs, start, start + d, node_costs
 
     def ev_at(self, times) -> np.ndarray:
         """Exact earned-value trajectory values at per-run times (or a scalar)."""
@@ -153,10 +143,16 @@ class Ensemble:
         return self._accrue(times, costs=True)
 
     def _accrue(self, times, costs):
-        times = np.broadcast_to(np.asarray(times, dtype=float), (self.n_runs,))
+        times = np.asarray(times, dtype=float)
+        if times.shape not in ((), (self.n_runs,)):
+            raise ConfigError(f"need one time or one per run, got shape {times.shape}")
+        if np.isnan(times).any():
+            raise ConfigError("trajectory times must not be nan")
+        times = np.broadcast_to(times, (self.n_runs,))
         out = np.empty(self.n_runs)
-        for runs, starts, d, weights in self.blocks(costs):
-            out[runs] = _cpm.accrue(times[runs], weights, starts, d)
+        for runs, start, finish, node_costs in self.blocks():
+            weights = node_costs if costs else self.plan.costs
+            out[runs] = _cpm.accrue_runs(times[runs], weights, start, finish)
         return out
 
 

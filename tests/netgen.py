@@ -79,6 +79,13 @@ def ladder_spec(stages):
     return ProjectSpec(activities=acts, precedence=pairs)
 
 
+def block_windows(ens):
+    """The ensemble's (start, finish, node_costs), each (n_nodes, n_runs),
+    joined from the blocks of Ensemble.blocks()."""
+    blocks = [block[1:] for block in ens.blocks()]
+    return tuple(np.concatenate(parts, axis=1) for parts in zip(*blocks))
+
+
 def trajectories(ens, points):
     """Each run's exact cost and earned-value trajectories at `points` uniform
     times on [0, max(1.5 x planned duration, latest finish)], as

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netgen import chain_spec, random_dag_spec, with_degenerate_nodes
+from netgen import block_windows, chain_spec, random_dag_spec, with_degenerate_nodes
 from test_cpm import reference_accrue
 from riskmc import (
     ControlObservation,
@@ -26,7 +26,7 @@ from riskmc import (
 )
 import riskmc.montecarlo as montecarlo
 from riskmc.control import _linear_predict
-from riskmc.cpm import _BLOCK_CELLS, window_fraction
+from riskmc.cpm import _BLOCK_CELLS, forward, window_fraction
 from riskmc.csvout import baseline_table
 from riskmc.errors import ConfigError, DegenerateProject, EvOutOfRange, EvZero, KTooLarge
 
@@ -120,6 +120,44 @@ def test_baselines_match_matrix_reference(seed, n_real, with_risks, n_runs, grid
     # and the exported table is them at the same grid
     _, columns = baseline_table(base, grid_points)
     assert np.array(columns).tobytes() == np.array([times, srb, crb]).tobytes()
+
+
+def test_plan_curves_span_several_time_blocks(figure3_network):
+    # 40 000 times of the 8-node plan are three blocks of 2**17 // 8 times
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=500, seed=12))
+    p, base = ens.plan, risk_baselines(ens)
+    times = np.linspace(0.0, p.duration, 40_000)
+    assert -(-len(times) // (_BLOCK_CELLS // len(p.node_ids))) == 3
+    assert p.value_at(times).tobytes() == reference_accrue(times, p.costs, p.es, p.ef).tobytes()
+    _, (t, srb, crb) = baseline_table(base, len(times))
+    assert t.tobytes() == times.tobytes()
+    for got, shares, sigma in ((srb, base.schedule_shares, base.sigma_duration),
+                               (crb, base.cost_shares, base.sigma_cost)):
+        want = sigma * np.sqrt(reference_accrue(times, shares, p.es, p.ef))
+        assert got.tobytes() == want.tobytes()
+    edges = [0, 16_383, 16_384, 32_767, 32_768, 39_999]  # each side of a block's end
+    assert [base.srb_at(times[i]) for i in edges] == srb[edges].tolist()
+    assert [base.crb_at(times[i]) for i in edges] == crb[edges].tolist()
+
+
+def test_nan_times_are_refused(figure3_network):
+    # the accrual's clamp would take a nan ratio to a bound: a plausible
+    # wrong value (the BAC, sigma, each run's total cost) instead of an error
+    ens = run_ensemble(figure3_network, SimConfig(n_runs=50, seed=6))
+    base = risk_baselines(ens)
+    per_run = ens.total_duration / 2
+    per_run[7] = math.nan
+    for evaluate in (ens.plan.value_at, base.srb_at, base.crb_at):
+        for t in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ConfigError, match="nan"):
+                evaluate(t)
+    for evaluate in (ens.ev_at, ens.cost_at):
+        for t in (math.nan, per_run):
+            with pytest.raises(ConfigError, match="nan"):
+                evaluate(t)
+        for t in (np.ones(ens.n_runs - 1), np.ones((2, ens.n_runs)), np.ones(1)):
+            with pytest.raises(ConfigError, match="one per run"):
+                evaluate(t)
 
 
 # -- activity risk index -----------------------------------------------------
@@ -273,6 +311,8 @@ def test_cross_section_rejects_bad_fraction(figure3_network):
         cross_section(ens, 0.0)
     with pytest.raises(EvOutOfRange):
         cross_section(ens, 1.5)
+    with pytest.raises(EvOutOfRange):
+        cross_section(ens, math.nan)
 
 
 def _reference_cross_section(ensemble, x):
@@ -285,8 +325,8 @@ def _reference_cross_section(ensemble, x):
         return ensemble.total_duration.copy(), ensemble.total_cost.copy()
 
     target = x * ensemble.plan.bac
-    starts = ensemble.starts.T  # (run, node), so each run's events form a row
-    finishes = starts + ensemble.durations.T
+    start, finish, _ = block_windows(ensemble)
+    starts, finishes = start.T, finish.T  # (run, node), so each run's events form a row
     n, m = starts.shape
     events = np.concatenate([np.zeros((n, 1)), starts, finishes], axis=1)
     events.sort(axis=1)
@@ -350,32 +390,36 @@ def test_cross_section_matches_reference_bitwise(seed, n_real, with_risks, x):
 
 def _whole_ensemble_section(ensemble, x):
     """The cross-section over the whole ensemble at once, as it was before
-    the blocks: every run's (2m+1) events sorted in one (2m+1, n) array,
-    one bisection of all runs through the node loop, then the node costs,
-    a row at a time, accrued by the node loop at the times found. The
-    blocked cross-section must match it bit for bit."""
+    the blocks: one forward pass over every run, every run's (2m+1) events
+    sorted in one (2m+1, n) array, one bisection of all runs through the
+    node loop, then the node costs, a row at a time, accrued by the node
+    loop at the times found. The blocked cross-section must match it bit
+    for bit."""
     target = x * ensemble.plan.bac
-    costs, starts, d = ensemble.plan.costs, ensemble.starts, ensemble.durations
+    costs, d = ensemble.plan.costs, ensemble.durations
+    starts = np.empty(d.shape)
+    forward(ensemble.network, d, starts)
+    finishes = starts + d
     m, n = starts.shape
     runs = np.arange(n)
-    events = np.concatenate([np.zeros((1, n)), starts, starts + d])
+    events = np.concatenate([np.zeros((1, n)), starts, finishes])
     events.sort(axis=0)
     lo, hi, v0 = np.zeros(n, dtype=int), np.full(n, 2 * m), np.zeros(n)
     while (lo < hi).any():
         mid = (lo + hi) // 2
-        value = reference_accrue(events[mid, runs], costs, starts, d)
+        value = reference_accrue(events[mid, runs], costs, starts, finishes)
         below = value < target
         lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
         v0 = np.where(below, value, v0)
     idx = np.maximum(lo, 1)
     t0, t1 = events[idx - 1, runs], events[idx, runs]
-    v1_left = reference_accrue(t1, costs, starts, d, step_closed=False)
+    v1_left = reference_accrue(t1, costs, starts, finishes, step_closed=False)
     gain, span = target - v0, t1 - t0
     shift = np.maximum(np.frexp(gain)[1] + np.frexp(span)[1] - 1023, 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         interp = t0 + np.ldexp(gain * np.ldexp(span, -shift) / (v1_left - v0), shift)
     times = np.where(lo == 0, 0.0, np.where(v1_left > target, np.minimum(interp, t1), t1))
-    return times, reference_accrue(times, list(ensemble.cost_rows()), starts, d)
+    return times, reference_accrue(times, list(ensemble.cost_rows()), starts, finishes)
 
 
 def _block_sizes(ensemble):
@@ -394,12 +438,13 @@ def test_blocked_cross_section_matches_the_whole_ensemble_bitwise(n):
     ens = run_ensemble(validate(with_degenerate_nodes(rng, spec)), SimConfig(n_runs=n, seed=n))
     sizes = _block_sizes(ens)
     assert sum(sizes) == n and sizes[0] == min(n, max(2, n // 16))
+    start, finish, _ = block_windows(ens)
     for x in (0.3, 0.5, 0.999):
         got, want = cross_section(ens, x), _whole_ensemble_section(ens, x)
         assert got[0].tobytes() == want[0].tobytes(), x
         assert got[1].tobytes() == want[1].tobytes(), x
         assert ens.ev_at(got[0]).tobytes() == reference_accrue(
-            got[0], ens.plan.costs, ens.starts, ens.durations).tobytes()
+            got[0], ens.plan.costs, start, finish).tobytes()
 
 
 def test_blocked_cross_section_matches_the_whole_ensemble_at_the_block_cap():

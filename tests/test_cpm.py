@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from netgen import (
     DYADIC,
+    block_windows,
     chain_spec,
     ladder_spec,
     parallel_spec,
@@ -24,7 +27,7 @@ from riskmc import (
     run_ensemble,
     validate,
 )
-from riskmc.cpm import CRIT_TOL, accrue, count_paths, window_fraction
+from riskmc.cpm import CRIT_TOL, accrue, accrue_runs, count_paths, window_fraction
 from riskmc.csvout import pv_table
 from riskmc.errors import EvOutOfRange, PathExplosion
 from netgen import dummy
@@ -157,6 +160,14 @@ def test_forward_backward_owns_read_only_arrays(figure3_network):
             getattr(result, field)[0] = 0.0
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_forward_backward_refuses_negative_and_nan_durations(figure3_network, bad):
+    d = figure3_network.mean_durations()
+    d[1] = bad
+    with pytest.raises(ValueError, match="nonnegative"):
+        forward_backward(figure3_network, d)
+
+
 def test_critical_set_is_union_of_argmax_paths():
     rng = np.random.default_rng(54)
     for _ in range(40):
@@ -272,6 +283,8 @@ def test_earned_schedule_out_of_range():
         earned_schedule(result, -1.0)
     with pytest.raises(EvOutOfRange):
         earned_schedule(result, result.bac * 1.01)
+    with pytest.raises(EvOutOfRange):
+        earned_schedule(result, math.nan)
 
 
 def test_earned_schedule_inverts_pv_on_grid():
@@ -324,13 +337,13 @@ def test_window_fraction_matches_reference_bitwise(windows, step_closed):
     assert got.tobytes() == want.tobytes()
 
 
-def reference_accrue(t, weights, start, durations, step_closed=True):
-    """The node loop that accrue replaced, over the masked window fraction:
-    one weighted fraction per node, added in node order to a zero total;
-    accrue must match it bit for bit."""
+def reference_accrue(t, weights, start, finish, step_closed=True):
+    """The node loop that accrue and accrue_runs replaced, over the masked
+    window fraction: one weighted fraction per node, added in node order to
+    a zero total; both must match it bit for bit."""
     total = np.zeros(np.broadcast_shapes(np.shape(t), start.shape[1:]))
-    for w, s, d in zip(weights, start, durations):
-        total += w * reference_window_fraction(t, s, s + d, step_closed)
+    for w, s, f in zip(weights, start, finish):
+        total += w * reference_window_fraction(t, s, f, step_closed)
     return total
 
 
@@ -343,23 +356,23 @@ def test_accrue_matches_the_node_loop_bitwise(seed):
                            with_risks=int(rng.integers(0, 4)))
     net = validate(with_degenerate_nodes(rng, spec) if seed % 2 else spec)
     ens = run_ensemble(net, SimConfig(n_runs=int(rng.integers(1, 40)), seed=seed))
-    p, starts, d = ens.plan, ens.starts, ens.durations
-    node_costs = np.array(list(ens.cost_rows()))
+    p = ens.plan
+    start, finish, node_costs = block_windows(ens)
     grid = np.linspace(0.0, 1.1 * p.duration, 101)
     per_run = rng.choice([0.0, 0.5, 1.0, 1.2], ens.n_runs) * ens.total_duration
-    per_run[::3] = starts[rng.integers(0, len(net.nodes)), ::3]  # at a window's start
-    cases = [(p.duration / 3, p.costs, p.es, p.durations),             # scalar time
-             (grid, p.costs, p.es, p.durations),                      # 101-point grid
-             (grid[37:38], p.costs, p.es[:, None], p.durations[:, None]),  # one column
-             (p.duration / 3, p.costs, starts, d),
-             (per_run, p.costs, starts, d),
-             (per_run, node_costs, starts, d)]
+    per_run[::3] = start[rng.integers(0, len(net.nodes)), ::3]  # at a window's start
+    cases = [(accrue, p.duration / 3, p.costs, p.es, p.ef),                  # scalar time
+             (accrue, grid, p.costs, p.es, p.ef),                            # 101-point grid
+             (accrue_runs, grid[37:38], p.costs, p.es[:, None], p.ef[:, None]),  # one column
+             (accrue_runs, p.duration / 3, p.costs, start, finish),
+             (accrue_runs, per_run, p.costs, start, finish),
+             (accrue_runs, per_run, node_costs, start, finish)]
     for step_closed in (True, False):
-        for t, weights, start, durations in cases:
-            got = accrue(t, weights, start, durations, step_closed)
-            want = reference_accrue(t, weights, start, durations, step_closed)
+        for fn, t, weights, s, f in cases:
+            got = fn(t, weights, s, f, step_closed)
+            want = reference_accrue(t, weights, s, f, step_closed)
             assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (np.shape(t), start.shape, step_closed)
+            assert got.tobytes() == want.tobytes(), (fn.__name__, np.shape(t), step_closed)
 
 
 # -- one implementation against the code it replaced -------------------------
@@ -494,10 +507,11 @@ def test_ensemble_passes_match_scalar_reference_bitwise(seed, n_real, with_risks
     assert ens.plan.es.tobytes() == planned["es"].tobytes()
     assert ens.plan.ef.tobytes() == planned["ef"].tobytes()
     assert ens.plan.duration == planned["duration"]
+    start, finish, _ = block_windows(ens)
     for k in range(n_runs):
         want = reference_forward_backward(net, ens.durations[:, k])
-        assert ens.starts[:, k].tobytes() == want["es"].tobytes()
-        assert (ens.starts[:, k] + ens.durations[:, k]).tobytes() == want["ef"].tobytes()
+        assert start[:, k].tobytes() == want["es"].tobytes()
+        assert finish[:, k].tobytes() == want["ef"].tobytes()
         assert ens.critical[:, k].tobytes() == want["critical"].tobytes()
         assert _bits(ens.total_duration[k]) == _bits(want["duration"])
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import oracles
 import riskmc.errors as errors
 import riskmc.montecarlo as montecarlo
-from netgen import chain_spec, normal_pert_spec, parallel_spec, random_dag_spec, trajectories
+from netgen import (block_windows, chain_spec, normal_pert_spec, parallel_spec, random_dag_spec,
+                    trajectories)
 from riskmc import (
     ControlObservation,
     Distribution,
@@ -94,7 +95,10 @@ RUN_FIELDS = ("durations", "starts", "critical", "total_duration",
 
 
 def _field(ens, field):
-    """An ensemble array, or the node costs, read row by row through cost_rows()."""
+    """An ensemble array, the starts joined from Ensemble.blocks(), or the
+    node costs, read row by row through cost_rows()."""
+    if field == "starts":
+        return block_windows(ens)[0]
     if field == "node_cost":
         return np.array(list(ens.cost_rows()))
     return getattr(ens, field)
@@ -209,10 +213,11 @@ def test_chunk_boundaries_never_change_a_run(n_runs, workers):
         assert _field(ens, field).tobytes() == _field(rechunked, field).tobytes(), field
         assert _field(ens, field)[..., :C - 1].tobytes() == _field(prefix, field).tobytes(), field
     net = validate(normal_pert_spec())
+    start, finish, _ = block_windows(ens)
     for k in sorted({0, C - 2, *range(C, n_runs, 2731), n_runs - 1}):
         want = reference_forward_backward(net, ens.durations[:, k])
-        assert ens.starts[:, k].tobytes() == want["es"].tobytes(), k
-        assert (ens.starts[:, k] + ens.durations[:, k]).tobytes() == want["ef"].tobytes(), k
+        assert start[:, k].tobytes() == want["es"].tobytes(), k
+        assert finish[:, k].tobytes() == want["ef"].tobytes(), k
         assert ens.critical[:, k].tobytes() == want["critical"].tobytes(), k
         assert ens.total_duration[k] == want["duration"], k
 
@@ -428,6 +433,7 @@ def test_a_risk_id_owns_one_gate_stream_whatever_its_kind():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 3), st.integers(1, 40))
 @example(3, 6, 2, 1)
+@example(5, 9, 3, 40)  # 20 blocks of 2 runs
 def test_derived_starts_and_node_costs_match_their_references_bitwise(seed, n_real,
                                                                       with_risks, n_runs):
     # two more cost risks on one target, whose impacts add in declaration order
@@ -439,15 +445,20 @@ def test_derived_starts_and_node_costs_match_their_references_bitwise(seed, n_re
                   for k in (1, 2))
     net = validate(ProjectSpec(spec.activities, spec.precedence, spec.risks + extra))
     ens = run_ensemble(net, SimConfig(n_runs=n_runs, seed=seed % 1000))
-    assert not ens.starts.flags.writeable
+    # the blocks take the runs in order, each once
+    runs = [k for block in ens.blocks() for k in range(n_runs)[block[0]]]
+    assert runs == list(range(n_runs))
+    start, finish, node_costs = block_windows(ens)
     for k in range(n_runs):
         want = reference_forward_backward(net, ens.durations[:, k])
-        assert ens.starts[:, k].tobytes() == want["es"].tobytes(), k
+        assert start[:, k].tobytes() == want["es"].tobytes(), k
+        assert finish[:, k].tobytes() == want["ef"].tobytes(), k
 
     cost = net.fixed_costs()[:, None] + net.rates()[:, None] * ens.durations
     for cr in net.cost_risks:
         cost[cr.target] += montecarlo._draw(cr.impact, cr.probability, seed % 1000, cr.id,
                                             0, n_runs)
+    assert node_costs.tobytes() == cost.tobytes()
     assert np.array(list(ens.cost_rows())).tobytes() == cost.tobytes()
     total = np.zeros(n_runs)
     for row in cost:
@@ -457,8 +468,8 @@ def test_derived_starts_and_node_costs_match_their_references_bitwise(seed, n_re
 
 def test_the_ensemble_stores_only_what_was_sampled():
     # durations (8 B), critical flags (1 B) and cost-risk impacts (8 B) per
-    # run and node or risk, and the two totals; starts are derived on each
-    # read and node costs formed row by row, and no analysis stores either
+    # run and node or risk, and the two totals; starts and node costs are
+    # formed a block or a row at a time, and no analysis stores either
     net = validate(normal_pert_spec())
     n = 3 * C + 5
     ens = run_ensemble(net, SimConfig(n_runs=n, seed=14))
@@ -479,10 +490,11 @@ def test_the_ensemble_stores_only_what_was_sampled():
 def test_each_run_matches_scalar_cpm(figure3_network):
     # the vectorized per-run pass must agree with the one-shot CPM
     ens = run_ensemble(figure3_network, SimConfig(n_runs=400, seed=29))
+    start = block_windows(ens)[0]
     for k in range(0, ens.n_runs, 37):
         result = forward_backward(figure3_network, ens.durations[:, k])
         assert ens.total_duration[k] == result.duration
-        assert np.array_equal(ens.starts[:, k], result.es)
+        assert np.array_equal(start[:, k], result.es)
         assert np.array_equal(ens.critical[:, k], result.critical)
 
 
