@@ -25,9 +25,8 @@ _HOMES = {
     "Distribution": "distributions",
     "RiskMcError": "errors",
     **dict.fromkeys(("SensitivityReport", "contingency_reserve", "criticality_index",
-                     "cruciality_index", "schedule_sensitivity_index",
-                     "sensitivity_report"), "indices"),
-    **dict.fromkeys(("Ensemble", "HistogramTable", "SimConfig", "empirical_percentile",
+                     "cruciality_index", "sensitivity_report"), "indices"),
+    **dict.fromkeys(("Ensemble", "HistogramTable", "empirical_percentile",
                      "histogram_and_cdf", "run_ensemble"), "montecarlo"),
     **dict.fromkeys(("Activity", "ProjectSpec", "RiskEvent", "ValidatedNetwork",
                      "validate"), "network"),

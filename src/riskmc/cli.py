@@ -152,8 +152,7 @@ def _load(args):
 
 
 def _sim(args, network):
-    cfg = mc.SimConfig(n_runs=args.runs, seed=args.seed)
-    return mc.run_ensemble(network, cfg, workers=args.workers)
+    return mc.run_ensemble(network, args.runs, args.seed, workers=args.workers)
 
 
 def _observation(text):

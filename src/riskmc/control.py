@@ -208,8 +208,7 @@ def completion_fraction(obs, ensemble) -> float:
         raise EvZero("project has no budget; completion fraction undefined")
     if obs.ev <= 0.0:
         raise EvZero("EV = 0: the control cross-section is undefined")
-    if obs.ev > bac * (1.0 + 1e-12):
-        raise EvOutOfRange(f"EV {obs.ev} exceeds BAC {bac}")
+    _cpm.check_ev(obs.ev, bac)
     return min(obs.ev / bac, 1.0)
 
 

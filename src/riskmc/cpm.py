@@ -202,7 +202,7 @@ def enumerate_paths(network: ValidatedNetwork, cap: int = 1_000_000) -> PathMatr
     return PathMatrix(node_ids=network.ids(), membership=membership)
 
 
-def accrue(t, weights, start, finish, step_closed: bool = True):
+def accrue(t, weights, start, finish):
     """One schedule's curve: the node-order sum of
     weights[j] * window_fraction(t, start[j], finish[j]), shaped like t.
 
@@ -220,8 +220,7 @@ def accrue(t, weights, start, finish, step_closed: bool = True):
     step = max(2, _BLOCK_CELLS // len(start))
     for lo in range(0, times.size, step):
         cols = slice(lo, lo + step)
-        total[cols] = accrue_runs(times[cols], weights, start[:, None], finish[:, None],
-                                  step_closed)
+        total[cols] = accrue_runs(times[cols], weights, start[:, None], finish[:, None])
     return total.reshape(t.shape)
 
 
@@ -277,13 +276,15 @@ def first_reach(target, weights, start, finish):
     t1 = events[runs, idx]
     v1_left = accrue_runs(t1, weights, start, finish, step_closed=False)
 
-    # near the float range the step's product (target - v0) * (t1 - t0) can
-    # pass the largest double: per run, the time span is scaled down by the
-    # power of two that keeps the product below 2**1023, and the step back up.
-    # The shift is 0 unless the product is at least 2**1022, so the scaling
-    # is exact and every step that is finite unscaled keeps its bits
+    # at the ends of the float range the step's product (target - v0) *
+    # (t1 - t0) can pass the largest double or fall below the smallest
+    # normal one: per run, the time span is scaled by the power of two that
+    # brings the product within [2**-1023, 2**1023), and the step back. The
+    # shift is 0 for every product in [2**-1021, 2**1022), so the scaling is
+    # exact and those steps keep their bits
     gain, span = target - v0, t1 - t0
-    shift = np.maximum(np.frexp(gain)[1] + np.frexp(span)[1] - 1023, 0)
+    e = np.frexp(gain)[1] + np.frexp(span)[1]  # the product lies in [2**(e-2), 2**e)
+    shift = np.maximum(e - 1023, 0) - np.maximum(-1021 - e, 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         interp = t0 + np.ldexp(gain * np.ldexp(span, -shift) / (v1_left - v0), shift)
     # the crossing lies in (t0, t1]: exactly t1 when the left limit there
@@ -295,12 +296,18 @@ def first_reach(target, weights, start, finish):
 def earned_schedule(plan: CpmResult, ev: float) -> float:
     """Planned time at which the plan's PV first reaches `ev`.
 
-    ES(0) = 0 and ES(BAC) = PD; values outside [0, BAC] raise EvOutOfRange.
+    ES(0) = 0 and ES(BAC) = PD; values that check_ev refuses raise EvOutOfRange.
     """
-    tol = 1e-9 * max(1.0, abs(plan.bac))
-    if not -tol <= ev <= plan.bac + tol:  # also refuses nan
-        raise EvOutOfRange(f"earned value {ev} outside [0, {plan.bac}]")
-    ev = min(max(float(ev), 0.0), plan.bac)
+    check_ev(ev, plan.bac)
     if ev >= plan.bac:
         return plan.duration  # completion maps to the planned end by convention
-    return float(first_reach(ev, plan.costs, plan.es[:, None], plan.ef[:, None])[0])
+    return float(first_reach(float(ev), plan.costs, plan.es[:, None], plan.ef[:, None])[0])
+
+
+def check_ev(ev, bac):
+    """Refuse an earned value outside [0, BAC * (1 + 1e-12)], nan, or inf
+    (the bound is inf for a BAC near the largest double). The slack,
+    relative at any scale, admits an EV that rounding carried just past the
+    BAC."""
+    if not 0.0 <= ev <= bac * (1.0 + 1e-12) or ev == math.inf:
+        raise EvOutOfRange(f"earned value {ev} outside [0, {bac}]")

@@ -51,20 +51,16 @@ def _average_ranks(x) -> np.ndarray:
     """1-based ranks with each tie group at its mean rank (scipy's 'average').
 
     Ranks are integers or exact halves, so they equal scipy.stats.rankdata
-    bit for bit; -0.0 and 0.0 compare equal and so tie.
+    bit for bit; -0.0 and 0.0 compare equal and so tie. Every member of a
+    tie group gets the same rank, so the sort need not be stable.
     """
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)
     xs = x[order]
     starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
     ends = np.r_[starts[1:], xs.size]
     ranks = np.empty(xs.size)
     ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks
-
-
-def schedule_sensitivity_index(ensemble: Ensemble) -> np.ndarray:
-    """CI scaled by the sd ratio of node duration to project duration."""
-    return sensitivity_report(ensemble).ssi
 
 
 def sensitivity_report(ensemble: Ensemble, method: str = "pearson") -> SensitivityReport:

@@ -63,16 +63,6 @@ def sample_block(dist: Distribution, seed, ident, start, count, purpose=_DURATIO
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    n_runs: int = 20_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_runs < 1:
-            raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-
-
-@dataclass(frozen=True)
 class Ensemble:
     """Immutable record of one simulation campaign.
 
@@ -170,17 +160,21 @@ def _cost_rows(network: ValidatedNetwork, d, impacts):
         yield row
 
 
-def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) -> Ensemble:
-    """Simulate cfg.n_runs schedules of the network.
+def run_ensemble(network: ValidatedNetwork, n_runs: int, seed: int,
+                 workers: int = 1) -> Ensemble:
+    """Simulate n_runs schedules of the network from `seed`.
 
     Each chunk of _CHUNK runs is simulated end to end, up to `workers` chunks
-    at once; bitwise deterministic in (network, cfg), whatever the workers.
-    A plan or run whose duration or cost leaves the floats is DegenerateProject.
+    at once; bitwise deterministic in (network, n_runs, seed), whatever the
+    workers. A plan or run whose duration or cost leaves the floats is
+    DegenerateProject.
     """
+    if n_runs < 1:
+        raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     nodes = network.nodes
-    n, m = cfg.n_runs, len(nodes)
+    n, m = n_runs, len(nodes)
     per_run = _PEAK_PER_RUN_NODE * m + 8 * len(network.cost_risks) + _PEAK_PER_RUN
     check_memory(ConfigError, n, "runs", m, per_run, need="need about")
 
@@ -193,9 +187,9 @@ def run_ensemble(network: ValidatedNetwork, cfg: SimConfig, workers: int = 1) ->
         hi = min(lo + _CHUNK, n)
         d, imp = durations[:, lo:hi], impacts[:, lo:hi]
         for node in nodes:
-            d[node.index] = _draw(node.base, node.gate, cfg.seed, node.id, lo, hi)
+            d[node.index] = _draw(node.base, node.gate, seed, node.id, lo, hi)
         for i, cr in enumerate(network.cost_risks):
-            imp[i] = _draw(cr.impact, cr.probability, cfg.seed, cr.id, lo, hi)
+            imp[i] = _draw(cr.impact, cr.probability, seed, cr.id, lo, hi)
 
         cost_sum = total_cost[lo:hi]
         buf = np.empty(d.shape)  # early starts, then late finishes

@@ -1,5 +1,6 @@
 """Seeded random project builders and trajectory views used across the tests."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -143,6 +144,26 @@ def with_degenerate_nodes(rng, spec, share=0.25):
         elif u < 2 * share:
             acts[k] = replace(acts[k], duration=Distribution.point(0))
     return ProjectSpec(acts, spec.precedence, spec.risks)
+
+
+def scaled_spec(spec, k, j):
+    """`spec` with time scaled by 2**k and money by 2**j: every duration law
+    (durations and duration-risk impacts) times 2**k, fixed costs and
+    cost-risk impacts times 2**j, rates times 2**(j - k). Probabilities are
+    kept, and every scaling is by a power of two, so exact in floats."""
+    acts = [replace(a, duration=_scaled_law(a.duration, k),
+                    fixed_cost=math.ldexp(a.fixed_cost, j),
+                    variable_cost_rate=math.ldexp(a.variable_cost_rate, j - k))
+            for a in spec.activities]
+    risks = [replace(r, impact=_scaled_law(r.impact, k if r.kind == "duration" else j))
+             for r in spec.risks]
+    return ProjectSpec(acts, spec.precedence, risks)
+
+
+def _scaled_law(law, k):
+    if law.kind == "discrete":
+        return Distribution.discrete((math.ldexp(v, k), p) for v, p in law.params)
+    return Distribution(law.kind, tuple(math.ldexp(v, k) for v in law.params))
 
 
 def _random_dist(rng, discrete_only, max_atoms):

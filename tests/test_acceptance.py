@@ -20,7 +20,6 @@ from riskmc import (
     Distribution,
     ProjectSpec,
     RiskEvent,
-    SimConfig,
     activity_risk_index,
     contingency_reserve,
     control_indices,
@@ -28,7 +27,7 @@ from riskmc import (
     cruciality_index,
     risk_baselines,
     run_ensemble,
-    schedule_sensitivity_index,
+    sensitivity_report,
     sevm_forecast,
     triad,
     validate,
@@ -49,7 +48,7 @@ def criterion(number, text):
 
 def fast(spec_or_net, n=N, seed=1):
     net = spec_or_net if hasattr(spec_or_net, "nodes") else validate(spec_or_net)
-    return net, run_ensemble(net, SimConfig(n_runs=n, seed=seed))
+    return net, run_ensemble(net, n, seed)
 
 
 def ten_node_network():
@@ -90,11 +89,11 @@ def test_criterion_1_determinism_and_runtime(figure3_path, tmp_path):
 
         net = ten_node_network()
         assert len(net.nodes) == 10
-        cfg = SimConfig(n_runs=8192, seed=11)
-        reference = run_ensemble(net, cfg, workers=1)
+        n_runs, seed = 8192, 11
+        reference = run_ensemble(net, n_runs, seed, workers=1)
         reference_cost, reference_ev = trajectories(reference, 51)
         for workers in range(2, 9):
-            other = run_ensemble(net, cfg, workers=workers)
+            other = run_ensemble(net, n_runs, seed, workers=workers)
             assert np.array_equal(reference.durations, other.durations)
             assert np.array_equal(reference.total_cost, other.total_cost)
             other_cost, other_ev = trajectories(other, 51)
@@ -104,7 +103,7 @@ def test_criterion_1_determinism_and_runtime(figure3_path, tmp_path):
         # trajectories are exact functions of starts/durations (ev_at/cost_at),
         # evaluated on demand, so the budget covers run_ensemble alone
         start = time.perf_counter()
-        run_ensemble(net, SimConfig(n_runs=N, seed=1))
+        run_ensemble(net, N, 1)
         elapsed = time.perf_counter() - start
         print(f"  [10 nodes, 1e5 runs, run_ensemble: {elapsed:.2f}s]", end="")
         assert elapsed <= 5.0
@@ -149,13 +148,13 @@ def test_criterion_5_index_identities():
         i = net.index_of("B1")
         assert criticality_index(ens)[i] == 1.0
         assert abs(cruciality_index(ens)[i] - 1.0) < 1e-12
-        assert schedule_sensitivity_index(ens)[i] == 1.0
+        assert sensitivity_report(ens).ssi[i] == 1.0
 
         net, ens = fast(chain_spec([Distribution.uniform(1, 3)] * 2), seed=56)
         for node_id in ("B1", "B2"):
             j = net.index_of(node_id)
             assert abs(cruciality_index(ens)[j] - 1 / np.sqrt(2)) < 0.02
-            assert abs(schedule_sensitivity_index(ens)[j] - 1 / np.sqrt(2)) < 0.02
+            assert abs(sensitivity_report(ens).ssi[j] - 1 / np.sqrt(2)) < 0.02
 
 
 def test_criterion_6_risk_arithmetic():

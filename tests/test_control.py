@@ -6,17 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netgen import block_windows, chain_spec, random_dag_spec, with_degenerate_nodes
-from test_cpm import reference_accrue
+from netgen import block_windows, chain_spec, random_dag_spec, scaled_spec, with_degenerate_nodes
+from test_cpm import reference_accrue, reference_interpolate
 from riskmc import (
     ControlObservation,
     Distribution,
     ProjectSpec,
     RiskEvent,
-    SimConfig,
     activity_risk_index,
     control_indices,
     cross_section,
+    earned_schedule,
     plan,
     risk_baselines,
     run_ensemble,
@@ -25,7 +25,7 @@ from riskmc import (
     validate,
 )
 import riskmc.montecarlo as montecarlo
-from riskmc.control import _linear_predict
+from riskmc.control import _linear_predict, completion_fraction
 from riskmc.cpm import _BLOCK_CELLS, forward, window_fraction
 from riskmc.csvout import baseline_table
 from riskmc.errors import ConfigError, DegenerateProject, EvOutOfRange, EvZero, KTooLarge
@@ -33,7 +33,7 @@ from riskmc.errors import ConfigError, DegenerateProject, EvOutOfRange, EvZero, 
 
 def build(spec, n=20_000, seed=301):
     net = validate(spec)
-    ens = run_ensemble(net, SimConfig(n_runs=n, seed=seed))
+    ens = run_ensemble(net, n, seed)
     return net, ens, ens.plan
 
 
@@ -103,7 +103,7 @@ def test_baselines_match_matrix_reference(seed, n_real, with_risks, n_runs, grid
     rng = np.random.default_rng(seed)
     spec = random_dag_spec(rng, n_real=n_real, with_risks=with_risks)
     net = validate(with_degenerate_nodes(rng, spec))
-    ens = run_ensemble(net, SimConfig(n_runs=n_runs, seed=seed % 1000))
+    ens = run_ensemble(net, n_runs, seed % 1000)
     planned = plan(net)
     try:
         base = risk_baselines(ens)
@@ -124,7 +124,7 @@ def test_baselines_match_matrix_reference(seed, n_real, with_risks, n_runs, grid
 
 def test_plan_curves_span_several_time_blocks(figure3_network):
     # 40 000 times of the 8-node plan are three blocks of 2**17 // 8 times
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=500, seed=12))
+    ens = run_ensemble(figure3_network, 500, 12)
     p, base = ens.plan, risk_baselines(ens)
     times = np.linspace(0.0, p.duration, 40_000)
     assert -(-len(times) // (_BLOCK_CELLS // len(p.node_ids))) == 3
@@ -143,7 +143,7 @@ def test_plan_curves_span_several_time_blocks(figure3_network):
 def test_nan_times_are_refused(figure3_network):
     # the accrual's clamp would take a nan ratio to a bound: a plausible
     # wrong value (the BAC, sigma, each run's total cost) instead of an error
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=50, seed=6))
+    ens = run_ensemble(figure3_network, 50, 6)
     base = risk_baselines(ens)
     per_run = ens.total_duration / 2
     per_run[7] = math.nan
@@ -239,7 +239,7 @@ def test_ev_out_of_range(serial_iid):
 # -- cross sections ----------------------------------------------------------
 
 def test_cross_section_endpoint_recovery(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=3000, seed=5))
+    ens = run_ensemble(figure3_network, 3000, 5)
     section_t, section_c = cross_section(ens, 1.0)
     assert np.array_equal(section_t, ens.total_duration)
     assert np.array_equal(section_c, ens.total_cost)
@@ -277,7 +277,7 @@ def test_cross_section_handles_value_jumps():
     chain = [(acts[k].id, acts[k - 1].id) for k in range(1, 5)]
     from riskmc import ProjectSpec
     net = validate(ProjectSpec(activities=acts, precedence=chain))
-    ens = run_ensemble(net, SimConfig(n_runs=8, seed=1))
+    ens = run_ensemble(net, 8, 1)
     assert ens.plan.bac == 20.0
     # EV ramps 0->4 on [0,2], jumps to 10 at t=2, ramps 10->20 on [2,4]
     for x, expected_t in ((0.2, 2.0), (0.25, 2.0), (0.5, 2.0), (0.75, 3.0), (0.1, 1.0)):
@@ -290,14 +290,14 @@ def test_cross_section_near_the_float_range_is_where_the_runs_reach_it():
     # its duration; the interpolation's product of value and time spans
     # passes the largest double there, and used to give each run's finish
     net = validate(chain_spec([Distribution.normal(1e308, 1e300)], fixed=0, rate=1))
-    ens = run_ensemble(net, SimConfig(n_runs=200, seed=0))
+    ens = run_ensemble(net, 200, 0)
     section_t, section_c = cross_section(ens, 0.5)
     assert section_t == pytest.approx(0.5 * ens.total_duration, rel=1e-12, abs=0.0)
     assert section_c == pytest.approx(0.5 * ens.total_cost, rel=1e-12, abs=0.0)
 
 
 def test_cross_section_monotone_in_x(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=2000, seed=8))
+    ens = run_ensemble(figure3_network, 2000, 8)
     previous = np.zeros(ens.n_runs)
     for x in (0.2, 0.4, 0.6, 0.8, 1.0):
         section_t, _ = cross_section(ens, x)
@@ -306,13 +306,51 @@ def test_cross_section_monotone_in_x(figure3_network):
 
 
 def test_cross_section_rejects_bad_fraction(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=8))
+    ens = run_ensemble(figure3_network, 100, 8)
     with pytest.raises(EvZero):
         cross_section(ens, 0.0)
     with pytest.raises(EvOutOfRange):
         cross_section(ens, 1.5)
     with pytest.raises(EvOutOfRange):
         cross_section(ens, math.nan)
+
+
+def test_cross_section_keeps_its_interpolation_at_tiny_scales(figure3_spec):
+    # at 2**-1000 in time and money a step's product (target - v0) * (t1 - t0)
+    # is near 2**-2000, below the smallest double; unscaled it would round to
+    # 0 and the crossing to the step's first event
+    unit = run_ensemble(validate(figure3_spec), 2000, 3)
+    tiny = run_ensemble(validate(scaled_spec(figure3_spec, -1000, -1000)), 2000, 3)
+    for want, got in zip(cross_section(unit, 0.5), cross_section(tiny, 0.5)):
+        np.testing.assert_allclose(got, np.ldexp(want, -1000), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [0, -1000])
+def test_earned_value_range_is_one_rule_relative_to_the_bac(figure3_spec, scale):
+    # earned_schedule and the control cross-section refuse the same EVs:
+    # outside [0, BAC * (1 + 1e-12)] at any scale. At 2**-1000 the BAC is
+    # 8.2e-299, where an absolute slack would admit 1.5 BAC
+    ens = run_ensemble(validate(scaled_spec(figure3_spec, scale, scale)), 10, 1)
+    p = ens.plan
+    edge = p.bac * (1.0 + 1e-12)
+    assert earned_schedule(p, edge) == p.duration
+    assert completion_fraction(ControlObservation(t=0.0, ev=edge, ac=0.0), ens) == 1.0
+    for ev in (math.nextafter(edge, math.inf), 1.5 * p.bac, 1e6 * p.bac):
+        with pytest.raises(EvOutOfRange):
+            earned_schedule(p, ev)
+        with pytest.raises(EvOutOfRange):
+            completion_fraction(ControlObservation(t=0.0, ev=ev, ac=0.0), ens)
+    with pytest.raises(EvOutOfRange):
+        earned_schedule(p, -math.ulp(0.0))
+
+
+def test_an_infinite_earned_value_is_refused_at_the_largest_bac():
+    # BAC * (1 + 1e-12) is inf here, so the bound alone would admit EV = inf
+    p = plan(validate(chain_spec([Distribution.point(1)], fixed=np.finfo(float).max)))
+    assert p.bac == np.finfo(float).max
+    assert earned_schedule(p, p.bac) == p.duration
+    with pytest.raises(EvOutOfRange):
+        earned_schedule(p, math.inf)
 
 
 def _reference_cross_section(ensemble, x):
@@ -350,8 +388,7 @@ def _reference_cross_section(ensemble, x):
     v0 = ev_right[rows, idx - 1]
     v1_left = ev_left[rows, idx]
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        interp = t0 + (target - v0) * (t1 - t0) / (v1_left - v0)
+    interp = reference_interpolate(target, t0, t1, v0, v1_left)
     crosses_open = v1_left > target
     times = np.where(at_origin, 0.0, np.where(crosses_open, np.minimum(interp, t1), t1))
     return times, ensemble.cost_at(times)
@@ -369,7 +406,7 @@ def test_cross_section_matches_reference_bitwise(seed, n_real, with_risks, x):
     # zero-cost nodes (pv_j == 0) and gated duration risks
     rng = np.random.default_rng(seed)
     spec = random_dag_spec(rng, n_real=n_real, edge_prob=0.4, with_risks=with_risks)
-    ens = run_ensemble(validate(spec), SimConfig(n_runs=40, seed=seed % 1000))
+    ens = run_ensemble(validate(spec), 40, seed % 1000)
     fractions = [x, float(np.nextafter(1.0, 0.0))]
     if ens.plan.bac > 0.0:  # every node-prefix breakpoint of the planned value
         prefix = np.cumsum(ens.plan.costs) / ens.plan.bac
@@ -414,10 +451,7 @@ def _whole_ensemble_section(ensemble, x):
     idx = np.maximum(lo, 1)
     t0, t1 = events[idx - 1, runs], events[idx, runs]
     v1_left = reference_accrue(t1, costs, starts, finishes, step_closed=False)
-    gain, span = target - v0, t1 - t0
-    shift = np.maximum(np.frexp(gain)[1] + np.frexp(span)[1] - 1023, 0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        interp = t0 + np.ldexp(gain * np.ldexp(span, -shift) / (v1_left - v0), shift)
+    interp = reference_interpolate(target, t0, t1, v0, v1_left)
     times = np.where(lo == 0, 0.0, np.where(v1_left > target, np.minimum(interp, t1), t1))
     return times, reference_accrue(times, list(ensemble.cost_rows()), starts, finishes)
 
@@ -435,7 +469,7 @@ def test_blocked_cross_section_matches_the_whole_ensemble_bitwise(n):
     # full block, one run past it (a block of one) or one short of it
     rng = np.random.default_rng(n)
     spec = random_dag_spec(rng, n_real=9, edge_prob=0.4, with_risks=3)
-    ens = run_ensemble(validate(with_degenerate_nodes(rng, spec)), SimConfig(n_runs=n, seed=n))
+    ens = run_ensemble(validate(with_degenerate_nodes(rng, spec)), n, n)
     sizes = _block_sizes(ens)
     assert sum(sizes) == n and sizes[0] == min(n, max(2, n // 16))
     start, finish, _ = block_windows(ens)
@@ -453,7 +487,7 @@ def test_blocked_cross_section_matches_the_whole_ensemble_at_the_block_cap():
     rng = np.random.default_rng(402)
     net = validate(random_dag_spec(rng, n_real=400, edge_prob=3 / 402, with_risks=2))
     cap = _BLOCK_CELLS // len(net.nodes)
-    ens = run_ensemble(net, SimConfig(n_runs=16 * cap + 1, seed=4))
+    ens = run_ensemble(net, 16 * cap + 1, 4)
     assert _block_sizes(ens) == [cap] * 16 + [1]
     got, want = cross_section(ens, 0.5), _whole_ensemble_section(ens, 0.5)
     assert got[0].tobytes() == want[0].tobytes()
@@ -503,9 +537,9 @@ def test_triad_ev_zero(serial_iid):
 def test_triad_invariant_under_money_rescaling():
     spec = chain_spec([Distribution.uniform(1, 3)] * 2, fixed=8, rate=2)
     doubled = chain_spec([Distribution.uniform(1, 3)] * 2, fixed=16, rate=4)
-    cfg = SimConfig(n_runs=5000, seed=77)
-    ens = run_ensemble(validate(spec), cfg)
-    ens2 = run_ensemble(validate(doubled), cfg)
+    n_runs, seed = 5000, 77
+    ens = run_ensemble(validate(spec), n_runs, seed)
+    ens2 = run_ensemble(validate(doubled), n_runs, seed)
     obs = ControlObservation(t=2.1, ev=0.4 * ens.plan.bac, ac=0.45 * ens.plan.bac)
     obs2 = ControlObservation(t=2.1, ev=0.4 * ens2.plan.bac, ac=0.45 * ens2.plan.bac)
     a, b = triad(obs, ens), triad(obs2, ens2)
@@ -517,7 +551,7 @@ def test_triad_invariant_under_money_rescaling():
 # -- SEVM forecast -----------------------------------------------------------
 
 def test_sevm_nearest_run_recovers_itself(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=2000, seed=15))
+    ens = run_ensemble(figure3_network, 2000, 15)
     x = 0.999
     section_t, section_c = cross_section(ens, x)
     run = 123
@@ -530,7 +564,7 @@ def test_sevm_nearest_run_recovers_itself(figure3_network):
 
 
 def test_sevm_whole_ensemble_reproduces_unconditional_stats(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=5000, seed=16))
+    ens = run_ensemble(figure3_network, 5000, 16)
     obs = ControlObservation(t=4.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
     forecast = sevm_forecast(obs, ens, k_neighbors=ens.n_runs)
     assert forecast.eac_duration == pytest.approx(ens.total_duration.mean(), rel=1e-12)
@@ -548,7 +582,7 @@ def test_sevm_deterministic_project():
 
 
 def test_sevm_labels_partition_by_planned_duration(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=3000, seed=19))
+    ens = run_ensemble(figure3_network, 3000, 19)
     obs = ControlObservation(t=4.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
     forecast = sevm_forecast(obs, ens)
     late = ens.total_duration[forecast.neighbor_runs] > ens.plan.duration
@@ -557,7 +591,7 @@ def test_sevm_labels_partition_by_planned_duration(figure3_network):
 
 
 def test_sevm_k_too_large_and_ev_zero(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=200, seed=20))
+    ens = run_ensemble(figure3_network, 200, 20)
     obs = ControlObservation(t=4.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
     with pytest.raises(KTooLarge):
         sevm_forecast(obs, ens, k_neighbors=201)
@@ -566,7 +600,7 @@ def test_sevm_k_too_large_and_ev_zero(figure3_network):
 
 
 def test_sevm_linear_estimator_runs(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=2000, seed=21))
+    ens = run_ensemble(figure3_network, 2000, 21)
     obs = ControlObservation(t=4.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
     forecast = sevm_forecast(obs, ens, k_neighbors=500, estimator="linear")
     assert np.isfinite(forecast.eac_duration) and np.isfinite(forecast.eac_cost)
@@ -577,7 +611,7 @@ def test_sevm_linear_estimator_runs(figure3_network):
 def test_sevm_linear_estimator_needs_four_neighbors(figure3_network):
     # three coefficients need a fourth point; below that it is refused, not
     # silently replaced by the mean
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=200, seed=21))
+    ens = run_ensemble(figure3_network, 200, 21)
     obs = ControlObservation(t=4.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
     for k in (1, 3):
         with pytest.raises(ConfigError, match="at least 4 neighbors"):
@@ -607,7 +641,7 @@ def thousand_activities():
     rng = np.random.default_rng(1000)
     spec = random_dag_spec(rng, n_real=1000, edge_prob=0.004, with_risks=10)
     net = validate(spec)
-    ens = run_ensemble(net, SimConfig(n_runs=1000, seed=1))
+    ens = run_ensemble(net, 1000, 1)
     return ens, ControlObservation(t=0.55 * ens.plan.duration, ev=0.5 * ens.plan.bac,
                                    ac=0.55 * ens.plan.bac)
 

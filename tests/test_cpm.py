@@ -19,7 +19,6 @@ from riskmc import (
     Activity,
     Distribution,
     ProjectSpec,
-    SimConfig,
     earned_schedule,
     enumerate_paths,
     forward_backward,
@@ -198,7 +197,7 @@ def test_criticality_is_relative_to_each_runs_duration(scale):
     # tolerance misses critical nodes at 1e7 and marks every node at 1e-12
     net = validate(two_chains_spec(scale))
     assert plan(net).critical_ids() == ("A0", "L1", "L2", "L3", "Af")
-    crit = run_ensemble(net, SimConfig(n_runs=2000, seed=1)).critical
+    crit = run_ensemble(net, 2000, 1).critical
     assert crit[net.source].all() and crit[net.sink].all()
     chains = [[net.index_of(f"{c}{k}") for k in range(1, n + 1)] for c, n in (("L", 3), ("S", 2))]
     assert (crit[chains[0]].all(axis=0) | crit[chains[1]].all(axis=0)).all()
@@ -355,7 +354,7 @@ def test_accrue_matches_the_node_loop_bitwise(seed):
     spec = random_dag_spec(rng, n_real=int(rng.integers(1, 25)), edge_prob=0.3,
                            with_risks=int(rng.integers(0, 4)))
     net = validate(with_degenerate_nodes(rng, spec) if seed % 2 else spec)
-    ens = run_ensemble(net, SimConfig(n_runs=int(rng.integers(1, 40)), seed=seed))
+    ens = run_ensemble(net, int(rng.integers(1, 40)), seed)
     p = ens.plan
     start, finish, node_costs = block_windows(ens)
     grid = np.linspace(0.0, 1.1 * p.duration, 101)
@@ -369,7 +368,9 @@ def test_accrue_matches_the_node_loop_bitwise(seed):
              (accrue_runs, per_run, node_costs, start, finish)]
     for step_closed in (True, False):
         for fn, t, weights, s, f in cases:
-            got = fn(t, weights, s, f, step_closed)
+            if fn is accrue and not step_closed:
+                continue  # one schedule's curve is right-continuous only
+            got = fn(t, weights, s, f) if fn is accrue else fn(t, weights, s, f, step_closed)
             want = reference_accrue(t, weights, s, f, step_closed)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (fn.__name__, np.shape(t), step_closed)
@@ -465,7 +466,19 @@ def reference_earned_schedule(kt, kv, bac, duration, ev):
     t1, v1 = kt[i], kv[i]
     if v1 == ev:
         return float(t1)
-    return float(min(t0 + (ev - v0) * (t1 - t0) / (v1 - v0), t1))
+    return float(min(reference_interpolate(ev, t0, t1, v0, v1), t1))
+
+
+def reference_interpolate(target, t0, t1, v0, v1_left):
+    """t0 + (target - v0) * (t1 - t0) / (v1_left - v0), with first_reach's
+    scaling: the product (target - v0) * (t1 - t0) lies in [2**(e-2), 2**e),
+    and the span is shifted by e - 1023 where e > 1023 and by e + 1021 where
+    e < -1021, so the product neither overflows nor falls subnormal."""
+    gain, span = target - v0, t1 - t0
+    e = np.frexp(gain)[1] + np.frexp(span)[1]
+    shift = np.where(e > 1023, e - 1023, np.minimum(e + 1021, 0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return t0 + np.ldexp(gain * np.ldexp(span, -shift) / (v1_left - v0), shift)
 
 
 def _degenerate_network(seed, n_real, with_risks):
@@ -502,7 +515,7 @@ def test_plan_and_forward_backward_match_scalar_reference_bitwise(seed, n_real, 
 def test_ensemble_passes_match_scalar_reference_bitwise(seed, n_real, with_risks,
                                                         n_runs, workers):
     net, _ = _degenerate_network(seed, n_real, with_risks)
-    ens = run_ensemble(net, SimConfig(n_runs=n_runs, seed=seed % 1000), workers=workers)
+    ens = run_ensemble(net, n_runs, seed % 1000, workers=workers)
     planned = reference_forward_backward(net, net.mean_durations())
     assert ens.plan.es.tobytes() == planned["es"].tobytes()
     assert ens.plan.ef.tobytes() == planned["ef"].tobytes()
@@ -520,6 +533,7 @@ def test_ensemble_passes_match_scalar_reference_bitwise(seed, n_real, with_risks
 @given(*_networks, st.integers(2, 150), st.floats(0.0, 1.0))
 @example(0, 1, 0, 2, 0.5)
 @example(5, 9, 3, 101, 1.0)
+@example(457, 11, 2, 2, 2.225073858507e-311)  # a subnormal EV: the step's product is scaled
 def test_planned_value_matches_knot_reference(seed, n_real, with_risks, grid_points, x):
     net, _ = _degenerate_network(seed, n_real, with_risks)
     result = plan(net)
@@ -559,7 +573,7 @@ def test_plan_bac_is_planned_value_at_planned_end():
         rng = np.random.default_rng(seed)
         net = validate(random_dag_spec(rng, n_real=int(rng.integers(6, 30))))
         result = plan(net)
-        ens = run_ensemble(net, SimConfig(n_runs=1, seed=seed))
+        ens = run_ensemble(net, 1, seed)
         values = (result.value_at(result.duration), pv_table(result, 101)[1][1][-1],
                   ens.plan.bac)
         assert [_bits(v) for v in values] == [_bits(result.bac)] * 3, seed

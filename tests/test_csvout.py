@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from riskmc import (
     ControlObservation,
-    SimConfig,
     activity_risk_index,
     control_indices,
     enumerate_paths,
@@ -38,7 +37,7 @@ from riskmc.errors import ConfigError
 
 @pytest.fixture(scope="module")
 def stack(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=1000, seed=55))
+    ens = run_ensemble(figure3_network, 1000, 55)
     return figure3_network, ens
 
 

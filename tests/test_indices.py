@@ -12,13 +12,11 @@ import riskmc.indices
 from netgen import chain_spec, normal_pert_spec, parallel_spec, random_dag_spec
 from riskmc import (
     Distribution,
-    SimConfig,
     contingency_reserve,
     criticality_index,
     cruciality_index,
     enumerate_paths,
     run_ensemble,
-    schedule_sensitivity_index,
     sensitivity_report,
     validate,
 )
@@ -29,7 +27,7 @@ from riskmc.errors import ConfigError, DegenerateProject
 
 def simulate(spec, n=100_000, seed=101):
     net = validate(spec)
-    return net, run_ensemble(net, SimConfig(n_runs=n, seed=seed))
+    return net, run_ensemble(net, n, seed)
 
 
 def test_ci_symmetric_parallel_branches():
@@ -124,7 +122,7 @@ def test_spearman_cri_matches_rankdata_reference_bitwise(seed, monkeypatch):
     # discrete-only networks tie heavily; the mixed laws add untied columns
     spec = random_dag_spec(rng, n_real=int(rng.integers(1, 9)),
                            discrete_only=seed % 2 == 0, with_risks=int(rng.integers(0, 3)))
-    ens = run_ensemble(validate(spec), SimConfig(n_runs=int(rng.integers(2, 400)), seed=seed))
+    ens = run_ensemble(validate(spec), int(rng.integers(2, 400)), seed)
     ours = cruciality_index(ens, "spearman")
     monkeypatch.setattr(riskmc.indices, "_average_ranks", rankdata)
     ref = cruciality_index(ens, "spearman")
@@ -141,7 +139,7 @@ def _fsum_moments(x, t):
 def test_pearson_and_variance_shares_match_fsum_reference():
     # both reduce each node's runs with numpy's pairwise sums; a reference
     # summing with math.fsum bounds their rounding
-    ens = run_ensemble(validate(normal_pert_spec()), SimConfig(n_runs=30_000, seed=14))
+    ens = run_ensemble(validate(normal_pert_spec()), 30_000, 14)
     cri = []
     for row in ens.durations:
         sxt, sxx, stt = _fsum_moments(row, ens.total_duration)
@@ -160,7 +158,7 @@ def test_overflowing_sums_reduce_as_the_unscaled_runs_bitwise():
     # below 1 by a power of two, so CrI (Pearson and Spearman), SSI and the
     # variance shares equal the unscaled ensemble's bit for bit, and each
     # sigma is 2**1015 times its own
-    ens = run_ensemble(validate(normal_pert_spec()), SimConfig(n_runs=3000, seed=14))
+    ens = run_ensemble(validate(normal_pert_spec()), 3000, 14)
     big = dataclasses.replace(ens, durations=np.ldexp(ens.durations, 1015),
                               total_duration=np.ldexp(ens.total_duration, 1015))
     plain, scaled = sensitivity_report(ens), sensitivity_report(big)
@@ -221,7 +219,7 @@ def test_analysis_reduces_one_row_at_a_time():
     rng = np.random.default_rng(40)
     net = validate(random_dag_spec(rng, n_real=40, edge_prob=0.1, with_risks=4))
     n = 20_000
-    ens = run_ensemble(net, SimConfig(n_runs=n, seed=5))
+    ens = run_ensemble(net, n, 5)
     for analysis in (sensitivity_report, risk_baselines, lambda e: contingency_reserve(e, 90)):
         tracemalloc.start()
         try:
@@ -234,29 +232,28 @@ def test_analysis_reduces_one_row_at_a_time():
 
 def test_ssi_identities():
     net, ens = simulate(chain_spec([Distribution.uniform(2, 6)]), n=4000)
-    ssi = schedule_sensitivity_index(ens)
+    ssi = sensitivity_report(ens).ssi
     assert ssi[net.index_of("B1")] == 1.0  # CI = 1 and sigma_i = sigma_PD exactly
     assert ssi[net.source] == 0.0
 
 
 def test_ssi_two_serial_iid():
     net, ens = simulate(chain_spec([Distribution.uniform(1, 3)] * 2))
-    ssi = schedule_sensitivity_index(ens)
+    ssi = sensitivity_report(ens).ssi
     assert ssi[net.index_of("B1")] == pytest.approx(1 / np.sqrt(2), abs=0.02)
 
 
 def test_ssi_degenerate_project():
     _, ens = simulate(chain_spec([Distribution.point(5)]), n=100)
     with pytest.raises(DegenerateProject):
-        schedule_sensitivity_index(ens)
+        sensitivity_report(ens).ssi
 
 
 def test_report_identity_ssi_equals_ci_sigma_ratio(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=5000, seed=5))
+    ens = run_ensemble(figure3_network, 5000, 5)
     rep = sensitivity_report(ens)
     assert np.allclose(rep.ssi, rep.ci * rep.sigma / ens.total_duration.std(ddof=1),
                        rtol=1e-12)
-    assert rep.ssi.tobytes() == schedule_sensitivity_index(ens).tobytes()
     assert ((rep.ci >= 0) & (rep.ci <= 1)).all()
     assert ((rep.cri >= 0) & (rep.cri <= 1)).all()
 
@@ -266,7 +263,7 @@ def test_every_run_has_a_fully_critical_path():
     for _ in range(5):
         spec = random_dag_spec(rng, n_real=5, with_risks=1)
         net = validate(spec)
-        ens = run_ensemble(net, SimConfig(n_runs=300, seed=int(rng.integers(1 << 30))))
+        ens = run_ensemble(net, 300, int(rng.integers(1 << 30)))
         membership = enumerate_paths(net).membership.astype(bool)
         # each run: some path with every node flagged critical
         full = (ens.critical.T[:, None, :] | ~membership[None, :, :]).all(axis=2)
@@ -279,7 +276,7 @@ def test_indices_invariant_under_relabeling():
     rng = np.random.default_rng(68)
     spec = random_dag_spec(rng, n_real=5, with_risks=1)
     net = validate(spec)
-    ens = run_ensemble(net, SimConfig(n_runs=3000, seed=11))
+    ens = run_ensemble(net, 3000, 11)
     rep = sensitivity_report(ens)
 
     # permute the middle activities in the declaration list (same edges)
@@ -287,7 +284,7 @@ def test_indices_invariant_under_relabeling():
     acts = [spec.activities[i] for i in perm]
     from riskmc import ProjectSpec
     net2 = validate(ProjectSpec(acts, spec.precedence, spec.risks))
-    ens2 = run_ensemble(net2, SimConfig(n_runs=3000, seed=11))
+    ens2 = run_ensemble(net2, 3000, 11)
     rep2 = sensitivity_report(ens2)
     for node_id in net.ids():
         i, j = list(rep.node_ids).index(node_id), list(rep2.node_ids).index(node_id)
@@ -300,9 +297,9 @@ def test_indices_invariant_under_time_scaling():
     # doubling every duration is exact in binary floating point
     spec = chain_spec([Distribution.uniform(1, 3), Distribution.triangular(1, 2, 4)])
     doubled = chain_spec([Distribution.uniform(2, 6), Distribution.triangular(2, 4, 8)])
-    cfg = SimConfig(n_runs=4000, seed=21)
-    rep = sensitivity_report(run_ensemble(validate(spec), cfg))
-    rep2 = sensitivity_report(run_ensemble(validate(doubled), cfg))
+    n_runs, seed = 4000, 21
+    rep = sensitivity_report(run_ensemble(validate(spec), n_runs, seed))
+    rep2 = sensitivity_report(run_ensemble(validate(doubled), n_runs, seed))
     assert np.array_equal(rep.ci, rep2.ci)
     assert np.allclose(rep.cri, rep2.cri, atol=1e-12)
     assert np.allclose(rep.ssi, rep2.ssi, atol=1e-12)
@@ -333,13 +330,13 @@ def test_reserve_uniform_cost_quantile():
 
 
 def test_reserve_monotone_in_percentile(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=20_000, seed=3))
+    ens = run_ensemble(figure3_network, 20_000, 3)
     for dimension in ("cost", "duration"):
         values = [contingency_reserve(ens, p, dimension) for p in (50, 75, 90, 95, 99)]
         assert (np.diff(values) >= 0).all()
 
 
 def test_reserve_dimension_validation(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=3))
+    ens = run_ensemble(figure3_network, 100, 3)
     with pytest.raises(ConfigError):
         contingency_reserve(ens, 50, "scope")

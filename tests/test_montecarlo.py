@@ -21,7 +21,6 @@ from riskmc import (
     Distribution,
     ProjectSpec,
     RiskEvent,
-    SimConfig,
     control_indices,
     empirical_percentile,
     forward_backward,
@@ -37,15 +36,15 @@ from riskmc.montecarlo import percentiles, sample_block
 from test_cpm import reference_forward_backward
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        SimConfig(n_runs=0)
+def test_config_validation(figure3_network):
+    with pytest.raises(ConfigError, match=r"^n_runs must be >= 1, got 0$"):
+        run_ensemble(figure3_network, 0, 1)
 
 
 def test_point_network_reproduces_cpm():
     spec = chain_spec([Distribution.point(2), Distribution.point(5)], fixed=3, rate=1)
     net = validate(spec)
-    ens = run_ensemble(net, SimConfig(n_runs=200, seed=9))
+    ens = run_ensemble(net, 200, 9)
     expected = forward_backward(net, net.mean_durations())
     assert (ens.total_duration == expected.duration).all()
     assert ens.total_duration.std() == 0.0
@@ -57,7 +56,7 @@ def test_serial_normals_match_analytic_sum():
     # five normal(10, 2) in series: sum is normal(50, sqrt(20)); truncation
     # below zero is 5-sigma mass and negligible
     net = validate(chain_spec([Distribution.normal(10, 2)] * 5))
-    ens = run_ensemble(net, SimConfig(n_runs=100_000, seed=13))
+    ens = run_ensemble(net, 100_000, 13)
     assert ens.total_duration.mean() == pytest.approx(50.0, abs=0.06)
     assert ens.total_duration.std(ddof=1) == pytest.approx(np.sqrt(20.0), rel=0.02)
 
@@ -65,14 +64,14 @@ def test_serial_normals_match_analytic_sum():
 def test_parallel_uniform_merge_bias():
     # E max(U1, U2) for iid uniform(4, 6) is 4 + 2 * 2/3
     net = validate(parallel_spec([Distribution.uniform(4, 6)] * 2))
-    ens = run_ensemble(net, SimConfig(n_runs=100_000, seed=17))
+    ens = run_ensemble(net, 100_000, 17)
     assert ens.total_duration.mean() == pytest.approx(4 + 2 * 2 / 3, abs=0.02)
 
 
 def test_bitwise_determinism(figure3_network):
-    cfg = SimConfig(n_runs=3000, seed=99)
-    a = run_ensemble(figure3_network, cfg)
-    b = run_ensemble(figure3_network, cfg)
+    n_runs, seed = 3000, 99
+    a = run_ensemble(figure3_network, n_runs, seed)
+    b = run_ensemble(figure3_network, n_runs, seed)
     for field in RUN_FIELDS:
         assert np.array_equal(_field(a, field), _field(b, field)), field
     for curve_a, curve_b in zip(trajectories(a, 11), trajectories(b, 11)):
@@ -80,11 +79,11 @@ def test_bitwise_determinism(figure3_network):
 
 
 def test_worker_count_never_changes_results(figure3_network):
-    cfg = SimConfig(n_runs=2500, seed=4)
-    base = run_ensemble(figure3_network, cfg, workers=1)
+    n_runs, seed = 2500, 4
+    base = run_ensemble(figure3_network, n_runs, seed, workers=1)
     _, base_ev = trajectories(base, 7)
     for workers in range(2, 9):
-        other = run_ensemble(figure3_network, cfg, workers=workers)
+        other = run_ensemble(figure3_network, n_runs, seed, workers=workers)
         assert np.array_equal(base.durations, other.durations)
         assert np.array_equal(base.total_cost, other.total_cost)
         assert np.array_equal(base_ev, trajectories(other, 7)[1])
@@ -107,10 +106,10 @@ def _field(ens, field):
 def test_worker_count_never_changes_normal_and_pert_results():
     # normal laws are truncated at zero, PERT laws read their shape's table
     net = validate(normal_pert_spec())
-    cfg = SimConfig(n_runs=2500, seed=4)
-    base = run_ensemble(net, cfg, workers=1)
+    n_runs, seed = 2500, 4
+    base = run_ensemble(net, n_runs, seed, workers=1)
     for workers in range(2, 9):
-        other = run_ensemble(net, cfg, workers=workers)
+        other = run_ensemble(net, n_runs, seed, workers=workers)
         for field in RUN_FIELDS:
             assert _field(base, field).tobytes() == _field(other, field).tobytes(), field
 
@@ -120,8 +119,8 @@ def test_first_runs_do_not_depend_on_the_run_count(workers):
     # run k reads position k of every stream, whatever the run count and
     # however the runs are chunked
     net = validate(normal_pert_spec())
-    short = run_ensemble(net, SimConfig(n_runs=1000, seed=21), workers=workers)
-    long = run_ensemble(net, SimConfig(n_runs=5000, seed=21), workers=workers)
+    short = run_ensemble(net, 1000, 21, workers=workers)
+    long = run_ensemble(net, 5000, 21, workers=workers)
     for field in RUN_FIELDS:
         assert _field(short, field).tobytes() == _field(long, field)[..., :1000].tobytes(), field
 
@@ -129,7 +128,7 @@ def test_first_runs_do_not_depend_on_the_run_count(workers):
 @pytest.mark.parametrize("workers", [0, -7])
 def test_workers_below_one_is_a_config_error(figure3_network, workers):
     with pytest.raises(ConfigError):
-        run_ensemble(figure3_network, SimConfig(n_runs=10), workers=workers)
+        run_ensemble(figure3_network, 10, 0, workers=workers)
 
 
 def test_pool_has_at_most_one_thread_per_cpu(figure3_network, monkeypatch):
@@ -160,8 +159,8 @@ def test_pool_has_at_most_one_thread_per_cpu(figure3_network, monkeypatch):
         return cost_rows_of_chunk(*args)
 
     threads = threading.active_count()
-    cfg = SimConfig(n_runs=150, seed=5)
-    base = run_ensemble(figure3_network, cfg, workers=1)
+    n_runs, seed = 150, 5
+    base = run_ensemble(figure3_network, n_runs, seed, workers=1)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(montecarlo, "_cost_rows", cost_rows)
     monkeypatch.setattr(montecarlo, "_CHUNK", 4)  # 150 runs: 38 chunks, the last of 2
@@ -170,7 +169,7 @@ def test_pool_has_at_most_one_thread_per_cpu(figure3_network, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         pools = len(sizes)
         runners.clear()
-        other = run_ensemble(figure3_network, cfg, workers=workers)
+        other = run_ensemble(figure3_network, n_runs, seed, workers=workers)
         want = min(workers, 38, cpus or 1)
         if want == 1:
             assert len(sizes) == pools, (cpus, workers)
@@ -187,7 +186,7 @@ C = montecarlo._CHUNK
 
 
 def _normal_pert_ensemble(n_runs, workers):
-    return run_ensemble(validate(normal_pert_spec()), SimConfig(n_runs=n_runs, seed=8),
+    return run_ensemble(validate(normal_pert_spec()), n_runs, 8,
                         workers=workers)
 
 
@@ -236,7 +235,7 @@ NORMAL_PERT_SHA256 = {
 
 
 def test_normal_and_pert_draws_are_pinned():
-    ens = run_ensemble(validate(normal_pert_spec()), SimConfig(n_runs=3 * C + 5, seed=14))
+    ens = run_ensemble(validate(normal_pert_spec()), 3 * C + 5, 14)
     for field in RUN_FIELDS:
         digest = hashlib.sha256(_field(ens, field).T.tobytes()).hexdigest()
         assert digest == NORMAL_PERT_SHA256[field], field
@@ -280,13 +279,13 @@ def test_memory_guard_bounds_the_traced_peak(n_nodes):
     plan = forward_backward(net, net.mean_durations())
     obs = ControlObservation(t=plan.duration / 2, ev=plan.bac / 2, ac=plan.bac / 2)
 
-    def control(cfg, workers):
-        ens = run_ensemble(net, cfg, workers=workers)
+    def control(n_runs, seed, workers):
+        ens = run_ensemble(net, n_runs, seed, workers=workers)
         control_indices(obs, risk_baselines(ens))
         triad(obs, ens)
 
-    def forecast(cfg, workers):
-        ens = run_ensemble(net, cfg, workers=workers)
+    def forecast(n_runs, seed, workers):
+        ens = run_ensemble(net, n_runs, seed, workers=workers)
         for estimator in ("mean", "linear"):
             sevm_forecast(obs, ens, estimator=estimator)
 
@@ -297,11 +296,11 @@ def test_memory_guard_bounds_the_traced_peak(n_nodes):
                             (forecast, [(300, 1), (1000, 1), (C + 1, 1)])):
         # a first, small run builds the PERT tables, which the network's laws
         # then hold
-        sequence(SimConfig(n_runs=8), workers=1)
+        sequence(8, 0, workers=1)
         for n, workers in sizes:
             tracemalloc.start()
             try:
-                sequence(SimConfig(n_runs=n, seed=3), workers=workers)
+                sequence(n, 3, workers=workers)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -322,11 +321,11 @@ def test_runs_beyond_the_memory_ceiling_are_refused(figure3_network, monkeypatch
         per_run = (montecarlo._PEAK_PER_RUN_NODE * m + 8 * len(net.cost_risks)
                    + montecarlo._PEAK_PER_RUN)
         fit = 2**16 // per_run
-        assert run_ensemble(net, SimConfig(n_runs=fit)).n_runs == fit
+        assert run_ensemble(net, fit, 0).n_runs == fit
         for runs in (fit + 1, 10**12):
             with pytest.raises(ConfigError,
                                match=rf"^{runs} runs of {m} nodes .* at most {fit} runs fit$"):
-                run_ensemble(net, SimConfig(n_runs=runs))
+                run_ensemble(net, runs, 0)
 
 
 def test_memory_ceiling_respects_a_cgroup_limit(figure3_network, monkeypatch, tmp_path):
@@ -343,7 +342,7 @@ def test_memory_ceiling_respects_a_cgroup_limit(figure3_network, monkeypatch, tm
         limit.write_text(text)
         assert errors._memory_ceiling() == want, text
     with pytest.raises(ConfigError, match="above the 6.1e-05 GiB memory ceiling"):
-        run_ensemble(figure3_network, SimConfig(n_runs=10**4))
+        run_ensemble(figure3_network, 10**4, 0)
 
 
 def test_memory_ceiling_respects_a_cgroup_v1_limit(monkeypatch, tmp_path):
@@ -368,8 +367,8 @@ def test_memory_ceiling_respects_a_cgroup_v1_limit(monkeypatch, tmp_path):
 
 
 def test_seed_changes_results(figure3_network):
-    a = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=1))
-    b = run_ensemble(figure3_network, SimConfig(n_runs=100, seed=2))
+    a = run_ensemble(figure3_network, 100, 1)
+    b = run_ensemble(figure3_network, 100, 2)
     assert not np.array_equal(a.total_duration, b.total_duration)
 
 
@@ -382,7 +381,7 @@ def test_exact_discrete_oracle_ks():
         spec = random_dag_spec(rng, n_real=4, discrete_only=True, with_risks=2)
         net = validate(spec)
         pd_dist, cost_dist, crit = oracles.enumerate_exact(net)
-        ens = run_ensemble(net, SimConfig(n_runs=n, seed=int(rng.integers(1 << 30))))
+        ens = run_ensemble(net, n, int(rng.integers(1 << 30)))
         assert oracles.ks_distance(pd_dist, ens.total_duration) < bound
         assert oracles.ks_distance(cost_dist, ens.total_cost) < bound
 
@@ -396,9 +395,9 @@ def test_risk_probability_zero_matches_riskfree_network():
                          target="B1", impact=Distribution.uniform(1, 2)),
                RiskEvent(id="R2", name="never2", probability=0.0, kind="cost",
                          target="B2", impact=Distribution.point(100))))
-    cfg = SimConfig(n_runs=4000, seed=23)
-    free = run_ensemble(validate(base_spec), cfg)
-    gated = run_ensemble(validate(risky_spec), cfg)
+    n_runs, seed = 4000, 23
+    free = run_ensemble(validate(base_spec), n_runs, seed)
+    gated = run_ensemble(validate(risky_spec), n_runs, seed)
     assert np.array_equal(free.total_duration, gated.total_duration)
     assert np.array_equal(free.total_cost, gated.total_cost)
     assert not gated.durations[validate(risky_spec).index_of("R1")].any()
@@ -414,19 +413,19 @@ def test_a_risk_id_owns_one_gate_stream_whatever_its_kind():
     # exactly the same runs: the gate uniforms are keyed by the risk id alone
     base = chain_spec([Distribution.uniform(2, 5), Distribution.triangular(1, 2, 4)],
                       fixed=10, rate=2)
-    cfg = SimConfig(n_runs=2000, seed=41)
+    n_runs, seed = 2000, 41
     ens = {}
     for kind in ("duration", "cost"):
         risk = RiskEvent(id="R", name="slip", probability=0.3, kind=kind, target="B1",
                          impact=Distribution.point(3))
         net = validate(ProjectSpec(base.activities, base.precedence, risks=(risk,)))
-        ens[kind] = (net, run_ensemble(net, cfg))
+        ens[kind] = (net, run_ensemble(net, n_runs, seed))
     net, dur = ens["duration"]
     delayed = dur.durations[net.index_of("R")] > 0.0
     net, cost = ens["cost"]
     b1 = net.index_of("B1")
     overrun = list(cost.cost_rows())[b1] > 10 + 2 * cost.durations[b1]
-    assert 0 < delayed.sum() < cfg.n_runs
+    assert 0 < delayed.sum() < n_runs
     assert np.array_equal(delayed, overrun)
 
 
@@ -444,7 +443,7 @@ def test_derived_starts_and_node_costs_match_their_references_bitwise(seed, n_re
                             target=target, impact=Distribution.uniform(0.25, 3.0 + k))
                   for k in (1, 2))
     net = validate(ProjectSpec(spec.activities, spec.precedence, spec.risks + extra))
-    ens = run_ensemble(net, SimConfig(n_runs=n_runs, seed=seed % 1000))
+    ens = run_ensemble(net, n_runs, seed % 1000)
     # the blocks take the runs in order, each once
     runs = [k for block in ens.blocks() for k in range(n_runs)[block[0]]]
     assert runs == list(range(n_runs))
@@ -472,7 +471,7 @@ def test_the_ensemble_stores_only_what_was_sampled():
     # formed a block or a row at a time, and no analysis stores either
     net = validate(normal_pert_spec())
     n = 3 * C + 5
-    ens = run_ensemble(net, SimConfig(n_runs=n, seed=14))
+    ens = run_ensemble(net, n, 14)
     m, k = len(net.nodes), len(net.cost_risks)
     arrays = [getattr(ens, f.name) for f in dataclasses.fields(ens)]
     stored = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
@@ -489,7 +488,7 @@ def test_the_ensemble_stores_only_what_was_sampled():
 
 def test_each_run_matches_scalar_cpm(figure3_network):
     # the vectorized per-run pass must agree with the one-shot CPM
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=400, seed=29))
+    ens = run_ensemble(figure3_network, 400, 29)
     start = block_windows(ens)[0]
     for k in range(0, ens.n_runs, 37):
         result = forward_backward(figure3_network, ens.durations[:, k])
@@ -499,7 +498,7 @@ def test_each_run_matches_scalar_cpm(figure3_network):
 
 
 def test_trajectory_invariants(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=2000, seed=31))
+    ens = run_ensemble(figure3_network, 2000, 31)
     cost, ev = trajectories(ens, 101)
     assert (np.diff(cost, axis=1) >= -1e-9).all()
     assert (np.diff(ev, axis=1) >= -1e-9).all()
@@ -516,7 +515,7 @@ def test_trajectory_invariants(figure3_network):
 
 
 def test_ensemble_is_read_only(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=50, seed=1))
+    ens = run_ensemble(figure3_network, 50, 1)
     with pytest.raises(ValueError):
         ens.durations[0, 0] = 1.0
     with pytest.raises(ValueError):  # the plan it carries is read-only too
@@ -524,7 +523,7 @@ def test_ensemble_is_read_only(figure3_network):
 
 
 def test_run_cost_identity(figure3_network):
-    ens = run_ensemble(figure3_network, SimConfig(n_runs=500, seed=37))
+    ens = run_ensemble(figure3_network, 500, 37)
     fixed = np.array([n.fixed_cost for n in figure3_network.nodes])
     rate = np.array([n.variable_cost_rate for n in figure3_network.nodes])
     base = (fixed[:, None] + rate[:, None] * ens.durations).sum(axis=0)

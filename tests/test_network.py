@@ -11,7 +11,6 @@ from riskmc import (
     Distribution,
     ProjectSpec,
     RiskEvent,
-    SimConfig,
     parse_project_text,
     render_project,
     run_ensemble,
@@ -169,7 +168,7 @@ def test_probability_zero_risk_never_activates():
     risk = RiskEvent(id="R1", name="noop", probability=0.0, kind="duration",
                      target="B1", impact=Distribution.uniform(1, 2))
     net = validate(ProjectSpec(spec.activities, spec.precedence, (risk,)))
-    ens = run_ensemble(net, SimConfig(n_runs=500, seed=3))
+    ens = run_ensemble(net, 500, 3)
     assert (ens.durations[net.index_of("R1")] == 0.0).all()
     assert (ens.total_duration == 2.0).all()
 

@@ -7,7 +7,6 @@ from netgen import chain_spec
 from riskmc import (
     ControlObservation,
     Distribution,
-    SimConfig,
     histogram_and_cdf,
     plan,
     plot,
@@ -24,7 +23,7 @@ from riskmc.errors import ConfigError
 @pytest.fixture(scope="module")
 def stack(figure3_network):
     net = figure3_network
-    ens = run_ensemble(net, SimConfig(n_runs=2000, seed=88))
+    ens = run_ensemble(net, 2000, 88)
     planned = plan(net)
     return net, ens, planned
 
@@ -74,7 +73,7 @@ def test_constant_sample_pdfcdf(tmp_path):
 
 def test_sevm_deterministic_project_single_color(tmp_path):
     net = validate(chain_spec([Distribution.point(3)] * 2, fixed=5, rate=1))
-    ens = run_ensemble(net, SimConfig(n_runs=300, seed=2))
+    ens = run_ensemble(net, 300, 2)
     obs = ControlObservation(t=3.0, ev=0.5 * ens.plan.bac, ac=0.5 * ens.plan.bac)
     forecast = sevm_forecast(obs, ens, k_neighbors=100)
     out = tmp_path / "sevm.svg"
