@@ -95,11 +95,11 @@ def backward(network: ValidatedNetwork, durations, buf, critical):
     """Backward CPM pass over (n_nodes, n_runs) durations, in place.
 
     On entry `buf` holds the early starts (`forward`). Each reverse step
-    forms node j's late finish lf_j from its successors' rows, which it
-    has already overwritten, fills critical[j] with the total-float test
-    (lf_j - d_j) - es_j <= CRIT_TOL * PD, with PD the run's project
-    duration, and then overwrites row j with lf_j; on return `buf` holds the
-    late finishes, and buf[sink] each run's PD.
+    forms node j's late finish lf_j from its successors' rows, which it has
+    already overwritten, counts into critical[j] the runs that pass the
+    total-float test (lf_j - d_j) - es_j <= CRIT_TOL * PD, with PD the run's
+    project duration (one run's count is its flag), and then overwrites row
+    j with lf_j; on return `buf` holds the late finishes, and buf[sink] PD.
     """
     tol = CRIT_TOL * (buf[network.sink] + durations[network.sink])
     for node in reversed(network.nodes):
@@ -111,9 +111,7 @@ def backward(network: ValidatedNetwork, durations, buf, critical):
                 np.minimum(lf, buf[s] - durations[s], out=lf)
         else:
             lf = buf[j] + durations[j]
-        total_float = lf - durations[j]  # late start, then total float
-        total_float -= buf[j]
-        np.less_equal(total_float, tol, out=critical[j])
+        critical[j] = np.count_nonzero(lf - durations[j] - buf[j] <= tol)
         buf[j] = lf
 
 
@@ -126,16 +124,16 @@ def forward_backward(network: ValidatedNetwork, durations) -> CpmResult:
     """
     d = np.array(durations, dtype=float)
     if d.shape != (len(network.nodes),):
-        raise ValueError(f"expected {len(network.nodes)} durations, got shape {d.shape}")
+        raise ConfigError(f"expected {len(network.nodes)} durations, got shape {d.shape}")
     if not (d >= 0).all():  # also refuses nan
-        raise ValueError("durations must be nonnegative")
+        raise ConfigError("durations must be nonnegative")
 
     es = np.empty(len(d))
     critical = np.empty(len(d), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         forward(network, d[:, None], es[:, None])
         lf = es.copy()
-        backward(network, d[:, None], lf[:, None], critical[:, None])
+        backward(network, d[:, None], lf[:, None], critical)
         ef = es + d
         costs = network.fixed_costs() + network.rates() * d
         duration = float(ef[network.sink])

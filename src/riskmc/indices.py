@@ -24,7 +24,7 @@ class SensitivityReport:
 
 def criticality_index(ensemble: Ensemble) -> np.ndarray:
     """Fraction of runs in which each node sits on a critical path."""
-    return ensemble.critical.mean(axis=1)
+    return ensemble.critical_runs / ensemble.n_runs
 
 
 def cruciality_index(ensemble: Ensemble, method: str = "pearson") -> np.ndarray:

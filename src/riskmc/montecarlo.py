@@ -29,9 +29,9 @@ _IMPACT = "impact"
 
 # peak bytes that a simulating command allocates, per run and node and per
 # run, on top of its cost risks' draws (8 B per run and risk). run_ensemble,
-# the ensemble (9 B) plus one (nodes x chunk) CPM buffer per thread, sets the
-# peak of every command: it measured <= 21.2 B per run and node (tracemalloc:
-# 6 to 403 nodes, 300 to 32769 runs, 1 and 3 workers; <= 17.3 from 42 nodes
+# the ensemble (8 B) plus one (nodes x chunk) CPM buffer per thread, sets the
+# peak of every command: it measured <= 20.2 B per run and node (tracemalloc:
+# 6 to 403 nodes, 300 to 32769 runs, 1 and 3 workers; <= 16.3 from 42 nodes
 # up). The analyses after it hold no per-run-and-node array: the control
 # cross-section works on blocks of runs (Ensemble.blocks) and the node costs
 # are formed a row or a block at a time. The per-run part covers the analyses'
@@ -68,20 +68,20 @@ class Ensemble:
 
     Its fields are what was sampled and what each run's schedule decided;
     per-node arrays are indexed (node, run), so each node's runs are one
-    contiguous row, and the totals are (n_runs,). Nothing else is stored:
-    `blocks` derives each block's starts and finishes by a forward pass,
-    bitwise as run_ensemble formed them, and its node costs; cost_rows
-    forms the node costs a row at a time. Trajectories are not stored
-    either: ev_at/cost_at evaluate each run's exact piecewise-linear
-    earned-value and cumulative-cost trajectories at arbitrary times,
-    a block of runs at a time.
+    contiguous row, the totals are (n_runs,), and critical_runs counts each
+    node's critical runs. Nothing else is stored: `blocks` derives each
+    block's starts and finishes by a forward pass, bitwise as run_ensemble
+    formed them, and its node costs; cost_rows forms the node costs a row at
+    a time; run k's critical flags are cpm.forward_backward(network,
+    durations[:, k]).critical. ev_at/cost_at evaluate each run's exact
+    earned-value and cumulative-cost trajectories, a block of runs at a time.
     """
 
     plan: _cpm.CpmResult        # the baseline, and the node ids and names
     network: ValidatedNetwork   # whose nodes and cost risks were sampled
     durations: np.ndarray       # (n_nodes, n_runs) sampled node durations
     impacts: np.ndarray         # (n_cost_risks, n_runs) cost-risk draws, 0 where inactive
-    critical: np.ndarray        # bool, total float <= tolerance per run
+    critical_runs: np.ndarray   # (n_nodes,) runs whose total float is within tolerance
     total_duration: np.ndarray  # (n_runs,)
     total_cost: np.ndarray      # (n_runs,) including cost-risk realizations
 
@@ -179,7 +179,8 @@ def run_ensemble(network: ValidatedNetwork, n_runs: int, seed: int,
     check_memory(ConfigError, n, "runs", m, per_run, need="need about")
 
     durations, impacts = np.empty((m, n)), np.empty((len(network.cost_risks), n))
-    critical = np.empty((m, n), dtype=bool)
+    chunks = range(0, n, _CHUNK)
+    counts = np.empty((len(chunks), m), dtype=np.int64)  # critical runs, a row per chunk
     total_duration, total_cost = np.empty(n), np.zeros(n)
     plan = _cpm.plan(network)
 
@@ -200,14 +201,13 @@ def run_ensemble(network: ValidatedNetwork, n_runs: int, seed: int,
             for row in _cost_rows(network, d, imp):
                 cost_sum += row
             _cpm.forward(network, d, buf)
-            _cpm.backward(network, d, buf, critical[:, lo:hi])
+            _cpm.backward(network, d, buf, counts[lo // _CHUNK])
             total_duration[lo:hi] = buf[network.sink]
         # every node reaches the sink, so a duration or finish past the float
         # range reaches the project's; a node cost past it reaches the total
         if not (np.isfinite(total_duration[lo:hi]).all() and np.isfinite(cost_sum).all()):
             raise DegenerateProject("a run's duration or cost exceeds the float range")
 
-    chunks = range(0, n, _CHUNK)
     threads = min(workers, len(chunks), os.cpu_count() or 1)
     if threads == 1:
         # no pool: a pool thread would draw the chunk's temporaries from a
@@ -220,7 +220,7 @@ def run_ensemble(network: ValidatedNetwork, n_runs: int, seed: int,
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(simulate, chunks))  # re-raises the first chunk's error
 
-    arrays = dict(durations=durations, impacts=impacts, critical=critical,
+    arrays = dict(durations=durations, impacts=impacts, critical_runs=counts.sum(axis=0),
                   total_duration=total_duration, total_cost=total_cost)
     for arr in arrays.values():
         arr.flags.writeable = False

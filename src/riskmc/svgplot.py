@@ -291,14 +291,20 @@ def _build_srb_crb(base, grid_points):
     return chart.render()
 
 
+def _section_chart(title, t, c, ot, oc):
+    """A chart whose axes span the cross-section points (t, c) and (ot, oc)."""
+    return _Chart(title, "time at control fraction", "cost",
+                  (min(float(t.min()), ot), max(float(t.max()), ot)),
+                  (min(float(c.min()), oc), max(float(c.max()), oc)))
+
+
 def _build_triad(rep, _grid_points):
+    from .montecarlo import percentiles  # a triad has simulated, so this runs nothing new
+
     t, c, ot, oc = rep.section_t, rep.section_c, rep.observed_t, rep.observed_ac
-    ts, cs = _subsample(t, c)
-    chart = _Chart("Control cross-section", "time at control fraction", "cost",
-                   (min(float(t.min()), ot), max(float(t.max()), ot)),
-                   (min(float(c.min()), oc), max(float(c.max()), oc)))
-    chart.add_points(ts, cs, _GRAY, "simulated runs")
-    med_t, med_c = float(np.median(t)), float(np.median(c))
+    chart = _section_chart("Control cross-section", t, c, ot, oc)
+    chart.add_points(*_subsample(t, c), _GRAY, "simulated runs")
+    med_t, med_c = float(percentiles(t, [50])[0]), float(percentiles(c, [50])[0])
     chart.add_line([med_t, med_t], [chart.ylim[0], chart.ylim[1]], _GREEN, "medians", width=1.0)
     chart.add_line([chart.xlim[0], chart.xlim[1]], [med_c, med_c], _GREEN, width=1.0)
     chart.add_marker(ot, oc, _RED, "observation")
@@ -306,13 +312,9 @@ def _build_triad(rep, _grid_points):
 
 
 def _build_sevm(fc, _grid_points):
+    chart = _section_chart("Endpoint forecast neighborhood", fc.neighbor_section_t,
+                           fc.neighbor_section_c, fc.observed_t, fc.observed_ac)
     t, c, late = _subsample(fc.neighbor_section_t, fc.neighbor_section_c, fc.neighbor_late)
-    lo_t = min(float(fc.neighbor_section_t.min()), fc.observed_t)
-    hi_t = max(float(fc.neighbor_section_t.max()), fc.observed_t)
-    lo_c = min(float(fc.neighbor_section_c.min()), fc.observed_ac)
-    hi_c = max(float(fc.neighbor_section_c.max()), fc.observed_ac)
-    chart = _Chart("Endpoint forecast neighborhood",
-                   "time at control fraction", "cost", (lo_t, hi_t), (lo_c, hi_c))
     if (~late).any():
         chart.add_points(t[~late], c[~late], _BLUE, "finishing early")
     if late.any():

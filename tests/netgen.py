@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from riskmc import Activity, Distribution, ProjectSpec, RiskEvent
+from riskmc import Activity, Distribution, ProjectSpec, RiskEvent, forward_backward
 
 DYADIC = [0.25 * k for k in range(0, 33)]       # exact in float64
 DYADIC_PROBS = [(1.0,), (0.5, 0.5), (0.25, 0.75), (0.25, 0.25, 0.5)]
@@ -85,6 +85,16 @@ def block_windows(ens):
     joined from the blocks of Ensemble.blocks()."""
     blocks = [block[1:] for block in ens.blocks()]
     return tuple(np.concatenate(parts, axis=1) for parts in zip(*blocks))
+
+
+def critical_flags(ens):
+    """Each run's critical flags, (n_nodes, n_runs) bool, rebuilt with one
+    forward_backward call per run (a run's flags depend on its durations
+    alone), after checking that they count to the ensemble's critical_runs.
+    About 0.15 ms a run: for small ensembles only."""
+    flags = np.array([forward_backward(ens.network, d).critical for d in ens.durations.T]).T
+    assert np.array_equal(flags.sum(axis=1), ens.critical_runs)
+    return flags
 
 
 def trajectories(ens, points):

@@ -10,6 +10,7 @@ from netgen import (
     DYADIC,
     block_windows,
     chain_spec,
+    critical_flags,
     ladder_spec,
     parallel_spec,
     random_dag_spec,
@@ -28,7 +29,7 @@ from riskmc import (
 )
 from riskmc.cpm import CRIT_TOL, accrue, accrue_runs, count_paths, window_fraction
 from riskmc.csvout import pv_table
-from riskmc.errors import EvOutOfRange, PathExplosion
+from riskmc.errors import ConfigError, EvOutOfRange, PathExplosion
 from netgen import dummy
 
 
@@ -163,8 +164,15 @@ def test_forward_backward_owns_read_only_arrays(figure3_network):
 def test_forward_backward_refuses_negative_and_nan_durations(figure3_network, bad):
     d = figure3_network.mean_durations()
     d[1] = bad
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ConfigError, match="nonnegative"):
         forward_backward(figure3_network, d)
+
+
+def test_forward_backward_refuses_a_duration_vector_of_the_wrong_shape(figure3_network):
+    d = figure3_network.mean_durations()
+    for bad in (d[:-1], d[:, None], d[0]):
+        with pytest.raises(ConfigError, match=f"^expected {d.size} durations, got shape"):
+            forward_backward(figure3_network, bad)
 
 
 def test_critical_set_is_union_of_argmax_paths():
@@ -197,7 +205,7 @@ def test_criticality_is_relative_to_each_runs_duration(scale):
     # tolerance misses critical nodes at 1e7 and marks every node at 1e-12
     net = validate(two_chains_spec(scale))
     assert plan(net).critical_ids() == ("A0", "L1", "L2", "L3", "Af")
-    crit = run_ensemble(net, 2000, 1).critical
+    crit = critical_flags(run_ensemble(net, 2000, 1))
     assert crit[net.source].all() and crit[net.sink].all()
     chains = [[net.index_of(f"{c}{k}") for k in range(1, n + 1)] for c, n in (("L", 3), ("S", 2))]
     assert (crit[chains[0]].all(axis=0) | crit[chains[1]].all(axis=0)).all()
@@ -521,11 +529,12 @@ def test_ensemble_passes_match_scalar_reference_bitwise(seed, n_real, with_risks
     assert ens.plan.ef.tobytes() == planned["ef"].tobytes()
     assert ens.plan.duration == planned["duration"]
     start, finish, _ = block_windows(ens)
+    flags = critical_flags(ens)
     for k in range(n_runs):
         want = reference_forward_backward(net, ens.durations[:, k])
         assert start[:, k].tobytes() == want["es"].tobytes()
         assert finish[:, k].tobytes() == want["ef"].tobytes()
-        assert ens.critical[:, k].tobytes() == want["critical"].tobytes()
+        assert flags[:, k].tobytes() == want["critical"].tobytes()
         assert _bits(ens.total_duration[k]) == _bits(want["duration"])
 
 

@@ -153,14 +153,17 @@ def test_no_simulating_command_loads_scipy(figure3_path, tmp_path, name, workers
 
 
 def test_simulate_contingency_and_forecast_load_no_numpy_ma(figure3_path, tmp_path):
-    # their percentiles are riskmc's own; np.percentile loads numpy.ma
+    # their percentiles, and the Triad chart's medians, are riskmc's own;
+    # np.percentile and np.median load numpy.ma
     sim = ["--project", str(figure3_path), "--runs", "400"]
     out = ["--out", str(tmp_path)]
     modules = loaded_modules([["simulate", *sim, *out],
                               ["contingency", *sim, "--percentile", "90"],
                               ["forecast", *sim, "--observe", OBSERVE["figure3"], *out],
                               ["forecast", *sim, "--observe", OBSERVE["figure3"],
-                               "--estimator", "linear", *out]])
+                               "--estimator", "linear", *out],
+                              ["plot", "--kind", "triad", *sim, "--observe", OBSERVE["figure3"],
+                               *out]])
     assert [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
 
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import oracles
 import riskmc.errors as errors
 import riskmc.montecarlo as montecarlo
-from netgen import (block_windows, chain_spec, normal_pert_spec, parallel_spec, random_dag_spec,
-                    trajectories)
+from netgen import (block_windows, chain_spec, critical_flags, normal_pert_spec, parallel_spec,
+                    random_dag_spec, trajectories)
 from riskmc import (
     ControlObservation,
     Distribution,
@@ -49,7 +49,7 @@ def test_point_network_reproduces_cpm():
     assert (ens.total_duration == expected.duration).all()
     assert ens.total_duration.std() == 0.0
     assert (ens.total_cost == ens.plan.bac).all()
-    assert (ens.critical == expected.critical[:, None]).all()
+    assert (critical_flags(ens) == expected.critical[:, None]).all()
 
 
 def test_serial_normals_match_analytic_sum():
@@ -72,7 +72,7 @@ def test_bitwise_determinism(figure3_network):
     n_runs, seed = 3000, 99
     a = run_ensemble(figure3_network, n_runs, seed)
     b = run_ensemble(figure3_network, n_runs, seed)
-    for field in RUN_FIELDS:
+    for field in ENSEMBLE_FIELDS:
         assert np.array_equal(_field(a, field), _field(b, field)), field
     for curve_a, curve_b in zip(trajectories(a, 11), trajectories(b, 11)):
         assert np.array_equal(curve_a, curve_b)
@@ -89,8 +89,10 @@ def test_worker_count_never_changes_results(figure3_network):
         assert np.array_equal(base_ev, trajectories(other, 7)[1])
 
 
-RUN_FIELDS = ("durations", "starts", "critical", "total_duration",
-              "total_cost", "node_cost")
+RUN_FIELDS = ("durations", "starts", "total_duration", "total_cost", "node_cost")
+# compared wherever two ensembles hold the same runs; critical_runs counts
+# over all of them, so it is no per-run field
+ENSEMBLE_FIELDS = (*RUN_FIELDS, "critical_runs")
 
 
 def _field(ens, field):
@@ -110,7 +112,7 @@ def test_worker_count_never_changes_normal_and_pert_results():
     base = run_ensemble(net, n_runs, seed, workers=1)
     for workers in range(2, 9):
         other = run_ensemble(net, n_runs, seed, workers=workers)
-        for field in RUN_FIELDS:
+        for field in ENSEMBLE_FIELDS:
             assert _field(base, field).tobytes() == _field(other, field).tobytes(), field
 
 
@@ -176,7 +178,7 @@ def test_pool_has_at_most_one_thread_per_cpu(figure3_network, monkeypatch):
             assert runners == [threading.main_thread()] * 38, (cpus, workers)
         else:
             assert sizes[pools:] == [want], (cpus, workers)
-        for field in RUN_FIELDS:
+        for field in ENSEMBLE_FIELDS:
             assert _field(base, field).tobytes() == _field(other, field).tobytes(), field
     assert sizes == [3, 38, 2]
     assert threading.active_count() == threads
@@ -207,9 +209,10 @@ def test_chunk_boundaries_never_change_a_run(n_runs, workers):
     base = _one_worker_ensemble(n_runs)
     rechunked = _one_worker_ensemble(n_runs, chunk=1028)
     prefix = _one_worker_ensemble(C - 1)
-    for field in RUN_FIELDS:
+    for field in ENSEMBLE_FIELDS:
         assert _field(ens, field).tobytes() == _field(base, field).tobytes(), field
         assert _field(ens, field).tobytes() == _field(rechunked, field).tobytes(), field
+    for field in RUN_FIELDS:
         assert _field(ens, field)[..., :C - 1].tobytes() == _field(prefix, field).tobytes(), field
     net = validate(normal_pert_spec())
     start, finish, _ = block_windows(ens)
@@ -217,26 +220,25 @@ def test_chunk_boundaries_never_change_a_run(n_runs, workers):
         want = reference_forward_backward(net, ens.durations[:, k])
         assert start[:, k].tobytes() == want["es"].tobytes(), k
         assert finish[:, k].tobytes() == want["ef"].tobytes(), k
-        assert ens.critical[:, k].tobytes() == want["critical"].tobytes(), k
         assert ens.total_duration[k] == want["duration"], k
 
 
 # sha256 of each array of the normal_pert_spec ensemble of 3 * C + 5 runs at
-# seed 14, in (run, node) order: no golden output holds a normal law, so
-# these pin its draws
+# seed 14, in (run, node) order (critical_runs as int64): no golden output
+# holds a normal law, so these pin its draws
 NORMAL_PERT_SHA256 = {
     "durations": "ee6af84bab908d738d6c6310378b49cb7da60d2138c08f56b290fb515ff41e27",
     "starts": "a8ef2a0a8b466de3805c6bd94a75be20eb8e5022e3976034cc1290e1a026768d",
-    "critical": "e68c33df7147a754b5959b456b5662bb4db554ef043b9f938e6bdeb4948fe9c1",
     "total_duration": "f78a50ea0001be063a805ae3eae5ba403b380cdeb61a6067cfe96fffa8e4ed15",
     "total_cost": "969081e2335c74ae6b50fc11272ce0b0ed3195201dab9fce8b5bbba64275ea2e",
     "node_cost": "67013773f6c56f9e18eec8304dfd96c328255791a2452b932c411319cd22e4d5",
+    "critical_runs": "300cb1a5f0061b491e27cd8877ea1e4b382bb5c20e30fcb7f48fe24e9fe73983",
 }
 
 
 def test_normal_and_pert_draws_are_pinned():
     ens = run_ensemble(validate(normal_pert_spec()), 3 * C + 5, 14)
-    for field in RUN_FIELDS:
+    for field in ENSEMBLE_FIELDS:
         digest = hashlib.sha256(_field(ens, field).T.tobytes()).hexdigest()
         assert digest == NORMAL_PERT_SHA256[field], field
 
@@ -466,18 +468,19 @@ def test_derived_starts_and_node_costs_match_their_references_bitwise(seed, n_re
 
 
 def test_the_ensemble_stores_only_what_was_sampled():
-    # durations (8 B), critical flags (1 B) and cost-risk impacts (8 B) per
-    # run and node or risk, and the two totals; starts and node costs are
-    # formed a block or a row at a time, and no analysis stores either
+    # durations (8 B) and cost-risk impacts (8 B) per run and node or risk,
+    # the two totals, and one count of critical runs per node; starts, node
+    # costs and per-run critical flags are formed a block or a row at a
+    # time, and no analysis stores any of them
     net = validate(normal_pert_spec())
     n = 3 * C + 5
     ens = run_ensemble(net, n, 14)
     m, k = len(net.nodes), len(net.cost_risks)
     arrays = [getattr(ens, f.name) for f in dataclasses.fields(ens)]
     stored = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-    assert stored == (9 * m + 16 + 8 * k) * n
+    assert stored == (8 * m + 16 + 8 * k) * n + 8 * m
     fields = {f.name for f in dataclasses.fields(ens)}
-    assert not {"starts", "node_cost"} & fields
+    assert not {"starts", "node_cost", "critical"} & fields
     obs = ControlObservation(t=6, ev=30, ac=33)
     triad(obs, ens)
     sevm_forecast(obs, ens)
@@ -494,7 +497,7 @@ def test_each_run_matches_scalar_cpm(figure3_network):
         result = forward_backward(figure3_network, ens.durations[:, k])
         assert ens.total_duration[k] == result.duration
         assert np.array_equal(start[:, k], result.es)
-        assert np.array_equal(ens.critical[:, k], result.critical)
+    critical_flags(ens)  # the scalar passes' flags count to critical_runs
 
 
 def test_trajectory_invariants(figure3_network):
