@@ -26,8 +26,8 @@ _HOMES = {
     "RiskMcError": "errors",
     **dict.fromkeys(("SensitivityReport", "contingency_reserve", "criticality_index",
                      "cruciality_index", "sensitivity_report"), "indices"),
-    **dict.fromkeys(("Ensemble", "HistogramTable", "empirical_percentile",
-                     "histogram_and_cdf", "run_ensemble"), "montecarlo"),
+    **dict.fromkeys(("Ensemble", "HistogramTable", "histogram_and_cdf", "percentiles",
+                     "run_ensemble"), "montecarlo"),
     **dict.fromkeys(("Activity", "ProjectSpec", "RiskEvent", "ValidatedNetwork",
                      "validate"), "network"),
     **dict.fromkeys(("parse_project", "parse_project_text", "render_project"),

@@ -270,10 +270,8 @@ def cmd_control(args):
 def cmd_forecast(args):
     network = _load(args)
     obs = _observation(args.observe)
-    k = ctl.default_neighbors(args.runs) if args.neighbors is None else args.neighbors
-    ctl.check_neighbors(k, args.runs, args.estimator)  # before the runs it would waste
-    ens = _sim(args, network)
-    forecast = ctl.sevm_forecast(obs, ens, k_neighbors=args.neighbors,
+    k = ctl.check_neighbors(args.neighbors, args.runs, args.estimator)  # before the runs
+    forecast = ctl.sevm_forecast(obs, _sim(args, network), k_neighbors=k,
                                  estimator=args.estimator)
     _emit(args, "forecast.csv", *csvout.tabulate(forecast), primary=True)
     _emit(args, "neighbors.csv", *csvout.neighbor_table(forecast))
@@ -302,9 +300,8 @@ def cmd_plot(args):
         report = ctl.triad(_require_observe(args), _sim(args, network))
     else:  # sevm
         obs = _require_observe(args)
-        if args.neighbors is not None:
-            ctl.check_neighbors(args.neighbors, args.runs)  # before the runs it would waste
-        report = ctl.sevm_forecast(obs, _sim(args, network), k_neighbors=args.neighbors)
+        k = ctl.check_neighbors(args.neighbors, args.runs)  # before the runs it would waste
+        report = ctl.sevm_forecast(obs, _sim(args, network), k_neighbors=k)
 
     svgplot.plot(report, path, args.grid)
     _info(f"wrote {path}")

@@ -15,7 +15,7 @@ from .errors import (
     EvZero,
     KTooLarge,
 )
-from .montecarlo import (Ensemble, empirical_percentile, row_moments, sample_sd, scaled,
+from .montecarlo import (Ensemble, percentiles, row_moments, sample_sd, scaled,
                          unit_scaled)
 
 INTERVAL_PERCENTILES = (5.0, 95.0)  # of the SEVM forecast's duration and cost intervals
@@ -234,13 +234,12 @@ class SevmForecast:
     observed_ac: float
 
 
-def default_neighbors(n_runs: int) -> int:
-    return min(n_runs, max(500, round(0.05 * n_runs)))
-
-
-def check_neighbors(k: int, n_runs: int, estimator: str = "mean") -> None:
-    """Refuse k neighbors outside [1, n_runs], or below 4 for the linear
-    estimator, which fits three coefficients; needs no simulated run."""
+def check_neighbors(k: int | None, n_runs: int, estimator: str = "mean") -> int:
+    """The neighbour count for n_runs runs: k, or by default 5 % of the runs,
+    at least 500 and at most all of them. Refuses k outside [1, n_runs], or
+    below 4 for the linear estimator, which fits three coefficients; needs
+    no simulated run."""
+    k = min(n_runs, max(500, round(0.05 * n_runs))) if k is None else int(k)
     if k < 1:
         raise ConfigError(f"k_neighbors must be >= 1, got {k}")
     if estimator not in ("mean", "linear"):
@@ -249,6 +248,7 @@ def check_neighbors(k: int, n_runs: int, estimator: str = "mean") -> None:
         raise ConfigError(f"the linear estimator needs at least 4 neighbors, got {k}")
     if k > n_runs:
         raise KTooLarge(f"k_neighbors {k} exceeds n_runs {n_runs}")
+    return k
 
 
 def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
@@ -262,8 +262,7 @@ def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
     endpoint statistics.
     """
     n = ensemble.n_runs
-    k = default_neighbors(n) if k_neighbors is None else int(k_neighbors)
-    check_neighbors(k, n, estimator)
+    k = check_neighbors(k_neighbors, n, estimator)
     x = completion_fraction(obs, ensemble)
 
     section_t, section_c = cross_section(ensemble, x)
@@ -288,10 +287,10 @@ def sevm_forecast(obs: ControlObservation, ensemble: Ensemble,
     overrun = c_n > ensemble.plan.bac
     return SevmForecast(
         completion=x, k=k, eac_duration=eac_t, eac_cost=eac_c,
-        duration_interval=tuple((float(p), empirical_percentile(pd_n, p))
-                                for p in INTERVAL_PERCENTILES),
-        cost_interval=tuple((float(p), empirical_percentile(c_n, p))
-                            for p in INTERVAL_PERCENTILES),
+        duration_interval=tuple(zip(INTERVAL_PERCENTILES,
+                                    percentiles(pd_n, INTERVAL_PERCENTILES).tolist())),
+        cost_interval=tuple(zip(INTERVAL_PERCENTILES,
+                                percentiles(c_n, INTERVAL_PERCENTILES).tolist())),
         p_late=float(late.mean()), p_overrun=float(overrun.mean()),
         neighbor_runs=chosen, neighbor_late=late,
         neighbor_section_t=section_t[chosen], neighbor_section_c=section_c[chosen],

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateProject
-from .montecarlo import Ensemble, empirical_percentile, row_moments, sample_sd
+from .montecarlo import Ensemble, percentiles, row_moments, sample_sd
 
 
 @dataclass(frozen=True)
@@ -91,4 +91,4 @@ def contingency_reserve(ensemble: Ensemble, p: float, dimension: str = "cost") -
         samples, planned = ensemble.total_duration, ensemble.plan.duration
     else:
         raise ConfigError(f"dimension must be 'cost' or 'duration', got {dimension!r}")
-    return empirical_percentile(samples, p) - planned
+    return float(percentiles(samples, [p])[0]) - planned

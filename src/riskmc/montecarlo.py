@@ -237,20 +237,11 @@ def _draw(law, gate, seed, ident, lo, hi):
     return np.where(active, sample_block(law, seed, ident, lo, hi - lo, purpose=_IMPACT), 0.0)
 
 
-def empirical_percentile(samples, p) -> float:
-    """Linear-interpolation quantile: rank p/100 * (n-1) between order stats."""
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise EmptySample("empirical_percentile needs at least one sample")
-    if not 0.0 <= p <= 100.0:
-        raise ConfigError(f"percentile must be in [0, 100], got {p}")
-    return float(percentiles(x, [p])[0])
-
-
 def percentiles(samples, ps) -> np.ndarray:
-    """The samples' percentiles at each p in ps (in [0, 100]): Hyndman and
-    Fan's type 7, linear interpolation between the order statistics around
-    rank p/100 * (n - 1), nan if any sample is nan.
+    """The samples' percentiles at each p in ps: Hyndman and Fan's type 7,
+    linear interpolation between the order statistics around rank
+    p/100 * (n - 1), nan if any sample is nan. Refuses an empty sample
+    (EmptySample) and any p outside [0, 100] or nan (ConfigError).
 
     This is np.percentile's default, bit for bit: the same index and weight
     arithmetic, the same partition, and numpy's interpolation, which steps back
@@ -259,7 +250,13 @@ def percentiles(samples, ps) -> np.ndarray:
     """
     x = np.array(samples, dtype=float).ravel()  # a copy, partitioned in place
     n = x.size
-    rank = (n - 1) * (np.asarray(ps, dtype=float) / 100)
+    if n == 0:
+        raise EmptySample("percentiles needs at least one sample")
+    ps = np.asarray(ps, dtype=float)
+    bad = ps[~((ps >= 0.0) & (ps <= 100.0))]  # nan fails both comparisons
+    if bad.size:
+        raise ConfigError(f"percentile must be in [0, 100], got {float(bad[0])}")
+    rank = (n - 1) * (ps / 100)
     # past the last order statistic both neighbours are the last one, and
     # the weight is taken from index -1, as numpy takes it
     lower = np.floor(rank).astype(np.intp)

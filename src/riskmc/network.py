@@ -138,12 +138,6 @@ class ValidatedNetwork:
     def names(self) -> tuple:
         return tuple(n.name for n in self.nodes)
 
-    def index_of(self, node_id: str) -> int:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n.index
-        raise KeyError(node_id)
-
     # numpy arrays over the nodes; numpy loads with the first of them, so
     # parsing and validating never load it
     def mean_durations(self):

@@ -40,7 +40,7 @@ from .errors import (
     UnknownField,
     UnknownPredecessor,
 )
-from .network import ID_PATTERN, Activity, ProjectSpec, RiskEvent
+from .network import ID_PATTERN, RISK_KINDS, Activity, ProjectSpec, RiskEvent
 
 _SECTIONS = ("activities", "risks", "precedence", "precedence-matrix")
 _ID_RE = re.compile(rf"^{ID_PATTERN}$")
@@ -282,7 +282,7 @@ def _parse_risk(line, source, line_no):
     if not impact_m:
         raise ProjectSyntaxError(f"impact= must be a distribution, got {fields['impact']!r}",
                                  source, line_no)
-    if fields["kind"] not in ("duration", "cost"):
+    if fields["kind"] not in RISK_KINDS:
         raise ProjectSyntaxError(f"kind= must be duration or cost, got {fields['kind']!r}",
                                  source, line_no)
     return _with_location(source, line_no, lambda: RiskEvent(

@@ -139,20 +139,20 @@ def test_criterion_4_merge_bias():
         assert abs(ens.total_duration.mean() - 16 / 3) < 0.02
         ci = criticality_index(ens)
         for branch in ("B1", "B2"):
-            assert abs(ci[net.index_of(branch)] - 0.5) < 0.02
+            assert abs(ci[net.ids().index(branch)] - 0.5) < 0.02
 
 
 def test_criterion_5_index_identities():
     with criterion(5, "single activity CI=CrI=SSI=1; two serial iid CrI=SSI=0.707 +- 0.02"):
         net, ens = fast(chain_spec([Distribution.uniform(2, 6)]), n=20_000, seed=55)
-        i = net.index_of("B1")
+        i = net.ids().index("B1")
         assert criticality_index(ens)[i] == 1.0
         assert abs(cruciality_index(ens)[i] - 1.0) < 1e-12
         assert sensitivity_report(ens).ssi[i] == 1.0
 
         net, ens = fast(chain_spec([Distribution.uniform(1, 3)] * 2), seed=56)
         for node_id in ("B1", "B2"):
-            j = net.index_of(node_id)
+            j = net.ids().index(node_id)
             assert abs(cruciality_index(ens)[j] - 1 / np.sqrt(2)) < 0.02
             assert abs(sensitivity_report(ens).ssi[j] - 1 / np.sqrt(2)) < 0.02
 
@@ -177,8 +177,8 @@ def test_criterion_6_risk_arithmetic():
         assert np.array_equal(ens_noop.total_duration, ens_free.total_duration)
         assert np.array_equal(ens_noop.total_cost, ens_free.total_cost)
         for node_id in ("B1", "B2"):
-            a = ens_free.durations[net_free.index_of(node_id)]
-            b = ens_noop.durations[net_noop.index_of(node_id)]
+            a = ens_free.durations[net_free.ids().index(node_id)]
+            b = ens_noop.durations[net_noop.ids().index(node_id)]
             assert np.array_equal(a, b)
 
 

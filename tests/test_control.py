@@ -257,7 +257,7 @@ def test_cross_section_point_project_constant():
 def test_cross_section_half_is_first_activity_finish(serial_iid):
     net, ens, _ = serial_iid
     section_t, section_c = cross_section(ens, 0.5)
-    first = net.index_of("B1")
+    first = net.ids().index("B1")
     assert np.allclose(section_t, ens.durations[first], atol=1e-12)
     # the first activity's full fixed cost is in by then, the second not started
     assert np.allclose(section_c, 10.0, atol=1e-12)

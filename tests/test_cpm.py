@@ -48,8 +48,8 @@ def test_figure3_pass_matches_path_oracle(figure3_network):
     result = forward_backward(net, d)
     assert result.duration == oracles.brute_pd(paths, d) == 8.0
     assert result.critical_ids() == ("A0", "A2", "A6", "A4", "Af")
-    assert result.total_float[net.index_of("A1")] == pytest.approx(1.0)
-    assert result.total_float[net.index_of("A3")] == pytest.approx(2.0)
+    assert result.total_float[net.ids().index("A1")] == pytest.approx(1.0)
+    assert result.total_float[net.ids().index("A3")] == pytest.approx(2.0)
 
 
 def test_all_zero_durations(figure3_network):
@@ -207,7 +207,8 @@ def test_criticality_is_relative_to_each_runs_duration(scale):
     assert plan(net).critical_ids() == ("A0", "L1", "L2", "L3", "Af")
     crit = critical_flags(run_ensemble(net, 2000, 1))
     assert crit[net.source].all() and crit[net.sink].all()
-    chains = [[net.index_of(f"{c}{k}") for k in range(1, n + 1)] for c, n in (("L", 3), ("S", 2))]
+    ids = net.ids()
+    chains = [[ids.index(f"{c}{k}") for k in range(1, n + 1)] for c, n in (("L", 3), ("S", 2))]
     assert (crit[chains[0]].all(axis=0) | crit[chains[1]].all(axis=0)).all()
     # ties between the chains have probability 0: one chain is critical per run
     assert (crit[chains[0]].any(axis=0) != crit[chains[1]].any(axis=0)).all()

@@ -33,8 +33,8 @@ def simulate(spec, n=100_000, seed=101):
 def test_ci_symmetric_parallel_branches():
     net, ens = simulate(parallel_spec([Distribution.uniform(1, 2)] * 2))
     ci = criticality_index(ens)
-    assert ci[net.index_of("B1")] == pytest.approx(0.5, abs=0.02)
-    assert ci[net.index_of("B2")] == pytest.approx(0.5, abs=0.02)
+    assert ci[net.ids().index("B1")] == pytest.approx(0.5, abs=0.02)
+    assert ci[net.ids().index("B2")] == pytest.approx(0.5, abs=0.02)
     assert ci[net.source] == 1.0 and ci[net.sink] == 1.0
 
 
@@ -74,27 +74,27 @@ def test_cri_two_serial_iid():
     # corr(X, X + Y) = 1/sqrt(2) for iid X, Y
     net, ens = simulate(chain_spec([Distribution.uniform(1, 3)] * 2))
     cri = cruciality_index(ens)
-    assert cri[net.index_of("B1")] == pytest.approx(1 / np.sqrt(2), abs=0.02)
-    assert cri[net.index_of("B2")] == pytest.approx(1 / np.sqrt(2), abs=0.02)
+    assert cri[net.ids().index("B1")] == pytest.approx(1 / np.sqrt(2), abs=0.02)
+    assert cri[net.ids().index("B2")] == pytest.approx(1 / np.sqrt(2), abs=0.02)
 
 
 def test_cri_zero_variance_convention():
     net, ens = simulate(chain_spec([Distribution.point(3), Distribution.uniform(1, 2)]),
                         n=4000)
     cri = cruciality_index(ens)
-    assert cri[net.index_of("B1")] == 0.0
-    assert cri[net.index_of("B2")] > 0.99
+    assert cri[net.ids().index("B1")] == 0.0
+    assert cri[net.ids().index("B2")] > 0.99
 
 
 def test_cri_single_stochastic_activity():
     net, ens = simulate(chain_spec([Distribution.uniform(2, 6)]), n=4000)
-    assert cruciality_index(ens)[net.index_of("B1")] == pytest.approx(1.0, abs=1e-12)
+    assert cruciality_index(ens)[net.ids().index("B1")] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cri_spearman_flag():
     net, ens = simulate(chain_spec([Distribution.uniform(1, 3)] * 2), n=4000)
     rho = cruciality_index(ens, method="spearman")
-    assert rho[net.index_of("B1")] == pytest.approx(0.707, abs=0.05)
+    assert rho[net.ids().index("B1")] == pytest.approx(0.707, abs=0.05)
     with pytest.raises(ConfigError):
         cruciality_index(ens, method="kendall")
 
@@ -233,14 +233,14 @@ def test_analysis_reduces_one_row_at_a_time():
 def test_ssi_identities():
     net, ens = simulate(chain_spec([Distribution.uniform(2, 6)]), n=4000)
     ssi = sensitivity_report(ens).ssi
-    assert ssi[net.index_of("B1")] == 1.0  # CI = 1 and sigma_i = sigma_PD exactly
+    assert ssi[net.ids().index("B1")] == 1.0  # CI = 1 and sigma_i = sigma_PD exactly
     assert ssi[net.source] == 0.0
 
 
 def test_ssi_two_serial_iid():
     net, ens = simulate(chain_spec([Distribution.uniform(1, 3)] * 2))
     ssi = sensitivity_report(ens).ssi
-    assert ssi[net.index_of("B1")] == pytest.approx(1 / np.sqrt(2), abs=0.02)
+    assert ssi[net.ids().index("B1")] == pytest.approx(1 / np.sqrt(2), abs=0.02)
 
 
 def test_ssi_degenerate_project():

@@ -22,9 +22,9 @@ from riskmc import (
     ProjectSpec,
     RiskEvent,
     control_indices,
-    empirical_percentile,
     forward_backward,
     histogram_and_cdf,
+    percentiles,
     risk_baselines,
     run_ensemble,
     sevm_forecast,
@@ -32,7 +32,7 @@ from riskmc import (
     validate,
 )
 from riskmc.errors import ConfigError, DegenerateProject, EmptySample
-from riskmc.montecarlo import percentiles, sample_block
+from riskmc.montecarlo import sample_block
 from test_cpm import reference_forward_backward
 
 
@@ -402,11 +402,11 @@ def test_risk_probability_zero_matches_riskfree_network():
     gated = run_ensemble(validate(risky_spec), n_runs, seed)
     assert np.array_equal(free.total_duration, gated.total_duration)
     assert np.array_equal(free.total_cost, gated.total_cost)
-    assert not gated.durations[validate(risky_spec).index_of("R1")].any()
+    assert not gated.durations[validate(risky_spec).ids().index("R1")].any()
     # per-activity draws are keyed by id, so shared rows agree exactly
     for node_id in ("B1", "B2"):
-        i = validate(base_spec).index_of(node_id)
-        j = validate(risky_spec).index_of(node_id)
+        i = validate(base_spec).ids().index(node_id)
+        j = validate(risky_spec).ids().index(node_id)
         assert np.array_equal(free.durations[i], gated.durations[j])
 
 
@@ -423,9 +423,9 @@ def test_a_risk_id_owns_one_gate_stream_whatever_its_kind():
         net = validate(ProjectSpec(base.activities, base.precedence, risks=(risk,)))
         ens[kind] = (net, run_ensemble(net, n_runs, seed))
     net, dur = ens["duration"]
-    delayed = dur.durations[net.index_of("R")] > 0.0
+    delayed = dur.durations[net.ids().index("R")] > 0.0
     net, cost = ens["cost"]
-    b1 = net.index_of("B1")
+    b1 = net.ids().index("B1")
     overrun = list(cost.cost_rows())[b1] > 10 + 2 * cost.durations[b1]
     assert 0 < delayed.sum() < n_runs
     assert np.array_equal(delayed, overrun)
@@ -540,23 +540,24 @@ def test_run_cost_identity(figure3_network):
 # -- empirical statistics ----------------------------------------------------
 
 def test_percentile_examples():
-    assert empirical_percentile([1, 2, 3, 4, 5], 50) == 3.0
-    assert empirical_percentile([1, 3], 50) == 2.0
-    assert empirical_percentile([4, 1, 9, 2], 100) == 9.0
-    assert empirical_percentile([4, 1, 9, 2], 0) == 1.0
+    assert percentiles([1, 2, 3, 4, 5], [50])[0] == 3.0
+    assert percentiles([1, 3], [50])[0] == 2.0
+    assert percentiles([4, 1, 9, 2], [100])[0] == 9.0
+    assert percentiles([4, 1, 9, 2], [0])[0] == 1.0
 
 
 def test_percentile_errors():
     with pytest.raises(EmptySample):
-        empirical_percentile([], 50)
-    with pytest.raises(ConfigError):
-        empirical_percentile([1.0], 101)
+        percentiles([], [50])
+    for ps in ([101], [-10], [150], [np.nan], [5, 50, 100.5, 95]):  # p < 0 must not index from the end
+        with pytest.raises(ConfigError, match=r"must be in \[0, 100\]"):
+            percentiles([1, 2, 3], ps)
 
 
 def test_percentile_monotone_in_p():
     rng = np.random.default_rng(3)
     samples = rng.normal(size=501)
-    values = [empirical_percentile(samples, p) for p in np.linspace(0, 100, 41)]
+    values = [percentiles(samples, [p])[0] for p in np.linspace(0, 100, 41)]
     assert (np.diff(values) >= 0).all()
 
 
@@ -581,7 +582,7 @@ def test_percentiles_are_numpys_bit_for_bit(samples, ps):
         np.percentile(x, range(5, 100, 5)).tobytes()
     for p in ps[:3]:
         want = np.percentile(x, p)
-        assert np.float64(empirical_percentile(x, p)).tobytes() == want.tobytes()
+        assert percentiles(x, [p])[0].tobytes() == want.tobytes()
     assert x.tobytes() == np.array(samples).tobytes()  # the samples are not reordered
 
 

@@ -169,7 +169,7 @@ def test_probability_zero_risk_never_activates():
                      target="B1", impact=Distribution.uniform(1, 2))
     net = validate(ProjectSpec(spec.activities, spec.precedence, (risk,)))
     ens = run_ensemble(net, 500, 3)
-    assert (ens.durations[net.index_of("R1")] == 0.0).all()
+    assert (ens.durations[net.ids().index("R1")] == 0.0).all()
     assert (ens.total_duration == 2.0).all()
 
 
@@ -186,7 +186,7 @@ def test_expansion_preserves_paths():
         after = oracles.brute_paths(oracles.pred_lists(expanded))
         assert len(after) == len(before)
         # dropping the risk node from every expanded path recovers the originals
-        ridx = expanded.index_of("RX")
+        ridx = expanded.ids().index("RX")
         old_ids = [net.nodes[i].id for i in range(len(net.nodes))]
         recovered = sorted(tuple(old_ids.index(expanded.nodes[i].id)
                                  for i in path if i != ridx) for path in after)
@@ -218,7 +218,7 @@ def test_mean_duration_of_risk_node():
                      target="B1", impact=Distribution.uniform(2, 4))
     spec = chain_spec([Distribution.point(1)])
     net = validate(ProjectSpec(spec.activities, spec.precedence, (risk,)))
-    node = net.nodes[net.index_of("R1")]
+    node = net.nodes[net.ids().index("R1")]
     assert node.mean_duration() == pytest.approx(0.25 * 3.0)
 
 
