@@ -22,6 +22,10 @@ activity as predecessor. Both sections parse to the same
 quoted names may contain escaped quotes. Files are UTF-8. Rendering is
 canonical (pairs form) and round-trips the spec exactly; the matrix-CSV
 converter writes through the same renderer.
+
+The reader checks syntax only. An id, a risk kind or a law's parameters
+are checked by Activity, RiskEvent and Distribution, whose errors get the
+offending line prefixed here.
 """
 
 from __future__ import annotations
@@ -40,10 +44,9 @@ from .errors import (
     UnknownField,
     UnknownPredecessor,
 )
-from .network import ID_PATTERN, RISK_KINDS, Activity, ProjectSpec, RiskEvent
+from .network import ID_PATTERN, Activity, ProjectSpec, RiskEvent
 
 _SECTIONS = ("activities", "risks", "precedence", "precedence-matrix")
-_ID_RE = re.compile(rf"^{ID_PATTERN}$")
 _NAME_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _DIST_RE = re.compile(rf"({'|'.join(VARIANTS)})\(([^)]*)\)")
 _PAIR_RE = re.compile(rf"^({ID_PATTERN})\s*<-\s*((?:{ID_PATTERN})(?:\s+{ID_PATTERN})*)$")
@@ -156,17 +159,22 @@ def _matrix_pairs(activities, matrix_cols, matrix_rows, source):
     pairs = []
     for row_id in ids:
         line_no, bits = matrix_rows[row_id]
-        if len(bits) != len(ids):
-            raise ProjectSyntaxError(
-                f"matrix row {row_id!r} has {len(bits)} entries, expected {len(ids)}",
-                source, line_no)
-        for col_id, b in zip(ids, bits):
-            if b not in ("0", "1"):
-                raise ProjectSyntaxError(f"matrix row {row_id!r} has non-binary entry {b!r}",
-                                         source, line_no)
-            if b == "1":
-                pairs.append((line_no, row_id, col_id))
+        pairs += [(line_no, row_id, col_id)
+                  for col_id in _marked_columns(row_id, bits, ids, source, line_no)]
     return pairs
+
+
+def _marked_columns(label, bits, cols, source, line_no):
+    """The columns a matrix row marks with a 1, the row's predecessors; both
+    matrix forms read their rows here."""
+    if len(bits) != len(cols):
+        raise ProjectSyntaxError(f"matrix row {label!r} has {len(bits)} cells, "
+                                 f"expected {len(cols)}", source, line_no)
+    for bit in bits:
+        if bit not in ("0", "1"):
+            raise ProjectSyntaxError(f"matrix row {label!r} has non-binary cell {bit!r}",
+                                     source, line_no)
+    return [col for col, bit in zip(cols, bits) if bit == "1"]
 
 
 def _strip_comment(line):
@@ -197,12 +205,10 @@ def _claim_id(seen, entity_id, source, line_no):
     seen[entity_id] = line_no
 
 
-def _take_id(line, source, line_no):
-    parts = re.split(r"\s+", line, maxsplit=1)
-    token, rest = parts[0], parts[1] if len(parts) > 1 else ""
-    if not _ID_RE.match(token):
-        raise ProjectSyntaxError(f"invalid id token {token!r}", source, line_no)
-    return token, rest.strip()
+def _take_id(line):
+    """The first token of a line, which Activity and RiskEvent check as an id."""
+    token, *rest = re.split(r"\s+", line, maxsplit=1)
+    return token, "".join(rest)
 
 
 def _take_name(rest, source, line_no):
@@ -258,7 +264,7 @@ def _with_location(source, line_no, build):
 
 
 def _parse_activity(line, source, line_no):
-    token, rest = _take_id(line, source, line_no)
+    token, rest = _take_id(line)
     name, rest = _take_name(rest, source, line_no)
     dist_m = _DIST_RE.match(rest)
     if not dist_m:
@@ -274,16 +280,13 @@ def _parse_activity(line, source, line_no):
 
 
 def _parse_risk(line, source, line_no):
-    token, rest = _take_id(line, source, line_no)
+    token, rest = _take_id(line)
     name, rest = _take_name(rest, source, line_no)
     fields = _parse_fields(rest, source, line_no)
     _require_fields(fields, ("p", "kind", "target", "impact"), source, line_no)
     impact_m = _DIST_RE.fullmatch(fields["impact"])
     if not impact_m:
         raise ProjectSyntaxError(f"impact= must be a distribution, got {fields['impact']!r}",
-                                 source, line_no)
-    if fields["kind"] not in RISK_KINDS:
-        raise ProjectSyntaxError(f"kind= must be duration or cost, got {fields['kind']!r}",
                                  source, line_no)
     return _with_location(source, line_no, lambda: RiskEvent(
         id=token, name=name,
@@ -303,10 +306,6 @@ def _parse_distribution(match, source, line_no):
             atoms.append((_num(v, "value", source, line_no), _num(q, "prob", source, line_no)))
         return _with_location(source, line_no, lambda: Distribution.discrete(atoms))
     params = [_num(a, kind, source, line_no) for a in args.split(",")] if args.strip() else []
-    expected = {"point": 1, "uniform": 2, "normal": 2, "triangular": 3, "pert": 3}[kind]
-    if len(params) != expected:
-        raise ProjectSyntaxError(f"{kind} takes {expected} parameters, got {len(params)}",
-                                 source, line_no)
     return _with_location(source, line_no, lambda: Distribution(kind, tuple(params)))
 
 
@@ -383,21 +382,14 @@ def convert_matrix_csv(text: str, source: str = "<csv>") -> str:
             raise ProjectSyntaxError("matrix row without a label", source, line_no)
         entity_id = label.split()[-1]
         bits = [c.strip() or "0" for c in row[1:]]
-        if len(bits) != len(cols):
-            raise ProjectSyntaxError(f"matrix row {label!r} has {len(bits)} cells, "
-                                     f"expected {len(cols)}", source, line_no)
-        for col_id, bit in zip(cols, bits):
-            if bit not in ("0", "1"):
-                raise ProjectSyntaxError(f"matrix row {label!r} has non-binary cell {bit!r}",
-                                         source, line_no)
-            if bit == "1" and col_id is None:
+        for col_id in _marked_columns(label, bits, cols, source, line_no):
+            if col_id is None:
                 raise ProjectSyntaxError(f"matrix row {label!r} marks a column with an "
                                          "empty header", source, line_no)
-            elif bit == "1" and col_id == entity_id:
+            if col_id == entity_id:
                 raise BadPrecedence(f"{source}:{line_no}: activity {entity_id!r} is listed "
                                     "as its own predecessor")
-            elif bit == "1":
-                pairs.append((entity_id, col_id))
+            pairs.append((entity_id, col_id))
         if entity_id in activities:
             raise DuplicateId(f"{source}:{line_no}: duplicate matrix row {entity_id!r}")
         activities[entity_id] = _with_location(source, line_no, lambda: Activity(

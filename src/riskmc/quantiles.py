@@ -97,7 +97,11 @@ _BUCKETS = 4096         # guide buckets on s in [0, 1]; a power of two, so exact
 class _Half(NamedTuple):
     """y = x (or 1 - x) as a cubic in s = v^(1/p) on y in [0, 1/2], where
     v = I_y(p, 6 - p). Cell j spans knots[j] <= s <= knots[j + 1]; there
-    y = (j + t (c1 + t (c2 + t c3))) * _H with t = (s - knots[j]) * r[j]."""
+    y = (j + t (c1 + t (c2 + t c3))) * _H with t = (s - knots[j]) * r[j].
+
+    The search for j starts at first[i], the cell holding s = i / _BUCKETS,
+    and `steps` advances reach the cell of any s in that bucket below `last`,
+    the double below the last knot."""
 
     inv_p: float
     knots: np.ndarray   # (_CELLS + 1,) s at y = j * _H, increasing from 0
@@ -105,13 +109,6 @@ class _Half(NamedTuple):
     c1: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
-
-
-class _Guide(NamedTuple):
-    """Where a half's cell search starts: first[i] is the cell holding
-    s = i / _BUCKETS, and `steps` advances reach the cell of any s in that
-    bucket below `last`, the double below the last knot."""
-
     first: np.ndarray   # (_BUCKETS,) int16 cell indices
     steps: int
     last: float
@@ -122,7 +119,6 @@ class _Table:
     split: float        # F(1/2)
     lower: _Half        # x for u < split, from v = u
     upper: _Half        # 1 - x for u >= split, from v = 1 - u
-    guides: tuple       # (lower, upper) _Guide; found from the knots, so kept off the halves
 
 
 _TABLES = weakref.WeakValueDictionary()  # alpha -> _Table, while some law holds it
@@ -152,20 +148,19 @@ def pert_unit(table: _Table, u):
     u = np.asarray(u, dtype=float)
     x = np.empty_like(u)
     lower = u < table.split
-    guide_lower, guide_upper = table.guides
-    x[lower] = _half_quantile(table.lower, guide_lower, u[lower])
+    x[lower] = _half_quantile(table.lower, u[lower])
     upper = ~lower
-    x[upper] = 1.0 - _half_quantile(table.upper, guide_upper, 1.0 - u[upper])
+    x[upper] = 1.0 - _half_quantile(table.upper, 1.0 - u[upper])
     return x
 
 
-def _half_quantile(half: _Half, guide: _Guide, v):
+def _half_quantile(half: _Half, v):
     s = v ** half.inv_p
     # the last cell j with knots[j] <= s, or the last cell for s past the
     # last knot, which the search sees as `last`
-    key = np.minimum(s, guide.last)
-    j = guide.first[(key * _BUCKETS).astype(np.intp)].astype(np.intp)
-    for _ in range(guide.steps):
+    key = np.minimum(s, half.last)
+    j = half.first[(key * _BUCKETS).astype(np.intp)].astype(np.intp)
+    for _ in range(half.steps):
         j += half.knots[j + 1] <= key
     t = (s - half.knots[j]) * half.r[j]
     y = (j + t * (half.c1[j] + t * (half.c2[j] + t * half.c3[j]))) * _H
@@ -195,19 +190,20 @@ def _build(alpha):
     d0 = slope[:, :-1] * width / _H     # cell end slopes in units of the cell
     d1 = slope[:, 1:] * width / _H
     c2, c3 = 3.0 - 2.0 * d0 - d1, d0 + d1 - 2.0
-    lower, upper = (_Half(1.0 / p[k, 0], s[k], 1.0 / width[k], d0[k], c2[k], c3[k])
+    lower, upper = (_Half(1.0 / p[k, 0], s[k], 1.0 / width[k], d0[k], c2[k], c3[k],
+                          *_guide(s[k]))
                     for k in (0, 1))
-    return _Table(float(v[0, -1]), lower, upper, (_guide(s[0]), _guide(s[1])))
+    return _Table(float(v[0, -1]), lower, upper)
 
 
 def _guide(knots):
-    """The guide of a half's knots (increasing from 0, the last below 1)."""
+    """A half's (first, steps, last), found from its knots (increasing from
+    0, the last below 1)."""
     edges = np.arange(_BUCKETS + 1) / _BUCKETS
     at_or_below = np.searchsorted(knots, edges, side="right")
     first = np.minimum(at_or_below[:-1] - 1, _CELLS - 1)
     inside = np.searchsorted(knots, edges[1:], side="left") - at_or_below[:-1]
-    return _Guide(first.astype(np.int16), int(inside.max()),
-                  float(np.nextafter(knots[-1], 0.0)))
+    return first.astype(np.int16), int(inside.max()), float(np.nextafter(knots[-1], 0.0))
 
 
 def _betacf(p, swap, x):

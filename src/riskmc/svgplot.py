@@ -125,18 +125,17 @@ class _Chart:
             parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" '
                          f'stroke="#333"/>'
                          f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle">{_tick(v)}</text>')
-        for v in _ticks(*self.ylim):
-            py = float(self.y(v))
-            parts.append(f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" '
-                         f'stroke="#333"/>'
-                         f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end">{_tick(v)}</text>')
-        if self.y2lim is not None:
-            for v in _ticks(*self.y2lim):
-                py = float(self.y(v, "right"))
-                parts.append(f'<line x1="{x1}" y1="{py:.2f}" x2="{x1 + 5}" y2="{py:.2f}" '
+        for limits, side, (tx1, tx2), label_x, anchor in (
+                (self.ylim, "left", (x0 - 5, x0), x0 - 8, "end"),
+                (self.y2lim, "right", (x1, x1 + 5), x1 + 8, "start")):
+            if limits is None:
+                continue
+            for v in _ticks(*limits):
+                py = float(self.y(v, side))
+                parts.append(f'<line x1="{tx1}" y1="{py:.2f}" x2="{tx2}" y2="{py:.2f}" '
                              f'stroke="#333"/>'
-                             f'<text x="{x1 + 8}" y="{py + 4:.2f}" text-anchor="start">'
-                             f'{_tick(v)}</text>')
+                             f'<text x="{label_x}" y="{py + 4:.2f}" '
+                             f'text-anchor="{anchor}">{_tick(v)}</text>')
         parts.append(f'<text x="{(x0 + x1) / 2}" y="{_H - 12}" text-anchor="middle">'
                      f'{_esc(self.xlabel)}</text>')
         parts.append(f'<text x="16" y="{(y0 + y1) / 2}" text-anchor="middle" '

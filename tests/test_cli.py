@@ -547,6 +547,13 @@ Af "finish" point(0) fixed=0 rate=0
      "BadPrecedence", "'A1'"),
     ("validate", SELF_PREDECESSOR.replace("work", "caf\xe9").encode("latin-1"),
      "ProjectSyntaxError", "input:3:"),
+    ("validate", SELF_PREDECESSOR.replace('A1 "work"', '!1 "work"'),
+     "BadDefinition", "input:3:"),
+    ("validate", SELF_PREDECESSOR + '[risks]\nR1 "r" p=0.5 kind=schedule target=A1 '
+                                    "impact=point(1)\n",
+     "BadDefinition", "input:6:"),
+    ("validate", SELF_PREDECESSOR.replace("point(1)", "uniform(1)"),
+     "BadDistributionParams", "input:3:"),
     ("convert-matrix", "pre,A0,,Af\nA0,0,0,0\nB1,1,1,0\nAf,0,0,1\n",
      "ProjectSyntaxError", "input:3:"),
     ("convert-matrix", "pre,A0,B1,Zed\nA0,0,0,0\nB1,1,0,1\nAf,0,1,0\n",

@@ -160,13 +160,15 @@ DIAGNOSTICS = {
     "matrix row of no activity": (MATRIX_HEAD + "cols A0 Af\nA0: 0 0\nAf: 1 0\nB1: 0 0\n",
                                   UnknownPredecessor, 8, "matrix row for unknown activity 'B1'"),
     "matrix row too short": (MATRIX_HEAD + "cols A0 Af\nA0: 0 0\nAf: 1\n", ProjectSyntaxError,
-                             7, "matrix row 'Af' has 1 entries, expected 2"),
+                             7, "matrix row 'Af' has 1 cells, expected 2"),
     "matrix row non-binary": (MATRIX_HEAD + "cols A0 Af\nA0: 0 0\nAf: 2 0\n",
-                              ProjectSyntaxError, 7, "matrix row 'Af' has non-binary entry '2'"),
+                              ProjectSyntaxError, 7, "matrix row 'Af' has non-binary cell '2'"),
     "repeated id": (HEAD + 'A0 "t" point(0) fixed=0 rate=0\n', DuplicateId, 3,
                     "duplicate id 'A0' (first defined on line 2)"),
-    "invalid id": ('[activities]\n!x "s" point(0) fixed=0 rate=0\n', ProjectSyntaxError, 2,
-                   "invalid id token '!x'"),
+    "invalid id": ('[activities]\n!x "s" point(0) fixed=0 rate=0\n', BadDefinition, 2,
+                   "invalid activity id '!x'"),
+    "invalid risk id": (HEAD + '[risks]\n!r "r" p=0.5 kind=cost target=A0 impact=point(1)\n',
+                        BadDefinition, 4, "invalid risk id '!r'"),
     "unquoted name": (ACT + "s point(0) fixed=0 rate=0\n", ProjectSyntaxError, 2,
                       'expected a quoted "name"'),
     "bad key=value": (ACT + '"s" point(0) fixed=0 junk\n', ProjectSyntaxError, 2,
@@ -185,12 +187,12 @@ DIAGNOSTICS = {
                            "uniform needs 0 <= a <= b"),
     "non-law impact": (RISK + "kind=cost target=A0 impact=5\n", ProjectSyntaxError, 4,
                        "impact= must be a distribution, got '5'"),
-    "bad kind": (RISK + "kind=schedule target=A0 impact=point(1)\n", ProjectSyntaxError, 4,
-                 "kind= must be duration or cost, got 'schedule'"),
+    "bad kind": (RISK + "kind=schedule target=A0 impact=point(1)\n", BadDefinition, 4,
+                 "risk R1: kind must be one of ('duration', 'cost')"),
     "atom without colon": (ACT + '"s" discrete(1,2) fixed=0 rate=0\n', ProjectSyntaxError, 2,
                            "discrete atoms look like value:prob"),
-    "wrong parameter count": (ACT + '"s" uniform(1) fixed=0 rate=0\n', ProjectSyntaxError, 2,
-                              "uniform takes 2 parameters, got 1"),
+    "wrong parameter count": (ACT + '"s" uniform(1) fixed=0 rate=0\n', BadDistributionParams,
+                              2, "uniform takes (a, b)"),
     "non-number": (ACT + '"s" uniform(1,x) fixed=0 rate=0\n', ProjectSyntaxError, 2,
                    "uniform: expected a number, got 'x'"),
     "csv without rows": ("h,A0\n", ProjectSyntaxError, None,
@@ -223,6 +225,21 @@ def test_each_diagnostic_names_its_type_and_line(case):
     where = source if line is None else f"{source}:{line}"
     assert type(err.value) is error
     assert str(err.value).startswith(f"{where}: ") and message in str(err.value)
+
+
+@pytest.mark.parametrize("row", [["1"], ["1", "0", "0"], ["2", "0"]],
+                         ids=["short", "long", "non-binary"])
+def test_both_matrix_forms_refuse_a_row_alike(row):
+    # row Af of a two-column matrix: line 7 of the section, line 3 of the CSV
+    section = MATRIX_HEAD + "cols A0 Af\nA0: 0 0\nAf: " + " ".join(row) + "\n"
+    with pytest.raises(ProjectSyntaxError) as in_section:
+        parse_project_text(section, source="p.project")
+    with pytest.raises(ProjectSyntaxError) as in_csv:
+        convert_matrix_csv("h,A0,Af\nA0,0,0\nAf," + ",".join(row) + "\n", source="m.csv")
+    assert type(in_section.value) is type(in_csv.value)
+    section_message = str(in_section.value).removeprefix("p.project:7: ")
+    assert section_message.startswith("matrix row 'Af' has ")
+    assert str(in_csv.value) == "m.csv:3: " + section_message
 
 
 def test_empty_activities_fails_downstream():
