@@ -18,10 +18,15 @@ A [precedence-matrix] section may replace [precedence]: a `cols` header
 naming every activity in declaration order, then one `id: 0 1 0 ...` row
 per activity where a 1 marks that the row activity has the column
 activity as predecessor. Both sections parse to the same
-(successor, predecessor) pairs. Comments run from `#` to end of line;
-quoted names may contain escaped quotes. Files are UTF-8. Rendering is
+(successor, predecessor) pairs. Files are UTF-8. Rendering is
 canonical (pairs form) and round-trips the spec exactly; the matrix-CSV
 converter writes through the same renderer.
+
+Lexical rules, stated once in `_QUOTED`, `_NAME_RE` and `_CODE_RE`: a `#`
+outside double quotes starts a comment that runs to the end of the line;
+inside a quoted name a backslash escapes the next character and a `#` is
+text; a quote left open runs to the end of the line. Outside quotes a
+backslash is text.
 
 The reader checks syntax only. An id, a risk kind or a law's parameters
 are checked by Activity, RiskEvent and Distribution, whose errors get the
@@ -47,8 +52,11 @@ from .errors import (
 from .network import ID_PATTERN, Activity, ProjectSpec, RiskEvent
 
 _SECTIONS = ("activities", "risks", "precedence", "precedence-matrix")
-_NAME_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_QUOTED = r'(?:[^"\\]|\\.)*'        # a quoted name's text: backslash escapes one character
+_NAME_RE = re.compile(rf'"({_QUOTED})"')
+_CODE_RE = re.compile(rf'(?:[^"#]|"{_QUOTED}"?)*')  # a line's text before its comment
 _DIST_RE = re.compile(rf"({'|'.join(VARIANTS)})\(([^)]*)\)")
+_FIELD_RE = re.compile(rf"\s*([A-Za-z_]+)=({_DIST_RE.pattern}|\S+)?")
 _PAIR_RE = re.compile(rf"^({ID_PATTERN})\s*<-\s*((?:{ID_PATTERN})(?:\s+{ID_PATTERN})*)$")
 
 
@@ -77,7 +85,7 @@ def parse_project_text(text: str, source: str = "<string>") -> ProjectSpec:
     seen_ids = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = _CODE_RE.match(raw).group().strip()
         if not line:
             continue
         if line.startswith("["):
@@ -177,27 +185,6 @@ def _marked_columns(label, bits, cols, source, line_no):
     return [col for col, bit in zip(cols, bits) if bit == "1"]
 
 
-def _strip_comment(line):
-    out = []
-    in_quotes = False
-    escaped = False
-    for ch in line:
-        if escaped:
-            out.append(ch)
-            escaped = False
-            continue
-        if ch == "\\" and in_quotes:
-            out.append(ch)
-            escaped = True
-            continue
-        if ch == '"':
-            in_quotes = not in_quotes
-        elif ch == "#" and not in_quotes:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
 def _claim_id(seen, entity_id, source, line_no):
     if entity_id in seen:
         raise DuplicateId(f"{source}:{line_no}: duplicate id {entity_id!r} "
@@ -224,25 +211,17 @@ def _parse_fields(rest, source, line_no):
     fields = {}
     pos = 0
     while pos < len(rest):
-        m = re.match(rf"\s*([A-Za-z_]+)=", rest[pos:])
+        m = _FIELD_RE.match(rest, pos)
         if not m:
             raise ProjectSyntaxError(f"expected key=value, got {rest[pos:].strip()!r}",
                                      source, line_no)
-        key = m.group(1)
-        pos += m.end()
-        dist_m = _DIST_RE.match(rest[pos:])
-        if dist_m:
-            value = dist_m.group(0)
-            pos += dist_m.end()
-        else:
-            val_m = re.match(r"\S+", rest[pos:])
-            if not val_m:
-                raise ProjectSyntaxError(f"missing value for {key}=", source, line_no)
-            value = val_m.group(0)
-            pos += val_m.end()
+        key, value = m.group(1, 2)
+        if value is None:
+            raise ProjectSyntaxError(f"missing value for {key}=", source, line_no)
         if key in fields:
             raise ProjectSyntaxError(f"field {key}= given twice", source, line_no)
         fields[key] = value
+        pos = m.end()
     return fields
 
 

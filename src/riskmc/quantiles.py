@@ -179,7 +179,7 @@ def _build(alpha):
     swap = y > (p + 1.0) / 8.0
     a, b = np.where(swap, q, p), np.where(swap, p, q)
     x = np.where(swap, 1.0 - y, y)
-    part = np.exp(a * np.log(x) + b * np.log1p(-x) - ln_b) / a * _betacf(p, swap, x)
+    part = np.exp(a * np.log(x) + b * np.log1p(-x) - ln_b) / a * _betacf(a, b, x)
     v = np.where(swap, 1.0 - part, part)  # I_y(p, q)
     s = v ** (1.0 / p)
     # dy/ds = p v^(1 - 1/p) / pdf(y), written with s/y, which stays finite at 0
@@ -206,20 +206,18 @@ def _guide(knots):
     return first.astype(np.int16), int(inside.max()), float(np.nextafter(knots[-1], 0.0))
 
 
-def _betacf(p, swap, x):
-    """Continued fraction of I_x(a, b) (modified Lentz, _CF_TERMS steps), where
-    (a, b) is (p, 6 - p), or (6 - p, p) where `swap` holds.
+def _betacf(a, b, x):
+    """Continued fraction of I_x(a, b) (modified Lentz, _CF_TERMS steps).
 
     For a + b = 6, a, b >= 1 and x <= (a + 1)/8, every Lentz denominator
     stays above 1/4 in magnitude, so no guard against zero is needed.
     """
-    q = 6.0 - p
-    d = 1.0 / (1.0 - 6.0 * x / (np.where(swap, q, p) + 1.0))
+    d = 1.0 / (1.0 - 6.0 * x / (a + 1.0))
     c = np.ones_like(x)
     h = d
     for m in range(1, _CF_TERMS + 1):
-        for plain, swapped in zip(_cf_coefs(m, p, q), _cf_coefs(m, q, p)):
-            aa = x * np.where(swap, swapped, plain)
+        for coef in _cf_coefs(m, a, b):
+            aa = x * coef
             d = 1.0 / (1.0 + aa * d)
             c = 1.0 + aa / c
             h = h * (d * c)

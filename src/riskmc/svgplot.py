@@ -27,6 +27,7 @@ MAX_POINTS = 4000  # scatter clouds subsample deterministically above this
 _MARKER = 7.0      # half-width of the observation marker's cross
 _MARGIN_BINS = 36  # bins of the scatter chart's margin histograms
 _MAX = sys.float_info.max
+_TINY = sys.float_info.min  # the smallest normal double
 
 
 def plot(report, path, grid_points: int = GRID_POINTS) -> None:
@@ -167,14 +168,16 @@ class _Chart:
 
 
 def _pad_range(lo, hi):
-    """Axis bounds 4 % of the span beyond [lo, hi] (an empty one first widens
-    by half its magnitude), inside the floats. Spans are taken in exact halves,
-    hi / 2 - lo / 2, here and where drawn, so one past the largest double draws."""
+    """Axis bounds 4 % of the span beyond [lo, hi], inside the floats. A range
+    whose half-span is not a positive normal double, which ticks cannot divide,
+    counts as empty: it first widens by half its magnitude, or by 0.5 where that
+    magnitude is subnormal too. Spans are taken in exact halves, hi / 2 - lo / 2,
+    here and where drawn, so one past the largest double draws."""
     lo, hi = float(lo), float(hi)
     if not math.isfinite(lo) or not math.isfinite(hi):
         lo, hi = 0.0, 1.0
-    if hi <= lo:
-        half = abs(lo) / 2 if lo != 0 else 0.5
+    if not hi / 2 - lo / 2 >= _TINY:
+        half = abs(lo) / 2 if abs(lo) >= _TINY else 0.5
         lo, hi = max(lo - half, -_MAX), min(hi + half, _MAX)
     pad = 0.08 * (hi / 2 - lo / 2)
     return max(lo - pad, -_MAX), min(hi + pad, _MAX)

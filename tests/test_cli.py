@@ -259,6 +259,24 @@ def test_plots_at_float_resolution_never_hang(tmp_path, kind):
         assert re.search(r"\b(inf|nan)\b", svg) is None
 
 
+# the only cost is the smallest subnormal double: each money axis spans less
+# than a tick step can divide
+TINY_COST = HUGE_COST.replace("uniform(0,4) fixed=10000000000000000 rate=1",
+                              "uniform(1,2) fixed=5e-324 rate=0")
+
+
+@pytest.mark.parametrize("kind", ["pv", "pdfcdf", "scatter", "ci_bars", "srb_crb", "triad",
+                                  "sevm"])
+def test_plots_at_the_bottom_of_the_float_range_draw(tmp_path, kind, capsys):
+    project = tmp_path / "tiny.project"
+    project.write_text(TINY_COST)
+    assert main(["plot", "--kind", kind, "--project", str(project), "--runs", "200",
+                 "--observe", "t=1,ev=5e-324,ac=5e-324", "--out", str(tmp_path)]) == 0
+    svg = (tmp_path / f"{kind}.svg").read_text()
+    ET.fromstring(svg)
+    assert re.search(r"\b(inf|nan)\b", svg) is None
+
+
 # a project whose finish, or one run's duration, passes the largest double
 OVERFLOWING = {
     "cpm": """[activities]

@@ -16,7 +16,10 @@ from riskmc import (
     activity_risk_index,
     control_indices,
     cross_section,
+    cruciality_index,
     earned_schedule,
+    histogram_and_cdf,
+    parse_project_text,
     plan,
     risk_baselines,
     run_ensemble,
@@ -25,10 +28,19 @@ from riskmc import (
     validate,
 )
 import riskmc.montecarlo as montecarlo
-from riskmc.control import _linear_predict, completion_fraction
+from riskmc.control import _linear_predict, check_neighbors, completion_fraction
 from riskmc.cpm import _BLOCK_CELLS, forward, window_fraction
 from riskmc.csvout import baseline_table
-from riskmc.errors import ConfigError, DegenerateProject, EvOutOfRange, EvZero, KTooLarge
+from riskmc.errors import (
+    BadDefinition,
+    BadDistributionParams,
+    ConfigError,
+    DegenerateProject,
+    EmptySample,
+    EvOutOfRange,
+    EvZero,
+    KTooLarge,
+)
 
 
 def build(spec, n=20_000, seed=301):
@@ -655,3 +667,57 @@ def test_control_scales_to_a_thousand_activities(thousand_activities, analysis):
     elapsed = time.perf_counter() - start
     print(f"  [{ens.n_nodes} nodes, 1000 runs, {analysis.__name__}: {elapsed:.2f}s]", end="")
     assert elapsed <= 10.0
+
+
+ZERO_COST = """[activities]
+A0 "start" point(0) fixed=0 rate=0
+A1 "work" uniform(1,2) fixed=0 rate=0
+Af "finish" point(0) fixed=0 rate=0
+
+[risks]
+R1 "slip" p=0.5 kind=duration target=A1 impact=uniform(1,2)
+
+[precedence]
+A1 <- A0
+Af <- A1
+"""
+OBSERVED = ControlObservation(t=4.0, ev=430.0, ac=440.0)
+
+# (call on the figure3 network, error type, exact message): raise sites that
+# no other in-process test reaches
+REFUSALS = {
+    "baselines on one run": (lambda net: risk_baselines(run_ensemble(net, 1, 0)),
+                             ConfigError, "risk baselines need at least 2 runs"),
+    "cruciality on one run": (lambda net: cruciality_index(run_ensemble(net, 1, 0)),
+                              ConfigError, "cruciality_index needs at least 2 runs"),
+    "triad band above 50": (lambda net: triad(OBSERVED, run_ensemble(net, 100, 0), band=60),
+                            ConfigError, "band must be a percentile half-width in [0, 50], got 60"),
+    "zero neighbors": (lambda net: check_neighbors(0, 100),
+                       ConfigError, "k_neighbors must be >= 1, got 0"),
+    "median estimator": (lambda net: check_neighbors(5, 100, "median"),
+                         ConfigError, "unknown estimator 'median'"),
+    "empty histogram": (lambda net: histogram_and_cdf([]),
+                        EmptySample, "histogram_and_cdf needs at least one sample"),
+    "risk probability above 1": (
+        lambda net: parse_project_text(ZERO_COST.replace("p=0.5", "p=1.5"), source="p.project"),
+        BadDefinition, "p.project:7: risk R1: probability must be in [0, 1]"),
+    "point of two values": (lambda net: Distribution("point", (1.0, 2.0)),
+                            BadDistributionParams, "point takes exactly one value"),
+    "discrete atom of three": (lambda net: Distribution("discrete", ((1.0, 0.5, 0.5),)),
+                               BadDistributionParams, "discrete atoms are (value, prob) pairs"),
+    "triangular of two": (lambda net: Distribution("triangular", (1.0, 2.0)),
+                          BadDistributionParams, "triangular takes (a, m, b)"),
+    "normal of one": (lambda net: Distribution("normal", (1.0,)),
+                      BadDistributionParams, "normal takes (mu, sigma)"),
+    "triad without budget": (
+        lambda net: triad(OBSERVED, run_ensemble(validate(parse_project_text(ZERO_COST)), 10, 0)),
+        EvZero, "project has no budget; completion fraction undefined"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_raises_its_typed_error(figure3_network, case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as err:
+        call(figure3_network)
+    assert type(err.value) is error and str(err.value) == message

@@ -255,6 +255,20 @@ def test_comments_and_quoting():
     assert spec.activities[0].name == 'has # hash and "quotes"'
 
 
+@pytest.mark.parametrize("line, kept", [
+    ('A1 <- "a\\"#b" # c', 'A1 <- "a\\"#b"'),
+    ('A1 <- "open # c', 'A1 <- "open # c'),
+    ('A1 <- A0\\#c', 'A1 <- A0\\'),
+    ('A1 <- "open \\', 'A1 <- "open \\'),
+], ids=["hash after escaped quote", "unclosed quote", "backslash outside quotes",
+        "backslash ends unclosed quote"])
+def test_a_line_keeps_its_text_before_the_comment(line, kept):
+    # a bad precedence line is echoed back as the reader kept it
+    with pytest.raises(ProjectSyntaxError) as err:
+        parse_project_text(HEAD + "[precedence]\n" + line + "\n")
+    assert str(err.value).endswith(f"got {kept!r}")
+
+
 def test_fixture_roundtrip(figure3_spec):
     assert parse_project_text(render_project(figure3_spec)) == figure3_spec
 

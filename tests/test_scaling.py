@@ -66,6 +66,23 @@ def test_outputs_scale_with_time_and_money_bit_for_bit(figure3_spec, k, j):
             assert np.asarray(got[name]).tobytes() == expected.tobytes(), (name, shift)
 
 
+@pytest.mark.parametrize("k, j", [(900, 0), (-900, 0), (0, 900), (0, -900), (1000, 1000),
+                                  (-1000, -1000)])
+def test_outputs_scale_at_the_ends_of_the_float_range(figure3_spec, k, j):
+    # where sums pass the float range or products leave the normal floats,
+    # values are taken on rescaled runs and round apart by a few ulps
+    unit, scaled = outputs(figure3_spec, 0, 0), outputs(figure3_spec, k, j)
+    for want, got, shift in zip(unit[:2], scaled[:2], (k, j)):
+        for name, value in want.items():
+            np.testing.assert_allclose(got[name], np.ldexp(value, shift), rtol=2e-15, atol=0,
+                                       err_msg=name)
+    for name, value in unit[2].items():
+        if name in ("cri", "schedule_shares", "cost_shares"):
+            np.testing.assert_allclose(scaled[2][name], value, rtol=0, atol=1e-15, err_msg=name)
+        else:
+            assert np.asarray(scaled[2][name]).tobytes() == np.asarray(value).tobytes(), name
+
+
 # -- the CLI -----------------------------------------------------------------
 
 CLI_PAIRS = [(10, -10), (-60, 3), (-500, 450), (900, 0), (0, -900)]
