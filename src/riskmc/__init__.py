@@ -24,8 +24,8 @@ _HOMES = {
                      "forward_backward", "plan"), "cpm"),
     "Distribution": "distributions",
     "RiskMcError": "errors",
-    **dict.fromkeys(("SensitivityReport", "contingency_reserve", "criticality_index",
-                     "cruciality_index", "sensitivity_report"), "indices"),
+    **dict.fromkeys(("SensitivityReport", "contingency_reserve", "sensitivity_report"),
+                    "indices"),
     **dict.fromkeys(("Ensemble", "HistogramTable", "histogram_and_cdf", "percentiles",
                      "run_ensemble"), "montecarlo"),
     **dict.fromkeys(("Activity", "ProjectSpec", "RiskEvent", "ValidatedNetwork",

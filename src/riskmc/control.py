@@ -14,6 +14,7 @@ from .errors import (
     EvOutOfRange,
     EvZero,
     KTooLarge,
+    check_integer,
 )
 from .montecarlo import (Ensemble, percentiles, row_moments, sample_sd, scaled,
                          unit_scaled)
@@ -236,12 +237,11 @@ class SevmForecast:
 
 def check_neighbors(k: int | None, n_runs: int, estimator: str = "mean") -> int:
     """The neighbour count for n_runs runs: k, or by default 5 % of the runs,
-    at least 500 and at most all of them. Refuses k outside [1, n_runs], or
-    below 4 for the linear estimator, which fits three coefficients; needs
-    no simulated run."""
-    k = min(n_runs, max(500, round(0.05 * n_runs))) if k is None else int(k)
-    if k < 1:
-        raise ConfigError(f"k_neighbors must be >= 1, got {k}")
+    at least 500 and at most all of them. Refuses a k that is no integer or
+    outside [1, n_runs], or below 4 for the linear estimator, which fits
+    three coefficients; needs no simulated run."""
+    default = min(n_runs, max(500, round(0.05 * n_runs)))
+    k = check_integer("k_neighbors", default if k is None else k, 1)
     if estimator not in ("mean", "linear"):
         raise ConfigError(f"unknown estimator {estimator!r}")
     if estimator == "linear" and k < 4:

@@ -1,7 +1,9 @@
 """Exception types shared across the package, the export limits that the
-command line and the library both check with ConfigError, and the memory
-ceiling that both the ensemble and the path matrix are refused above."""
+command line and the library both check with ConfigError, the integer rule
+for counts and seeds, and the memory ceiling that both the ensemble and the
+path matrix are refused above."""
 
+import operator
 import os
 import resource
 
@@ -113,6 +115,18 @@ class KTooLarge(RiskMcError):
 
 class DegenerateProject(RiskMcError):
     pass
+
+
+def check_integer(name, value, least=None) -> int:
+    """value as an int; ConfigError unless it is an integer (an int or a numpy
+    integer, never a float) of at least `least`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _memory_ceiling() -> int:

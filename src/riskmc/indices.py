@@ -1,4 +1,5 @@
-"""Activity sensitivity indices and contingency reserves from an ensemble."""
+"""Activity sensitivity indices, CI, CrI and SSI, all from `sensitivity_report`
+(CrI is 0 where a node's durations are constant), and contingency reserves."""
 
 from __future__ import annotations
 
@@ -22,31 +23,6 @@ class SensitivityReport:
     sigma: np.ndarray  # per-node duration sd
 
 
-def criticality_index(ensemble: Ensemble) -> np.ndarray:
-    """Fraction of runs in which each node sits on a critical path."""
-    return ensemble.critical_runs / ensemble.n_runs
-
-
-def cruciality_index(ensemble: Ensemble, method: str = "pearson") -> np.ndarray:
-    """|corr(node duration, project duration)| per node; 0 for degenerate sides.
-
-    Reduced one node's row at a time by `row_moments`; Spearman's is
-    Pearson's on the average ranks.
-    """
-    if ensemble.n_runs < 2:
-        raise ConfigError("cruciality_index needs at least 2 runs")
-    if method not in ("pearson", "spearman"):
-        raise ConfigError(f"unknown correlation method {method!r}")
-    totals, rows = ensemble.total_duration, ensemble.durations
-    if method == "spearman":
-        totals, rows = _average_ranks(totals), map(_average_ranks, rows)
-    return _abs_r(row_moments(rows, totals)[1])
-
-
-def _abs_r(r):
-    return np.clip(np.abs(r), 0.0, 1.0)
-
-
 def _average_ranks(x) -> np.ndarray:
     """1-based ranks with each tie group at its mean rank (scipy's 'average').
 
@@ -64,20 +40,28 @@ def _average_ranks(x) -> np.ndarray:
 
 
 def sensitivity_report(ensemble: Ensemble, method: str = "pearson") -> SensitivityReport:
-    """CI, CrI and SSI per node. Each row's sd (SSI's sigma) comes from the
-    one row_moments pass that gives its Pearson CrI; a Spearman CrI takes a
-    second pass, on the ranks."""
+    """Per node: CI, the fraction of its critical runs; CrI, |r| of its
+    durations with the project's (Pearson's, or Spearman's on the average
+    ranks), 0 where its durations are constant; SSI = CI * sigma_i / sigma_PD.
+    One row_moments pass gives each sigma_i and Pearson r; Spearman's takes a
+    second pass, on the ranks. A project duration of zero variance is
+    DegenerateProject."""
     if ensemble.n_runs < 2:
         raise ConfigError("sensitivity indices need at least 2 runs")
-    ci = criticality_index(ensemble)
-    sigma, r, _ = row_moments(ensemble.durations, ensemble.total_duration)
-    sigma_pd = sample_sd(ensemble.total_duration)
-    cri = _abs_r(r) if method == "pearson" else cruciality_index(ensemble, method=method)
+    if method not in ("pearson", "spearman"):
+        raise ConfigError(f"unknown correlation method {method!r}")
+    totals, rows = ensemble.total_duration, ensemble.durations
+    sigma_pd = sample_sd(totals)
     if sigma_pd == 0.0:
         raise DegenerateProject("project duration has zero variance")
+    ci = ensemble.critical_runs / ensemble.n_runs
+    sigma, r, _ = row_moments(rows, totals)
+    if method == "spearman":
+        r = row_moments(map(_average_ranks, rows), _average_ranks(totals))[1]
     return SensitivityReport(node_ids=ensemble.plan.node_ids,
-                             node_names=ensemble.plan.node_names,
-                             ci=ci, cri=cri, ssi=ci * sigma / sigma_pd, sigma=sigma)
+                             node_names=ensemble.plan.node_names, ci=ci,
+                             cri=np.clip(np.abs(r), 0.0, 1.0), ssi=ci * sigma / sigma_pd,
+                             sigma=sigma)
 
 
 def contingency_reserve(ensemble: Ensemble, p: float, dimension: str = "cost") -> float:
@@ -91,4 +75,4 @@ def contingency_reserve(ensemble: Ensemble, p: float, dimension: str = "cost") -
         samples, planned = ensemble.total_duration, ensemble.plan.duration
     else:
         raise ConfigError(f"dimension must be 'cost' or 'duration', got {dimension!r}")
-    return float(percentiles(samples, [p])[0]) - planned
+    return float(percentiles(samples, p)) - planned

@@ -20,7 +20,8 @@ from numpy.random import Generator, Philox
 
 from . import cpm as _cpm
 from .distributions import Distribution, inv_cdf
-from .errors import MAX_BINS, ConfigError, DegenerateProject, EmptySample, check_memory
+from .errors import (MAX_BINS, ConfigError, DegenerateProject, EmptySample, check_integer,
+                     check_memory)
 from .network import ValidatedNetwork
 
 _DURATION = "dur"
@@ -167,12 +168,10 @@ def run_ensemble(network: ValidatedNetwork, n_runs: int, seed: int,
     Each chunk of _CHUNK runs is simulated end to end, up to `workers` chunks
     at once; bitwise deterministic in (network, n_runs, seed), whatever the
     workers. A plan or run whose duration or cost leaves the floats is
-    DegenerateProject.
+    DegenerateProject. n_runs, seed and workers must be integers (ConfigError).
     """
-    if n_runs < 1:
-        raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    n_runs, seed = check_integer("n_runs", n_runs, 1), check_integer("seed", seed)
+    workers = check_integer("workers", workers, 1)
     nodes = network.nodes
     n, m = n_runs, len(nodes)
     per_run = _PEAK_PER_RUN_NODE * m + 8 * len(network.cost_risks) + _PEAK_PER_RUN
@@ -238,10 +237,10 @@ def _draw(law, gate, seed, ident, lo, hi):
 
 
 def percentiles(samples, ps) -> np.ndarray:
-    """The samples' percentiles at each p in ps: Hyndman and Fan's type 7,
-    linear interpolation between the order statistics around rank
-    p/100 * (n - 1), nan if any sample is nan. Refuses an empty sample
-    (EmptySample) and any p outside [0, 100] or nan (ConfigError).
+    """The samples' percentiles at each p in ps, in the shape of ps: Hyndman
+    and Fan's type 7, linear interpolation between the order statistics
+    around rank p/100 * (n - 1), nan if any sample is nan. Refuses an empty
+    sample (EmptySample) and any p outside [0, 100] or nan (ConfigError).
 
     This is np.percentile's default, bit for bit: the same index and weight
     arithmetic, the same partition, and numpy's interpolation, which steps back
@@ -252,7 +251,8 @@ def percentiles(samples, ps) -> np.ndarray:
     n = x.size
     if n == 0:
         raise EmptySample("percentiles needs at least one sample")
-    ps = np.asarray(ps, dtype=float)
+    shape = np.shape(ps)
+    ps = np.asarray(ps, dtype=float).ravel()
     bad = ps[~((ps >= 0.0) & (ps <= 100.0))]  # nan fails both comparisons
     if bad.size:
         raise ConfigError(f"percentile must be in [0, 100], got {float(bad[0])}")
@@ -266,12 +266,12 @@ def percentiles(samples, ps) -> np.ndarray:
     # values (0.0 and -0.0) lands at an order statistic depends on them
     x.partition(sorted({0, n - 1, *(lower % n).tolist(), *(upper % n).tolist()}))
     if np.isnan(x[-1]):  # nan sorts last
-        return np.full(rank.shape, np.nan)
+        return np.full(shape, np.nan)
     a, b, t = x[lower], x[upper], rank - lower
     diff = b - a
     out = a + diff * t
     np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
-    return out
+    return out.reshape(shape)
 
 
 def unit_scaled(samples):

@@ -306,7 +306,7 @@ def _build_triad(rep, _grid_points):
     t, c, ot, oc = rep.section_t, rep.section_c, rep.observed_t, rep.observed_ac
     chart = _section_chart("Control cross-section", t, c, ot, oc)
     chart.add_points(*_subsample(t, c), _GRAY, "simulated runs")
-    med_t, med_c = float(percentiles(t, [50])[0]), float(percentiles(c, [50])[0])
+    med_t, med_c = float(percentiles(t, 50)), float(percentiles(c, 50))
     chart.add_line([med_t, med_t], [chart.ylim[0], chart.ylim[1]], _GREEN, "medians", width=1.0)
     chart.add_line([chart.xlim[0], chart.xlim[1]], [med_c, med_c], _GREEN, width=1.0)
     chart.add_marker(ot, oc, _RED, "observation")

@@ -23,8 +23,6 @@ from riskmc import (
     activity_risk_index,
     contingency_reserve,
     control_indices,
-    criticality_index,
-    cruciality_index,
     risk_baselines,
     run_ensemble,
     sensitivity_report,
@@ -123,7 +121,7 @@ def test_criterion_2_exact_oracle_equivalence():
             _, ens = fast(net, seed=9000 + trial)
             assert oracles.ks_distance(pd_dist, ens.total_duration) < dkw
             assert oracles.ks_distance(cost_dist, ens.total_cost) < dkw
-            assert np.abs(criticality_index(ens) - np.array(crit)).max() < 0.01
+            assert np.abs(sensitivity_report(ens).ci - np.array(crit)).max() < 0.01
 
 
 def test_criterion_3_serial_normal_sum():
@@ -137,7 +135,7 @@ def test_criterion_4_merge_bias():
     with criterion(4, "two parallel uniform(4,6): mean 5.3333 +- 0.02, CI 0.5 +- 0.02"):
         net, ens = fast(parallel_spec([Distribution.uniform(4, 6)] * 2), seed=44)
         assert abs(ens.total_duration.mean() - 16 / 3) < 0.02
-        ci = criticality_index(ens)
+        ci = sensitivity_report(ens).ci
         for branch in ("B1", "B2"):
             assert abs(ci[net.ids().index(branch)] - 0.5) < 0.02
 
@@ -145,16 +143,17 @@ def test_criterion_4_merge_bias():
 def test_criterion_5_index_identities():
     with criterion(5, "single activity CI=CrI=SSI=1; two serial iid CrI=SSI=0.707 +- 0.02"):
         net, ens = fast(chain_spec([Distribution.uniform(2, 6)]), n=20_000, seed=55)
-        i = net.ids().index("B1")
-        assert criticality_index(ens)[i] == 1.0
-        assert abs(cruciality_index(ens)[i] - 1.0) < 1e-12
-        assert sensitivity_report(ens).ssi[i] == 1.0
+        i, rep = net.ids().index("B1"), sensitivity_report(ens)
+        assert rep.ci[i] == 1.0
+        assert abs(rep.cri[i] - 1.0) < 1e-12
+        assert rep.ssi[i] == 1.0
 
         net, ens = fast(chain_spec([Distribution.uniform(1, 3)] * 2), seed=56)
+        rep = sensitivity_report(ens)
         for node_id in ("B1", "B2"):
             j = net.ids().index(node_id)
-            assert abs(cruciality_index(ens)[j] - 1 / np.sqrt(2)) < 0.02
-            assert abs(sensitivity_report(ens).ssi[j] - 1 / np.sqrt(2)) < 0.02
+            assert abs(rep.cri[j] - 1 / np.sqrt(2)) < 0.02
+            assert abs(rep.ssi[j] - 1 / np.sqrt(2)) < 0.02
 
 
 def test_criterion_6_risk_arithmetic():

@@ -16,13 +16,13 @@ from riskmc import (
     activity_risk_index,
     control_indices,
     cross_section,
-    cruciality_index,
     earned_schedule,
     histogram_and_cdf,
     parse_project_text,
     plan,
     risk_baselines,
     run_ensemble,
+    sensitivity_report,
     sevm_forecast,
     triad,
     validate,
@@ -688,8 +688,20 @@ OBSERVED = ControlObservation(t=4.0, ev=430.0, ac=440.0)
 REFUSALS = {
     "baselines on one run": (lambda net: risk_baselines(run_ensemble(net, 1, 0)),
                              ConfigError, "risk baselines need at least 2 runs"),
-    "cruciality on one run": (lambda net: cruciality_index(run_ensemble(net, 1, 0)),
-                              ConfigError, "cruciality_index needs at least 2 runs"),
+    "sensitivity on one run": (lambda net: sensitivity_report(run_ensemble(net, 1, 0)),
+                               ConfigError, "sensitivity indices need at least 2 runs"),
+    # before the zero-variance project's DegenerateProject
+    "kendall": (lambda net: sensitivity_report(
+                    run_ensemble(validate(chain_spec([Distribution.point(2)])), 10, 0), "kendall"),
+                ConfigError, "unknown correlation method 'kendall'"),
+    "float run count": (lambda net: run_ensemble(net, 1e3, 1),
+                        ConfigError, "n_runs must be an integer, got 1000.0"),
+    "float seed": (lambda net: run_ensemble(net, 10, 1.0),
+                   ConfigError, "seed must be an integer, got 1.0"),
+    "fractional neighbors": (lambda net: check_neighbors(2.5, 100),
+                             ConfigError, "k_neighbors must be an integer, got 2.5"),
+    "nan neighbors": (lambda net: check_neighbors(math.nan, 100),
+                      ConfigError, "k_neighbors must be an integer, got nan"),
     "triad band above 50": (lambda net: triad(OBSERVED, run_ensemble(net, 100, 0), band=60),
                             ConfigError, "band must be a percentile half-width in [0, 50], got 60"),
     "zero neighbors": (lambda net: check_neighbors(0, 100),

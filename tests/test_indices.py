@@ -13,8 +13,6 @@ from netgen import chain_spec, critical_flags, normal_pert_spec, parallel_spec, 
 from riskmc import (
     Distribution,
     contingency_reserve,
-    criticality_index,
-    cruciality_index,
     enumerate_paths,
     run_ensemble,
     sensitivity_report,
@@ -32,7 +30,7 @@ def simulate(spec, n=100_000, seed=101):
 
 def test_ci_symmetric_parallel_branches():
     net, ens = simulate(parallel_spec([Distribution.uniform(1, 2)] * 2))
-    ci = criticality_index(ens)
+    ci = sensitivity_report(ens).ci
     assert ci[net.ids().index("B1")] == pytest.approx(0.5, abs=0.02)
     assert ci[net.ids().index("B2")] == pytest.approx(0.5, abs=0.02)
     assert ci[net.source] == 1.0 and ci[net.sink] == 1.0
@@ -41,13 +39,14 @@ def test_ci_symmetric_parallel_branches():
 def test_ci_single_chain_everything_critical():
     _, ens = simulate(chain_spec([Distribution.uniform(1, 3), Distribution.triangular(1, 2, 3)]),
                       n=2000)
-    assert (criticality_index(ens) == 1.0).all()
+    assert (sensitivity_report(ens).ci == 1.0).all()
 
 
 def test_ci_point_durations_match_hand_cpm(figure3_spec):
     # point durations 2/3/4/5 with inert risks: the longest path enumerates to
     # A0-A2-A6-A4-Af (3+5=8 beats 2+5=7 and 2+4=6), so CI is exactly its
-    # indicator
+    # indicator; the project duration is constant, which sensitivity_report
+    # refuses, so CI is taken as README states it
     from riskmc import Activity, ProjectSpec, RiskEvent
 
     acts = []
@@ -59,7 +58,7 @@ def test_ci_point_durations_match_hand_cpm(figure3_spec):
                             target=r.target, impact=r.impact)
                   for r in figure3_spec.risks)
     _, ens = simulate(ProjectSpec(acts, figure3_spec.precedence, risks), n=300)
-    ci = dict(zip(ens.plan.node_ids, criticality_index(ens)))
+    ci = dict(zip(ens.plan.node_ids, ens.critical_runs / ens.n_runs))
     assert ci == {"A0": 1.0, "A1": 0.0, "A2": 1.0, "A5": 0.0, "A6": 1.0,
                   "A3": 0.0, "A4": 1.0, "Af": 1.0}
 
@@ -67,13 +66,13 @@ def test_ci_point_durations_match_hand_cpm(figure3_spec):
 def test_ci_exact_for_point_network():
     spec = chain_spec([Distribution.point(2), Distribution.point(3)])
     _, ens = simulate(spec, n=200)
-    assert (criticality_index(ens) == 1.0).all()
+    assert (ens.critical_runs / ens.n_runs == 1.0).all()
 
 
 def test_cri_two_serial_iid():
     # corr(X, X + Y) = 1/sqrt(2) for iid X, Y
     net, ens = simulate(chain_spec([Distribution.uniform(1, 3)] * 2))
-    cri = cruciality_index(ens)
+    cri = sensitivity_report(ens).cri
     assert cri[net.ids().index("B1")] == pytest.approx(1 / np.sqrt(2), abs=0.02)
     assert cri[net.ids().index("B2")] == pytest.approx(1 / np.sqrt(2), abs=0.02)
 
@@ -81,22 +80,22 @@ def test_cri_two_serial_iid():
 def test_cri_zero_variance_convention():
     net, ens = simulate(chain_spec([Distribution.point(3), Distribution.uniform(1, 2)]),
                         n=4000)
-    cri = cruciality_index(ens)
+    cri = sensitivity_report(ens).cri
     assert cri[net.ids().index("B1")] == 0.0
     assert cri[net.ids().index("B2")] > 0.99
 
 
 def test_cri_single_stochastic_activity():
     net, ens = simulate(chain_spec([Distribution.uniform(2, 6)]), n=4000)
-    assert cruciality_index(ens)[net.ids().index("B1")] == pytest.approx(1.0, abs=1e-12)
+    assert sensitivity_report(ens).cri[net.ids().index("B1")] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cri_spearman_flag():
     net, ens = simulate(chain_spec([Distribution.uniform(1, 3)] * 2), n=4000)
-    rho = cruciality_index(ens, method="spearman")
+    rho = sensitivity_report(ens, method="spearman").cri
     assert rho[net.ids().index("B1")] == pytest.approx(0.707, abs=0.05)
     with pytest.raises(ConfigError):
-        cruciality_index(ens, method="kendall")
+        sensitivity_report(ens, method="kendall")
 
 
 _RANK_INPUTS = st.one_of(
@@ -123,9 +122,9 @@ def test_spearman_cri_matches_rankdata_reference_bitwise(seed, monkeypatch):
     spec = random_dag_spec(rng, n_real=int(rng.integers(1, 9)),
                            discrete_only=seed % 2 == 0, with_risks=int(rng.integers(0, 3)))
     ens = run_ensemble(validate(spec), int(rng.integers(2, 400)), seed)
-    ours = cruciality_index(ens, "spearman")
+    ours = sensitivity_report(ens, "spearman").cri
     monkeypatch.setattr(riskmc.indices, "_average_ranks", rankdata)
-    ref = cruciality_index(ens, "spearman")
+    ref = sensitivity_report(ens, "spearman").cri
     assert ours.tobytes() == ref.tobytes()
 
 
@@ -144,7 +143,7 @@ def test_pearson_and_variance_shares_match_fsum_reference():
     for row in ens.durations:
         sxt, sxx, stt = _fsum_moments(row, ens.total_duration)
         cri.append(abs(sxt) / math.sqrt(sxx * stt) if sxx > 0.0 else 0.0)
-    assert cruciality_index(ens) == pytest.approx(cri, rel=1e-12, abs=0.0)
+    assert sensitivity_report(ens).cri == pytest.approx(cri, rel=1e-12, abs=0.0)
     for rows, totals in ((lambda: ens.durations, ens.total_duration),
                          (ens.cost_rows, ens.total_cost)):
         cov = [max(_fsum_moments(row, totals)[0], 0.0) for row in rows()]
@@ -165,8 +164,8 @@ def test_overflowing_sums_reduce_as_the_unscaled_runs_bitwise():
     for field in ("ci", "cri", "ssi"):
         assert getattr(scaled, field).tobytes() == getattr(plain, field).tobytes(), field
     assert scaled.sigma.tobytes() == np.ldexp(plain.sigma, 1015).tobytes()
-    spearman = cruciality_index(big, "spearman")
-    assert spearman.tobytes() == cruciality_index(ens, "spearman").tobytes()
+    spearman = sensitivity_report(big, "spearman").cri
+    assert spearman.tobytes() == sensitivity_report(ens, "spearman").cri.tobytes()
     for rows, totals in ((lambda: ens.durations, ens.total_duration),
                          (ens.cost_rows, ens.total_cost)):
         want = _variance_shares(rows(), totals)
@@ -215,19 +214,23 @@ def test_scaled_reductions_equal_the_plain_ones_wherever_those_are_finite(expone
 
 def test_analysis_reduces_one_row_at_a_time():
     # beyond the ensemble, the indices, the baselines and the reserve hold a
-    # few run-sized arrays at once, never one per node: 42 nodes here
+    # few run-sized arrays at once, never one per node: 42 nodes here. The
+    # Spearman report holds the ranked totals and one row's ranking
+    # temporaries (sort order, tie groups) beside them
     rng = np.random.default_rng(40)
     net = validate(random_dag_spec(rng, n_real=40, edge_prob=0.1, with_risks=4))
     n = 20_000
     ens = run_ensemble(net, n, 5)
-    for analysis in (sensitivity_report, risk_baselines, lambda e: contingency_reserve(e, 90)):
+    for analysis, runs in ((sensitivity_report, 5), (risk_baselines, 5),
+                           (lambda e: contingency_reserve(e, 90), 5),
+                           (lambda e: sensitivity_report(e, "spearman"), 16)):
         tracemalloc.start()
         try:
             analysis(ens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 8 * n, (analysis, peak / (8 * n))
+        assert peak <= runs * 8 * n, (analysis, peak / (8 * n))
 
 
 def test_ssi_identities():

@@ -76,6 +76,10 @@ def test_bitwise_determinism(figure3_network):
         assert np.array_equal(_field(a, field), _field(b, field)), field
     for curve_a, curve_b in zip(trajectories(a, 11), trajectories(b, 11)):
         assert np.array_equal(curve_a, curve_b)
+    # numpy integers are the same count and seed: the stream keys print alike
+    c = run_ensemble(figure3_network, np.int64(n_runs), np.int64(seed))
+    for field in ENSEMBLE_FIELDS:
+        assert _field(a, field).tobytes() == _field(c, field).tobytes(), field
 
 
 def test_worker_count_never_changes_results(figure3_network):
@@ -583,6 +587,11 @@ def test_percentiles_are_numpys_bit_for_bit(samples, ps):
     for p in ps[:3]:
         want = np.percentile(x, p)
         assert percentiles(x, [p])[0].tobytes() == want.tobytes()
+        got = percentiles(x, p)  # a scalar p gives a 0-d result
+        assert got.shape == () and got.tobytes() == want.tobytes()
+    ps2d = np.resize(ps, (2, len(ps)))
+    got, want = percentiles(x, ps2d), np.percentile(x, ps2d)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert x.tobytes() == np.array(samples).tobytes()  # the samples are not reordered
 
 

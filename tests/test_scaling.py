@@ -19,7 +19,6 @@ from riskmc import cli
 from riskmc import (
     ControlObservation,
     control_indices,
-    criticality_index,
     plan as cpm_plan,
     render_project,
     risk_baselines,
@@ -49,7 +48,7 @@ def outputs(spec, k, j):
                 eac=[f.eac_duration for f in forecasts])
     money = dict(totals=ens.total_cost, sigma=base.sigma_cost, ccoi=budget.ccoi,
                  triad=tri.section_c, eac=[f.eac_cost for f in forecasts])
-    free = dict(ci=criticality_index(ens), report_ci=[r.ci for r in reports],
+    free = dict(report_ci=[r.ci for r in reports],
                 cri=[r.cri for r in reports], ssi=[r.ssi for r in reports],
                 schedule_shares=base.schedule_shares, cost_shares=base.cost_shares,
                 percentiles=[tri.schedule_percentile, tri.cost_percentile],
