@@ -14,21 +14,21 @@ CRIT_TOL = 1e-9  # total float at most this share of the run's PD marks a node c
 _BLOCK_CELLS = 2**17  # windows (nodes x times) that one accrual step takes at once
 
 
-def window_fraction(t, start, finish, step_closed: bool = True):
+def window_fraction(t, start, finish):
     """Fraction of the window [start, finish] elapsed at time t, in [0, 1].
 
     Windows have start <= finish, and no value is nan: the clamp below
     would take a nan to a bound, so `accrue` and `ev_at`/`cost_at` refuse them.
-    Zero-length windows step from 0 to 1 at t == start; `step_closed`
-    selects whether the step counts at t == start (right value) or only
-    for t > start (left limit).
+    Zero-length windows step from 0 to 1 at t == start and count the step
+    there, so every accrual is right-continuous (first_reach alone forms a
+    left limit, from this).
 
     The ratio (t - start) / (finish - start) is clamped to [0, 1]. Rounding
     is monotone, so the ratio is at least 1 wherever t >= finish and at
     most 0 wherever t <= start: the clamp completes a window exactly, never
     at 1 - ulp. Only a zero-length window at its step gives 0/0 = nan,
-    which fmin takes to 1 on the closed side and fmax to 0 on the open
-    side. Adding 0.0 last turns the -0.0 of an underflowed ratio into 0.0.
+    which fmin takes to 1. Adding 0.0 last turns the -0.0 of an underflowed
+    ratio into 0.0.
     """
     t = np.asarray(t, dtype=float)
     start = np.asarray(start, dtype=float)
@@ -36,10 +36,7 @@ def window_fraction(t, start, finish, step_closed: bool = True):
     frac = np.empty(np.broadcast_shapes(t.shape, start.shape, finish.shape))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(np.subtract(t, start, out=frac), finish - start, out=frac)
-    if step_closed:
-        np.maximum(np.fmin(frac, 1.0, out=frac), 0.0, out=frac)
-    else:
-        np.minimum(np.fmax(frac, 0.0, out=frac), 1.0, out=frac)
+    np.maximum(np.fmin(frac, 1.0, out=frac), 0.0, out=frac)
     frac += 0.0
     return frac
 
@@ -222,14 +219,14 @@ def accrue(t, weights, start, finish):
     return total.reshape(t.shape)
 
 
-def accrue_runs(t, weights, start, finish, step_closed=True):
+def accrue_runs(t, weights, start, finish):
     """Accrual of (n_nodes, k) windows at a scalar time or one time per
     column: 0.0 plus each node's weighted fraction in turn, with weights
     (n_nodes,) or (n_nodes, k). numpy sums along an axis that is not the
     fastest in memory one element at a time, so with k >= 2 add.reduce is
     that sum; with one column the node axis is the fast one, which
     add.reduce would sum pairwise, and the cumulative sum is used."""
-    rows = window_fraction(t, start, finish, step_closed)
+    rows = window_fraction(t, start, finish)
     rows *= np.reshape(weights, (len(start), -1))
     if rows.shape[1] >= 2:
         return np.add.reduce(rows, axis=0, initial=0.0)
@@ -240,11 +237,13 @@ def first_reach(target, weights, start, finish):
     """Per run of (n_nodes, n_runs) windows: inf{t : accrue_runs(t) >= target}.
 
     A run's accrual is nondecreasing and piecewise linear between its
-    start/finish times, so all runs bisect their sorted event times at
-    once for the first event whose value reaches the target, then
-    interpolate from the right value before it to the left limit at it:
-    ~log2(2m) accruals, O(n * m * log m) in all. A run whose accrual
-    never reaches the target gets its last event time. Its arrays are
+    start/finish times, so all runs bisect their sorted event times at once
+    for the first event whose value reaches the target, then interpolate
+    from the right value before it to the left limit at it: ~log2(2m)
+    accruals, O(n * m * log m) in all. The left limit at t1 is the accrual
+    there with the zero-length windows stepping at t1 weighted zero: only
+    their steps count at t1 and not before it. A run whose accrual never
+    reaches the target gets its last event time. Its arrays are
     (n_runs, 2m + 1) events and (n_nodes, n_runs) windows, so an ensemble
     passes its runs a block at a time, with the windows Ensemble.blocks
     forms; weights are (n_nodes,) or (n_nodes, n_runs).
@@ -272,7 +271,9 @@ def first_reach(target, weights, start, finish):
     idx = np.maximum(lo, 1)
     t0 = events[runs, idx - 1]
     t1 = events[runs, idx]
-    v1_left = accrue_runs(t1, weights, start, finish, step_closed=False)
+    stepping = (start == t1) & (finish == t1)
+    left_weights = np.where(stepping, 0.0, np.reshape(weights, (m, -1)))
+    v1_left = accrue_runs(t1, left_weights, start, finish)
 
     # at the ends of the float range the step's product (target - v0) *
     # (t1 - t0) can pass the largest double or fall below the smallest

@@ -90,10 +90,6 @@ class Ensemble:
     def n_runs(self) -> int:
         return self.durations.shape[1]
 
-    @property
-    def n_nodes(self) -> int:
-        return self.durations.shape[0]
-
     def cost_rows(self):
         """Node j's costs per run, cost risks on their target, one row at a
         time in node order, each formed as it is read."""

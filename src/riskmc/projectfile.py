@@ -65,10 +65,11 @@ def parse_project(path) -> ProjectSpec:
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of an input file; any other encoding is a syntax error."""
+    """The UTF-8 text of an input file, less one leading byte-order mark;
+    any other encoding is a syntax error."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ProjectSyntaxError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
                                  str(path), data.count(b"\n", 0, exc.start) + 1) from None

@@ -26,21 +26,34 @@ def project(figure3_path):
     return str(figure3_path)
 
 
-def test_validate_reports_shape(project):
+@pytest.fixture()
+def bom_project(figure3_path, tmp_path):
+    """figure3 behind a UTF-8 byte-order mark, as Windows editors save it."""
+    path = tmp_path / "bom.project"
+    path.write_bytes(b"\xef\xbb\xbf" + figure3_path.read_bytes())
+    return str(path)
+
+
+def test_validate_reports_shape(project, bom_project):
     result = run_cli("validate", "--project", project)
     assert result.returncode == 0
     assert "nodes: 8" in result.stdout
     assert "paths: 3" in result.stdout
+    assert run_cli("validate", "--project", bom_project).stdout == result.stdout
 
 
-def test_simulate_same_seed_byte_identical(project, tmp_path):
-    out1, out2 = tmp_path / "one", tmp_path / "two"
-    for out in (out1, out2):
-        result = run_cli("simulate", "--project", project, "--runs", "2000",
+def test_simulate_same_seed_byte_identical(project, bom_project, tmp_path):
+    runs = [(project, tmp_path / "one"), (project, tmp_path / "two"),
+            (bom_project, tmp_path / "bom")]
+    stdouts = set()
+    for path, out in runs:
+        result = run_cli("simulate", "--project", path, "--runs", "2000",
                          "--seed", "42", "--out", str(out))
         assert result.returncode == 0, result.stderr
+        stdouts.add(result.stdout)
+    assert len(stdouts) == 1
     for name in ("percentiles.csv", "endpoints.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert len({(out / name).read_bytes() for _, out in runs}) == 1
 
 
 def test_validate_counts_paths_without_listing_them(tmp_path):
@@ -548,6 +561,12 @@ def test_convert_matrix(tmp_path):
     check = run_cli("validate", "--project", str(out))
     assert check.returncode == 0
     assert "nodes: 3" in check.stdout
+    # a CSV saved with a byte-order mark converts to the same bytes
+    bom_csv, bom_out = tmp_path / "bom.csv", tmp_path / "bom.project"
+    bom_csv.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+    result = run_cli("convert-matrix", "--matrix", str(bom_csv), "--out", str(bom_out))
+    assert result.returncode == 0, result.stderr
+    assert bom_out.read_bytes() == out.read_bytes()
 
 
 SELF_PREDECESSOR = """[activities]

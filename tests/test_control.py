@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netgen import block_windows, chain_spec, random_dag_spec, scaled_spec, with_degenerate_nodes
-from test_cpm import reference_accrue, reference_interpolate
+from test_cpm import reference_accrue, reference_interpolate, reference_window_fraction
 from riskmc import (
     ControlObservation,
     Distribution,
@@ -388,8 +388,8 @@ def _reference_cross_section(ensemble, x):
         if pv_j == 0.0:
             continue
         s, f = starts[:, j, None], finishes[:, j, None]
-        ev_right += pv_j * window_fraction(events, s, f, step_closed=True)
-        ev_left += pv_j * window_fraction(events, s, f, step_closed=False)
+        ev_right += pv_j * reference_window_fraction(events, s, f, True)
+        ev_left += pv_j * reference_window_fraction(events, s, f, False)
 
     idx = (ev_right < target).sum(axis=1)  # first event with ev >= target
     rows = np.arange(n)
@@ -661,11 +661,11 @@ def thousand_activities():
 @pytest.mark.parametrize("analysis", [triad, sevm_forecast], ids=["triad", "sevm"])
 def test_control_scales_to_a_thousand_activities(thousand_activities, analysis):
     ens, obs = thousand_activities
-    assert ens.n_nodes > 1000
+    assert len(ens.network.nodes) > 1000
     start = time.perf_counter()
     analysis(obs, ens)
     elapsed = time.perf_counter() - start
-    print(f"  [{ens.n_nodes} nodes, 1000 runs, {analysis.__name__}: {elapsed:.2f}s]", end="")
+    print(f"  [{len(ens.network.nodes)} nodes, 1000 runs, {analysis.__name__}: {elapsed:.2f}s]", end="")
     assert elapsed <= 10.0
 
 

@@ -331,17 +331,16 @@ _edges = [(1.0, 0.0, "start"), (1.0, 0.0, 0.5), (1.0, 0.0, 1.5),
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_windows, min_size=1, max_size=40), st.booleans())
-@example(_edges, True)
-@example(_edges, False)
-@example([(0.0, 2.225073858507e-311, 1.0)], False)  # subnormal length: the ramp overflows
-def test_window_fraction_matches_reference_bitwise(windows, step_closed):
+@given(st.lists(_windows, min_size=1, max_size=40))
+@example(_edges)
+@example([(0.0, 2.225073858507e-311, 1.0)])  # subnormal length: the ramp overflows
+def test_window_fraction_matches_reference_bitwise(windows):
     start = np.array([s for s, _, _ in windows])
     finish = start + np.array([length for _, length, _ in windows])
     t = np.array([s if at == "start" else f if at == "finish" else at
                   for (s, _, at), f in zip(windows, finish)])
-    got = window_fraction(t, start, finish, step_closed)
-    want = reference_window_fraction(t, start, finish, step_closed)
+    got = window_fraction(t, start, finish)
+    want = reference_window_fraction(t, start, finish, step_closed=True)
     assert got.tobytes() == want.tobytes()
 
 
@@ -375,14 +374,11 @@ def test_accrue_matches_the_node_loop_bitwise(seed):
              (accrue_runs, p.duration / 3, p.costs, start, finish),
              (accrue_runs, per_run, p.costs, start, finish),
              (accrue_runs, per_run, node_costs, start, finish)]
-    for step_closed in (True, False):
-        for fn, t, weights, s, f in cases:
-            if fn is accrue and not step_closed:
-                continue  # one schedule's curve is right-continuous only
-            got = fn(t, weights, s, f) if fn is accrue else fn(t, weights, s, f, step_closed)
-            want = reference_accrue(t, weights, s, f, step_closed)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (fn.__name__, np.shape(t), step_closed)
+    for fn, t, weights, s, f in cases:
+        got = fn(t, weights, s, f)
+        want = reference_accrue(t, weights, s, f)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (fn.__name__, np.shape(t))
 
 
 # -- one implementation against the code it replaced -------------------------
@@ -420,7 +416,7 @@ def _reference_accrual(ts, costs, start, finish, step_closed):
     out = np.zeros(len(ts))
     for j in range(len(costs)):
         if costs[j] != 0.0:
-            out += costs[j] * window_fraction(ts, start[j], finish[j], step_closed)
+            out += costs[j] * reference_window_fraction(ts, start[j], finish[j], step_closed)
     return out
 
 
