@@ -236,29 +236,29 @@ def accrue_runs(t, weights, start, finish):
 def first_reach(target, weights, start, finish):
     """Per run of (n_nodes, n_runs) windows: inf{t : accrue_runs(t) >= target}.
 
-    A run's accrual is nondecreasing and piecewise linear between its
-    start/finish times, so all runs bisect their sorted event times at once
-    for the first event whose value reaches the target, then interpolate
-    from the right value before it to the left limit at it: ~log2(2m)
-    accruals, O(n * m * log m) in all. The left limit at t1 is the accrual
-    there with the zero-length windows stepping at t1 weighted zero: only
-    their steps count at t1 and not before it. A run whose accrual never
-    reaches the target gets its last event time. Its arrays are
-    (n_runs, 2m + 1) events and (n_nodes, n_runs) windows, so an ensemble
-    passes its runs a block at a time, with the windows Ensemble.blocks
-    forms; weights are (n_nodes,) or (n_nodes, n_runs).
+    The windows are a CPM schedule's, as `forward` forms them: each start
+    is 0.0 or the same sum start + d as a predecessor's finish, so a run's
+    accrual is nondecreasing and piecewise linear between 0 and its
+    finishes. All runs bisect those sorted events at once for the first
+    one whose value reaches the target, then interpolate from the right
+    value before it to the left limit at it: ~log2(m) accruals,
+    O(n * m * log m) in all. The left limit at t1 is the accrual there
+    with the zero-length windows stepping at t1 weighted zero: only their
+    steps count at t1 and not before it. A run whose accrual never
+    reaches the target gets its last finish. Its arrays are (n_runs, m + 1)
+    events and (n_nodes, n_runs) windows, so an ensemble passes its runs a
+    block at a time, with the windows Ensemble.blocks forms; weights are
+    (n_nodes,) or (n_nodes, n_runs).
     """
     m, n = start.shape
     runs = np.arange(n)
-    events = np.empty((n, 2 * m + 1))  # a row per run, sorted along the row
-    events[:, 0] = 0.0
-    events[:, 1:m + 1] = start.T
-    events[:, m + 1:] = finish.T
+    events = np.zeros((n, m + 1))  # a row per run: 0, then the finishes, sorted
+    events[:, 1:] = finish.T
     events.sort(axis=1)
 
     # the first event reaching the target lies in [lo, hi] throughout;
     # v0 is the accrual at lo - 1
-    lo, hi, v0 = np.zeros(n, dtype=int), np.full(n, 2 * m), np.zeros(n)
+    lo, hi, v0 = np.zeros(n, dtype=int), np.full(n, m), np.zeros(n)
     while (lo < hi).any():
         mid = (lo + hi) // 2
         value = accrue_runs(events[runs, mid], weights, start, finish)

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import MAX_GRID_POINTS, ConfigError
+from .errors import MAX_GRID_POINTS, ConfigError, check_integer
 
 if TYPE_CHECKING:  # reports dispatch by type name, so writing one loads no other module
     from .control import AriReport, ControlIndices, RiskBaseline, SevmForecast, TriadReport
@@ -100,6 +100,7 @@ _TABULATORS = {
 
 def _grid_times(plan: CpmResult, grid_points: int) -> np.ndarray:
     """The export grid: uniform times on the plan's [0, PD]."""
+    check_integer("grid_points", grid_points)
     if not 2 <= grid_points <= MAX_GRID_POINTS:
         raise ConfigError(f"grid_points must be in [2, {MAX_GRID_POINTS}], got {grid_points}")
     return np.linspace(0.0, plan.duration, grid_points)

@@ -333,6 +333,7 @@ def histogram_and_cdf(samples, bins: int = 40) -> HistogramTable:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise EmptySample("histogram_and_cdf needs at least one sample")
+    check_integer("bins", bins)
     if not 1 <= bins <= MAX_BINS:
         raise ConfigError(f"bins must be in [1, {MAX_BINS}], got {bins}")
     counts, edges = _bin_counts(x, bins)

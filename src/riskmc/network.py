@@ -203,7 +203,9 @@ def validate(spec: ProjectSpec) -> ValidatedNetwork:
     by_id = {a.id: a for a in acts}
     for dummy_id in (sources[0], sinks[0]):
         a = by_id[dummy_id]
-        if a.duration.mean() != 0.0 or a.fixed_cost != 0.0 or a.variable_cost_rate != 0.0:
+        law = a.duration  # a point mass at 0 only when every value parameter is 0
+        values = [v for v, _ in law.params] if law.kind == "discrete" else law.params
+        if any(values) or a.fixed_cost != 0.0 or a.variable_cost_rate != 0.0:
             raise BadDummy(f"dummy {dummy_id!r} must have zero duration and zero cost")
 
     for r in spec.risks:

@@ -30,7 +30,7 @@ from riskmc import (
 import riskmc.montecarlo as montecarlo
 from riskmc.control import _linear_predict, check_neighbors, completion_fraction
 from riskmc.cpm import _BLOCK_CELLS, forward, window_fraction
-from riskmc.csvout import baseline_table
+from riskmc.csvout import baseline_table, pv_table
 from riskmc.errors import (
     BadDefinition,
     BadDistributionParams,
@@ -494,16 +494,19 @@ def test_blocked_cross_section_matches_the_whole_ensemble_bitwise(n):
 
 
 def test_blocked_cross_section_matches_the_whole_ensemble_at_the_block_cap():
-    # 402 nodes cap a block at 2**17 // 402 = 326 runs, below n // 16; 16
-    # full blocks and a last one of one run
+    # 403 nodes cap a block at 2**17 // 403 = 325 runs, below n // 16; 16
+    # full blocks and a last one of one run. Its point(0) and cost-free
+    # nodes make starts and finishes coincide often, at 177 joins
     rng = np.random.default_rng(402)
-    net = validate(random_dag_spec(rng, n_real=400, edge_prob=3 / 402, with_risks=2))
+    spec = random_dag_spec(rng, n_real=400, edge_prob=3 / 402, with_risks=2)
+    net = validate(with_degenerate_nodes(rng, spec))
     cap = _BLOCK_CELLS // len(net.nodes)
     ens = run_ensemble(net, 16 * cap + 1, 4)
     assert _block_sizes(ens) == [cap] * 16 + [1]
-    got, want = cross_section(ens, 0.5), _whole_ensemble_section(ens, 0.5)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+    for x in (0.05, 0.5, 0.95):
+        got, want = cross_section(ens, x), _whole_ensemble_section(ens, x)
+        assert got[0].tobytes() == want[0].tobytes(), x
+        assert got[1].tobytes() == want[1].tobytes(), x
 
 
 # -- triad -------------------------------------------------------------------
@@ -710,6 +713,10 @@ REFUSALS = {
                          ConfigError, "unknown estimator 'median'"),
     "empty histogram": (lambda net: histogram_and_cdf([]),
                         EmptySample, "histogram_and_cdf needs at least one sample"),
+    "float bins": (lambda net: histogram_and_cdf([1.0, 2.0], bins=40.0),
+                   ConfigError, "bins must be an integer, got 40.0"),
+    "float grid": (lambda net: pv_table(plan(net), 101.0),
+                   ConfigError, "grid_points must be an integer, got 101.0"),
     "risk probability above 1": (
         lambda net: parse_project_text(ZERO_COST.replace("p=0.5", "p=1.5"), source="p.project"),
         BadDefinition, "p.project:7: risk R1: probability must be in [0, 1]"),

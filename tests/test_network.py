@@ -1,5 +1,6 @@
 import hashlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,12 +111,33 @@ def test_pair_naming_an_unknown_activity_is_unknown_predecessor(pair):
     assert "nowhere" in str(err.value)
 
 
-def test_costed_dummy_rejected():
+def _with_dummy(index, law, fixed_cost=0.0):
     spec = chain_spec([Distribution.point(1)])
     acts = list(spec.activities)
-    acts[0] = Activity(id="A0", name="start", duration=Distribution.point(0), fixed_cost=5)
-    with pytest.raises(BadDummy):
-        validate(ProjectSpec(activities=acts, precedence=spec.precedence))
+    acts[index] = replace(acts[index], duration=law, fixed_cost=fixed_cost)
+    return ProjectSpec(activities=acts, precedence=spec.precedence)
+
+
+@pytest.mark.parametrize("index, law, fixed_cost", [
+    (0, Distribution.point(0), 5.0),
+    (0, Distribution.normal(0, 1), 0.0),  # mean 0, but it draws from its truncation at 0
+    (-1, Distribution.normal(0, 1), 0.0),
+    (0, Distribution.uniform(0, 5e-324), 0.0),  # its mean rounds to 0
+    (0, Distribution.discrete([(0, 0.5), (5e-324, 0.5)]), 0.0),
+], ids=["costed start", "normal start", "normal end", "subnormal uniform", "subnormal atom"])
+def test_dummy_with_cost_or_nonzero_law_rejected(index, law, fixed_cost):
+    with pytest.raises(BadDummy, match="must have zero duration and zero cost"):
+        validate(_with_dummy(index, law, fixed_cost))
+
+
+@pytest.mark.parametrize("law", [
+    Distribution.point(0), Distribution.point(-0.0), Distribution.uniform(0, 0),
+    Distribution.triangular(0, 0, 0), Distribution.pert(0, 0, 0),
+    Distribution.discrete([(0, 1)]), Distribution.normal(0, 0),
+], ids=["point", "negative zero", "uniform", "triangular", "pert", "discrete", "normal"])
+def test_point_mass_at_zero_dummy_accepted(law):
+    for index in (0, -1):
+        validate(_with_dummy(index, law))
 
 
 def test_risk_target_must_exist():
