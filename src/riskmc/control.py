@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .errors import (
     KTooLarge,
     check_integer,
 )
-from .montecarlo import (Ensemble, percentiles, row_moments, sample_sd, scaled,
+from .montecarlo import (Ensemble, moments_against, percentiles, sample_sd, scaled,
                          unit_scaled)
 
 INTERVAL_PERCENTILES = (5.0, 95.0)  # of the SEVM forecast's duration and cost intervals
@@ -58,19 +59,27 @@ def risk_baselines(ensemble: Ensemble) -> RiskBaseline:
     if sigma_pd == 0.0 and sigma_c == 0.0:
         raise DegenerateProject("neither duration nor cost shows any variance")
 
-    return RiskBaseline(
-        schedule_shares=_variance_shares(ensemble.durations, ensemble.total_duration),
-        cost_shares=_variance_shares(ensemble.cost_rows(), ensemble.total_cost),
-        sigma_duration=sigma_pd, sigma_cost=sigma_c, plan=ensemble.plan)
+    schedule, cost = moments_against(ensemble.total_duration), moments_against(ensemble.total_cost)
+
+    def covariances(j, d):
+        schedule_cov = schedule(d)[2]
+        # node_costs writes the costs over d, which nothing reads after this
+        return schedule_cov, cost(ensemble.node_costs(j, d))[2]
+
+    # each node's durations are re-drawn once and feed both reductions; map
+    # lets go of a node's row before the next node's is drawn
+    cov = np.array(list(map(covariances, count(), ensemble.duration_rows()))).T
+    return RiskBaseline(schedule_shares=_variance_shares(cov[0]),
+                        cost_shares=_variance_shares(cov[1]),
+                        sigma_duration=sigma_pd, sigma_cost=sigma_c, plan=ensemble.plan)
 
 
-def _variance_shares(rows, totals):
-    """Covariance of each node's row with the total, clamped >= 0 (merge-bias
-    artifacts can push covariances negative), normalized; the rows are
-    iterated once, in node order. A duration is at most its run's longest
-    path and a node cost at most the run's total cost, so `row_moments`
-    applies."""
-    cov = np.maximum(row_moments(rows, totals)[2], 0.0)
+def _variance_shares(cov):
+    """Each node's covariance with the total, clamped >= 0 (merge-bias
+    artifacts can push covariances negative), normalized. A duration is at
+    most its run's longest path and a node cost at most the run's total
+    cost, so `moments_against` applies."""
+    cov = np.maximum(cov, 0.0)
     total = cov.sum()
     return cov / total if total > 0.0 else np.zeros_like(cov)
 

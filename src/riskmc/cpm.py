@@ -175,7 +175,8 @@ def enumerate_paths(network: ValidatedNetwork, cap: int = 1_000_000) -> PathMatr
     n_paths = count_paths(network)
     if n_paths > cap:
         raise PathExplosion(f"{n_paths} paths exceed the cap of {cap}")
-    check_memory(PathExplosion, n_paths, "paths", len(nodes), len(nodes))  # 1 B per node
+    check_memory(PathExplosion, n_paths, "paths", len(nodes),
+                 lambda paths: paths * len(nodes))  # 1 B per node
 
     membership = np.zeros((n_paths, len(nodes)), dtype=np.uint8)
     row = 0

@@ -148,13 +148,19 @@ def _memory_ceiling() -> int:
     return min(limits)
 
 
-def check_memory(error, count, unit, n_nodes, per_unit, need="need"):
+def check_memory(error, count, unit, n_nodes, need_of, need="need"):
     """Refuse, before anything is allocated, `count` runs or paths (`unit`)
-    of `n_nodes` nodes, at `per_unit` bytes each, that would not fit in
-    _memory_ceiling(): raise `error`, naming the most that fit."""
+    of `n_nodes` nodes that would need need_of(count) bytes, above
+    _memory_ceiling(): raise `error`, naming the most that fit. need_of is
+    non-decreasing and at least 1 B per unit."""
     ceiling = _memory_ceiling()
-    if count * per_unit > ceiling:
+    bytes_needed = need_of(count)
+    if bytes_needed > ceiling:
+        lo, hi = 0, min(count - 1, ceiling)  # the most that fit is in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if need_of(mid) <= ceiling else (lo, mid - 1)
         raise error(f"{count} {unit} of {n_nodes} nodes {need} "
-                    f"{count * per_unit / 2**30:.3g} GiB, above the "
+                    f"{bytes_needed / 2**30:.3g} GiB, above the "
                     f"{ceiling / 2**30:.3g} GiB memory ceiling; at most "
-                    f"{ceiling // per_unit} {unit} fit")
+                    f"{lo} {unit} fit")

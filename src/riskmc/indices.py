@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateProject
-from .montecarlo import Ensemble, percentiles, row_moments, sample_sd
+from .montecarlo import Ensemble, moments_against, percentiles, sample_sd
 
 
 @dataclass(frozen=True)
@@ -43,21 +43,28 @@ def sensitivity_report(ensemble: Ensemble, method: str = "pearson") -> Sensitivi
     """Per node: CI, the fraction of its critical runs; CrI, |r| of its
     durations with the project's (Pearson's, or Spearman's on the average
     ranks), 0 where its durations are constant; SSI = CI * sigma_i / sigma_PD.
-    One row_moments pass gives each sigma_i and Pearson r; Spearman's takes a
-    second pass, on the ranks. A project duration of zero variance is
-    DegenerateProject."""
+    Each node's sigma_i and Pearson r come from `moments_against` the project
+    durations, and Spearman's r from it on the ranks. A project duration of
+    zero variance is DegenerateProject."""
     if ensemble.n_runs < 2:
         raise ConfigError("sensitivity indices need at least 2 runs")
     if method not in ("pearson", "spearman"):
         raise ConfigError(f"unknown correlation method {method!r}")
-    totals, rows = ensemble.total_duration, ensemble.durations
+    totals = ensemble.total_duration
     sigma_pd = sample_sd(totals)
     if sigma_pd == 0.0:
         raise DegenerateProject("project duration has zero variance")
     ci = ensemble.critical_runs / ensemble.n_runs
-    sigma, r, _ = row_moments(rows, totals)
-    if method == "spearman":
-        r = row_moments(map(_average_ranks, rows), _average_ranks(totals))[1]
+    by_value = moments_against(totals)
+    by_rank = moments_against(_average_ranks(totals)) if method == "spearman" else None
+
+    def sd_and_r(row):
+        sd, r, _ = by_value(row)
+        return sd, r if by_rank is None else by_rank(_average_ranks(row))[1]
+
+    # each node's durations are re-drawn once and feed both reductions; map
+    # lets go of a node's row before the next node's is drawn
+    sigma, r = np.array(list(map(sd_and_r, ensemble.duration_rows()))).T.copy()
     return SensitivityReport(node_ids=ensemble.plan.node_ids,
                              node_names=ensemble.plan.node_names, ci=ci,
                              cri=np.clip(np.abs(r), 0.0, 1.0), ssi=ci * sigma / sigma_pd,

@@ -5,7 +5,9 @@ by blake2b(seed | purpose | ident | 0), and run k always reads position k
 of that stream. All variants sample by inverse CDF, one uniform per draw
 (a normal law through the inverse CDF of its truncation at zero), so
 results are bitwise identical for any worker count and toggling one risk
-never perturbs any other draw.
+never perturbs any other draw. The same positions give the same draws
+whenever they are read, so the ensemble keeps only its totals and the
+analyses re-draw the node rows they read.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -28,22 +32,32 @@ _DURATION = "dur"
 _GATE = "gate"
 _IMPACT = "impact"
 
-# peak bytes that a simulating command allocates, per run and node and per
-# run, on top of its cost risks' draws (8 B per run and risk). run_ensemble,
-# the ensemble (8 B) plus one (nodes x chunk) CPM buffer per thread, sets the
-# peak of every command: it measured <= 20.2 B per run and node (tracemalloc:
-# 6 to 403 nodes, 300 to 32769 runs, 1 and 3 workers; <= 16.3 from 42 nodes
-# up). The analyses after it hold no per-run-and-node array: the control
-# cross-section works on blocks of runs (Ensemble.blocks) and the node costs
-# are formed a row or a block at a time. The per-run part covers the analyses'
-# per-run vectors and the fixed objects that weigh at a few hundred runs:
-# <= 107 B beyond 22 B per run and node (tracemalloc: control and forecast
-# at 300, 1000 and 8193 runs, 3 to 403 nodes); 160 keeps 3 % of the bound
-# spare where it is tightest, 300 runs of 3 nodes and 200 cost risks
-_PEAK_PER_RUN_NODE = 22
-_PEAK_PER_RUN = 160
+# peak bytes that a simulating command allocates, per run, per node and per
+# cost risk for each run in flight, and per window of a block. A run is in
+# flight while its span of _CHUNK runs is drawn: in run_ensemble one span per
+# thread, its durations and CPM buffer (16 B per node) and its cost-risk draws
+# (8 B per risk); in Ensemble.blocks one span, its durations and draws. A
+# block's windows are its starts, finishes and node costs and the
+# cross-section's events and accrual temporaries: 58 to 60 B each (tracemalloc,
+# 8 to 153 nodes, blocks of 256 runs against blocks of 2^17 windows or a
+# span). The per-run part is the stored totals (16 B) and the analyses'
+# per-run vectors and re-drawn rows, a few at a time, and it covers one span's
+# draw temporaries and the fixed objects that weigh at a few hundred runs.
+# tracemalloc, 6 to 403 nodes, 300 to 131073 runs, 1 and 3 workers,
+# run_ensemble alone and followed by control, forecast or Spearman indices,
+# blocks up to 2^17 windows or a span: each peak is within 17 B per in-flight
+# run and node, 8 per in-flight run and risk, 60 per block window and 69 per
+# run; 128 keeps 3 % of the bound spare where it is tightest, 300 runs of 3
+# nodes and 200 cost risks
+_PEAK_PER_RUN = 128
+_PEAK_PER_SPAN_NODE = 17
+_PEAK_PER_SPAN_RISK = 8
+_PEAK_PER_WINDOW = 60
 
 _CHUNK = 8192  # runs per task; a multiple of 4, so chunks start on a Philox block
+
+_local = threading.local()  # each thread's own generator, re-keyed for every stream
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 
 
 def _uniform_block(seed, purpose, ident, start, count):
@@ -51,15 +65,26 @@ def _uniform_block(seed, purpose, ident, start, count):
     # the constant last field keeps every key, so every draw, as it was when
     # that field numbered a normal law's redraw rounds
     msg = f"{seed}|{purpose}|{ident}|0".encode()
-    key = int.from_bytes(hashlib.blake2b(msg, digest_size=16).digest(), "little")
-    bit_gen = Philox(key=key)
-    bit_gen.advance(start // 4)  # Philox emits 4 doubles per counter tick
-    return Generator(bit_gen).random(count)
+    key = np.frombuffer(hashlib.blake2b(msg, digest_size=16).digest(), dtype="<u8")
+    generator = getattr(_local, "generator", None)
+    if generator is None:
+        generator = _local.generator = Generator(Philox(0))
+    # the state Philox(key=key).advance(start // 4) reaches (Philox emits 4
+    # doubles per counter tick), set directly: Philox(key=) first reads a
+    # seed from OS entropy, which the key then overrides
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([start // 4, 0, 0, 0], dtype=np.uint64), "key": key},
+        "buffer": _EMPTY_BUFFER, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return generator.random(count)
 
 
 def sample_block(dist: Distribution, seed, ident, start, count, purpose=_DURATION):
     """Nonnegative draws for runs [start, start+count), chunking-independent:
-    run k reads position k of the (ident, purpose) stream."""
+    run k reads position k of the (ident, purpose) stream. A point law reads
+    no stream: each stream has one owner, so no other draw moves."""
+    if dist.kind == "point":
+        return np.full(count, dist.params[0])
     return inv_cdf(dist, _uniform_block(seed, purpose, ident, start, count))
 
 
@@ -67,59 +92,93 @@ def sample_block(dist: Distribution, seed, ident, start, count, purpose=_DURATIO
 class Ensemble:
     """Immutable record of one simulation campaign.
 
-    Its fields are what was sampled and what each run's schedule decided;
-    per-node arrays are indexed (node, run), so each node's runs are one
-    contiguous row, the totals are (n_runs,), and critical_runs counts each
-    node's critical runs. Nothing else is stored: `blocks` derives each
-    block's starts and finishes by a forward pass, bitwise as run_ensemble
-    formed them, and its node costs; cost_rows forms the node costs a row at
-    a time; run k's critical flags are cpm.forward_backward(network,
-    durations[:, k]).critical. ev_at/cost_at evaluate each run's exact
-    earned-value and cumulative-cost trajectories, a block of runs at a time.
+    It stores what each run's schedule decided, the two totals (n_runs,)
+    and critical_runs, each node's count of critical runs, and the seed
+    the runs were drawn from. Everything else is re-drawn from the seed's
+    streams where it is read, bitwise as run_ensemble drew it: run k reads
+    position k of each stream. duration_rows gives each node's durations one
+    (n_runs,) row at a time, and node_costs its costs from that row; `blocks`
+    gives each block of runs its windows and node costs; run k's critical
+    flags are cpm.forward_backward(network, durations of run k).critical.
+    ev_at/cost_at evaluate each run's exact earned-value and cumulative-cost
+    trajectories, a block of runs at a time.
     """
 
     plan: _cpm.CpmResult        # the baseline, and the node ids and names
     network: ValidatedNetwork   # whose nodes and cost risks were sampled
-    durations: np.ndarray       # (n_nodes, n_runs) sampled node durations
-    impacts: np.ndarray         # (n_cost_risks, n_runs) cost-risk draws, 0 where inactive
+    seed: int                   # whose streams the runs read
     critical_runs: np.ndarray   # (n_nodes,) runs whose total float is within tolerance
     total_duration: np.ndarray  # (n_runs,)
     total_cost: np.ndarray      # (n_runs,) including cost-risk realizations
 
     @property
     def n_runs(self) -> int:
-        return self.durations.shape[1]
+        return self.total_duration.size
 
-    def cost_rows(self):
-        """Node j's costs per run, cost risks on their target, one row at a
-        time in node order, each formed as it is read."""
-        return _cost_rows(self.network, self.durations, self.impacts)
+    def _spans(self):
+        """(lo, hi) of each span of _CHUNK runs in turn, as run_ensemble chunks them."""
+        n = self.n_runs
+        return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+
+    def duration_rows(self):
+        """Node j's durations per run, one row at a time in node order, each
+        re-drawn as it is read, a span at a time, so the draw's temporaries
+        stay span-sized. It keeps no reference to a row it has given out."""
+        return map(self._duration_row, self.network.nodes)
+
+    def _duration_row(self, node):
+        row = np.empty(self.n_runs)
+        for lo, hi in self._spans():
+            row[lo:hi] = _draw(node.base, node.gate, self.seed, node.id, lo, hi)
+        return row
+
+    def node_costs(self, j, durations):
+        """Node j's costs per run from its row of duration_rows, as
+        run_ensemble formed them, written into that row: each cost risk on j
+        is re-drawn and added a span at a time."""
+        def add_impact(row, i):
+            cr = self.network.cost_risks[i]
+            for lo, hi in self._spans():
+                row[lo:hi] += _draw(cr.impact, cr.probability, self.seed, cr.id, lo, hi)
+
+        return _node_costs(self.network.nodes[j], durations, self._cost_risks_on[j],
+                           add_impact, out=durations)
+
+    @cached_property
+    def _cost_risks_on(self):
+        return _cost_risks_on(self.network)
 
     def blocks(self):
         """(runs, start, finish, node_costs) for each block of runs in turn:
         a slice of the runs, their early starts from a forward pass on the
         block's own durations, their finishes start + durations, and their
-        node costs as cost_rows forms them. These are the only per-run
+        node costs as node_costs forms them. These are the only per-run
         windows: every accrual over the runs reads them here.
 
-        A run's values depend on its own column alone, so any blocking gives
-        the whole ensemble's values bit for bit. A block holds at most
-        cpm._BLOCK_CELLS windows and a sixteenth of the runs (at least 2),
-        so what a block forms stays small beside the ensemble.
+        Each span of _CHUNK runs is re-drawn once and cut into blocks, so no
+        block straddles two spans. A run's values depend on its own column
+        alone, so any blocking gives the whole ensemble's values bit for
+        bit. A block holds at most a sixteenth of the runs, a span and
+        cpm._BLOCK_CELLS windows (_block_runs).
         """
-        m, n = self.durations.shape
-        size = max(2, min(n // 16, _cpm._BLOCK_CELLS // m))
+        size = _block_runs(self.n_runs, len(self.network.nodes))
+        for lo, hi in self._spans():
+            # a span's draws go with its generator, before the next span's are drawn
+            yield from self._span_blocks(lo, hi, size)
+
+    def _span_blocks(self, lo, hi, size):
+        durations, impacts = _draw_span(self.network, self.seed, lo, hi)
         rates, fixed = self.network.rates()[:, None], self.network.fixed_costs()[:, None]
-        for lo in range(0, n, size):
-            runs = slice(lo, lo + size)
-            d = self.durations[:, runs]
+        for b in range(0, hi - lo, size):
+            cols = slice(b, min(b + size, hi - lo))
+            d = durations[:, cols]
             start = np.empty(d.shape)
             _cpm.forward(self.network, d, start)
             node_costs = rates * d
             node_costs += fixed
             for i, cr in enumerate(self.network.cost_risks):
-                node_costs[cr.target] += self.impacts[i, runs]
-            yield runs, start, start + d, node_costs
+                node_costs[cr.target] += impacts[i, cols]
+            yield slice(lo + cols.start, lo + cols.stop), start, start + d, node_costs
 
     def ev_at(self, times) -> np.ndarray:
         """Exact earned-value trajectory values at per-run times (or a scalar)."""
@@ -143,49 +202,88 @@ class Ensemble:
         return out
 
 
-def _cost_rows(network: ValidatedNetwork, d, impacts):
-    """Node j's costs per run, one row at a time in node order: rates[j] * d[j]
-    + fixed[j], plus the impacts of the cost risks on j in cost_risks order."""
-    on = {}
+def _node_costs(node, d, risks, add_impact, out=None):
+    """A node's costs per run from its durations d: rate * d + fixed, into
+    `out` (d itself may be passed) or a new row, then add_impact(row, i) for
+    each index i in risks, the cost risks on the node in cost_risks order."""
+    row = np.multiply(node.variable_cost_rate, d, out=out)
+    row += node.fixed_cost
+    for i in risks:
+        add_impact(row, i)
+    return row
+
+
+def _cost_risks_on(network: ValidatedNetwork):
+    """Each node's cost-risk indices, in cost_risks order."""
+    on = [[] for _ in network.nodes]
     for i, cr in enumerate(network.cost_risks):
-        on.setdefault(cr.target, []).append(i)
-    for j, (rate, fixed) in enumerate(zip(network.rates(), network.fixed_costs())):
-        row = rate * d[j]
-        row += fixed
-        for i in on.get(j, ()):
-            row += impacts[i]
-        yield row
+        on[cr.target].append(i)
+    return on
+
+
+def _block_runs(n_runs, n_nodes):
+    """Runs per block of Ensemble.blocks: at most a sixteenth of the runs, a
+    span and cpm._BLOCK_CELLS windows, and at least 2."""
+    return max(2, min(n_runs // 16, _CHUNK, _cpm._BLOCK_CELLS // n_nodes))
+
+
+def _draw_span(network: ValidatedNetwork, seed, lo, hi):
+    """Runs [lo, hi)'s (n_nodes, hi - lo) durations and (n_cost_risks, hi - lo)
+    cost-risk draws, 0 where a risk did not fire."""
+    durations = np.empty((len(network.nodes), hi - lo))
+    impacts = np.empty((len(network.cost_risks), hi - lo))
+    for node in network.nodes:
+        durations[node.index] = _draw(node.base, node.gate, seed, node.id, lo, hi)
+    for i, cr in enumerate(network.cost_risks):
+        impacts[i] = _draw(cr.impact, cr.probability, seed, cr.id, lo, hi)
+    return durations, impacts
+
+
+def _threads(workers, n_runs):
+    """Threads that simulate n_runs runs: at most one per chunk and per CPU."""
+    return min(workers, -(-n_runs // _CHUNK), os.cpu_count() or 1)
+
+
+def _peak_bytes(network: ValidatedNetwork, n_runs, workers=1) -> int:
+    """The estimated peak of a command that simulates n_runs runs of the
+    network on `workers` workers and analyses them: _PEAK_PER_RUN per run,
+    per node and cost risk for each run in flight, a span per thread, and
+    per window of one block of Ensemble.blocks."""
+    m = len(network.nodes)
+    in_flight = _threads(workers, n_runs) * min(n_runs, _CHUNK)
+    per_span_run = _PEAK_PER_SPAN_NODE * m + _PEAK_PER_SPAN_RISK * len(network.cost_risks)
+    return (n_runs * _PEAK_PER_RUN + in_flight * per_span_run
+            + _PEAK_PER_WINDOW * m * _block_runs(n_runs, m))
 
 
 def run_ensemble(network: ValidatedNetwork, n_runs: int, seed: int,
                  workers: int = 1) -> Ensemble:
     """Simulate n_runs schedules of the network from `seed`.
 
-    Each chunk of _CHUNK runs is simulated end to end, up to `workers` chunks
-    at once; bitwise deterministic in (network, n_runs, seed), whatever the
+    Each chunk of _CHUNK runs is drawn and simulated end to end, up to
+    `workers` chunks at once, and only its totals and critical counts are
+    kept; bitwise deterministic in (network, n_runs, seed), whatever the
     workers. A plan or run whose duration or cost leaves the floats is
     DegenerateProject. n_runs, seed and workers must be integers (ConfigError).
     """
     n_runs, seed = check_integer("n_runs", n_runs, 1), check_integer("seed", seed)
     workers = check_integer("workers", workers, 1)
-    nodes = network.nodes
-    n, m = n_runs, len(nodes)
-    per_run = _PEAK_PER_RUN_NODE * m + 8 * len(network.cost_risks) + _PEAK_PER_RUN
-    check_memory(ConfigError, n, "runs", m, per_run, need="need about")
+    n = n_runs
+    check_memory(ConfigError, n, "runs", len(network.nodes),
+                 lambda runs: _peak_bytes(network, runs, workers), need="need about")
 
-    durations, impacts = np.empty((m, n)), np.empty((len(network.cost_risks), n))
     chunks = range(0, n, _CHUNK)
-    counts = np.empty((len(chunks), m), dtype=np.int64)  # critical runs, a row per chunk
+    counts = np.empty((len(chunks), len(network.nodes)), dtype=np.int64)  # a row per chunk
     total_duration, total_cost = np.empty(n), np.zeros(n)
     plan = _cpm.plan(network)
+    on = _cost_risks_on(network)
 
     def simulate(lo):
         hi = min(lo + _CHUNK, n)
-        d, imp = durations[:, lo:hi], impacts[:, lo:hi]
-        for node in nodes:
-            d[node.index] = _draw(node.base, node.gate, seed, node.id, lo, hi)
-        for i, cr in enumerate(network.cost_risks):
-            imp[i] = _draw(cr.impact, cr.probability, seed, cr.id, lo, hi)
+        d, impacts = _draw_span(network, seed, lo, hi)
+
+        def add_impact(costs, i):
+            costs += impacts[i]
 
         cost_sum = total_cost[lo:hi]
         buf = np.empty(d.shape)  # early starts, then late finishes
@@ -193,8 +291,8 @@ def run_ensemble(network: ValidatedNetwork, n_runs: int, seed: int,
             # accumulate in node order, matching ev_at/cost_at and the plan's BAC,
             # so the endpoint identities cost_k(PD_k) = C_k and ev_k(PD_k) = BAC
             # hold bitwise
-            for row in _cost_rows(network, d, imp):
-                cost_sum += row
+            for node, row in zip(network.nodes, d):
+                cost_sum += _node_costs(node, row, on[node.index], add_impact)
             _cpm.forward(network, d, buf)
             _cpm.backward(network, d, buf, counts[lo // _CHUNK])
             total_duration[lo:hi] = buf[network.sink]
@@ -203,7 +301,7 @@ def run_ensemble(network: ValidatedNetwork, n_runs: int, seed: int,
         if not (np.isfinite(total_duration[lo:hi]).all() and np.isfinite(cost_sum).all()):
             raise DegenerateProject("a run's duration or cost exceeds the float range")
 
-    threads = min(workers, len(chunks), os.cpu_count() or 1)
+    threads = _threads(workers, n)
     if threads == 1:
         # no pool: a pool thread would draw the chunk's temporaries from a
         # malloc arena of its own, which the main thread never reuses
@@ -215,11 +313,11 @@ def run_ensemble(network: ValidatedNetwork, n_runs: int, seed: int,
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(simulate, chunks))  # re-raises the first chunk's error
 
-    arrays = dict(durations=durations, impacts=impacts, critical_runs=counts.sum(axis=0),
-                  total_duration=total_duration, total_cost=total_cost)
+    arrays = dict(critical_runs=counts.sum(axis=0), total_duration=total_duration,
+                  total_cost=total_cost)
     for arr in arrays.values():
         arr.flags.writeable = False
-    return Ensemble(plan=plan, network=network, **arrays)
+    return Ensemble(plan=plan, network=network, seed=seed, **arrays)
 
 
 def _draw(law, gate, seed, ident, lo, hi):
@@ -291,10 +389,10 @@ def sample_sd(samples) -> float:
     return scaled(lambda x: x.std(ddof=1), samples)
 
 
-def row_moments(rows, totals):
-    """(sd, r, cov) of each (n_runs,) row in turn against the totals: the
-    row's sample sd, its Pearson r with the totals (0 where either side is
-    constant) and its covariance with them.
+def moments_against(totals):
+    """The function of one (n_runs,) row that gives its (sd, r, cov) against
+    the totals: the row's sample sd, its Pearson r with the totals (0 where
+    either side is constant) and its covariance with them.
 
     Rows are nonnegative and at most about the totals' largest value (a
     duration is at most its run's longest path, a node cost at most the
@@ -308,16 +406,15 @@ def row_moments(rows, totals):
     tc -= tc.mean()
     stt = (tc * tc).sum()
     dof = len(tc) - 1
-    sd, r, cov = [], [], []
-    for row in rows:
+
+    def moments(row):
         dc = np.ldexp(row, -shift)
         dc -= dc.mean()
         sxx, sxt = (dc * dc).sum(), (dc * tc).sum()
         denom = math.sqrt(sxx * stt)
-        sd.append(math.ldexp(math.sqrt(sxx / dof), shift))
-        r.append(sxt / denom if denom > 0.0 else 0.0)
-        cov.append(sxt / dof)
-    return np.array(sd), np.array(r), np.array(cov)
+        return (math.ldexp(math.sqrt(sxx / dof), shift),
+                sxt / denom if denom > 0.0 else 0.0, sxt / dof)
+    return moments
 
 
 @dataclass(frozen=True)

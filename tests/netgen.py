@@ -80,6 +80,18 @@ def ladder_spec(stages):
     return ProjectSpec(activities=acts, precedence=pairs)
 
 
+def duration_matrix(ens):
+    """The ensemble's node durations, (n_nodes, n_runs), re-drawn row by row
+    through Ensemble.duration_rows()."""
+    return np.array(list(ens.duration_rows()))
+
+
+def cost_matrix(ens):
+    """The ensemble's node costs, (n_nodes, n_runs), formed row by row
+    through Ensemble.node_costs(), each over its freshly drawn durations."""
+    return np.array([ens.node_costs(j, d) for j, d in enumerate(ens.duration_rows())])
+
+
 def block_windows(ens):
     """The ensemble's (start, finish, node_costs), each (n_nodes, n_runs),
     joined from the blocks of Ensemble.blocks()."""
@@ -92,7 +104,7 @@ def critical_flags(ens):
     forward_backward call per run (a run's flags depend on its durations
     alone), after checking that they count to the ensemble's critical_runs.
     About 0.15 ms a run: for small ensembles only."""
-    flags = np.array([forward_backward(ens.network, d).critical for d in ens.durations.T]).T
+    flags = np.array([forward_backward(ens.network, d).critical for d in duration_matrix(ens).T]).T
     assert np.array_equal(flags.sum(axis=1), ens.critical_runs)
     return flags
 

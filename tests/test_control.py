@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netgen import block_windows, chain_spec, random_dag_spec, scaled_spec, with_degenerate_nodes
+from netgen import (block_windows, chain_spec, cost_matrix, duration_matrix, random_dag_spec,
+                    scaled_spec, with_degenerate_nodes)
 from test_cpm import reference_accrue, reference_interpolate, reference_window_fraction
 from riskmc import (
     ControlObservation,
@@ -270,7 +271,7 @@ def test_cross_section_half_is_first_activity_finish(serial_iid):
     net, ens, _ = serial_iid
     section_t, section_c = cross_section(ens, 0.5)
     first = net.ids().index("B1")
-    assert np.allclose(section_t, ens.durations[first], atol=1e-12)
+    assert np.allclose(section_t, duration_matrix(ens)[first], atol=1e-12)
     # the first activity's full fixed cost is in by then, the second not started
     assert np.allclose(section_c, 10.0, atol=1e-12)
 
@@ -445,7 +446,7 @@ def _whole_ensemble_section(ensemble, x):
     loop at the times found. The blocked cross-section must match it bit
     for bit."""
     target = x * ensemble.plan.bac
-    costs, d = ensemble.plan.costs, ensemble.durations
+    costs, d = ensemble.plan.costs, duration_matrix(ensemble)
     starts = np.empty(d.shape)
     forward(ensemble.network, d, starts)
     finishes = starts + d
@@ -465,7 +466,7 @@ def _whole_ensemble_section(ensemble, x):
     v1_left = reference_accrue(t1, costs, starts, finishes, step_closed=False)
     interp = reference_interpolate(target, t0, t1, v0, v1_left)
     times = np.where(lo == 0, 0.0, np.where(v1_left > target, np.minimum(interp, t1), t1))
-    return times, reference_accrue(times, list(ensemble.cost_rows()), starts, finishes)
+    return times, reference_accrue(times, cost_matrix(ensemble), starts, finishes)
 
 
 def _block_sizes(ensemble):

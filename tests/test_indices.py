@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -9,7 +8,9 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import riskmc.indices
-from netgen import chain_spec, critical_flags, normal_pert_spec, parallel_spec, random_dag_spec
+import riskmc.montecarlo as montecarlo
+from netgen import (chain_spec, cost_matrix, critical_flags, duration_matrix, normal_pert_spec,
+                    parallel_spec, random_dag_spec, scaled_spec)
 from riskmc import (
     Distribution,
     contingency_reserve,
@@ -18,8 +19,8 @@ from riskmc import (
     sensitivity_report,
     validate,
 )
-from riskmc.control import _variance_shares, risk_baselines
-from riskmc.montecarlo import row_moments, sample_sd, scaled, unit_scaled
+from riskmc.control import risk_baselines
+from riskmc.montecarlo import moments_against, sample_sd, scaled, unit_scaled
 from riskmc.errors import ConfigError, DegenerateProject
 
 
@@ -139,16 +140,18 @@ def test_pearson_and_variance_shares_match_fsum_reference():
     # both reduce each node's runs with numpy's pairwise sums; a reference
     # summing with math.fsum bounds their rounding
     ens = run_ensemble(validate(normal_pert_spec()), 30_000, 14)
+    durations = duration_matrix(ens)
     cri = []
-    for row in ens.durations:
+    for row in durations:
         sxt, sxx, stt = _fsum_moments(row, ens.total_duration)
         cri.append(abs(sxt) / math.sqrt(sxx * stt) if sxx > 0.0 else 0.0)
     assert sensitivity_report(ens).cri == pytest.approx(cri, rel=1e-12, abs=0.0)
-    for rows, totals in ((lambda: ens.durations, ens.total_duration),
-                         (ens.cost_rows, ens.total_cost)):
-        cov = [max(_fsum_moments(row, totals)[0], 0.0) for row in rows()]
+    baseline = risk_baselines(ens)
+    for rows, totals, got in ((durations, ens.total_duration, baseline.schedule_shares),
+                              (cost_matrix(ens), ens.total_cost, baseline.cost_shares)):
+        cov = [max(_fsum_moments(row, totals)[0], 0.0) for row in rows]
         shares = np.array(cov) / math.fsum(cov)
-        assert _variance_shares(rows(), totals) == pytest.approx(shares, rel=1e-12, abs=0.0)
+        assert got == pytest.approx(shares, rel=1e-12, abs=0.0)
 
 
 def test_overflowing_sums_reduce_as_the_unscaled_runs_bitwise():
@@ -158,19 +161,23 @@ def test_overflowing_sums_reduce_as_the_unscaled_runs_bitwise():
     # variance shares equal the unscaled ensemble's bit for bit, and each
     # sigma is 2**1015 times its own
     ens = run_ensemble(validate(normal_pert_spec()), 3000, 14)
-    big = dataclasses.replace(ens, durations=np.ldexp(ens.durations, 1015),
-                              total_duration=np.ldexp(ens.total_duration, 1015))
+    big = run_ensemble(validate(scaled_spec(normal_pert_spec(), 1015, 1015)), 3000, 14)
+    # the scaled project's draws, totals and node costs are the plain ones
+    # times 2**1015 exactly, as its laws, rates and costs are
+    for got, want in ((duration_matrix(big), duration_matrix(ens)),
+                      (cost_matrix(big), cost_matrix(ens)),
+                      (big.total_duration, ens.total_duration),
+                      (big.total_cost, ens.total_cost)):
+        assert got.tobytes() == np.ldexp(want, 1015).tobytes()
     plain, scaled = sensitivity_report(ens), sensitivity_report(big)
     for field in ("ci", "cri", "ssi"):
         assert getattr(scaled, field).tobytes() == getattr(plain, field).tobytes(), field
     assert scaled.sigma.tobytes() == np.ldexp(plain.sigma, 1015).tobytes()
     spearman = sensitivity_report(big, "spearman").cri
     assert spearman.tobytes() == sensitivity_report(ens, "spearman").cri.tobytes()
-    for rows, totals in ((lambda: ens.durations, ens.total_duration),
-                         (ens.cost_rows, ens.total_cost)):
-        want = _variance_shares(rows(), totals)
-        got = _variance_shares((np.ldexp(row, 1015) for row in rows()), np.ldexp(totals, 1015))
-        assert got.tobytes() == want.tobytes()
+    want, got = risk_baselines(ens), risk_baselines(big)
+    assert got.schedule_shares.tobytes() == want.schedule_shares.tobytes()
+    assert got.cost_shares.tobytes() == want.cost_shares.tobytes()
 
 
 def _plain_moments(row, totals):
@@ -199,7 +206,7 @@ def test_scaled_reductions_equal_the_plain_ones_wherever_those_are_finite(expone
                     exponent - rng.integers(0, 8, size=(m, 1)))
     totals = rows.sum(axis=0)
     shift = unit_scaled(totals)[1]
-    sd, r, cov = row_moments(iter(rows), totals)
+    sd, r, cov = np.array([moments_against(totals)(row) for row in rows]).T
     with np.errstate(over="ignore", invalid="ignore"):
         for j, row in enumerate(rows):
             for got, want in zip((sd[j], r[j], np.ldexp(cov[j], 2 * shift)),
@@ -216,11 +223,13 @@ def test_analysis_reduces_one_row_at_a_time():
     # beyond the ensemble, the indices, the baselines and the reserve hold a
     # few run-sized arrays at once, never one per node: 42 nodes here. The
     # Spearman report holds the ranked totals and one row's ranking
-    # temporaries (sort order, tie groups) beside them
+    # temporaries (sort order, tie groups) beside them. Each row is re-drawn
+    # a span at a time, whose draw adds one span-bounded transient
     rng = np.random.default_rng(40)
     net = validate(random_dag_spec(rng, n_real=40, edge_prob=0.1, with_risks=4))
     n = 20_000
     ens = run_ensemble(net, n, 5)
+    transient = _span_draw_peak(net, 5)
     for analysis, runs in ((sensitivity_report, 5), (risk_baselines, 5),
                            (lambda e: contingency_reserve(e, 90), 5),
                            (lambda e: sensitivity_report(e, "spearman"), 16)):
@@ -230,7 +239,24 @@ def test_analysis_reduces_one_row_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= runs * 8 * n, (analysis, peak / (8 * n))
+        assert peak <= runs * 8 * n + transient, (analysis, (peak - transient) / (8 * n))
+
+
+def _span_draw_peak(net, seed):
+    """The most that drawing one span of _CHUNK runs of any of the network's
+    streams allocates (tracemalloc): the transient of re-drawing a row, which
+    the span bounds, whatever the run count."""
+    streams = [(node.base, node.gate, node.id) for node in net.nodes]
+    streams += [(cr.impact, cr.probability, cr.id) for cr in net.cost_risks]
+    peaks = []
+    for law, gate, ident in streams:
+        tracemalloc.start()
+        try:
+            montecarlo._draw(law, gate, seed, ident, 0, montecarlo._CHUNK)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return max(peaks)
 
 
 def test_ssi_identities():

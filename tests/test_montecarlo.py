@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import hashlib
+import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 import oracles
 import riskmc.errors as errors
 import riskmc.montecarlo as montecarlo
-from netgen import (block_windows, chain_spec, critical_flags, normal_pert_spec, parallel_spec,
-                    random_dag_spec, trajectories)
+from netgen import (block_windows, chain_spec, cost_matrix, critical_flags, duration_matrix,
+                    normal_pert_spec, parallel_spec, random_dag_spec, trajectories)
 from riskmc import (
     ControlObservation,
     Distribution,
@@ -31,6 +32,7 @@ from riskmc import (
     triad,
     validate,
 )
+from riskmc.cpm import _BLOCK_CELLS, backward, forward
 from riskmc.errors import ConfigError, DegenerateProject, EmptySample
 from riskmc.montecarlo import sample_block
 from test_cpm import reference_forward_backward
@@ -88,7 +90,7 @@ def test_worker_count_never_changes_results(figure3_network):
     _, base_ev = trajectories(base, 7)
     for workers in range(2, 9):
         other = run_ensemble(figure3_network, n_runs, seed, workers=workers)
-        assert np.array_equal(base.durations, other.durations)
+        assert np.array_equal(duration_matrix(base), duration_matrix(other))
         assert np.array_equal(base.total_cost, other.total_cost)
         assert np.array_equal(base_ev, trajectories(other, 7)[1])
 
@@ -101,11 +103,13 @@ ENSEMBLE_FIELDS = (*RUN_FIELDS, "critical_runs")
 
 def _field(ens, field):
     """An ensemble array, the starts joined from Ensemble.blocks(), or the
-    node costs, read row by row through cost_rows()."""
+    node durations or costs, re-drawn row by row."""
     if field == "starts":
         return block_windows(ens)[0]
+    if field == "durations":
+        return duration_matrix(ens)
     if field == "node_cost":
-        return np.array(list(ens.cost_rows()))
+        return cost_matrix(ens)
     return getattr(ens, field)
 
 
@@ -158,17 +162,17 @@ def test_pool_has_at_most_one_thread_per_cpu(figure3_network, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    cost_rows_of_chunk = montecarlo._cost_rows
+    draw_span = montecarlo._draw_span
 
-    def cost_rows(*args):  # read once per chunk, on the thread simulating it
+    def draw_chunk(*args):  # called once per chunk, on the thread simulating it
         runners.append(threading.current_thread())
-        return cost_rows_of_chunk(*args)
+        return draw_span(*args)
 
     threads = threading.active_count()
     n_runs, seed = 150, 5
     base = run_ensemble(figure3_network, n_runs, seed, workers=1)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(montecarlo, "_cost_rows", cost_rows)
+    monkeypatch.setattr(montecarlo, "_draw_span", draw_chunk)
     monkeypatch.setattr(montecarlo, "_CHUNK", 4)  # 150 runs: 38 chunks, the last of 2
     grid = ((3, 10**6), (None, 10**6), (64, 10**6), (64, 2), (1, 8), (64, 1))
     for cpus, workers in grid:
@@ -220,8 +224,9 @@ def test_chunk_boundaries_never_change_a_run(n_runs, workers):
         assert _field(ens, field)[..., :C - 1].tobytes() == _field(prefix, field).tobytes(), field
     net = validate(normal_pert_spec())
     start, finish, _ = block_windows(ens)
+    durations = duration_matrix(ens)
     for k in sorted({0, C - 2, *range(C, n_runs, 2731), n_runs - 1}):
-        want = reference_forward_backward(net, ens.durations[:, k])
+        want = reference_forward_backward(net, durations[:, k])
         assert start[:, k].tobytes() == want["es"].tobytes(), k
         assert finish[:, k].tobytes() == want["ef"].tobytes(), k
         assert ens.total_duration[k] == want["duration"], k
@@ -245,6 +250,91 @@ def test_normal_and_pert_draws_are_pinned():
     for field in ENSEMBLE_FIELDS:
         digest = hashlib.sha256(_field(ens, field).T.tobytes()).hexdigest()
         assert digest == NORMAL_PERT_SHA256[field], field
+
+
+def _philox_reference(seed, purpose, ident, start, count):
+    """A stream's uniforms from a new Philox built from its key and advanced
+    to `start`: the reference that _uniform_block's re-keyed generator must
+    match."""
+    msg = f"{seed}|{purpose}|{ident}|0".encode()
+    key = int.from_bytes(hashlib.blake2b(msg, digest_size=16).digest(), "little")
+    bit_gen = np.random.Philox(key=key)
+    bit_gen.advance(start // 4)
+    return np.random.Generator(bit_gen).random(count)
+
+
+def test_keyed_streams_equal_philox_from_the_key_on_any_thread():
+    # each thread re-keys its own Philox by setting its state; the uniforms
+    # must be those of Philox(key=...).advance(start // 4) bit for bit, at
+    # every start, on three threads drawing at once, with the interpreter
+    # switching threads as often as it can
+    cases = [(seed, purpose, ident, start) for seed in (0, 7)
+             for purpose in ("dur", "gate", "impact") for ident in ("A1", "R2")
+             for start in (0, 4, C - 4, C, 2**40)]
+    want = [_philox_reference(*case, 1001).tobytes() for case in cases]
+
+    def draw_all(_):
+        return [montecarlo._uniform_block(*case, 1001).tobytes()
+                for _ in range(20) for case in cases]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(3) as pool:
+            futures = [pool.submit(draw_all, i) for i in range(3)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in [*results, draw_all(None)]:
+        assert got == want * 20
+
+
+def test_a_point_law_reads_no_stream():
+    # a point law's draws are its value, with or without a gate; only the
+    # gate's stream is read, and each stream has one owner, so no other
+    # draw moves
+    point = Distribution.point(2.5)
+    with mock.patch.object(montecarlo, "_uniform_block",
+                           wraps=montecarlo._uniform_block) as uniforms:
+        draws = sample_block(point, seed=3, ident="P", start=C, count=100)
+        assert uniforms.call_count == 0
+        gated = montecarlo._draw(point, 0.5, 3, "R", 0, 100)
+        assert uniforms.call_count == 1
+    assert draws.tobytes() == np.full(100, 2.5).tobytes()
+    active = montecarlo._uniform_block(3, "gate", "R", 0, 100) < 0.5
+    assert gated.tobytes() == np.where(active, 2.5, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n_runs", [1, 2, C - 1, C, C + 1, 2 * C + 3])
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_redrawn_rows_rebuild_the_simulation(n_runs, workers, seed):
+    # the ensemble keeps its totals and critical counts, nothing per node:
+    # the rows re-drawn from its streams must be the ones it simulated, so
+    # run k's column gives its total duration and, summed in node order, its
+    # total cost, bit for bit, and the rows' critical flags count to
+    # critical_runs
+    rng = np.random.default_rng(seed)
+    spec = random_dag_spec(rng, n_real=int(rng.integers(1, 10)),
+                           with_risks=int(rng.integers(1, 5)))
+    net = validate(spec)
+    ens = run_ensemble(net, n_runs, seed % 1000, workers=workers)
+    durations, costs = duration_matrix(ens), cost_matrix(ens)
+    for k in {0, C - 1, C, C + 1, 2 * C, n_runs - 1, *rng.integers(0, n_runs, 3).tolist()}:
+        if k >= n_runs:
+            continue
+        assert forward_backward(net, durations[:, k]).duration == ens.total_duration[k], k
+        total = 0.0
+        for cost in costs[:, k]:
+            total += cost
+        assert total == ens.total_cost[k], k
+    # every run's flags at once: the many-run case of forward_backward
+    critical = np.zeros(len(net.nodes), dtype=np.int64)
+    buf = np.empty(durations.shape)
+    forward(net, durations, buf)
+    backward(net, durations, buf, critical)
+    assert np.array_equal(critical, ens.critical_runs)
 
 
 @pytest.mark.parametrize("dist", [Distribution.normal(0.5, 2.0), Distribution.normal(5, 2)])
@@ -272,8 +362,9 @@ def test_memory_guard_bounds_the_traced_peak(n_nodes):
     # allocates: run_ensemble with one chunk or several and with several
     # chunks in flight, and the simulation followed by the control and the
     # forecast analyses, whose cross-section works in blocks of runs, one
-    # block or many (C + 1 runs). A handful of runs is left out, where
-    # ~25 KiB of pool and generator objects dominate.
+    # block or many (C + 1 runs), and blocks as large as they grow: a
+    # sixteenth of the runs reaching 2^17 windows or a span. A handful of
+    # runs is left out, where ~25 KiB of pool and generator objects dominate.
     # 3 nodes is the many-cost-risk network; the others are random DAGs
     if n_nodes == 3:
         net = validate(many_cost_risks_spec())
@@ -297,9 +388,10 @@ def test_memory_guard_bounds_the_traced_peak(n_nodes):
 
     sim_sizes = [(n, workers) for n in (300, 1000, C - 1, C + 1, 4 * C + 1)
                  for workers in (1, 3)]
+    full_blocks = 16 * min(C, _BLOCK_CELLS // m) + 1
+    analysis_sizes = [(300, 1), (1000, 1), (C + 1, 1), (full_blocks, 1)]
     for sequence, sizes in ((functools.partial(run_ensemble, net), sim_sizes),
-                            (control, [(300, 1), (1000, 1), (C + 1, 1)]),
-                            (forecast, [(300, 1), (1000, 1), (C + 1, 1)])):
+                            (control, analysis_sizes), (forecast, analysis_sizes)):
         # a first, small run builds the PERT tables, which the network's laws
         # then hold
         sequence(8, 0, workers=1)
@@ -310,23 +402,21 @@ def test_memory_guard_bounds_the_traced_peak(n_nodes):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            per_run = montecarlo._PEAK_PER_RUN_NODE * m + 8 * k + montecarlo._PEAK_PER_RUN
-            assert peak <= n * per_run, (m, k, n, workers, sequence, peak / (n * per_run))
+            need = montecarlo._peak_bytes(net, n, workers)
+            assert peak <= need, (m, k, n, workers, sequence, peak / need)
 
 
 def test_runs_beyond_the_memory_ceiling_are_refused(figure3_network, monkeypatch):
     # a 64 KiB address-space limit; the largest run count that fits still
     # runs, one more is refused before anything is allocated. The guard
-    # counts 8 B per run for each cost risk's draws, most of what the
-    # many-cost-risk network stores
+    # counts each cost risk's draws for each run in flight, most of what the
+    # many-cost-risk network draws
     resource = errors.resource
     monkeypatch.setattr(resource, "getrlimit", lambda which: (2**16, resource.RLIM_INFINITY))
     assert errors._memory_ceiling() == 2**16
     for net in (figure3_network, validate(many_cost_risks_spec())):
         m = len(net.nodes)
-        per_run = (montecarlo._PEAK_PER_RUN_NODE * m + 8 * len(net.cost_risks)
-                   + montecarlo._PEAK_PER_RUN)
-        fit = 2**16 // per_run
+        fit = max(n for n in range(2**16) if montecarlo._peak_bytes(net, n) <= 2**16)
         assert run_ensemble(net, fit, 0).n_runs == fit
         for runs in (fit + 1, 10**12):
             with pytest.raises(ConfigError,
@@ -406,12 +496,12 @@ def test_risk_probability_zero_matches_riskfree_network():
     gated = run_ensemble(validate(risky_spec), n_runs, seed)
     assert np.array_equal(free.total_duration, gated.total_duration)
     assert np.array_equal(free.total_cost, gated.total_cost)
-    assert not gated.durations[validate(risky_spec).ids().index("R1")].any()
+    assert not duration_matrix(gated)[validate(risky_spec).ids().index("R1")].any()
     # per-activity draws are keyed by id, so shared rows agree exactly
     for node_id in ("B1", "B2"):
         i = validate(base_spec).ids().index(node_id)
         j = validate(risky_spec).ids().index(node_id)
-        assert np.array_equal(free.durations[i], gated.durations[j])
+        assert np.array_equal(duration_matrix(free)[i], duration_matrix(gated)[j])
 
 
 def test_a_risk_id_owns_one_gate_stream_whatever_its_kind():
@@ -427,10 +517,10 @@ def test_a_risk_id_owns_one_gate_stream_whatever_its_kind():
         net = validate(ProjectSpec(base.activities, base.precedence, risks=(risk,)))
         ens[kind] = (net, run_ensemble(net, n_runs, seed))
     net, dur = ens["duration"]
-    delayed = dur.durations[net.ids().index("R")] > 0.0
+    delayed = duration_matrix(dur)[net.ids().index("R")] > 0.0
     net, cost = ens["cost"]
     b1 = net.ids().index("B1")
-    overrun = list(cost.cost_rows())[b1] > 10 + 2 * cost.durations[b1]
+    overrun = cost_matrix(cost)[b1] > 10 + 2 * duration_matrix(cost)[b1]
     assert 0 < delayed.sum() < n_runs
     assert np.array_equal(delayed, overrun)
 
@@ -454,17 +544,18 @@ def test_derived_starts_and_node_costs_match_their_references_bitwise(seed, n_re
     runs = [k for block in ens.blocks() for k in range(n_runs)[block[0]]]
     assert runs == list(range(n_runs))
     start, finish, node_costs = block_windows(ens)
+    durations = duration_matrix(ens)
     for k in range(n_runs):
-        want = reference_forward_backward(net, ens.durations[:, k])
+        want = reference_forward_backward(net, durations[:, k])
         assert start[:, k].tobytes() == want["es"].tobytes(), k
         assert finish[:, k].tobytes() == want["ef"].tobytes(), k
 
-    cost = net.fixed_costs()[:, None] + net.rates()[:, None] * ens.durations
+    cost = net.fixed_costs()[:, None] + net.rates()[:, None] * durations
     for cr in net.cost_risks:
         cost[cr.target] += montecarlo._draw(cr.impact, cr.probability, seed % 1000, cr.id,
                                             0, n_runs)
     assert node_costs.tobytes() == cost.tobytes()
-    assert np.array(list(ens.cost_rows())).tobytes() == cost.tobytes()
+    assert cost_matrix(ens).tobytes() == cost.tobytes()
     total = np.zeros(n_runs)
     for row in cost:
         total += row
@@ -472,19 +563,20 @@ def test_derived_starts_and_node_costs_match_their_references_bitwise(seed, n_re
 
 
 def test_the_ensemble_stores_only_what_was_sampled():
-    # durations (8 B) and cost-risk impacts (8 B) per run and node or risk,
-    # the two totals, and one count of critical runs per node; starts, node
-    # costs and per-run critical flags are formed a block or a row at a
-    # time, and no analysis stores any of them
+    # the two totals (8 B per run each) and one count of critical runs per
+    # node; the node durations and cost-risk draws are re-drawn from their
+    # streams where they are read, starts, node costs and per-run critical
+    # flags are formed a block or a row at a time, and no analysis stores
+    # any of them
     net = validate(normal_pert_spec())
     n = 3 * C + 5
     ens = run_ensemble(net, n, 14)
-    m, k = len(net.nodes), len(net.cost_risks)
+    m = len(net.nodes)
     arrays = [getattr(ens, f.name) for f in dataclasses.fields(ens)]
     stored = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-    assert stored == (8 * m + 16 + 8 * k) * n + 8 * m
+    assert stored == 16 * n + 8 * m
     fields = {f.name for f in dataclasses.fields(ens)}
-    assert not {"starts", "node_cost", "critical"} & fields
+    assert not {"durations", "impacts", "starts", "node_cost", "critical"} & fields
     obs = ControlObservation(t=6, ev=30, ac=33)
     triad(obs, ens)
     sevm_forecast(obs, ens)
@@ -497,8 +589,9 @@ def test_each_run_matches_scalar_cpm(figure3_network):
     # the vectorized per-run pass must agree with the one-shot CPM
     ens = run_ensemble(figure3_network, 400, 29)
     start = block_windows(ens)[0]
+    durations = duration_matrix(ens)
     for k in range(0, ens.n_runs, 37):
-        result = forward_backward(figure3_network, ens.durations[:, k])
+        result = forward_backward(figure3_network, durations[:, k])
         assert ens.total_duration[k] == result.duration
         assert np.array_equal(start[:, k], result.es)
     critical_flags(ens)  # the scalar passes' flags count to critical_runs
@@ -523,8 +616,9 @@ def test_trajectory_invariants(figure3_network):
 
 def test_ensemble_is_read_only(figure3_network):
     ens = run_ensemble(figure3_network, 50, 1)
-    with pytest.raises(ValueError):
-        ens.durations[0, 0] = 1.0
+    for stored in (ens.total_duration, ens.total_cost, ens.critical_runs):
+        with pytest.raises(ValueError):
+            stored[0] = 1.0
     with pytest.raises(ValueError):  # the plan it carries is read-only too
         ens.plan.costs[0] = 1.0
 
@@ -533,7 +627,7 @@ def test_run_cost_identity(figure3_network):
     ens = run_ensemble(figure3_network, 500, 37)
     fixed = np.array([n.fixed_cost for n in figure3_network.nodes])
     rate = np.array([n.variable_cost_rate for n in figure3_network.nodes])
-    base = (fixed[:, None] + rate[:, None] * ens.durations).sum(axis=0)
+    base = (fixed[:, None] + rate[:, None] * duration_matrix(ens)).sum(axis=0)
     risk_part = ens.total_cost - base
     active = montecarlo._uniform_block(37, "gate", "R3", 0, ens.n_runs) < 0.25
     assert (risk_part[~active] == pytest.approx(0.0, abs=1e-9))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from netgen import chain_spec, dummy, random_dag_spec
+from netgen import chain_spec, duration_matrix, dummy, random_dag_spec
 from riskmc import (
     Activity,
     Distribution,
@@ -191,7 +191,7 @@ def test_probability_zero_risk_never_activates():
                      target="B1", impact=Distribution.uniform(1, 2))
     net = validate(ProjectSpec(spec.activities, spec.precedence, (risk,)))
     ens = run_ensemble(net, 500, 3)
-    assert (ens.durations[net.ids().index("R1")] == 0.0).all()
+    assert (duration_matrix(ens)[net.ids().index("R1")] == 0.0).all()
     assert (ens.total_duration == 2.0).all()
 
 
